@@ -9,9 +9,11 @@ graph6 format; results print as text or JSON. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .graph import (
     Graph,
@@ -156,29 +158,39 @@ def _vset(vertices) -> str:
     return "{" + ", ".join(_vname(v) for v in sorted(vertices)) + "}"
 
 
-def _emit(args: argparse.Namespace, obj: dict, text: str) -> None:
+def _emit(
+    args: argparse.Namespace,
+    to_json: Callable[[], dict],
+    to_text: Callable[[], str],
+) -> None:
+    """Print the requested rendering; only that one is built."""
     if args.output == "json":
-        print(json.dumps(obj, indent=2))
-    elif text:
-        print(text)
+        print(json.dumps(to_json(), indent=2))
+    else:
+        text = to_text()
+        if text:
+            print(text)
 
 
 def _run_system(args, g: Graph) -> None:
     system = well_covering_system(g, _config(args))
-    _emit(args, system_to_json(system), system_to_text(system))
+    _emit(args, lambda: system_to_json(system), lambda: system_to_text(system))
 
 
 def _run_dimension(args, g: Graph) -> None:
     system = well_covering_system(g, _config(args))
     dim = g.n - rank(system)
-    _emit(args, {"dimension": dim}, str(dim))
+    _emit(args, lambda: {"dimension": dim}, lambda: str(dim))
 
 
 def _run_basis(args, g: Graph) -> None:
     system = well_covering_system(g, _config(args))
     basis = null_space_basis(system)
-    text = "\n".join(" ".join(str(x) for x in vec) for vec in basis.vectors)
-    _emit(args, basis_to_json(basis, g.n), text)
+    _emit(
+        args,
+        lambda: basis_to_json(basis, g.n),
+        lambda: "\n".join(" ".join(str(x) for x in vec) for vec in basis.vectors),
+    )
 
 
 def _run_is_well_covered(args, g: Graph) -> None:
@@ -198,7 +210,8 @@ def _run_is_well_covered(args, g: Graph) -> None:
             large = max(mis.sets, key=key)
             witness = (small, large)
     else:
-        system = well_covering_system(g, cfg)
+        # pass the resolved strategy on so auto's recognizers run only once
+        system = well_covering_system(g, dataclasses.replace(cfg, strategy=strategy))
         covered = evaluate(system, (1,) * g.n)
     obj: dict = {"well_covered": covered, "witness": None}
     text = "yes" if covered else "no"
@@ -214,14 +227,14 @@ def _run_is_well_covered(args, g: Graph) -> None:
             f"\nwitness: {_vset(small)} has weight {len(small)}, "
             f"{_vset(large)} has weight {len(large)}"
         )
-    _emit(args, obj, text)
+    _emit(args, lambda: obj, lambda: text)
 
 
 def _run_check_weighting(args, g: Graph) -> None:
     w = _read_weights(args.weights, g.n)
     system = well_covering_system(g, _config(args))
     ok = evaluate(system, w)
-    _emit(args, {"w_well_covered": ok}, "yes" if ok else "no")
+    _emit(args, lambda: {"w_well_covered": ok}, lambda: "yes" if ok else "no")
 
 
 def _mdtree_json(node: MDNode) -> dict:
@@ -252,7 +265,7 @@ def _mdtree_text(node: MDNode, depth: int = 0) -> list[str]:
 
 def _run_mdtree(args, g: Graph) -> None:
     tree = md_tree(g)
-    _emit(args, _mdtree_json(tree), "\n".join(_mdtree_text(tree)))
+    _emit(args, lambda: _mdtree_json(tree), lambda: "\n".join(_mdtree_text(tree)))
 
 
 def _run_recognize(args, g: Graph) -> None:
@@ -264,11 +277,14 @@ def _run_recognize(args, g: Graph) -> None:
         "connected": is_connected(g),
         "co_connected": is_co_connected(g),
     }
-    text = "\n".join(
-        f"{name.replace('_', '-')}: {'yes' if value else 'no'}"
-        for name, value in flags.items()
+    _emit(
+        args,
+        lambda: flags,
+        lambda: "\n".join(
+            f"{name.replace('_', '-')}: {'yes' if value else 'no'}"
+            for name, value in flags.items()
+        ),
     )
-    _emit(args, flags, text)
 
 
 _RUNNERS = {

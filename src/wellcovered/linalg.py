@@ -5,12 +5,20 @@ arbitrary-precision rationals (Fraction keeps gcd-reduced form with a
 positive denominator, and ints are the integral case). Floats are rejected
 on construction so no rounding can corrupt a solution space. Systems are
 immutable; elimination always works on copies.
+
+rank, extract_independent_subsystem and null_space_basis share one
+elimination kernel that sees Python ints only: each row is scaled by the lcm
+of its denominators and reduced by fraction-free cross-multiplication, in the
+manner of Bareiss (1968). Inputs and outputs stay exact int and Fraction
+values; null_space_basis returns the canonical basis read off the reduced
+row echelon form, built with one Fraction per nonzero entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Coeff = int | Fraction
@@ -27,6 +35,10 @@ def _canon(x: Coeff) -> Coeff:
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x
+
+
+def _q(x: Coeff) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -108,92 +120,89 @@ class Basis:
 
 # ---------------------------------------------------------------------------
 # elimination
+#
+# _echelon is the one kernel. Rows enter in input order and are reduced
+# against the echelon built so far: the entry under each pivot is cancelled
+# by cross-multiplication with both multipliers divided by their gcd. A row
+# with anything left is kept, divided by its content and signed so that its
+# pivot (first nonzero column) is positive.
 
-# Pivoting rule everywhere: first nonzero entry in column order, rows
-# scanned top-down. Deterministic; numerical stability is irrelevant over Q.
+
+def _integer_row(row: Sequence[Coeff]) -> list[int]:
+    """The row times the lcm of its denominators."""
+    d = lcm(*[x.denominator for x in row])
+    if d == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
-def _q(x: Coeff) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _primitive(row: list[int], pivot: int) -> list[int]:
+    """The row divided by its content, with a nonnegative entry at ``pivot``."""
+    g = gcd(*row)
+    if row[pivot] < 0:
+        g = -g
+    return row if g in (0, 1) else [x // g for x in row]
+
+
+def _cancel(row: list[int], er: list[int], col: int) -> list[int]:
+    """A combination of ``row`` and ``er`` that is zero at ``col``.
+
+    ``er[col]`` must be nonzero. Entries left of ``col`` that are zero in
+    both rows stay zero.
+    """
+    g = gcd(er[col], row[col])
+    a, b = er[col] // g, row[col] // g
+    if a == 1:
+        return [x - b * y for x, y in zip(row, er)]
+    # the result is zero at col, so only its content is divided out
+    return _primitive([a * x - b * y for x, y in zip(row, er)], col)
+
+
+def _echelon(s: LinearSystem) -> tuple[list[int], dict[int, list[int]]]:
+    """Greedy integer echelon of the rows of ``s``, taken in input order.
+
+    Returns the indices of the kept rows (each independent of the rows
+    before it) and the echelon as a map from pivot column to a primitive
+    integer row with a positive pivot and zeros left of it.
+    """
+    n = s.num_vars
+    echelon: dict[int, list[int]] = {}
+    kept: list[int] = []
+    for idx, row in enumerate(s.rows):
+        if len(echelon) == n:
+            break
+        work = _integer_row(row)
+        lead = 0
+        while True:
+            lead = next((c for c in range(lead, n) if work[c]), n)
+            er = echelon.get(lead)
+            if er is None:
+                break
+            work = _cancel(work, er, lead)
+        if lead < n:
+            echelon[lead] = _primitive(work, lead)
+            kept.append(idx)
+    return kept, echelon
 
 
 def rank(s: LinearSystem) -> int:
     """Rank of the coefficient matrix over the rationals."""
-    rows = [list(r) for r in s.rows if any(r)]
-    nrows = len(rows)
-    r = 0
-    for col in range(s.num_vars):
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = 1 / _q(prow[col])
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            if ri[col]:
-                f = _q(ri[col]) * inv
-                for c in range(col, s.num_vars):
-                    ri[c] = ri[c] - f * prow[c]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_echelon(s)[0])
 
 
 def extract_independent_subsystem(s: LinearSystem) -> LinearSystem:
     """A row basis made of original rows, in their original order.
 
-    The selected rows preserve the row space and their tags; the result has
+    Each row is kept iff it is independent of the rows before it. The
+    selected rows preserve the row space and their tags; the result has
     rank(s) rows, hence at most min(num_vars, len(s)).
     """
-    echelon: list[tuple[int, list[Coeff]]] = []  # (pivot col, reduced row)
-    kept: list[int] = []
-    for idx, row in enumerate(s.rows):
-        work = list(row)
-        for pc, er in echelon:
-            if work[pc]:
-                f = _q(work[pc]) / _q(er[pc])
-                for c in range(pc, s.num_vars):
-                    work[c] = work[c] - f * er[c]
-        lead = next((c for c in range(s.num_vars) if work[c]), None)
-        if lead is None:
-            continue
-        echelon.append((lead, work))
-        echelon.sort(key=lambda t: t[0])
-        kept.append(idx)
+    kept, _ = _echelon(s)
     return LinearSystem(
         s.num_vars,
         tuple(s.rows[i] for i in kept),
         tuple(s.tags[i] for i in kept),
     )
-
-
-def _rref(s: LinearSystem) -> list[tuple[int, list[Fraction]]]:
-    """Reduced row echelon form as a list of (pivot column, row) pairs."""
-    rows = [[_q(x) for x in r] for r in s.rows if any(r)]
-    pivots: list[tuple[int, list[Fraction]]] = []
-    r = 0
-    for col in range(s.num_vars):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = 1 / prow[col]
-        for c in range(col, s.num_vars):
-            prow[c] *= inv
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                ri = rows[i]
-                for c in range(col, s.num_vars):
-                    ri[c] -= f * prow[c]
-        pivots.append((col, prow))
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
 
 
 def null_space_basis(s: LinearSystem) -> Basis:
@@ -203,16 +212,27 @@ def null_space_basis(s: LinearSystem) -> Basis:
     free variable set to 1 and all other free variables set to 0. The basis
     has num_vars - rank(s) vectors.
     """
-    pivots = _rref(s)
-    pivot_cols = {pc for pc, _ in pivots}
+    _, echelon = _echelon(s)
+    pivots = sorted(echelon)
+    # back-substitution, bottom-up: clear every later pivot column, so row i
+    # becomes a positive multiple of row i of the reduced row echelon form
+    rows: dict[int, list[int]] = {}
+    for i in range(len(pivots) - 1, -1, -1):
+        pc = pivots[i]
+        row = echelon[pc]
+        for later in pivots[i + 1:]:
+            if row[later]:
+                row = _cancel(row, rows[later], later)
+        rows[pc] = _primitive(row, pc)
     vectors = []
     for free in range(s.num_vars):
-        if free in pivot_cols:
+        if free in rows:
             continue
         vals: list[Coeff] = [0] * s.num_vars
         vals[free] = 1
-        for pc, row in pivots:
-            vals[pc] = _canon(-row[free])
+        for pc, row in rows.items():
+            if row[free]:
+                vals[pc] = _canon(Fraction(-row[free], row[pc]))
         vectors.append(WeightVector(tuple(vals)))
     return Basis(tuple(vectors))
 

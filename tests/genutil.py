@@ -4,7 +4,8 @@ Oracles here deliberately avoid the library's own code paths. Maximal
 independent sets come from filtering all vertex subsets, module structure
 from testing all subsets against the definition, ranks from integer
 fraction-free (Bareiss) elimination, and pattern containment from explicit
-injective embeddings.
+injective embeddings. The Fraction elimination loops the library used before
+its integer kernel are kept here, unchanged, as differential oracles for it.
 """
 
 import random
@@ -12,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from wellcovered.graph import Graph
+from wellcovered.linalg import Basis, LinearSystem, WeightVector
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +359,111 @@ def bareiss_rank(int_rows):
         if r == nrows:
             break
     return r
+
+
+# The three Fraction elimination loops below are the library's former rank,
+# extract_independent_subsystem and null_space_basis, kept verbatim.
+
+
+def _q(x):
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _canon(x):
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    return x
+
+
+def fraction_rank(s):
+    """Rank of the coefficient matrix over the rationals."""
+    rows = [list(r) for r in s.rows if any(r)]
+    nrows = len(rows)
+    r = 0
+    for col in range(s.num_vars):
+        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        inv = 1 / _q(prow[col])
+        for i in range(r + 1, nrows):
+            ri = rows[i]
+            if ri[col]:
+                f = _q(ri[col]) * inv
+                for c in range(col, s.num_vars):
+                    ri[c] = ri[c] - f * prow[c]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def fraction_extract(s):
+    """A row basis made of original rows, in their original order."""
+    echelon = []  # (pivot col, reduced row)
+    kept = []
+    for idx, row in enumerate(s.rows):
+        work = list(row)
+        for pc, er in echelon:
+            if work[pc]:
+                f = _q(work[pc]) / _q(er[pc])
+                for c in range(pc, s.num_vars):
+                    work[c] = work[c] - f * er[c]
+        lead = next((c for c in range(s.num_vars) if work[c]), None)
+        if lead is None:
+            continue
+        echelon.append((lead, work))
+        echelon.sort(key=lambda t: t[0])
+        kept.append(idx)
+    return LinearSystem(
+        s.num_vars,
+        tuple(s.rows[i] for i in kept),
+        tuple(s.tags[i] for i in kept),
+    )
+
+
+def _fraction_rref(s):
+    """Reduced row echelon form as a list of (pivot column, row) pairs."""
+    rows = [[_q(x) for x in r] for r in s.rows if any(r)]
+    pivots = []
+    r = 0
+    for col in range(s.num_vars):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        inv = 1 / prow[col]
+        for c in range(col, s.num_vars):
+            prow[c] *= inv
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                ri = rows[i]
+                for c in range(col, s.num_vars):
+                    ri[c] -= f * prow[c]
+        pivots.append((col, prow))
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def fraction_rref_basis(s):
+    """Canonical null-space basis: one vector per free RREF column."""
+    pivots = _fraction_rref(s)
+    pivot_cols = {pc for pc, _ in pivots}
+    vectors = []
+    for free in range(s.num_vars):
+        if free in pivot_cols:
+            continue
+        vals = [0] * s.num_vars
+        vals[free] = 1
+        for pc, row in pivots:
+            vals[pc] = _canon(-row[free])
+        vectors.append(WeightVector(tuple(vals)))
+    return Basis(tuple(vectors))
 
 
 def system_rows_int(system):

@@ -53,6 +53,25 @@ class TestSystemVerb:
         code, out, _ = run(capsys, ["system"], stdin=BULL, monkeypatch=monkeypatch)
         assert code == 0 and len(out.splitlines()) == 2
 
+    def test_text_output_builds_no_json(self, capsys, bull_file, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("JSON rendering built for text output")
+
+        monkeypatch.setattr("wellcovered.cli.system_to_json", refuse)
+        monkeypatch.setattr("wellcovered.cli.basis_to_json", refuse)
+        code, out, _ = run(capsys, ["system", bull_file])
+        assert code == 0 and len(out.splitlines()) == 2
+        code, out, _ = run(capsys, ["basis", bull_file])
+        assert code == 0 and len(out.splitlines()) == 3
+
+    def test_json_output_builds_no_text(self, capsys, bull_file, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("text rendering built for JSON output")
+
+        monkeypatch.setattr("wellcovered.cli.system_to_text", refuse)
+        code, out, _ = run(capsys, ["system", bull_file, "--output", "json"])
+        assert code == 0 and len(json.loads(out)["rows"]) == 2
+
     def test_deterministic(self, capsys, bull_file):
         _, out1, _ = run(capsys, ["system", bull_file, "--output", "json"])
         _, out2, _ = run(capsys, ["system", bull_file, "--output", "json"])
@@ -97,6 +116,22 @@ class TestIsWellCoveredVerb:
             capsys, ["is-well-covered"], stdin=c4, monkeypatch=monkeypatch
         )
         assert code == 0 and out.strip() == "yes"
+
+    def test_auto_recognizes_once(self, capsys, monkeypatch):
+        import wellcovered.systems as systems
+
+        g = gu.random_cograph(gu.seeded(8), 12)
+        text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+        calls = []
+        real = systems.is_p4_free
+        monkeypatch.setattr(
+            systems, "is_p4_free", lambda h: calls.append(h) or real(h)
+        )
+        code, out, _ = run(
+            capsys, ["is-well-covered"], stdin=text, monkeypatch=monkeypatch
+        )
+        assert code == 0 and out.strip() in ("yes", "no")
+        assert len(calls) == 1
 
     def test_bull_no(self, capsys, bull_file):
         code, out, _ = run(capsys, ["is-well-covered", bull_file])

@@ -23,6 +23,7 @@ from wellcovered.linalg import (
     system_to_json,
     system_to_text,
 )
+from wellcovered.systems import bruteforce_system
 
 BULL_ROWS = [(0, 0, -1, 1, -1), (-1, 1, -1, 0, 0)]
 BULL_BASIS = [(1, 1, 0, 0, 0), (0, 1, 1, 1, 0), (0, 0, 0, 1, 1)]
@@ -180,6 +181,83 @@ class TestNullSpace:
             if basis.vectors:
                 assert rank(make_system(ncols, [tuple(v) for v in basis.vectors])) \
                     == basis.dimension
+
+
+def _entries():
+    # zeros often, so that rows are sparse and pivots get skipped
+    return st.one_of(
+        st.just(0),
+        st.integers(-6, 6),
+        st.fractions(min_value=-6, max_value=6, max_denominator=5),
+    )
+
+
+@st.composite
+def rational_systems(draw):
+    """Systems of mixed int/Fraction rows plus zero rows and duplicate or
+    rescaled copies (negative factors included), in shuffled order."""
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.tuples(*[_entries()] * n), max_size=7))
+    extra = []
+    for row in rows:
+        for factor in draw(
+            st.lists(st.sampled_from([1, -1, 2, -3, Fraction(-1, 2)]), max_size=2)
+        ):
+            extra.append(tuple(factor * x for x in row))
+    extra += [(0,) * n] * draw(st.integers(0, 2))
+    rows = draw(st.permutations(rows + extra))
+    return make_system(n, rows, [f"r{i}" for i in range(len(rows))])
+
+
+def _integral_rows(s):
+    """Each row times the product of its denominators."""
+    out = []
+    for row in s.rows:
+        scale = 1
+        for x in row:
+            scale *= Fraction(x).denominator
+        out.append([int(x * scale) for x in row])
+    return out
+
+
+def _basis_repr(b):
+    # repr tells an int from an integral Fraction, as the CLI output does
+    return [[repr(x) for x in v] for v in b.vectors]
+
+
+def _assert_matches_oracles(s):
+    r = rank(s)
+    assert r == gu.fraction_rank(s) == gu.bareiss_rank(_integral_rows(s))
+    out = extract_independent_subsystem(s)
+    expected = gu.fraction_extract(s)
+    assert out.rows == expected.rows and out.tags == expected.tags
+    assert len(out) == r
+    assert _basis_repr(null_space_basis(s)) == _basis_repr(gu.fraction_rref_basis(s))
+
+
+class TestKernelAgainstFractionOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(rational_systems())
+    def test_random_rational_systems(self, s):
+        _assert_matches_oracles(s)
+
+    def test_negative_pivots(self):
+        s = make_system(3, [(-2, 4, 0), (0, -3, 1), (1, -2, 0), (0, 0, -5)])
+        _assert_matches_oracles(s)
+        assert [tuple(v) for v in null_space_basis(make_system(2, [(-2, 3)])).vectors] \
+            == [(Fraction(3, 2), 1)]
+
+    def test_no_variables(self):
+        for s in (empty_system(0), make_system(0, [(), ()])):
+            _assert_matches_oracles(s)
+            assert rank(s) == 0 and null_space_basis(s).dimension == 0
+
+    def test_tall_bruteforce_system(self):
+        # hundreds of maximal independent sets over 34 variables
+        g = gu.random_graph(gu.seeded(34), 34, 0.3)
+        s = bruteforce_system(g)
+        assert len(s) > 300
+        _assert_matches_oracles(s)
 
 
 class TestSameSolutionSpace:
