@@ -3,7 +3,9 @@
 Verbs: system, dimension, basis, is-well-covered, check-weighting, mdtree,
 recognize. Graphs are read from a file argument or stdin, in edge-list or
 graph6 format; results print as text or JSON. Exit codes: 0 success,
-1 parse error, 2 strategy inapplicable, 3 enumeration cap exceeded.
+1 parse error, 2 strategy inapplicable, 3 enumeration cap exceeded,
+4 resource limit reached (recursion depth or memory; for example JSON
+output of a very deep decomposition tree).
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def _read_weights(path: str, n: int) -> WeightVector:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphParseError(f"cannot read {path}: {exc}") from None
     values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -253,19 +255,22 @@ def _mdtree_json(node: MDNode) -> dict:
     return obj
 
 
-def _mdtree_text(node: MDNode, depth: int = 0) -> list[str]:
-    pad = "  " * depth
-    if node.is_leaf:
-        return [f"{pad}leaf {_vname(node.vertex)}"]
-    lines = [f"{pad}{node.kind} {_vset(node.vertex_set)}"]
-    for child in node.children:
-        lines.extend(_mdtree_text(child, depth + 1))
-    return lines
+def _mdtree_text(tree: MDNode) -> str:
+    """One line per node in pre-order, indented two spaces per level."""
+    lines, stack = [], [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node.is_leaf:
+            lines.append(f"{'  ' * depth}leaf {_vname(node.vertex)}")
+        else:
+            lines.append(f"{'  ' * depth}{node.kind} {_vset(node.vertex_set)}")
+        stack.extend((c, depth + 1) for c in reversed(node.children))
+    return "\n".join(lines)
 
 
 def _run_mdtree(args, g: Graph) -> None:
     tree = md_tree(g)
-    _emit(args, lambda: _mdtree_json(tree), lambda: "\n".join(_mdtree_text(tree)))
+    _emit(args, lambda: _mdtree_json(tree), lambda: _mdtree_text(tree))
 
 
 def _run_recognize(args, g: Graph) -> None:
@@ -303,6 +308,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         g = parse_graph(_read_input(args.input), args.format)
         _RUNNERS[args.verb](args, g)
+    except (RecursionError, MemoryError) as exc:
+        # outputs are rendered in full before printing, so stdout is empty
+        print(f"error: resource limit reached: {exc!r}", file=sys.stderr)
+        return 4
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

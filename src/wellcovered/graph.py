@@ -230,12 +230,12 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     if vmap and not (0 <= vmap[0] and vmap[-1] < g.n):
         raise ValueError(f"vertex set not within 0..{g.n - 1}")
     pos = {v: i for i, v in enumerate(vmap)}
+    inside = mask_of(vmap)
     masks = []
     for u in vmap:
         m = 0
-        for w in iter_bits(g.adj[u]):
-            if w in pos:
-                m |= 1 << pos[w]
+        for w in iter_bits(g.adj[u] & inside):
+            m |= 1 << pos[w]
         masks.append(m)
     return Graph(len(vmap), tuple(masks)), vmap
 
@@ -311,8 +311,8 @@ def delete_closed_neighborhood(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]
 # ---------------------------------------------------------------------------
 # induced-subgraph recognition
 #
-# All three predicates perform exhaustive search over vertex tuples; the
-# loops below are pruned orderings of the naive O(n^4)/O(n^5) scans.
+# The claw and fork predicates perform exhaustive search over vertex tuples;
+# their loops are pruned orderings of the naive O(n^4)/O(n^5) scans.
 
 
 def is_claw_free(g: Graph) -> bool:
@@ -336,24 +336,31 @@ def is_fork_free(g: Graph) -> bool:
     for c in range(g.n):
         nbrs = g.adj[c]
         for b in iter_bits(nbrs):
+            tails = g.adj[b] & ~nbrs & ~(1 << c)
+            if not tails:
+                continue
             others = nbrs & ~g.adj[b] & ~(1 << b)
             for d in iter_bits(others):
                 rest = others & ~g.adj[d] & ~((1 << (d + 1)) - 1)
                 for e in iter_bits(rest):
-                    tail = g.adj[b] & ~g.adj[c] & ~(1 << c) & ~g.adj[d] & ~g.adj[e]
-                    if tail:
+                    if tails & ~g.adj[d] & ~g.adj[e]:
                         return False
     return True
 
 
 def is_p4_free(g: Graph) -> bool:
-    """True iff g has no induced path on four vertices."""
-    for b in range(g.n):
-        higher = g.adj[b] >> (b + 1) << (b + 1)
-        for c in iter_bits(higher):
-            ends_b = g.adj[b] & ~g.adj[c] & ~(1 << c)
-            ends_c = g.adj[c] & ~g.adj[b] & ~(1 << b)
-            for a in iter_bits(ends_b):
-                if ends_c & ~g.adj[a]:
+    """True iff g has no induced path on four vertices, that is, iff
+    splitting it recursively into components or co-components never meets
+    a connected, co-connected set of two or more vertices (Corneil, Lerchs
+    and Stewart Burlingham, Complement reducible graphs, 1981)."""
+    work = [g.full_mask]
+    while work:
+        within = work.pop()
+        if within & (within - 1):  # two or more vertices
+            blocks = component_masks(g, within)
+            if len(blocks) == 1:
+                blocks = co_component_masks(g, within)
+                if len(blocks) == 1:
                     return False
+            work.extend(blocks)
     return True

@@ -13,12 +13,15 @@ in the connected co-connected case the maximal proper module containing a
 vertex is the union of the proper smallest modules through it. This is a
 polynomial-time computation chosen for auditability rather than the
 linear-time algorithms known for this problem.
+
+``md_fold`` is the one walk over the tree. It is iterative, so ``md_tree``
+and the system builders that use it handle trees of any depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .graph import (
     Graph,
@@ -33,6 +36,8 @@ LEAF = "leaf"
 PARALLEL = "parallel"
 SERIES = "series"
 PRIME = "prime"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -57,15 +62,12 @@ class MDNode:
         return self.kind == LEAF
 
     def iter_nodes(self) -> Iterator["MDNode"]:
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
-
-    def leaves(self) -> list["MDNode"]:
-        return [t for t in self.iter_nodes() if t.is_leaf]
-
-    def internal_nodes(self) -> list["MDNode"]:
-        return [t for t in self.iter_nodes() if not t.is_leaf]
+        """This node and all nodes below it, in pre-order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 def is_module(g: Graph, m: Iterable[int]) -> bool:
@@ -113,15 +115,18 @@ def _strong_module_masks(g: Graph, within: int) -> list[int]:
     return sorted(blocks, key=lambda b: b & -b)
 
 
-def _partition_masks(g: Graph, within: int) -> tuple[str, list[int]]:
-    """Kind and maximal strong module masks of g[within] (>= 2 vertices)."""
+def _partition_masks(
+    g: Graph, within: int, prime_split=_strong_module_masks
+) -> tuple[str, list[int]]:
+    """Kind and maximal strong module masks of g[within] (>= 2 vertices),
+    with ``prime_split`` finding the modules when the kind is prime."""
     comps = component_masks(g, within)
     if len(comps) >= 2:
         return PARALLEL, comps
     cocomps = co_component_masks(g, within)
     if len(cocomps) >= 2:
         return SERIES, cocomps
-    return PRIME, _strong_module_masks(g, within)
+    return PRIME, prime_split(g, within)
 
 
 def maximal_strong_modules(g: Graph) -> list[frozenset[int]]:
@@ -171,32 +176,63 @@ def is_prime(g: Graph) -> bool:
     prime by convention."""
     if g.n < 2:
         return False
-    if len(component_masks(g)) != 1 or len(co_component_masks(g)) != 1:
-        return False
-    blocks = _strong_module_masks(g, g.full_mask)
-    return all(b.bit_count() == 1 for b in blocks)
+    kind, blocks = _partition_masks(g, g.full_mask)
+    return kind == PRIME and all(b.bit_count() == 1 for b in blocks)
+
+
+def md_fold(
+    g: Graph,
+    leaf: Callable[[int], T],
+    node: Callable[[str, int, tuple[int, ...], list[T]], T],
+    prime_split: Callable[[Graph, int], list[int]] = _strong_module_masks,
+) -> T:
+    """Fold the modular decomposition tree of ``g`` (n >= 1) bottom-up,
+    on an explicit stack rather than by recursion.
+
+    A vertex mask splits into its components (parallel), else its
+    co-components (series), else ``prime_split(g, mask)`` (prime). Values
+    come in post-order: ``leaf(v)`` per vertex, ``node(kind, mask, reps,
+    values)`` per internal node, with each child's lowest vertex and value
+    in child order, which is by lowest vertex.
+    """
+    if g.n < 1:
+        raise ValueError("modular decomposition requires at least one vertex")
+    values: list[T] = []
+    # (mask, None) expands a mask; (mask, (kind, blocks)) folds its children
+    work: list[tuple[int, tuple[str, list[int]] | None]] = [(g.full_mask, None)]
+    while work:
+        mask, split = work.pop()
+        if split is None:
+            if mask & (mask - 1) == 0:
+                values.append(leaf(mask.bit_length() - 1))
+                continue
+            split = _partition_masks(g, mask, prime_split)
+            work.append((mask, split))
+            work.extend((b, None) for b in reversed(split[1]))
+        else:
+            kind, blocks = split
+            children = values[-len(blocks):]
+            del values[-len(blocks):]
+            reps = tuple((b & -b).bit_length() - 1 for b in blocks)
+            values.append(node(kind, mask, reps, children))
+    return values[0]
 
 
 def md_tree(g: Graph) -> MDNode:
     """The modular decomposition tree of ``g`` (n >= 1).
 
     A one-vertex graph is a leaf. Otherwise the root is labeled with the
-    quotient by the maximal strong modules and the recursion continues into
-    each module.
+    quotient by the maximal strong modules and the decomposition continues
+    into each module.
     """
-    if g.n < 1:
-        raise ValueError("modular decomposition requires at least one vertex")
 
-    def build(within: int) -> MDNode:
-        if within.bit_count() == 1:
-            v = within.bit_length() - 1
-            return MDNode(LEAF, v, (), frozenset((v,)), None, None)
-        kind, blocks = _partition_masks(g, within)
-        children = tuple(build(b) for b in blocks)
-        reps = tuple((b & -b).bit_length() - 1 for b in blocks)
+    def leaf(v: int) -> MDNode:
+        return MDNode(LEAF, v, (), frozenset((v,)), None, None)
+
+    def node(kind, mask, reps, children) -> MDNode:
         quot, _ = induced_subgraph(g, reps)
         return MDNode(
-            kind, None, children, frozenset(iter_bits(within)), quot, reps
+            kind, None, tuple(children), frozenset(iter_bits(mask)), quot, reps
         )
 
-    return build(g.full_mask)
+    return md_fold(g, leaf, node)

@@ -14,11 +14,16 @@ weight. This module builds such systems along several routes:
   between one maximal independent set per co-component; a prime quotient is
   handed to a pluggable base solver and its equations are re-expanded by
   substituting, for each quotient vertex, the sum over a maximal independent
-  set of the corresponding module. Row reduction after every join and prime
-  step keeps the system at most n equations.
-* ``cograph_system``: the same tree walk for graphs without induced 4-vertex
-  paths, where only parallel and series nodes occur and a counting argument
-  bounds the size by n - 1 with no row reduction at all.
+  set of the corresponding module. Row reduction after every prime step,
+  and after every join with a prime node below it, keeps the system at most
+  n equations. A join with no prime node below needs none: every node of a
+  cotree has a well-covered weighting that gives its chosen set a nonzero
+  weight, so the chained equations are independent of the co-components'
+  rows. The walk is iterative (``modular.md_fold``) and writes each row
+  once, over all n variables.
+* ``cograph_system``: the modular walk without a prime step, for graphs
+  without induced 4-vertex paths. Only parallel and series nodes occur, so
+  no row is reduced, and a counting argument bounds the size by n - 1.
 * ``anti_neighborhood_system``: combine systems of the graphs G - N[v], one
   per vertex v, with chained equations relating the sets I_v + {v}.
 * ``forkfree_system``: for graphs with no induced fork. Prime quotients are
@@ -32,12 +37,12 @@ are unit, and every produced system is a well-covering system of its graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from .graph import (
     Graph,
-    co_component_masks,
-    component_masks,
     delete_closed_neighborhood,
     induced_subgraph,
     is_fork_free,
@@ -59,7 +64,7 @@ from .linalg import (
     extract_independent_subsystem,
     rank,
 )
-from .modular import MDNode, PARALLEL, SERIES, md_tree
+from .modular import PARALLEL, SERIES, md_fold
 
 STRATEGIES = ("auto", "bruteforce", "cograph", "modular", "forkfree")
 BASE_SOLVERS = ("bruteforce", "claw-free-plugin")
@@ -298,85 +303,78 @@ def modular_system(
 
     Produces a linearly independent well-covering system with at most n
     equations; it is unit whenever the prime solver emits unit systems.
-    Row reduction runs after series and prime aggregation; after parallel
-    aggregation the size bound already holds combinatorially.
+    Rows are reduced after prime aggregation and after series aggregation
+    above a prime node; elsewhere they are independent by construction.
     """
     cfg = cfg or SolverConfig()
     if prime_solver is None:
         prime_solver = _base_prime_solver(cfg)
     if g.n == 0:
         return empty_system(0)
-    system, _ = _solve_md_node(g, md_tree(g), prime_solver)
+    system = _md_system(g, prime_solver)
     assert len(system) <= g.n
     return system
 
 
-def _solve_md_node(
-    g: Graph,
-    node: MDNode,
-    prime_solver: Callable[[Graph], LinearSystem],
-) -> tuple[LinearSystem, frozenset[int]]:
-    """Solve the subgraph under ``node``.
+def _not_a_cograph(g: Graph, within: int) -> list[int]:
+    raise StrategyError(
+        "graph has an induced 4-vertex path; the cograph "
+        "strategy does not apply (use modular or forkfree)"
+    )
 
-    Returns (system, mis): the system is over the node's local variables
-    (its vertices in ascending host order) and the maximal independent set
-    is in host indices.
+
+def _md_system(
+    g: Graph, prime_solver: Callable[[Graph], LinearSystem] | None
+) -> LinearSystem:
+    """Fold the modular decomposition tree of ``g`` (n >= 1) into rows over
+    all n host variables, so each row is written once.
+
+    A subtree folds to (start, mis, prime_below): its rows are
+    ``rows[start:]``, ``mis`` is the bitmask of one of its maximal
+    independent sets, and ``prime_below`` tells whether it has a prime
+    node. With ``prime_solver`` None this is the cograph walk: the first
+    prime split raises StrategyError, before any strong-module search.
     """
-    if node.is_leaf:
-        return empty_system(1), frozenset((node.vertex,))
-
-    sub, vmap = induced_subgraph(g, node.vertex_set)
-    pos = {v: i for i, v in enumerate(vmap)}
-    child_results = [_solve_md_node(g, c, prime_solver) for c in node.children]
-    child_maps = [
-        tuple(pos[v] for v in sorted(c.vertex_set)) for c in node.children
-    ]
-
-    if node.kind == PARALLEL:
-        parts = [
-            (res[0], cmap) for res, cmap in zip(child_results, child_maps)
-        ]
-        system = combine_disjoint_union(parts, sub.n)
-        mis = frozenset().union(*(res[1] for res in child_results))
-        return system, mis
-
-    if node.kind == SERIES:
-        parts = [
-            (res[0], cmap, frozenset(pos[v] for v in res[1]))
-            for res, cmap in zip(child_results, child_maps)
-        ]
-        system = extract_independent_subsystem(combine_join(parts, sub))
-        return system, child_results[0][1]
-
-    # prime node: solve the quotient, substitute module independent sets,
-    # union with the children's systems, then row-reduce.
-    quotient_sys = prime_solver(node.quotient)
-    if quotient_sys.num_vars != len(node.children):
-        raise ValueError(
-            "prime solver returned a system over "
-            f"{quotient_sys.num_vars} variables for a quotient on "
-            f"{len(node.children)} vertices"
-        )
-    module_mis = [
-        frozenset(pos[v] for v in res[1]) for res in child_results
-    ]
     rows: list[tuple[Coeff, ...]] = []
     tags: list[str] = []
-    for (child_sys, _), cmap in zip(child_results, child_maps):
-        lifted = lift_subgraph_system(child_sys, cmap, sub.n)
-        rows.extend(lifted.rows)
-        tags.extend(lifted.tags)
-    substituted = lift_quotient_system(quotient_sys, module_mis, sub.n)
-    rows.extend(substituted.rows)
-    tags.extend(substituted.tags)
-    system = extract_independent_subsystem(
-        LinearSystem(sub.n, tuple(rows), tuple(tags))
-    )
-    quotient_mis = greedy_mis(node.quotient, range(node.quotient.n))
-    mis = frozenset().union(
-        *(child_results[j][1] for j in quotient_mis)
-    )
-    return system, mis
+
+    def reduce_from(start: int) -> None:
+        kept = extract_independent_subsystem(
+            LinearSystem(g.n, tuple(rows[start:]), tuple(tags[start:]))
+        )
+        rows[start:] = kept.rows
+        tags[start:] = kept.tags
+
+    def leaf(v: int) -> tuple[int, int, bool]:
+        return len(rows), 1 << v, False
+
+    def node(kind, mask, reps, children) -> tuple[int, int, bool]:
+        starts, mis, below = zip(*children)
+        start, prime_below = starts[0], any(below)
+        if kind == PARALLEL:
+            return start, reduce(or_, mis), prime_below
+        if kind == SERIES:
+            for j, (a, b) in enumerate(zip(mis, mis[1:]), start=1):
+                rows.append(_diff_row(g.n, iter_bits(a), iter_bits(b)))
+                tags.append(f"join-eq j={j}")
+            if prime_below:
+                reduce_from(start)
+            return start, mis[0], prime_below
+        quot, _ = induced_subgraph(g, reps)
+        substituted = lift_quotient_system(
+            prime_solver(quot), [iter_bits(m) for m in mis], g.n
+        )
+        rows.extend(substituted.rows)
+        tags.extend(substituted.tags)
+        reduce_from(start)
+        chosen = greedy_mis(quot, range(quot.n))
+        return start, reduce(or_, (mis[j] for j in chosen)), True
+
+    if prime_solver is None:
+        md_fold(g, leaf, node, _not_a_cograph)
+    else:
+        md_fold(g, leaf, node)
+    return LinearSystem(g.n, tuple(rows), tuple(tags))
 
 
 # ---------------------------------------------------------------------------
@@ -386,62 +384,14 @@ def _solve_md_node(
 def cograph_system(g: Graph) -> LinearSystem:
     """Elimination-free system for graphs with no induced 4-vertex path.
 
-    The decomposition tree of such a graph has only parallel and series
-    nodes, and bookkeeping over the tree bounds the number of equations by
-    n - 1, so no row reduction is needed. Raises StrategyError on any other
-    graph; use the modular or fork-free strategy there.
+    The modular walk without a prime step: no row is reduced, and there are
+    at most n - 1 equations. Raises StrategyError on any other graph; use
+    the modular or fork-free strategy there.
     """
     if g.n == 0:
         return empty_system(0)
-
-    rows: list[tuple[Coeff, ...]] = []
-    tags: list[str] = []
-    results: list[int] = []  # stack of mis masks, one per solved subtree
-    # Explicit two-phase stack; the tree can be deep for large graphs.
-    work: list[tuple[int, int | None]] = [(g.full_mask, None)]
-    while work:
-        mask, pending = work.pop()
-        if pending is None:
-            if mask.bit_count() == 1:
-                results.append(mask)
-                continue
-            blocks = component_masks(g, mask)
-            if len(blocks) >= 2:
-                work.append((0, len(blocks)))  # parallel marker
-                for b in reversed(blocks):
-                    work.append((b, None))
-                continue
-            blocks = co_component_masks(g, mask)
-            if len(blocks) < 2:
-                raise StrategyError(
-                    "graph has an induced 4-vertex path; the cograph "
-                    "strategy does not apply (use modular or forkfree)"
-                )
-            work.append((1, len(blocks)))  # series marker
-            for b in reversed(blocks):
-                work.append((b, None))
-        else:
-            kind, k = mask, pending
-            child_mis = results[-k:]
-            del results[-k:]
-            if kind == 0:  # parallel: union of child systems, no new rows
-                merged = 0
-                for m in child_mis:
-                    merged |= m
-                results.append(merged)
-            else:  # series: chain equations between consecutive children
-                for j in range(k - 1):
-                    rows.append(
-                        _diff_row(
-                            g.n,
-                            iter_bits(child_mis[j]),
-                            iter_bits(child_mis[j + 1]),
-                        )
-                    )
-                    tags.append(f"join-eq j={j + 1}")
-                results.append(child_mis[0])
-    system = LinearSystem(g.n, tuple(rows), tuple(tags))
-    assert len(system) <= max(g.n - 1, 0)
+    system = _md_system(g, None)
+    assert len(system) <= g.n - 1
     return system
 
 

@@ -504,3 +504,23 @@ def graph6_encode(g):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def threshold(n):
+    """Threshold graph built by adding vertices n-1, n-2, ..., 0 in turn,
+    vertex v dominating (adjacent to all present) when v is odd and
+    isolated when v is even. Its decomposition tree alternates parallel and
+    series nodes, each with one leaf and one internal node as children (the
+    last has two leaves): n - 1 internal nodes on a single path, as deep as
+    any tree on n leaves. The leaf is the lower child of every node, so the
+    cograph system's rows have at most three nonzero entries and stay
+    triangular under elimination."""
+    odd = 0
+    for v in range(1, n, 2):
+        odd |= 1 << v
+    full = (1 << n) - 1
+    adj = []
+    for v in range(n):
+        higher = full & ~((2 << v) - 1) if v % 2 else 0
+        adj.append(higher | odd & ((1 << v) - 1))
+    return Graph(n, tuple(adj))

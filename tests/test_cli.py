@@ -27,6 +27,19 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+DEEP_N = 1500
+
+
+@pytest.fixture(scope="module")
+def deep_file(tmp_path_factory):
+    """A threshold graph whose decomposition tree is a path of DEEP_N - 1
+    internal nodes, deeper than Python's default recursion limit."""
+    g = gu.threshold(DEEP_N)
+    p = tmp_path_factory.mktemp("deep") / "threshold.txt"
+    p.write_text(f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
+    return str(p)
+
+
 @pytest.fixture
 def bull_file(tmp_path):
     p = tmp_path / "bull.txt"
@@ -86,6 +99,16 @@ class TestDimensionVerb:
     def test_bull(self, capsys, bull_file):
         code, out, _ = run(capsys, ["dimension", bull_file])
         assert code == 0 and out.strip() == "3"
+
+    def test_deep_tree_all_strategies_agree(self, capsys, deep_file):
+        outs = set()
+        for strategy in ("modular", "forkfree", "cograph"):
+            code, out, err = run(
+                capsys, ["dimension", deep_file, "--strategy", strategy]
+            )
+            assert code == 0, err
+            outs.add(out)
+        assert len(outs) == 1
 
     def test_json(self, capsys, bull_file):
         code, out, _ = run(capsys, ["dimension", bull_file, "--output", "json"])
@@ -189,8 +212,34 @@ class TestCheckWeightingVerb:
         )
         assert code == 1 and "5 vertices" in err
 
+    def test_undecodable_weights_file(self, capsys, bull_file, tmp_path):
+        w = tmp_path / "w.bin"
+        w.write_bytes(b"\xff\xfe1\n")
+        code, out, err = run(
+            capsys, ["check-weighting", bull_file, "--weights", str(w)]
+        )
+        assert code == 1 and out == "" and "cannot read" in err
+
 
 class TestMdtreeVerb:
+    def test_deep_tree_text(self, capsys, deep_file):
+        code, out, err = run(capsys, ["mdtree", deep_file])
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 2 * DEEP_N - 1
+        assert lines[0].startswith("parallel {v_1, v_2, ")
+        assert lines[1] == "  leaf v_1"
+        assert lines[2].startswith("  series {v_2, v_3, ")
+        assert lines[-1] == "  " * (DEEP_N - 1) + f"leaf v_{DEEP_N}"
+
+    def test_deep_tree_json_exits_4(self, capsys, deep_file):
+        # the JSON layout nests one level per tree level, deeper than the
+        # recursion limit allows
+        code, out, err = run(capsys, ["mdtree", deep_file, "--output", "json"])
+        assert code == 4 and out == ""
+        assert err.startswith("error: resource limit reached: RecursionError(")
+        assert err.count("\n") == 1
+
     def test_bull_text(self, capsys, bull_file):
         code, out, _ = run(capsys, ["mdtree", bull_file])
         assert code == 0
@@ -266,6 +315,17 @@ class TestExitCodes:
             monkeypatch=monkeypatch,
         )
         assert code == 2
+
+    def test_memory_error(self, capsys, bull_file, monkeypatch):
+        import wellcovered.cli as cli
+
+        def exhausted(args, g):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._RUNNERS, "dimension", exhausted)
+        code, out, err = run(capsys, ["dimension", bull_file])
+        assert code == 4 and out == ""
+        assert err == "error: resource limit reached: MemoryError()\n"
 
     def test_cap_exceeded(self, capsys, monkeypatch):
         edges = "\n".join(f"{2 * i} {2 * i + 1}" for i in range(5))

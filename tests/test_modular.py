@@ -175,6 +175,23 @@ class TestMDTree:
         with pytest.raises(ValueError):
             md_tree(Graph.from_edges(0, []))
 
+    def test_deep_threshold(self):
+        # deeper than the recursion limit: 2n - 1 nodes on a path of n - 1
+        # internal nodes, each with its leaf as the first child
+        n = 1500
+        nodes = list(md_tree(gu.threshold(n)).iter_nodes())
+        expected = []
+        for v in range(n - 1):
+            expected.append(("series" if v % 2 else "parallel", v, n - 1, n - v))
+            expected.append(("leaf", v, v, 1))
+        expected.append(("leaf", n - 1, n - 1, 1))
+        # min, max and size pin each vertex set to a range
+        got = [
+            (t.kind, min(t.vertex_set), max(t.vertex_set), len(t.vertex_set))
+            for t in nodes
+        ]
+        assert got == expected
+
     def test_invariants_random(self):
         rng = gu.seeded(37)
         for _ in range(120):

@@ -326,6 +326,14 @@ class TestCographSystem:
         with pytest.raises(StrategyError, match="modular|forkfree"):
             cograph_system(gu.path(4))
 
+    def test_equals_modular_system(self):
+        # the cograph walk is the modular walk without a prime step, and on
+        # a cotree the modular walk reduces nothing
+        rng = gu.seeded(51)
+        for _ in range(100):
+            g = gu.random_cograph(rng, rng.randint(1, 40))
+            assert cograph_system(g) == modular_system(g)
+
     def test_random_cographs(self):
         rng = gu.seeded(49)
         for _ in range(60):
@@ -493,3 +501,105 @@ class TestModuleMISAssembly:
                 for choice in product(*(per_block[j] for j in selected)):
                     assembled.add(frozenset().union(*choice))
             assert assembled == set(enumerate_mis(g).sets)
+
+
+# Rows and tags of modular_system and forkfree_system as recorded from the
+# earlier recursive walk, one string per row ('+' is 1, '-' is -1, '.' is 0).
+# Each graph has a prime node under a series or a parallel node, where the
+# walk decides whether to reduce; in c8_join_c8 the series reduction drops
+# the join row, because both prime children have well-covered dimension 0.
+RECORDED_GRAPHS = {
+    "p4_join_2k1": lambda: gu.join(gu.path(4), gu.edgeless(2)),
+    "bull_plus_k2": lambda: gu.disjoint_union(gu.bull(), gu.complete(2)),
+    "c8_join_c8": lambda: gu.join(gu.cycle(8), gu.cycle(8)),
+    "p4_sub": lambda: gu.substitute(
+        gu.path(4),
+        [gu.edgeless(1), gu.join(gu.path(4), gu.edgeless(1)),
+         gu.edgeless(1), gu.edgeless(1)],
+    ),
+}
+
+RECORDED_ROWS = [
+    ('modular', 'p4_join_2k1', [
+        ('..+-..', 'subst[mis-diff i=1]'),
+        ('+-....', 'subst[mis-diff i=2]'),
+        ('+.+.--', 'join-eq j=1'),
+    ]),
+    ('forkfree', 'p4_join_2k1', [
+        ('..+-..', 'subst[join-eq j=1]'),
+        ('+-....', 'subst[join-eq j=1]'),
+        ('+.+.--', 'join-eq j=1'),
+    ]),
+    ('modular', 'bull_plus_k2', [
+        ('..+-+..', 'subst[mis-diff i=1]'),
+        ('+-.+-..', 'subst[mis-diff i=2]'),
+        ('.....+-', 'join-eq j=1'),
+    ]),
+    ('forkfree', 'bull_plus_k2', [
+        ('..+-+..', 'subst[join-eq j=1]'),
+        ('+-+....', 'subst[join-eq j=1]'),
+        ('.....+-', 'join-eq j=1'),
+    ]),
+    ('modular', 'c8_join_c8', [
+        ('....+-+.........', 'subst[mis-diff i=1]'),
+        ('..+-............', 'subst[mis-diff i=2]'),
+        ('.....+-.........', 'subst[mis-diff i=3]'),
+        ('+-...-+-........', 'subst[mis-diff i=4]'),
+        ('.....+-+........', 'subst[mis-diff i=5]'),
+        ('...+-...........', 'subst[mis-diff i=6]'),
+        ('......+-........', 'subst[mis-diff i=7]'),
+        ('.+-.............', 'subst[mis-diff i=8]'),
+        ('............+-+.', 'subst[mis-diff i=1]'),
+        ('..........+-....', 'subst[mis-diff i=2]'),
+        ('.............+-.', 'subst[mis-diff i=3]'),
+        ('........+-...-+-', 'subst[mis-diff i=4]'),
+        ('.............+-+', 'subst[mis-diff i=5]'),
+        ('...........+-...', 'subst[mis-diff i=6]'),
+        ('..............+-', 'subst[mis-diff i=7]'),
+        ('.........+-.....', 'subst[mis-diff i=8]'),
+    ]),
+    ('forkfree', 'c8_join_c8', [
+        ('....+-+.........', 'subst[subst[mis-diff i=1]]'),
+        ('..+-............', 'subst[subst[mis-diff i=2]]'),
+        ('.....+-.........', 'subst[subst[mis-diff i=3]]'),
+        ('.....+-+........', 'subst[subst[mis-diff i=1]]'),
+        ('...+-...........', 'subst[subst[mis-diff i=2]]'),
+        ('......+-........', 'subst[subst[mis-diff i=3]]'),
+        ('+...-+.-........', 'subst[subst[mis-diff i=2]]'),
+        ('+-...-+-........', 'subst[subst[mis-diff i=2]]'),
+        ('............+-+.', 'subst[subst[mis-diff i=1]]'),
+        ('..........+-....', 'subst[subst[mis-diff i=2]]'),
+        ('.............+-.', 'subst[subst[mis-diff i=3]]'),
+        ('.............+-+', 'subst[subst[mis-diff i=1]]'),
+        ('...........+-...', 'subst[subst[mis-diff i=2]]'),
+        ('..............+-', 'subst[subst[mis-diff i=3]]'),
+        ('........+...-+.-', 'subst[subst[mis-diff i=2]]'),
+        ('........+-...-+-', 'subst[subst[mis-diff i=2]]'),
+    ]),
+    ('modular', 'p4_sub', [
+        ('...+-...', 'subst[mis-diff i=1]'),
+        ('.+-.....', 'subst[mis-diff i=2]'),
+        ('.+.+.-..', 'join-eq j=1'),
+        ('......+-', 'subst[mis-diff i=1]'),
+        ('+-.-....', 'subst[mis-diff i=2]'),
+    ]),
+    ('forkfree', 'p4_sub', [
+        ('...+-...', 'subst[join-eq j=1]'),
+        ('.+-.....', 'subst[join-eq j=1]'),
+        ('.+.+.-..', 'join-eq j=1'),
+        ('......+-', 'subst[join-eq j=1]'),
+        ('+-.-....', 'subst[join-eq j=1]'),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "pipeline, graph, expected",
+    RECORDED_ROWS,
+    ids=[f"{p}-{g}" for p, g, _ in RECORDED_ROWS],
+)
+def test_recorded_rows_and_tags(pipeline, graph, expected):
+    build = {"modular": modular_system, "forkfree": forkfree_system}[pipeline]
+    s = build(RECORDED_GRAPHS[graph]())
+    got = [("".join(".+-"[c] for c in row), tag) for row, tag in zip(s.rows, s.tags)]
+    assert got == expected
