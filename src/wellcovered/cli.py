@@ -1,11 +1,13 @@
-"""Command-line front end.
+"""Command-line front end: ``wellcovered VERB [INPUT] [options]``.
 
-Verbs: system, dimension, basis, is-well-covered, check-weighting, mdtree,
-recognize. Graphs are read from a file argument or stdin, in edge-list or
-graph6 format; results print as text or JSON. Exit codes: 0 success,
-1 parse error, 2 strategy inapplicable, 3 enumeration cap exceeded,
-4 resource limit reached (recursion depth or memory; for example JSON
-output of a very deep decomposition tree).
+Verbs (``wellcovered --help`` lists them): system, dimension, basis,
+is-well-covered, check-weighting, mdtree, recognize. Options may come before
+or after the verb; ``--weights FILE`` is for check-weighting only, and
+required there. Graphs are read from a file argument or stdin, in edge-list
+or graph6 format; results print as text or JSON. Exit codes: 0 success,
+1 parse error, 2 strategy inapplicable or argument error, 3 enumeration cap
+exceeded, 4 resource limit reached (recursion depth or memory; for example
+JSON output of a very deep decomposition tree).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .graph import (
     is_p4_free,
     parse_graph,
 )
-from .independent_sets import CapExceededError, enumerate_mis
+from .independent_sets import DEFAULT_MIS_CAP, CapExceededError, enumerate_mis
 from .linalg import (
     WeightVector,
     basis_to_json,
@@ -39,6 +41,7 @@ from .linalg import (
 )
 from .modular import MDNode, is_prime, md_tree
 from .systems import (
+    STRATEGIES,
     SolverConfig,
     StrategyError,
     resolve_strategy,
@@ -46,73 +49,7 @@ from .systems import (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "input",
-        nargs="?",
-        default=None,
-        help="graph file; reads stdin when omitted or '-'",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("edge-list", "graph6"),
-        default="edge-list",
-        help="input graph format (default: edge-list)",
-    )
-    parser.add_argument(
-        "--output",
-        choices=("text", "json"),
-        default="text",
-        help="output rendering (default: text)",
-    )
-    parser.add_argument(
-        "--strategy",
-        choices=("auto", "bruteforce", "cograph", "modular", "forkfree"),
-        default="auto",
-        help="system construction strategy (default: auto)",
-    )
-    parser.add_argument(
-        "--mis-cap",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap on enumerated maximal independent sets",
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wellcovered",
-        description=(
-            "Compute well-covering systems, well-covered dimensions and "
-            "bases of the well-covered vector space of a graph."
-        ),
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, help_text in (
-        ("system", "print a well-covering system"),
-        ("dimension", "print the well-covered dimension"),
-        ("basis", "print a basis of the well-covered vector space"),
-        ("is-well-covered", "decide whether the graph is well-covered"),
-        ("check-weighting", "decide whether a weighting is well-covered"),
-        ("mdtree", "print the modular decomposition tree"),
-        ("recognize", "print structural flags of the graph"),
-    ):
-        p = sub.add_parser(verb, help=help_text)
-        _add_common(p)
-        if verb == "check-weighting":
-            p.add_argument(
-                "--weights",
-                required=True,
-                metavar="FILE",
-                help="one rational weight per line, in vertex order",
-            )
-    return parser
-
-
-def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
+def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -121,13 +58,8 @@ def _read_input(path: str | None) -> str:
 
 
 def _read_weights(path: str, n: int) -> WeightVector:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise GraphParseError(f"cannot read {path}: {exc}") from None
     values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_file(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -146,10 +78,7 @@ def _read_weights(path: str, n: int) -> WeightVector:
 
 
 def _config(args: argparse.Namespace) -> SolverConfig:
-    kwargs = {"strategy": args.strategy}
-    if args.mis_cap is not None:
-        kwargs["mis_cap"] = args.mis_cap
-    return SolverConfig(**kwargs)
+    return SolverConfig(strategy=args.strategy, mis_cap=args.mis_cap)
 
 
 def _vname(v: int) -> str:
@@ -292,22 +221,75 @@ def _run_recognize(args, g: Graph) -> None:
     )
 
 
-_RUNNERS = {
-    "system": _run_system,
-    "dimension": _run_dimension,
-    "basis": _run_basis,
-    "is-well-covered": _run_is_well_covered,
-    "check-weighting": _run_check_weighting,
-    "mdtree": _run_mdtree,
-    "recognize": _run_recognize,
+# verb -> (runner, one-line help); drives the parser's choices, the verb
+# list in --help and the dispatch in main
+_VERBS: dict[str, tuple[Callable[[argparse.Namespace, Graph], None], str]] = {
+    "system": (_run_system, "print a well-covering system"),
+    "dimension": (_run_dimension, "print the well-covered dimension"),
+    "basis": (_run_basis, "print a basis of the well-covered vector space"),
+    "is-well-covered": (_run_is_well_covered, "say whether the graph is well-covered"),
+    "check-weighting": (_run_check_weighting, "check the weighting given by --weights"),
+    "mdtree": (_run_mdtree, "print the modular decomposition tree"),
+    "recognize": (_run_recognize, "print structural flags of the graph"),
 }
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="wellcovered",
+        description=(
+            "Compute well-covering systems, well-covered dimensions and bases\n"
+            "of the well-covered vector space of a graph."
+        ),
+        epilog="verbs:\n"
+        + "\n".join(f"  {verb:<18}{text}" for verb, (_, text) in _VERBS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("verb", choices=_VERBS, metavar="VERB", help="see below")
+    parser.add_argument(
+        "input", nargs="?", help="graph file; reads stdin when omitted or '-'"
+    )
+    for flag, text, choices in (
+        ("--format", "input graph format", ("edge-list", "graph6")),
+        ("--output", "output rendering", ("text", "json")),
+        ("--strategy", "system construction strategy", STRATEGIES),
+    ):
+        default = choices[0]
+        help_text = f"{text} (default: {default})"
+        parser.add_argument(flag, choices=choices, default=default, help=help_text)
+    parser.add_argument(
+        "--mis-cap",
+        type=int,
+        default=DEFAULT_MIS_CAP,
+        metavar="N",
+        help="cap on enumerated maximal independent sets",
+    )
+    parser.add_argument(
+        "--weights",
+        metavar="FILE",
+        help="check-weighting only: one rational weight per line, in vertex order",
+    )
+    # parse_intermixed_args formats the usage line on every call unless it
+    # is set; this is the line it would format
+    parser.usage = parser.format_usage().removeprefix("usage: ")
+    return parser
+
+
+# built once: parse_intermixed_args leaves the parser as it was
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # intermixed: plain parse_args lets the optional input match nothing
+    # when an option follows the verb, and then rejects `VERB --opt X FILE`
+    args = _PARSER.parse_intermixed_args(argv)
+    if (args.weights is None) == (args.verb == "check-weighting"):
+        _PARSER.error("--weights is for check-weighting only, and required there")
     try:
-        g = parse_graph(_read_input(args.input), args.format)
-        _RUNNERS[args.verb](args, g)
+        stdin = args.input in (None, "-")
+        text = sys.stdin.read() if stdin else _read_file(args.input)
+        g = parse_graph(text, args.format)
+        _VERBS[args.verb][0](args, g)
     except (RecursionError, MemoryError) as exc:
         # outputs are rendered in full before printing, so stdout is empty
         print(f"error: resource limit reached: {exc!r}", file=sys.stderr)

@@ -333,6 +333,9 @@ def is_fork_free(g: Graph) -> bool:
     A fork consists of a center c adjacent to pairwise-nonadjacent b, d, e,
     plus a fifth vertex adjacent to b only.
     """
+    if is_p4_free(g):
+        # tail-b-c-d is an induced P4 of every fork
+        return True
     for c in range(g.n):
         nbrs = g.adj[c]
         for b in iter_bits(nbrs):

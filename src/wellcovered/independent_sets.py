@@ -63,11 +63,10 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MISList:
     found: list[int] = []
 
     # Tomita-style pivoting on the complement: maximal independent sets of g
-    # are exactly the maximal cliques of its complement.
-    def expand(r: int, p: int, x: int) -> bool:
-        if p == 0 and x == 0:
-            found.append(r)
-            return len(found) <= cap
+    # are exactly the maximal cliques of its complement. A frame is
+    # [r, p, x, branches left]; branches run in increasing vertex order,
+    # each child's p and x taken before its vertex moves from p to x.
+    def frame(r: int, p: int, x: int) -> list[int]:
         pivot = -1
         best = -1
         for u in iter_bits(p | x):
@@ -75,18 +74,24 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MISList:
             if size > best:
                 best = size
                 pivot = u
-        for v in iter_bits(p & ~nonadj[pivot]):
-            if not expand(r | (1 << v), p & nonadj[v], x & nonadj[v]):
-                return False
-            p &= ~(1 << v)
-            x |= 1 << v
-        return True
+        return [r, p, x, p & ~nonadj[pivot]]
 
-    complete = expand(0, full, 0)
-    if not complete:
-        found = found[:cap]
-    sets = sorted((frozenset(iter_bits(m)) for m in found), key=sorted)
-    return MISList(tuple(sets), complete)
+    stack = [frame(0, full, 0)]
+    while stack and len(found) <= cap:
+        top = stack[-1]
+        r, p, x, todo = top
+        if not todo:
+            stack.pop()
+            continue
+        bit = todo & -todo
+        top[1:] = p & ~bit, x | bit, todo & ~bit
+        outside = nonadj[bit.bit_length() - 1]
+        if p & outside or x & outside:
+            stack.append(frame(r | bit, p & outside, x & outside))
+        else:
+            found.append(r | bit)
+    sets = sorted((frozenset(iter_bits(m)) for m in found[:cap]), key=sorted)
+    return MISList(tuple(sets), len(found) <= cap)
 
 
 def is_well_covered_bruteforce(g: Graph, cap: int = DEFAULT_MIS_CAP) -> bool:

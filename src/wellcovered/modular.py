@@ -40,14 +40,15 @@ PRIME = "prime"
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MDNode:
     """A node of the modular decomposition tree.
 
     ``vertex_set`` holds the original vertices below this node. Internal
     nodes carry the quotient graph on one representative per child together
     with ``reps``, the chosen representative (lowest original index) for
-    each quotient vertex.
+    each quotient vertex. Equality, hashing and ``repr`` do not recurse, so
+    they work on trees of any depth.
     """
 
     kind: str
@@ -68,6 +69,25 @@ class MDNode:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
+
+    def _fields(self) -> tuple:
+        own = (self.kind, self.vertex, self.vertex_set, self.quotient, self.reps)
+        return own + (len(self.children),)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MDNode):
+            return NotImplemented
+        # fields include the child count, so both pre-orders end together
+        # unless an earlier pair differs
+        pairs = zip(self.iter_nodes(), other.iter_nodes())
+        return all(a._fields() == b._fields() for a, b in pairs)
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        size, arity = len(self.vertex_set), len(self.children)
+        return f"MDNode(kind={self.kind!r}, vertices={size}, children={arity})"
 
 
 def is_module(g: Graph, m: Iterable[int]) -> bool:

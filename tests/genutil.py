@@ -5,14 +5,16 @@ independent sets come from filtering all vertex subsets, module structure
 from testing all subsets against the definition, ranks from integer
 fraction-free (Bareiss) elimination, and pattern containment from explicit
 injective embeddings. The Fraction elimination loops the library used before
-its integer kernel are kept here, unchanged, as differential oracles for it.
+its integer kernel are kept here, unchanged, as differential oracles for it,
+and so is its recursive maximal independent set enumeration.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from wellcovered.graph import Graph
+from wellcovered.graph import Graph, iter_bits
+from wellcovered.independent_sets import MISList
 from wellcovered.linalg import Basis, LinearSystem, WeightVector
 
 
@@ -282,6 +284,41 @@ def brute_mis(g):
                 continue
             out.append(frozenset(s))
     return set(out)
+
+
+def recursive_enumerate_mis(g, cap):
+    """The recursive Tomita-style enumeration the library used before its
+    explicit stack, unchanged; recurses once per vertex of the set it grows,
+    so only for graphs with small independent sets."""
+    if g.n == 0:
+        return MISList((frozenset(),), True)
+    full = g.full_mask
+    nonadj = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
+    found = []
+
+    def expand(r, p, x):
+        if p == 0 and x == 0:
+            found.append(r)
+            return len(found) <= cap
+        pivot = -1
+        best = -1
+        for u in iter_bits(p | x):
+            size = (p & nonadj[u]).bit_count()
+            if size > best:
+                best = size
+                pivot = u
+        for v in iter_bits(p & ~nonadj[pivot]):
+            if not expand(r | (1 << v), p & nonadj[v], x & nonadj[v]):
+                return False
+            p &= ~(1 << v)
+            x |= 1 << v
+        return True
+
+    complete = expand(0, full, 0)
+    if not complete:
+        found = found[:cap]
+    sets = sorted((frozenset(iter_bits(m)) for m in found), key=sorted)
+    return MISList(tuple(sets), complete)
 
 
 def brute_modules(g):

@@ -1,5 +1,9 @@
+import argparse
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +117,26 @@ class TestDimensionVerb:
     def test_json(self, capsys, bull_file):
         code, out, _ = run(capsys, ["dimension", bull_file, "--output", "json"])
         assert json.loads(out) == {"dimension": 3}
+
+    def test_fork_plus_isolated_vertices(self, capsys, monkeypatch):
+        # auto falls back to brute force; each maximal independent set holds
+        # the 1000 isolated vertices, deeper than the recursion limit
+        code, out, err = run(
+            capsys,
+            ["dimension"],
+            stdin="1005\n" + FORK.split("\n", 1)[1],
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0 and out == "1003\n", err
+
+    def test_bruteforce_isolated_vertices(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys,
+            ["dimension", "--strategy", "bruteforce"],
+            stdin="1200\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0 and out == "1200\n", err
 
 
 class TestBasisVerb:
@@ -322,7 +346,8 @@ class TestExitCodes:
         def exhausted(args, g):
             raise MemoryError
 
-        monkeypatch.setitem(cli._RUNNERS, "dimension", exhausted)
+        _, help_text = cli._VERBS["dimension"]
+        monkeypatch.setitem(cli._VERBS, "dimension", (exhausted, help_text))
         code, out, err = run(capsys, ["dimension", bull_file])
         assert code == 4 and out == ""
         assert err == "error: resource limit reached: MemoryError()\n"
@@ -336,3 +361,106 @@ class TestExitCodes:
             monkeypatch=monkeypatch,
         )
         assert code == 3 and "cap" in err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+VERBS = (
+    "system",
+    "dimension",
+    "basis",
+    "is-well-covered",
+    "check-weighting",
+    "mdtree",
+    "recognize",
+)
+
+
+def readme_examples():
+    """(argv, stdin, stdout) of each `$ printf ... | wellcovered ...` line
+    in the README, with the lines below it up to a blank line as stdout."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if not line.startswith("$ printf "):
+            continue
+        feed, command = line[2:].split(" | ")
+        stdin = shlex.split(feed)[1].replace("\\n", "\n")
+        out = []
+        for shown in lines[i + 1:]:
+            if not shown or shown.startswith("```"):
+                break
+            out.append(shown + "\n")
+        examples.append((shlex.split(command)[1:], stdin, "".join(out)))
+    return examples
+
+
+def exits_with(capsys, argv):
+    """Exit status of an argparse exit, with the captured stdout and stderr."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+class TestCommandLineContract:
+    def test_readme_examples(self, capsys, monkeypatch):
+        examples = readme_examples()
+        assert [argv[0] for argv, _, _ in examples] == [
+            "system",
+            "dimension",
+            "is-well-covered",
+        ]
+        for argv, stdin, expected in examples:
+            code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+            assert (code, out, err) == (0, expected, "")
+
+    def test_check_weighting_needs_weights(self, capsys, bull_file):
+        code, out, err = exits_with(capsys, ["check-weighting", bull_file])
+        assert code == 2 and out == "" and "--weights" in err
+
+    def test_weights_refused_by_other_verbs(self, capsys, bull_file, tmp_path):
+        w = tmp_path / "w.txt"
+        w.write_text("1\n1\n0\n0\n0\n")
+        code, out, err = exits_with(
+            capsys, ["dimension", bull_file, "--weights", str(w)]
+        )
+        assert code == 2 and out == "" and "--weights" in err
+
+    def test_unknown_verb(self, capsys, bull_file):
+        code, out, err = exits_with(capsys, ["size", bull_file])
+        assert code == 2 and out == "" and "size" in err
+
+    def test_help_lists_every_verb(self, capsys):
+        code, out, _ = exits_with(capsys, ["--help"])
+        assert code == 0
+        for verb in VERBS:
+            assert re.search(rf"^ +{verb} ", out, re.MULTILINE), verb
+
+    def test_options_before_the_verb(self, capsys, bull_file, tmp_path):
+        argv = ["--output", "json", "--strategy", "modular", "dimension", bull_file]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and json.loads(out) == {"dimension": 3}
+        w = tmp_path / "w.txt"
+        w.write_text("1\n1\n0\n0\n0\n")
+        code, out, _ = run(
+            capsys, ["--weights", str(w), "check-weighting", bull_file]
+        )
+        assert code == 0 and out == "yes\n"
+
+    def test_options_between_verb_and_input(self, capsys, bull_file):
+        code, out, _ = run(capsys, ["dimension", "--output", "json", bull_file])
+        assert code == 0 and json.loads(out) == {"dimension": 3}
+
+    def test_main_builds_no_parser(self, capsys, bull_file, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for verb in ("dimension", "recognize"):
+            code, _, _ = run(capsys, [verb, bull_file])
+            assert code == 0
+        assert built == []

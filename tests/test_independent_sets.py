@@ -93,6 +93,15 @@ class TestEnumerate:
             assert mis.complete
             assert set(mis.sets) == gu.brute_mis(g)
 
+    def test_same_sets_as_recursive_version(self):
+        # the explicit stack visits branches in the recursive order, so a cap
+        # cuts off the same sets
+        rng = gu.seeded(9)
+        for _ in range(150):
+            g = gu.random_graph(rng, rng.randint(0, 14), rng.random())
+            for cap in (1, 2, 3, 7, 10**6):
+                assert enumerate_mis(g, cap) == gu.recursive_enumerate_mis(g, cap)
+
     def test_canonical_order(self):
         rng = gu.seeded(6)
         for _ in range(40):

@@ -192,6 +192,19 @@ class TestMDTree:
         ]
         assert got == expected
 
+    def test_deep_threshold_eq_hash_repr(self):
+        n = 1500
+        g = gu.threshold(n)
+        a, b = md_tree(g), md_tree(g)
+        assert a == b and hash(a) == hash(b)
+        # toggling the last edge changes the tree only near its bottom
+        adj = list(g.adj)
+        adj[n - 2] ^= 1 << (n - 1)
+        adj[n - 1] ^= 1 << (n - 2)
+        c = md_tree(Graph(n, tuple(adj)))
+        assert hash(c) == hash(a) and c != a and a != c
+        assert repr(a) == "MDNode(kind='parallel', vertices=1500, children=2)"
+
     def test_invariants_random(self):
         rng = gu.seeded(37)
         for _ in range(120):

@@ -380,6 +380,12 @@ class TestAntiNeighborhoodSystem:
 
 
 class TestForkfreeSystem:
+    def test_large_cograph_equals_cograph_system(self):
+        # a cograph has no induced P4, so no fork: is_fork_free answers from
+        # the cotree split instead of its claw scan
+        g = gu.random_cograph(gu.seeded(52), 200)
+        assert forkfree_system(g) == cograph_system(g)
+
     def test_bull(self):
         s = forkfree_system(gu.bull())
         assert len(s) <= 5
