@@ -13,7 +13,6 @@ JSON output of a very deep decomposition tree).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -45,6 +44,7 @@ from .systems import (
     SolverConfig,
     StrategyError,
     resolve_strategy,
+    resolved_system,
     well_covering_system,
 )
 
@@ -141,8 +141,8 @@ def _run_is_well_covered(args, g: Graph) -> None:
             large = max(mis.sets, key=key)
             witness = (small, large)
     else:
-        # pass the resolved strategy on so auto's recognizers run only once
-        system = well_covering_system(g, dataclasses.replace(cfg, strategy=strategy))
+        # resolve_strategy has run auto's recognizers; they do not run again
+        system = resolved_system(g, strategy, cfg)
         covered = evaluate(system, (1,) * g.n)
     obj: dict = {"well_covered": covered, "witness": None}
     text = "yes" if covered else "no"

@@ -7,12 +7,15 @@ are the vertices and whose internal nodes are labeled parallel (graph
 disconnected), series (complement disconnected), or prime (both connected;
 the quotient has only trivial modules).
 
-The strong-module computation follows the definition directly: the smallest
-module containing a vertex pair is obtained by closure under splitters, and
-in the connected co-connected case the maximal proper module containing a
-vertex is the union of the proper smallest modules through it. This is a
-polynomial-time computation chosen for auditability rather than the
-linear-time algorithms known for this problem.
+Components and co-components split parallel and series nodes. A prime node
+(connected and co-connected) is split by partition refinement from its
+lowest vertex v: refining the other vertices by every vertex that splits a
+part leaves the maximal modules that avoid v (Ehrenfeucht, Gabow, McConnell
+and Sullivan 1994; Habib and Paul 2010). Each of them is a maximal strong
+module or lies inside the one that holds v, which one closure under
+splitters per part tells apart. A split costs O(n^2) mask operations for
+the refinement plus those closures, not the closure of every vertex pair;
+it is still not one of the linear-time algorithms known for the problem.
 
 ``md_fold`` is the one walk over the tree. It is iterative, so ``md_tree``
 and the system builders that use it handle trees of any depth.
@@ -120,18 +123,36 @@ def _smallest_module_mask(g: Graph, seed: int, within: int) -> int:
 
 def _strong_module_masks(g: Graph, within: int) -> list[int]:
     """Maximal proper modules of g[within] when it is connected and
-    co-connected; they are pairwise disjoint and partition the vertex set."""
-    blocks: list[int] = []
-    unassigned = within
-    while unassigned:
-        v = unassigned & -unassigned
-        block = v
-        for u in iter_bits(within & ~v):
-            m = _smallest_module_mask(g, v | (1 << u), within)
+    co-connected; they are pairwise disjoint and partition the vertex set.
+
+    Refining ``within`` minus its lowest vertex v, from the neighbours and
+    non-neighbours of v, by every vertex that splits a part yields the
+    maximal modules that avoid v. Each is either a maximal proper module
+    or lies inside M(v), the one that holds v; a part X lies inside M(v)
+    exactly when the smallest module that holds X and the part of M(v)
+    found so far is proper. So there is one closure per part at most.
+    """
+    v = within & -within
+    nbrs = g.adj[v.bit_length() - 1] & within
+    # both parts are nonempty: g[within] is connected and co-connected
+    parts = [nbrs, within & ~nbrs & ~v]
+    final: list[int] = []
+    while parts:
+        x = parts.pop()
+        for u in iter_bits(within & ~x):
+            seen = g.adj[u] & x
+            if seen and seen != x:
+                parts += (seen, x & ~seen)
+                break
+        else:
+            final.append(x)
+    block = v
+    for x in final:
+        if x & ~block:
+            m = _smallest_module_mask(g, block | x, within)
             if m != within:
-                block |= m
-        blocks.append(block)
-        unassigned &= ~block
+                block = m
+    blocks = [block] + [x for x in final if not x & block]
     return sorted(blocks, key=lambda b: b & -b)
 
 

@@ -438,7 +438,9 @@ def anti_neighborhood_system(
 # fork-free pipeline
 
 
-def forkfree_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
+def forkfree_system(
+    g: Graph, cfg: SolverConfig | None = None, *, fork_tested: bool = False
+) -> LinearSystem:
     """Unit, linearly independent well-covering system for fork-free graphs.
 
     The modular walk hands each prime quotient to the anti-neighborhood
@@ -446,10 +448,12 @@ def forkfree_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
     leaves a graph all of whose prime quotients are claw-free, so those
     subproblems run the modular walk again with the configured base solver
     at the bottom. Row reduction after every aggregation keeps the final
-    size at most n.
+    size at most n. Raises StrategyError when ``g`` has an induced fork;
+    a caller that has found ``g`` fork-free passes ``fork_tested=True`` to
+    skip the second test.
     """
     cfg = cfg or SolverConfig()
-    if not is_fork_free(g):
+    if not fork_tested and not is_fork_free(g):
         raise StrategyError(
             "graph contains an induced fork; the fork-free strategy "
             "does not apply"
@@ -493,14 +497,20 @@ def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSys
     brute force otherwise (the only generally sound fallback).
     """
     cfg = cfg or SolverConfig()
-    strategy = resolve_strategy(g, cfg)
+    return resolved_system(g, resolve_strategy(g, cfg), cfg)
+
+
+def resolved_system(g: Graph, strategy: str, cfg: SolverConfig) -> LinearSystem:
+    """Build a well-covering system by ``strategy``, which must be
+    ``resolve_strategy(g, cfg)``. Under ``auto`` that call has tested ``g``
+    for forks already, so the fork-free pipeline does not test again."""
     if strategy == "bruteforce":
         return bruteforce_system(g, cfg.mis_cap)
     if strategy == "cograph":
         return cograph_system(g)
     if strategy == "modular":
         return modular_system(g, cfg)
-    return forkfree_system(g, cfg)
+    return forkfree_system(g, cfg, fork_tested=cfg.strategy == "auto")
 
 
 def well_covered_dimension(g: Graph, cfg: SolverConfig | None = None) -> int:

@@ -6,7 +6,8 @@ from testing all subsets against the definition, ranks from integer
 fraction-free (Bareiss) elimination, and pattern containment from explicit
 injective embeddings. The Fraction elimination loops the library used before
 its integer kernel are kept here, unchanged, as differential oracles for it,
-and so is its recursive maximal independent set enumeration.
+and so are its recursive maximal independent set enumeration and its
+closure search for the maximal strong modules of a prime node.
 """
 
 import random
@@ -16,6 +17,7 @@ from itertools import combinations, permutations
 from wellcovered.graph import Graph, iter_bits
 from wellcovered.independent_sets import MISList
 from wellcovered.linalg import Basis, LinearSystem, WeightVector
+from wellcovered.modular import _smallest_module_mask
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +357,23 @@ def brute_maximal_strong_modules(g):
         m for m in proper if not any(m < m2 for m2 in proper)
     ]
     return sorted(maximal, key=min)
+
+
+def closure_strong_module_masks(g, within):
+    """Maximal proper modules of g[within] when it is connected and
+    co-connected; they are pairwise disjoint and partition the vertex set."""
+    blocks = []
+    unassigned = within
+    while unassigned:
+        v = unassigned & -unassigned
+        block = v
+        for u in iter_bits(within & ~v):
+            m = _smallest_module_mask(g, v | (1 << u), within)
+            if m != within:
+                block |= m
+        blocks.append(block)
+        unassigned &= ~block
+    return sorted(blocks, key=lambda b: b & -b)
 
 
 def has_induced(g, pattern):

@@ -118,6 +118,21 @@ class TestDimensionVerb:
         code, out, _ = run(capsys, ["dimension", bull_file, "--output", "json"])
         assert json.loads(out) == {"dimension": 3}
 
+    @pytest.mark.parametrize("verb", ["dimension", "is-well-covered"])
+    def test_auto_tests_forks_once(self, capsys, monkeypatch, verb):
+        # the bull is fork-free but not a cograph: auto picks forkfree after
+        # one fork test, and the fork-free pipeline does not test again
+        import wellcovered.systems as systems
+
+        calls = []
+        real = systems.is_fork_free
+        monkeypatch.setattr(
+            systems, "is_fork_free", lambda h: calls.append(h) or real(h)
+        )
+        code, out, _ = run(capsys, [verb], stdin=BULL, monkeypatch=monkeypatch)
+        assert code == 0 and out.strip() in ("3", "no")
+        assert len(calls) == 1
+
     def test_fork_plus_isolated_vertices(self, capsys, monkeypatch):
         # auto falls back to brute force; each maximal independent set holds
         # the 1000 isolated vertices, deeper than the recursion limit

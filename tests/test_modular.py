@@ -1,11 +1,13 @@
 import pytest
 
 import genutil as gu
+import wellcovered.modular as modular
 from wellcovered.graph import Graph
 from wellcovered.modular import (
     is_module,
     is_prime,
     maximal_strong_modules,
+    md_fold,
     md_tree,
     quotient,
 )
@@ -50,6 +52,25 @@ class TestIsModule:
                     assert is_module(g, combo) == (frozenset(combo) in mods)
 
 
+def shuffled_substitution(rng, skeleton_n, module_n):
+    """A random prime skeleton with a random graph substituted for each
+    vertex, with sizes drawn from the (low, high) ranges, under a random
+    vertex order, so that the lowest vertex of a prime node often sits in a
+    larger module."""
+    while True:
+        skel = gu.random_graph(rng, rng.randint(*skeleton_n), rng.uniform(0.3, 0.7))
+        if is_prime(skel):
+            break
+    modules = [
+        gu.random_graph(rng, rng.randint(*module_n), rng.random())
+        for _ in range(skel.n)
+    ]
+    g = gu.substitute(skel, modules)
+    order = list(range(g.n))
+    rng.shuffle(order)
+    return Graph.from_edges(g.n, [(order[u], order[v]) for u, v in g.edges()])
+
+
 class TestMaximalStrongModules:
     def test_edgeless(self):
         assert maximal_strong_modules(gu.edgeless(3)) == [
@@ -83,6 +104,67 @@ class TestMaximalStrongModules:
         for _ in range(120):
             g = gu.random_graph(rng, rng.randint(2, 7), rng.random())
             assert maximal_strong_modules(g) == gu.brute_maximal_strong_modules(g)
+        # prime roots whose lowest vertex often sits in a larger module
+        checked = lowest_in_module = 0
+        while checked < 100:
+            g = shuffled_substitution(rng, (4, 5), (1, 2))
+            if g.n <= 9:
+                blocks = maximal_strong_modules(g)
+                assert blocks == gu.brute_maximal_strong_modules(g)
+                checked += 1
+                lowest_in_module += len(blocks[0]) > 1
+        assert lowest_in_module >= 20
+
+
+class TestPrimeSplit:
+    """The refinement split against the closure search it replaced."""
+
+    def prime_splits(self, g):
+        """(refinement, closure) block masks at every prime node of g."""
+        found = []
+
+        def split(h, within):
+            got = modular._strong_module_masks(h, within)
+            found.append((got, gu.closure_strong_module_masks(h, within)))
+            return got
+
+        md_fold(g, lambda v: None, lambda *args: None, split)
+        return found
+
+    def test_matches_closure_on_substitutions(self):
+        rng = gu.seeded(41)
+        nodes = lowest_in_module = 0
+        for _ in range(150):
+            g = shuffled_substitution(rng, (4, 9), (1, 6))
+            for got, expected in self.prime_splits(g):
+                assert got == expected
+                nodes += 1
+                lowest_in_module += got[0].bit_count() > 1
+        assert nodes >= 150 and lowest_in_module >= 50
+
+    def test_matches_closure_on_random_graphs(self):
+        rng = gu.seeded(43)
+        for _ in range(400):
+            g = gu.random_graph(rng, rng.randint(4, 14), rng.random())
+            for got, expected in self.prime_splits(g):
+                assert got == expected
+
+    def test_one_closure_per_part(self, monkeypatch):
+        # a prime line graph on 40 vertices: every refined part is a single
+        # vertex, so the split makes at most n - 1 closures; the pairwise
+        # closure search makes about n^2
+        g = gu.line_graph(gu.random_graph(gu.seeded(11), 12, 0.6))
+        assert g.n == 40 and is_prime(g)
+        calls = []
+        real = modular._smallest_module_mask
+        monkeypatch.setattr(
+            modular,
+            "_smallest_module_mask",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        blocks = modular._strong_module_masks(g, g.full_mask)
+        assert blocks == [1 << v for v in range(g.n)]
+        assert len(calls) <= g.n
 
 
 class TestQuotient:
