@@ -7,13 +7,22 @@ required there. Graphs are read from a file argument or stdin, in edge-list
 or graph6 format; results print as text or JSON. Exit codes: 0 success,
 1 parse error, 2 strategy inapplicable or argument error, 3 enumeration cap
 exceeded, 4 resource limit reached (recursion depth or memory; for example
-JSON output of a very deep decomposition tree).
+JSON output of a very deep decomposition tree). Run as a program, a reader
+that closes stdout early (``wellcovered mdtree g.txt | head -n 1``) ends it
+with exit 0 and nothing on stderr.
+
+``system`` builds with the configured strategy's brute-force base, so its
+rows keep their bytes. The other verbs print what the solution space fixes,
+so they use the built-in claw-free base (``systems.query_config``), and
+``dimension`` ranks the system only under the brute-force strategy: every
+other system is independent by construction.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -34,7 +43,6 @@ from .linalg import (
     basis_to_json,
     evaluate,
     null_space_basis,
-    rank,
     system_to_json,
     system_to_text,
 )
@@ -43,8 +51,11 @@ from .systems import (
     STRATEGIES,
     SolverConfig,
     StrategyError,
+    is_w_well_covered,
+    query_config,
     resolve_strategy,
     resolved_system,
+    well_covered_dimension,
     well_covering_system,
 )
 
@@ -78,7 +89,10 @@ def _read_weights(path: str, n: int) -> WeightVector:
 
 
 def _config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(strategy=args.strategy, mis_cap=args.mis_cap)
+    """``system`` prints the rows, so it keeps the brute-force base and its
+    bytes; every other verb's output is fixed by the solution space."""
+    cfg = SolverConfig(strategy=args.strategy, mis_cap=args.mis_cap)
+    return cfg if args.verb == "system" else query_config(cfg)
 
 
 def _vname(v: int) -> str:
@@ -109,8 +123,7 @@ def _run_system(args, g: Graph) -> None:
 
 
 def _run_dimension(args, g: Graph) -> None:
-    system = well_covering_system(g, _config(args))
-    dim = g.n - rank(system)
+    dim = well_covered_dimension(g, _config(args))
     _emit(args, lambda: {"dimension": dim}, lambda: str(dim))
 
 
@@ -163,8 +176,7 @@ def _run_is_well_covered(args, g: Graph) -> None:
 
 def _run_check_weighting(args, g: Graph) -> None:
     w = _read_weights(args.weights, g.n)
-    system = well_covering_system(g, _config(args))
-    ok = evaluate(system, w)
+    ok = is_w_well_covered(g, w, _config(args))
     _emit(args, lambda: {"w_well_covered": ok}, lambda: "yes" if ok else "no")
 
 
@@ -307,7 +319,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as `wellcovered mdtree | head`
+        # does; the rest of the output has nowhere to go, and Python's own
+        # flush at exit must not report it either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,12 +2,16 @@
 
 Enumeration works by listing maximal cliques of the complement with a
 pivoting branch-and-bound, capped so that graphs with exponentially many
-maximal independent sets cannot blow up silently.
+maximal independent sets cannot blow up silently. ``meets_all_cliques`` asks
+whether one independent set can meet each of a family of cliques; it is the
+test behind the claw-free base of ``systems``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 from .graph import Graph, iter_bits
@@ -92,6 +96,67 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MISList:
             found.append(r | bit)
     sets = sorted((frozenset(iter_bits(m)) for m in found[:cap]), key=sorted)
     return MISList(tuple(sets), len(found) <= cap)
+
+
+def meets_all_cliques(g: Graph, cliques: Sequence[int]) -> bool:
+    """True iff some independent set of ``g`` meets every clique in
+    ``cliques``, a list of vertex bitmasks. An empty clique is never met.
+
+    Depth-first: branch on the unmet clique with the fewest available
+    vertices, where choosing a vertex makes its closed neighbourhood
+    unavailable. A state is the available vertices that lie in some unmet
+    clique, with the set of unmet cliques; failed states are remembered, so
+    that pigeonhole-like instances (more cliques to meet than the available
+    vertices can pairwise avoid) are refuted once per state, not once per
+    order of choices.
+    """
+    cliques = list(dict.fromkeys(cliques))
+    if not cliques:
+        return True
+    if not all(cliques):
+        return False
+    hit: dict[int, int] = {}  # vertex -> bitmask of the cliques holding it
+    for i, c in enumerate(cliques):
+        for v in iter_bits(c):
+            hit[v] = hit.get(v, 0) | 1 << i
+    failed: set[tuple[int, int]] = set()
+
+    # a frame is [state, branches left]; None when the state is known dead
+    def frame(avail: int, unmet: int) -> list | None:
+        best, size, cover = 0, -1, 0
+        rest = unmet
+        while rest:  # iter_bits, inlined: this loop is the search's cost
+            low = rest & -rest
+            rest ^= low
+            clique = cliques[low.bit_length() - 1]
+            options = clique & avail
+            if not options:
+                return None
+            k = options.bit_count()
+            if size < 0 or k < size:
+                best, size = options, k
+            cover |= clique
+        state = (avail & cover, unmet)
+        return None if state in failed else [state, best]
+
+    stack = [frame(reduce(or_, cliques), (1 << len(cliques)) - 1)]
+    while stack:
+        top = stack[-1]
+        (avail, unmet), todo = top
+        if not todo:
+            failed.add(top[0])
+            stack.pop()
+            continue
+        bit = todo & -todo
+        top[1] = todo ^ bit
+        v = bit.bit_length() - 1
+        rest = unmet & ~hit[v]
+        if not rest:
+            return True
+        child = frame(avail & ~g.adj[v] & ~bit, rest)
+        if child is not None:
+            stack.append(child)
+    return False
 
 
 def is_well_covered_bruteforce(g: Graph, cap: int = DEFAULT_MIS_CAP) -> bool:

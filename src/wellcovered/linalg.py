@@ -7,11 +7,14 @@ on construction so no rounding can corrupt a solution space. Systems are
 immutable; elimination always works on copies.
 
 rank, extract_independent_subsystem and null_space_basis share one
-elimination kernel that sees Python ints only: each row is scaled by the lcm
-of its denominators and reduced by fraction-free cross-multiplication, in the
-manner of Bareiss (1968). Inputs and outputs stay exact int and Fraction
-values; null_space_basis returns the canonical basis read off the reduced
-row echelon form, built with one Fraction per nonzero entry.
+elimination kernel that sees Python ints only. It is incremental: it inserts
+one row into an echelon and tells whether the row was independent of it, so
+the three are loops over it, and so is the claw-free base of ``systems``,
+which skips candidate rows already in the span. Each row is scaled by the
+lcm of its denominators and reduced by fraction-free cross-multiplication,
+in the manner of Bareiss (1968). Inputs and outputs stay exact int and
+Fraction values; null_space_basis returns the canonical basis read off the
+reduced row echelon form, built with one Fraction per nonzero entry.
 """
 
 from __future__ import annotations
@@ -121,11 +124,12 @@ class Basis:
 # ---------------------------------------------------------------------------
 # elimination
 #
-# _echelon is the one kernel. Rows enter in input order and are reduced
-# against the echelon built so far: the entry under each pivot is cancelled
-# by cross-multiplication with both multipliers divided by their gcd. A row
-# with anything left is kept, divided by its content and signed so that its
-# pivot (first nonzero column) is positive.
+# _insert is the one kernel: it adds one row to an echelon. The entry of the
+# row under each pivot is cancelled by cross-multiplication with both
+# multipliers divided by their gcd. A row with anything left is kept,
+# divided by its content and signed so that its pivot (first nonzero column)
+# is positive. _echelon feeds it the rows of a system in input order; the
+# claw-free base of systems.py feeds it candidate rows one at a time.
 
 
 def _integer_row(row: Sequence[Coeff]) -> list[int]:
@@ -158,29 +162,41 @@ def _cancel(row: list[int], er: list[int], col: int) -> list[int]:
     return _primitive([a * x - b * y for x, y in zip(row, er)], col)
 
 
+def _insert(echelon: dict[int, list[int]], row: Sequence[Coeff]) -> int | None:
+    """Reduce ``row`` against ``echelon`` and, if anything is left, store it.
+
+    ``echelon`` maps pivot columns to primitive integer rows with a positive
+    pivot and zeros left of it. Returns the pivot column of the stored row,
+    or None when ``row`` lies in the span of the echelon. A caller that
+    decides against a stored row removes it with ``del echelon[col]``.
+    """
+    n = len(row)
+    work = _integer_row(row)
+    lead = 0
+    while True:
+        lead = next((c for c in range(lead, n) if work[c]), n)
+        er = echelon.get(lead)
+        if er is None:
+            break
+        work = _cancel(work, er, lead)
+    if lead == n:
+        return None
+    echelon[lead] = _primitive(work, lead)
+    return lead
+
+
 def _echelon(s: LinearSystem) -> tuple[list[int], dict[int, list[int]]]:
     """Greedy integer echelon of the rows of ``s``, taken in input order.
 
     Returns the indices of the kept rows (each independent of the rows
-    before it) and the echelon as a map from pivot column to a primitive
-    integer row with a positive pivot and zeros left of it.
+    before it) and the echelon built by ``_insert``.
     """
-    n = s.num_vars
     echelon: dict[int, list[int]] = {}
     kept: list[int] = []
     for idx, row in enumerate(s.rows):
-        if len(echelon) == n:
+        if len(echelon) == s.num_vars:
             break
-        work = _integer_row(row)
-        lead = 0
-        while True:
-            lead = next((c for c in range(lead, n) if work[c]), n)
-            er = echelon.get(lead)
-            if er is None:
-                break
-            work = _cancel(work, er, lead)
-        if lead < n:
-            echelon[lead] = _primitive(work, lead)
+        if _insert(echelon, row) is not None:
             kept.append(idx)
     return kept, echelon
 

@@ -26,9 +26,23 @@ weight. This module builds such systems along several routes:
   no row is reduced, and a counting argument bounds the size by n - 1.
 * ``anti_neighborhood_system``: combine systems of the graphs G - N[v], one
   per vertex v, with chained equations relating the sets I_v + {v}.
+* ``clawfree_system``: for claw-free graphs, one equation per generating
+  subgraph (an edge, an induced P3 or an induced C4; Levit and Tankus
+  2015) that is not implied by those before it. Candidates are tested with
+  ``independent_sets.meets_all_cliques`` and skipped without a test when
+  the incremental kernel (``linalg._insert``) finds their row in the span,
+  so the rows are independent by construction.
 * ``forkfree_system``: for graphs with no induced fork. Prime quotients are
   solved through the anti-neighborhood reduction, whose subproblems have
   claw-free prime quotients and bottom out at the configured base solver.
+  With the ``claw-free`` base, claw-free prime quotients skip the
+  reduction and go to ``clawfree_system`` directly.
+
+The base solver on prime quotients is the capped brute force by default,
+which ``system`` keeps. Queries whose answer is fixed by the solution
+space (dimension, basis, w-well-coveredness) use ``query_config``, which
+selects the ``claw-free`` base: it tests every quotient for claws and
+enumerates only those that have one.
 
 All constructions preserve unit coefficients (-1, 0, 1) when their inputs
 are unit, and every produced system is a well-covering system of its graph.
@@ -36,7 +50,7 @@ are unit, and every produced system is a well-covering system of its graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Sequence
@@ -45,6 +59,7 @@ from .graph import (
     Graph,
     delete_closed_neighborhood,
     induced_subgraph,
+    is_claw_free,
     is_fork_free,
     is_p4_free,
     iter_bits,
@@ -54,11 +69,13 @@ from .independent_sets import (
     CapExceededError,
     enumerate_mis,
     greedy_mis,
+    meets_all_cliques,
 )
 from .linalg import (
     Coeff,
     LinearSystem,
     WeightVector,
+    _insert,
     empty_system,
     evaluate,
     extract_independent_subsystem,
@@ -67,7 +84,7 @@ from .linalg import (
 from .modular import PARALLEL, SERIES, md_fold
 
 STRATEGIES = ("auto", "bruteforce", "cograph", "modular", "forkfree")
-BASE_SOLVERS = ("bruteforce", "claw-free-plugin")
+BASE_SOLVERS = ("bruteforce", "claw-free", "claw-free-plugin")
 
 
 class StrategyError(RuntimeError):
@@ -78,8 +95,11 @@ class StrategyError(RuntimeError):
 class SolverConfig:
     """Selects a strategy and the base solver used on prime graphs.
 
-    ``claw_free_plugin`` may hold a callable mapping a claw-free graph to a
-    well-covering system of it; its output is always row-reduced before use.
+    ``base_solver`` is ``bruteforce`` (the capped enumeration), ``claw-free``
+    (``clawfree_system`` on claw-free prime quotients, the enumeration on
+    the others) or ``claw-free-plugin``. ``claw_free_plugin`` may hold a
+    callable mapping a claw-free graph to a well-covering system of it; its
+    output is always row-reduced before use.
     """
 
     strategy: str = "auto"
@@ -283,7 +303,7 @@ def _bruteforce_base(cap: int) -> Callable[[Graph], LinearSystem]:
 
 
 def _base_prime_solver(cfg: SolverConfig) -> Callable[[Graph], LinearSystem]:
-    """Solver applied to prime quotient graphs; output is always re-reduced."""
+    """Solver applied to prime quotient graphs; its output is independent."""
     if cfg.base_solver == "claw-free-plugin":
         plugin = cfg.claw_free_plugin
 
@@ -291,7 +311,14 @@ def _base_prime_solver(cfg: SolverConfig) -> Callable[[Graph], LinearSystem]:
             return extract_independent_subsystem(plugin(h))
 
         return solve
-    return _bruteforce_base(cfg.mis_cap)
+    brute = _bruteforce_base(cfg.mis_cap)
+    if cfg.base_solver == "claw-free":
+
+        def solve(h: Graph) -> LinearSystem:
+            return clawfree_system(h) if is_claw_free(h) else brute(h)
+
+        return solve
+    return brute
 
 
 def modular_system(
@@ -396,6 +423,79 @@ def cograph_system(g: Graph) -> LinearSystem:
 
 
 # ---------------------------------------------------------------------------
+# claw-free base: generating subgraphs
+
+
+def _generating_candidates(g: Graph) -> Iterable[tuple[str, int, int]]:
+    """(kind, X, Y) vertex bitmasks of the induced complete bipartite
+    subgraphs with sides of at most two vertices: each edge u-v (u < v) as
+    ({u}, {v}), each induced P3 a-c-b as ({c}, {a, b}) by centre, then each
+    induced C4 split into its diagonals, X the one with the lowest vertex."""
+    adj = g.adj
+    for u, v in g.edges():
+        yield "edge", 1 << u, 1 << v
+    for c in range(g.n):
+        for a in iter_bits(adj[c]):
+            for b in iter_bits(adj[c] & ~adj[a] & ~((2 << a) - 1)):
+                yield "p3", 1 << c, 1 << a | 1 << b
+    for x1 in range(g.n):
+        later = g.full_mask & ~((2 << x1) - 1)
+        common_to = adj[x1] & later
+        for x2 in iter_bits(later & ~adj[x1]):
+            common = common_to & adj[x2]
+            for y1 in iter_bits(common):
+                for y2 in iter_bits(common & ~adj[y1] & ~((2 << y1) - 1)):
+                    yield "c4", 1 << x1 | 1 << x2, 1 << y1 | 1 << y2
+
+
+def _is_generating(g: Graph, x: int, y: int) -> bool:
+    """Whether some independent S makes both S + X and S + Y maximal.
+
+    S must avoid N[X + Y], so it lies in R = V - N[X + Y], where it must be
+    maximal, and it must dominate D = (N(X) ^ N(Y)) - (X + Y), which X + Y
+    leaves undominated on one side. In a claw-free graph N(d) & R is a
+    clique for every d in D, so the question is whether an independent set
+    of G[R] meets all these cliques; any such set extends to a maximal one.
+    """
+    nx = reduce(or_, (g.adj[v] for v in iter_bits(x)))
+    ny = reduce(or_, (g.adj[v] for v in iter_bits(y)))
+    rest = g.full_mask & ~(nx | ny | x | y)
+    undominated = (nx ^ ny) & ~(x | y)
+    return meets_all_cliques(g, [g.adj[d] & rest for d in iter_bits(undominated)])
+
+
+def clawfree_system(g: Graph) -> LinearSystem:
+    """Unit, linearly independent well-covering system of a claw-free graph.
+
+    Levit and Tankus (Weighted well-covered claw-free graphs, Discrete Math.
+    338, 2015): the well-covered weightings of a claw-free graph are those
+    with w(X) = w(Y) for every generating subgraph (X, Y), and each such
+    subgraph is an edge, an induced P3 or an induced C4. The candidates are
+    taken in a fixed order; a candidate row w(X) - w(Y) already in the span
+    of the rows accepted so far is skipped without a search, so at most n
+    rows are accepted and they are independent. The result is meaningless
+    on a graph with a claw; callers test ``is_claw_free`` first.
+    """
+    n = g.n
+    echelon: dict[int, list[int]] = {}
+    rows: list[tuple[Coeff, ...]] = []
+    tags: list[str] = []
+    for kind, x, y in _generating_candidates(g):
+        if len(echelon) == n:
+            break
+        row = _diff_row(n, iter_bits(x), iter_bits(y))
+        col = _insert(echelon, row)
+        if col is None:
+            continue
+        if _is_generating(g, x, y):
+            rows.append(row)
+            tags.append(f"generating {kind}")
+        else:
+            del echelon[col]
+    return LinearSystem(n, tuple(rows), tuple(tags))
+
+
+# ---------------------------------------------------------------------------
 # anti-neighborhood reduction
 
 
@@ -447,7 +547,9 @@ def forkfree_system(
     reduction. Deleting a closed neighborhood in a prime fork-free graph
     leaves a graph all of whose prime quotients are claw-free, so those
     subproblems run the modular walk again with the configured base solver
-    at the bottom. Row reduction after every aggregation keeps the final
+    at the bottom. With the ``claw-free`` base, a prime quotient that is
+    claw-free itself goes to ``clawfree_system`` directly, without the n
+    subproblems. Row reduction after every aggregation keeps the final
     size at most n. Raises StrategyError when ``g`` has an induced fork;
     a caller that has found ``g`` fork-free passes ``fork_tested=True`` to
     skip the second test.
@@ -464,6 +566,8 @@ def forkfree_system(
         return modular_system(h, cfg, prime_solver=base)
 
     def prime_forkfree_solver(h: Graph) -> LinearSystem:
+        if cfg.base_solver == "claw-free" and is_claw_free(h):
+            return clawfree_system(h)
         return extract_independent_subsystem(
             anti_neighborhood_system(h, primes_clawfree_solver)
         )
@@ -513,16 +617,34 @@ def resolved_system(g: Graph, strategy: str, cfg: SolverConfig) -> LinearSystem:
     return forkfree_system(g, cfg, fork_tested=cfg.strategy == "auto")
 
 
+def query_config(cfg: SolverConfig | None = None) -> SolverConfig:
+    """The configuration for a query whose answer is fixed by the solution
+    space: ``cfg`` with the ``claw-free`` base in place of the default
+    ``bruteforce`` one. A configured plug-in is kept."""
+    cfg = cfg or SolverConfig()
+    if cfg.base_solver == "bruteforce":
+        return replace(cfg, base_solver="claw-free")
+    return cfg
+
+
 def well_covered_dimension(g: Graph, cfg: SolverConfig | None = None) -> int:
     """Dimension of the space of weightings equalizing all maximal
-    independent sets: n minus the rank of any well-covering system."""
-    return g.n - rank(well_covering_system(g, cfg))
+    independent sets: n minus the rank of any well-covering system.
+
+    Built with ``query_config(cfg)``. Every system but the brute-force
+    chain is independent by construction, so only that one is ranked.
+    """
+    cfg = query_config(cfg)
+    strategy = resolve_strategy(g, cfg)
+    system = resolved_system(g, strategy, cfg)
+    return g.n - (rank(system) if strategy == "bruteforce" else len(system))
 
 
 def is_well_covered(g: Graph, cfg: SolverConfig | None = None) -> bool:
     """True iff all maximal independent sets have the same cardinality,
-    tested by evaluating the all-ones weighting on a well-covering system."""
-    system = well_covering_system(g, cfg)
+    tested by evaluating the all-ones weighting on a well-covering system
+    built with ``query_config(cfg)``."""
+    system = well_covering_system(g, query_config(cfg))
     return evaluate(system, (1,) * g.n)
 
 
@@ -531,6 +653,7 @@ def is_w_well_covered(
     w: WeightVector | Sequence[Coeff],
     cfg: SolverConfig | None = None,
 ) -> bool:
-    """True iff all maximal independent sets have equal weight under ``w``."""
-    system = well_covering_system(g, cfg)
+    """True iff all maximal independent sets have equal weight under ``w``,
+    tested on a system built with ``query_config(cfg)``."""
+    system = well_covering_system(g, query_config(cfg))
     return evaluate(system, w)

@@ -1,8 +1,11 @@
 import argparse
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ BULL = "5\n0 1\n1 2\n2 3\n3 4\n1 3\n"
 C8 = "8\n" + "\n".join(f"{i} {(i + 1) % 8}" for i in range(8)) + "\n"
 P4 = "4\n0 1\n1 2\n2 3\n"
 FORK = "5\n0 1\n1 2\n2 3\n2 4\n"
+K23 = "5\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n"
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -132,6 +136,39 @@ class TestDimensionVerb:
         code, out, _ = run(capsys, [verb], stdin=BULL, monkeypatch=monkeypatch)
         assert code == 0 and out.strip() in ("3", "no")
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "graph, flags, expected, ranked",
+        [
+            (K23, [], "4", 0),  # cograph
+            (BULL, [], "3", 0),  # fork-free, not a cograph
+            (BULL, ["--strategy", "bruteforce"], "3", 1),
+        ],
+        ids=["cograph", "forkfree", "bruteforce"],
+    )
+    def test_ranks_only_bruteforce_systems(
+        self, capsys, monkeypatch, graph, flags, expected, ranked
+    ):
+        # every system but the brute-force chain is independent by
+        # construction, so dimension is n minus its row count
+        import wellcovered.cli as cli
+        import wellcovered.linalg as linalg
+        import wellcovered.systems as systems
+
+        calls = []
+        real = linalg.rank
+
+        def counting(s):
+            calls.append(s)
+            return real(s)
+
+        for mod in (linalg, systems, cli):
+            monkeypatch.setattr(mod, "rank", counting, raising=False)
+        code, out, _ = run(
+            capsys, ["dimension", *flags], stdin=graph, monkeypatch=monkeypatch
+        )
+        assert code == 0 and out == expected + "\n"
+        assert len(calls) == ranked
 
     def test_fork_plus_isolated_vertices(self, capsys, monkeypatch):
         # auto falls back to brute force; each maximal independent set holds
@@ -479,3 +516,29 @@ class TestCommandLineContract:
             code, _, _ = run(capsys, [verb, bull_file])
             assert code == 0
         assert built == []
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # the pipe's read end is closed before the program starts, so its
+        # first write to stdout fails whatever the timing
+        g = gu.path(200)
+        graph = tmp_path / "p200.txt"
+        graph.write_text(f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wellcovered.cli", "mdtree", str(graph)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == b""

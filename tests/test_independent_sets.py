@@ -7,6 +7,7 @@ from wellcovered.independent_sets import (
     enumerate_mis,
     greedy_mis,
     is_well_covered_bruteforce,
+    meets_all_cliques,
 )
 
 
@@ -139,3 +140,48 @@ class TestWellCoveredBruteforce:
         g = gu.disjoint_union(*[gu.complete(2)] * 5)
         with pytest.raises(CapExceededError, match="undecided"):
             is_well_covered_bruteforce(g, cap=10)
+
+
+def brute_meets_all(g, sets):
+    """Whether some independent vertex subset meets every set, by trying
+    all 2^n subsets."""
+    for s in range(1 << g.n):
+        if all(not g.adj[v] & s for v in range(g.n) if s >> v & 1):
+            if all(c & s for c in sets):
+                return True
+    return False
+
+
+class TestMeetsAllCliques:
+    def test_no_cliques_and_empty_clique(self):
+        assert meets_all_cliques(gu.path(3), [])
+        assert not meets_all_cliques(gu.path(3), [0b011, 0])
+
+    def test_path(self):
+        # the ends of P3 are independent; its edges cannot both be met by
+        # one vertex unless that vertex is the middle
+        assert meets_all_cliques(gu.path(3), [0b001, 0b100])
+        assert not meets_all_cliques(gu.path(3), [0b010, 0b001])
+        assert meets_all_cliques(gu.path(3), [0b011, 0b110])
+
+    def test_pigeonhole(self):
+        # the rows of K8 x K7 are eight cliques; an independent set takes
+        # at most one vertex per column, so it meets at most seven of them
+        rows, cols = 8, 7
+        g = Graph.from_edges(
+            rows * cols,
+            [(a, b) for a in range(rows * cols) for b in range(a + 1, rows * cols)
+             if a // cols == b // cols or a % cols == b % cols],
+        )
+        row_cliques = [((1 << cols) - 1) << (cols * r) for r in range(rows)]
+        assert not meets_all_cliques(g, row_cliques)
+        assert meets_all_cliques(g, row_cliques[:cols])
+
+    def test_random_against_subsets(self):
+        rng = gu.seeded(91)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            g = gu.random_graph(rng, n, rng.random())
+            k = rng.randint(0, 5)
+            sets = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(k)]
+            assert meets_all_cliques(g, sets) == brute_meets_all(g, sets)

@@ -9,6 +9,7 @@ from wellcovered.linalg import (
     Basis,
     LinearSystem,
     WeightVector,
+    _insert,
     basis_from_json,
     basis_to_json,
     empty_system,
@@ -258,6 +259,20 @@ class TestKernelAgainstFractionOracles:
         s = bruteforce_system(g)
         assert len(s) > 300
         _assert_matches_oracles(s)
+
+
+class TestIncrementalInsert:
+    def test_span_and_removal(self):
+        echelon = {}
+        assert _insert(echelon, (1, -1, 0)) == 0
+        assert _insert(echelon, (0, 1, -1)) == 1
+        assert _insert(echelon, (2, 0, -2)) is None  # in the span
+        assert _insert(echelon, (Fraction(1, 2), 0, Fraction(-1, 2))) is None
+        col = _insert(echelon, (0, 0, 3))
+        assert col == 2 and echelon[2] == [0, 0, 1]
+        del echelon[col]  # the caller turned the row down
+        assert sorted(echelon) == [0, 1]
+        assert _insert(echelon, (0, 0, 1)) == 2
 
 
 class TestSameSolutionSpace:

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 import genutil as gu
-from wellcovered.graph import induced_subgraph
+from wellcovered.graph import Graph, complement, induced_subgraph, is_claw_free
 from wellcovered.independent_sets import CapExceededError, enumerate_mis
 from wellcovered.linalg import (
     empty_system,
@@ -18,6 +18,7 @@ from wellcovered.systems import (
     StrategyError,
     anti_neighborhood_system,
     bruteforce_system,
+    clawfree_system,
     cograph_system,
     combine_disjoint_union,
     combine_join,
@@ -27,6 +28,7 @@ from wellcovered.systems import (
     lift_quotient_system,
     lift_subgraph_system,
     modular_system,
+    query_config,
     resolve_strategy,
     well_covered_dimension,
     well_covering_system,
@@ -412,6 +414,149 @@ class TestForkfreeSystem:
             assert len(s) == rank(s)
             assert all(c in (-1, 0, 1) for row in s.rows for c in row)
             assert same_solution_space(s, brute(g))
+
+    def test_random_forkfree_clawfree_base(self):
+        cfg = SolverConfig(base_solver="claw-free")
+        rng = gu.seeded(56)
+        for _ in range(100):
+            g = gu.random_forkfree(rng, 12)
+            s = forkfree_system(g, cfg)
+            assert len(s) == rank(s) <= g.n
+            assert all(c in (-1, 0, 1) for row in s.rows for c in row)
+            assert same_solution_space(s, brute(g))
+
+
+def rook(m):
+    """K_m x K_m: cells of an m x m board, adjacent in a shared row or column."""
+    return Graph.from_edges(
+        m * m,
+        [(a, b) for a in range(m * m) for b in range(a + 1, m * m)
+         if a // m == b // m or a % m == b % m],
+    )
+
+
+def co_triangle_free(rng, n):
+    """The complement of a random triangle-free graph: claw-free, since a
+    claw's three leaves are a triangle of the complement."""
+    adj = [0] * n
+    for u, v in gu.random_graph(rng, n, rng.uniform(0.1, 0.5)).edges():
+        if not adj[u] & adj[v]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return complement(Graph(n, tuple(adj)))
+
+
+def clawfree_line_graph(rng, max_n):
+    while True:
+        h = gu.random_graph(rng, rng.randint(3, 7), rng.uniform(0.3, 0.8))
+        g = gu.line_graph(h)
+        if 1 <= g.n <= max_n:
+            return g
+
+
+def clique_substitution(rng, max_n):
+    """Cliques substituted into a prime claw-free seed stay claw-free."""
+    seed = rng.choice([s for s in gu.clawfree_prime_seeds() if s.n <= max_n])
+    sizes = [1] * seed.n
+    for _ in range(rng.randint(0, max_n - seed.n)):
+        sizes[rng.randrange(seed.n)] += 1
+    return gu.substitute(seed, [gu.complete(k) for k in sizes])
+
+
+CLAWFREE_FAMILIES = {
+    "random_clawfree": lambda rng: gu.random_clawfree(rng, 14),
+    "co_triangle_free": lambda rng: co_triangle_free(rng, rng.randint(1, 14)),
+    "line_graph": lambda rng: clawfree_line_graph(rng, 14),
+    "clique_substitution": lambda rng: clique_substitution(rng, 14),
+}
+
+
+class TestClawfreeSystem:
+    @pytest.mark.parametrize("family", sorted(CLAWFREE_FAMILIES))
+    def test_matches_bruteforce(self, family):
+        rng = gu.seeded(sum(map(ord, family)))
+        for _ in range(150):
+            g = CLAWFREE_FAMILIES[family](rng)
+            assert is_claw_free(g)
+            s = clawfree_system(g)
+            assert len(s) == rank(s) <= g.n  # independent by construction
+            assert all(c in (-1, 0, 1) for row in s.rows for c in row)
+            assert same_solution_space(s, brute(g))
+
+    @pytest.mark.parametrize("m", range(4, 9))
+    def test_rook_dimension(self, m):
+        s = clawfree_system(rook(m))
+        assert len(s) == rank(s)
+        assert m * m - len(s) == 2 * m - 1
+
+    def test_small_graphs(self):
+        assert clawfree_system(gu.edgeless(0)) == empty_system(0)
+        assert clawfree_system(gu.edgeless(3)) == empty_system(3)
+        assert same_solution_space(clawfree_system(gu.bull()), brute(gu.bull()))
+        assert len(clawfree_system(gu.complete(6))) == 5
+
+    def test_rook_dimension_enumerates_nothing(self, monkeypatch):
+        # auto sends the claw-free prime K7 x K7 to clawfree_system: no
+        # anti-neighbourhood K6 x K6 is enumerated
+        import wellcovered.independent_sets as independent_sets
+        import wellcovered.systems as systems
+
+        calls = []
+        for mod in (systems, independent_sets):
+            real = mod.enumerate_mis
+
+            def counting(h, *args, real=real):
+                calls.append(h)
+                return real(h, *args)
+
+            monkeypatch.setattr(mod, "enumerate_mis", counting)
+        assert well_covered_dimension(rook(7)) == 13
+        assert calls == []
+
+    def test_claw_free_test_routes_every_quotient(self, monkeypatch):
+        # prime quotients with a claw (Petersen's, for one) go to the
+        # enumeration, claw-free ones to clawfree_system
+        import wellcovered.systems as systems
+
+        rng = gu.seeded(71)
+        clawed = [gu.petersen(), gu.fork()] + [
+            Graph.from_edges(s.n + 3, s.edges() + [(0, s.n + k) for k in range(3)])
+            for s in gu.clawfree_prime_seeds()
+        ]
+        graphs = []
+        for skeleton in clawed + gu.clawfree_prime_seeds():
+            sizes = [1 + (rng.random() < 0.2) for _ in range(skeleton.n)]
+            g = gu.substitute(skeleton, [gu.complete(k) for k in sizes])
+            graphs.append((g, brute(g)))
+        seen, enumerated = [], []
+        for name, log in (("clawfree_system", seen), ("bruteforce_system", enumerated)):
+            real = getattr(systems, name)
+
+            def logging(h, *args, real=real, log=log):
+                log.append(h)
+                return real(h, *args)
+
+            monkeypatch.setattr(systems, name, logging)
+        for strategy in ("modular", "forkfree"):
+            cfg = query_config(SolverConfig(strategy=strategy))
+            for g, expected in graphs:
+                try:
+                    s = well_covering_system(g, cfg)
+                except StrategyError:
+                    continue
+                assert same_solution_space(s, expected)
+                assert len(s) == rank(s)
+        assert seen and all(is_claw_free(h) for h in seen)
+        assert any(not is_claw_free(h) for h in enumerated)
+
+    def test_query_config(self):
+        assert query_config().base_solver == "claw-free"
+        cfg = query_config(SolverConfig(strategy="modular", mis_cap=7))
+        assert (cfg.strategy, cfg.base_solver, cfg.mis_cap) == (
+            "modular", "claw-free", 7
+        )
+        plugin = SolverConfig(base_solver="claw-free-plugin", claw_free_plugin=brute)
+        assert query_config(plugin) is plugin
 
 
 class TestQueries:
