@@ -7,9 +7,11 @@ well-covering system is a homogeneous linear system whose solution set is
 exactly that space. This package computes such systems, their dimensions and
 null-space bases with exact rational arithmetic, via a capped brute force,
 a modular-decomposition pipeline, an elimination-free fast path for graphs
-without induced 4-vertex paths, a base solver for claw-free graphs from
-their generating subgraphs, an anti-neighborhood reduction, and a
-pipeline for fork-free graphs.
+without induced 4-vertex paths, a solver for claw-free graphs from their
+generating subgraphs, an anti-neighborhood reduction, and a pipeline for
+fork-free graphs. Dimensions, bases and w-well-coveredness fold the
+decomposition tree once and choose among these solvers at each prime
+quotient.
 """
 
 from .graph import (
@@ -59,7 +61,6 @@ from .modular import (
     is_prime,
     maximal_strong_modules,
     md_tree,
-    quotient,
 )
 from .systems import (
     SolverConfig,
@@ -68,15 +69,12 @@ from .systems import (
     bruteforce_system,
     clawfree_system,
     cograph_system,
-    combine_disjoint_union,
-    combine_join,
     forkfree_system,
     is_w_well_covered,
     is_well_covered,
     lift_quotient_system,
     lift_subgraph_system,
     modular_system,
-    query_config,
     resolve_strategy,
     well_covered_dimension,
     well_covering_system,
@@ -101,8 +99,6 @@ __all__ = [
     "clawfree_system",
     "co_components",
     "cograph_system",
-    "combine_disjoint_union",
-    "combine_join",
     "complement",
     "connected_components",
     "delete_closed_neighborhood",
@@ -132,8 +128,6 @@ __all__ = [
     "modular_system",
     "null_space_basis",
     "parse_graph",
-    "query_config",
-    "quotient",
     "rank",
     "resolve_strategy",
     "same_solution_space",

@@ -5,17 +5,22 @@ is-well-covered, check-weighting, mdtree, recognize. Options may come before
 or after the verb; ``--weights FILE`` is for check-weighting only, and
 required there. Graphs are read from a file argument or stdin, in edge-list
 or graph6 format; results print as text or JSON. Exit codes: 0 success,
-1 parse error, 2 strategy inapplicable or argument error, 3 enumeration cap
+1 parse error (also a declared vertex count above ``graph.MAX_VERTICES``,
+50 000), 2 strategy inapplicable or argument error, 3 enumeration cap
 exceeded, 4 resource limit reached (recursion depth or memory; for example
 JSON output of a very deep decomposition tree). Run as a program, a reader
 that closes stdout early (``wellcovered mdtree g.txt | head -n 1``) ends it
 with exit 0 and nothing on stderr.
 
-``system`` builds with the configured strategy's brute-force base, so its
-rows keep their bytes. The other verbs print what the solution space fixes,
-so they use the built-in claw-free base (``systems.query_config``), and
-``dimension`` ranks the system only under the brute-force strategy: every
-other system is independent by construction.
+``system`` builds with ``well_covering_system``, whose rows keep their
+bytes. ``dimension``, ``basis``, ``check-weighting`` and, unless it
+resolves to ``bruteforce``, ``is-well-covered`` print what the solution
+space fixes, so they take the query route (``systems._query_system``):
+under ``auto`` and ``modular`` one decomposition fold that picks a solver
+at each prime quotient. ``is-well-covered`` under ``auto`` still resolves
+the strategy, because a graph with a fork prints a brute-force witness.
+``dimension`` ranks the system only under ``bruteforce``: every other
+system is independent by construction.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from .independent_sets import DEFAULT_MIS_CAP, CapExceededError, enumerate_mis
 from .linalg import (
     WeightVector,
     basis_to_json,
-    evaluate,
     null_space_basis,
     system_to_json,
     system_to_text,
@@ -51,10 +55,10 @@ from .systems import (
     STRATEGIES,
     SolverConfig,
     StrategyError,
+    _query_system,
     is_w_well_covered,
-    query_config,
+    is_well_covered,
     resolve_strategy,
-    resolved_system,
     well_covered_dimension,
     well_covering_system,
 )
@@ -89,10 +93,7 @@ def _read_weights(path: str, n: int) -> WeightVector:
 
 
 def _config(args: argparse.Namespace) -> SolverConfig:
-    """``system`` prints the rows, so it keeps the brute-force base and its
-    bytes; every other verb's output is fixed by the solution space."""
-    cfg = SolverConfig(strategy=args.strategy, mis_cap=args.mis_cap)
-    return cfg if args.verb == "system" else query_config(cfg)
+    return SolverConfig(strategy=args.strategy, mis_cap=args.mis_cap)
 
 
 def _vname(v: int) -> str:
@@ -128,8 +129,7 @@ def _run_dimension(args, g: Graph) -> None:
 
 
 def _run_basis(args, g: Graph) -> None:
-    system = well_covering_system(g, _config(args))
-    basis = null_space_basis(system)
+    basis = null_space_basis(_query_system(g, _config(args)))
     _emit(
         args,
         lambda: basis_to_json(basis, g.n),
@@ -139,9 +139,8 @@ def _run_basis(args, g: Graph) -> None:
 
 def _run_is_well_covered(args, g: Graph) -> None:
     cfg = _config(args)
-    strategy = resolve_strategy(g, cfg)
     witness = None
-    if strategy == "bruteforce":
+    if resolve_strategy(g, cfg) == "bruteforce":
         mis = enumerate_mis(g, cfg.mis_cap)
         if not mis.complete:
             raise CapExceededError(
@@ -154,9 +153,8 @@ def _run_is_well_covered(args, g: Graph) -> None:
             large = max(mis.sets, key=key)
             witness = (small, large)
     else:
-        # resolve_strategy has run auto's recognizers; they do not run again
-        system = resolved_system(g, strategy, cfg)
-        covered = evaluate(system, (1,) * g.n)
+        # under auto the query route's fold runs no second recognizer
+        covered = is_well_covered(g, cfg)
     obj: dict = {"well_covered": covered, "witness": None}
     text = "yes" if covered else "no"
     if witness is not None:

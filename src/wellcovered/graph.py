@@ -14,8 +14,21 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
+# Largest vertex count the parsers accept. Work and memory grow with n^2
+# even on an edgeless graph (one n-bit mask per vertex), so a declared
+# count is checked before anything is allocated for it.
+MAX_VERTICES = 50_000
+
+
 class GraphParseError(ValueError):
     """Raised when a textual graph description cannot be parsed."""
+
+
+def _check_order(n: int, where: str) -> None:
+    if n > MAX_VERTICES:
+        raise GraphParseError(
+            f"{where}vertex count {n} exceeds the limit of {MAX_VERTICES}"
+        )
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -109,8 +122,9 @@ def parse_graph(text: str, format: str = "edge-list") -> Graph:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: first line "n", then lines "u v".
 
-    The explicit vertex count makes isolated vertices representable. Blank
-    lines are ignored. Errors name the offending 1-based line number.
+    The explicit vertex count makes isolated vertices representable; it may
+    be at most ``MAX_VERTICES``. Blank lines are ignored. Errors name the
+    offending 1-based line number.
     """
     n = None
     masks: list[int] = []
@@ -127,6 +141,7 @@ def parse_edge_list(text: str) -> Graph:
                 ) from None
             if n < 0:
                 raise GraphParseError(f"line {lineno}: vertex count must be >= 0")
+            _check_order(n, f"line {lineno}: ")
             masks = [0] * n
             continue
         parts = line.split()
@@ -157,7 +172,7 @@ def parse_graph6(text: str) -> Graph:
     """Parse a graph in graph6 format (read-only input format).
 
     Accepts a single graph6 line, optionally prefixed with the standard
-    ">>graph6<<" header.
+    ">>graph6<<" header, of at most ``MAX_VERTICES`` vertices.
     """
     line = ""
     for raw in text.splitlines():
@@ -172,6 +187,7 @@ def parse_graph6(text: str) -> Graph:
     if any(b < 0 or b > 63 for b in data):
         raise GraphParseError("graph6: byte out of printable range")
     n, pos = _graph6_order(data)
+    _check_order(n, "graph6: ")
     need = (n * (n - 1) // 2 + 5) // 6
     if len(data) - pos != need:
         raise GraphParseError(

@@ -3,8 +3,11 @@
 Coefficients are Python ints or fractions.Fraction values; both are exact
 arbitrary-precision rationals (Fraction keeps gcd-reduced form with a
 positive denominator, and ints are the integral case). Floats are rejected
-on construction so no rounding can corrupt a solution space. Systems are
-immutable; elimination always works on copies.
+at the public boundary (``LinearSystem(...)``, ``make_system``,
+``system_from_json``, ``WeightVector`` and ``evaluate``) so no rounding can
+corrupt a solution space. Systems derived inside the package from checked
+systems or from ints are built by ``_trusted_system``, which checks nothing
+again. Systems are immutable; elimination always works on copies.
 
 rank, extract_independent_subsystem and null_space_basis share one
 elimination kernel that sees Python ints only. It is incremental: it inserts
@@ -69,6 +72,17 @@ class LinearSystem:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+
+def _trusted_system(
+    num_vars: int, rows: tuple[tuple[Coeff, ...], ...], tags: tuple[str, ...]
+) -> LinearSystem:
+    """A LinearSystem built without the checks of ``__post_init__``, for
+    rows taken from checked systems or made of ints, one tag per row, each
+    of length ``num_vars``."""
+    s = object.__new__(LinearSystem)
+    s.__dict__.update(num_vars=num_vars, rows=rows, tags=tags)
+    return s
 
 
 def make_system(
@@ -214,7 +228,7 @@ def extract_independent_subsystem(s: LinearSystem) -> LinearSystem:
     rank(s) rows, hence at most min(num_vars, len(s)).
     """
     kept, _ = _echelon(s)
-    return LinearSystem(
+    return _trusted_system(
         s.num_vars,
         tuple(s.rows[i] for i in kept),
         tuple(s.tags[i] for i in kept),
@@ -266,7 +280,7 @@ def same_solution_space(a: LinearSystem, b: LinearSystem) -> bool:
     rb = rank(b)
     if ra != rb:
         return False
-    union = LinearSystem(a.num_vars, a.rows + b.rows, a.tags + b.tags)
+    union = _trusted_system(a.num_vars, a.rows + b.rows, a.tags + b.tags)
     return rank(union) == ra
 
 

@@ -1,4 +1,4 @@
-"""Modular decomposition: strong modules, quotients, and the decomposition tree.
+"""Modular decomposition: strong modules and the decomposition tree.
 
 A module is a vertex set whose members are indistinguishable from outside:
 every other vertex sees all of the module or none of it. Decomposing a graph
@@ -181,34 +181,6 @@ def maximal_strong_modules(g: Graph) -> list[frozenset[int]]:
         raise ValueError("maximal strong modules require at least 2 vertices")
     _, blocks = _partition_masks(g, g.full_mask)
     return [frozenset(iter_bits(b)) for b in blocks]
-
-
-def quotient(
-    g: Graph, p: Iterable[Iterable[int]]
-) -> tuple[Graph, tuple[int, ...]]:
-    """Quotient of ``g`` by a partition into modules.
-
-    Returns the induced subgraph on the lowest-index representative of each
-    block, plus the representatives themselves (in ascending order).
-    """
-    masks = [mask_of(b) for b in p]
-    total = 0
-    for mask in masks:
-        if mask == 0:
-            raise ValueError("empty block in partition")
-        if mask & total:
-            raise ValueError("blocks overlap")
-        total |= mask
-    if total != g.full_mask:
-        raise ValueError("blocks do not cover the vertex set")
-    for mask in masks:
-        if not is_module(g, iter_bits(mask)):
-            raise ValueError(
-                f"block {sorted(iter_bits(mask))} is not a module"
-            )
-    reps = sorted((mask & -mask).bit_length() - 1 for mask in masks)
-    sub, vmap = induced_subgraph(g, reps)
-    return sub, vmap
 
 
 def is_prime(g: Graph) -> bool:

@@ -12,9 +12,10 @@ weight. This module builds such systems along several routes:
   disconnected graph takes the union of its components' systems; a join
   takes the union of the co-components' systems plus chained equations
   between one maximal independent set per co-component; a prime quotient is
-  handed to a pluggable base solver and its equations are re-expanded by
-  substituting, for each quotient vertex, the sum over a maximal independent
-  set of the corresponding module. Row reduction after every prime step,
+  handed to a prime solver (by default the capped brute force), whose
+  equations are reduced and re-expanded by substituting, for each quotient
+  vertex, the sum over a maximal independent set of the corresponding
+  module. Row reduction after every prime step whose children have rows,
   and after every join with a prime node below it, keeps the system at most
   n equations. A join with no prime node below needs none: every node of a
   cotree has a well-covered weighting that gives its chosen set a nonzero
@@ -34,15 +35,17 @@ weight. This module builds such systems along several routes:
   so the rows are independent by construction.
 * ``forkfree_system``: for graphs with no induced fork. Prime quotients are
   solved through the anti-neighborhood reduction, whose subproblems have
-  claw-free prime quotients and bottom out at the configured base solver.
-  With the ``claw-free`` base, claw-free prime quotients skip the
-  reduction and go to ``clawfree_system`` directly.
+  claw-free prime quotients and bottom out at the capped brute force.
 
-The base solver on prime quotients is the capped brute force by default,
-which ``system`` keeps. Queries whose answer is fixed by the solution
-space (dimension, basis, w-well-coveredness) use ``query_config``, which
-selects the ``claw-free`` base: it tests every quotient for claws and
-enumerates only those that have one.
+``well_covering_system`` (the ``system`` verb) keeps these routes and the
+brute-force base on prime quotients, so its rows keep their bytes. Queries
+whose answer the solution space fixes (dimension, basis,
+w-well-coveredness) need any well-covering system, so under ``auto`` and
+``modular`` they fold the decomposition tree once and pick a solver at each
+prime quotient Q: ``clawfree_system`` if Q is claw-free, else the
+anti-neighborhood reduction if Q is fork-free, else the capped brute force
+on Q. No recognizer runs on the whole graph, and a fork somewhere in it
+costs an enumeration of the quotients that hold a fork, not of the graph.
 
 All constructions preserve unit coefficients (-1, 0, 1) when their inputs
 are unit, and every produced system is a well-covering system of its graph.
@@ -50,8 +53,8 @@ are unit, and every produced system is a well-covering system of its graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass
+from functools import partial, reduce
 from operator import or_
 from typing import Callable, Iterable, Sequence
 
@@ -76,6 +79,7 @@ from .linalg import (
     LinearSystem,
     WeightVector,
     _insert,
+    _trusted_system,
     empty_system,
     evaluate,
     extract_independent_subsystem,
@@ -84,7 +88,6 @@ from .linalg import (
 from .modular import PARALLEL, SERIES, md_fold
 
 STRATEGIES = ("auto", "bruteforce", "cograph", "modular", "forkfree")
-BASE_SOLVERS = ("bruteforce", "claw-free", "claw-free-plugin")
 
 
 class StrategyError(RuntimeError):
@@ -93,29 +96,17 @@ class StrategyError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Selects a strategy and the base solver used on prime graphs.
-
-    ``base_solver`` is ``bruteforce`` (the capped enumeration), ``claw-free``
-    (``clawfree_system`` on claw-free prime quotients, the enumeration on
-    the others) or ``claw-free-plugin``. ``claw_free_plugin`` may hold a
-    callable mapping a claw-free graph to a well-covering system of it; its
-    output is always row-reduced before use.
-    """
+    """A strategy, one of ``STRATEGIES``, and the cap on the maximal
+    independent sets that one enumeration may list."""
 
     strategy: str = "auto"
-    base_solver: str = "bruteforce"
     mis_cap: int = DEFAULT_MIS_CAP
-    claw_free_plugin: Callable[[Graph], LinearSystem] | None = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.base_solver not in BASE_SOLVERS:
-            raise ValueError(f"unknown base solver {self.base_solver!r}")
         if self.mis_cap < 1:
             raise ValueError("mis_cap must be >= 1")
-        if self.base_solver == "claw-free-plugin" and self.claw_free_plugin is None:
-            raise ValueError("claw-free-plugin selected but no plugin given")
 
 
 def _diff_row(n: int, plus: Iterable[int], minus: Iterable[int]) -> tuple[int, ...]:
@@ -146,7 +137,7 @@ def bruteforce_system(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
     for i in range(len(mis.sets) - 1):
         rows.append(_diff_row(g.n, mis.sets[i], mis.sets[i + 1]))
         tags.append(f"mis-diff i={i + 1}")
-    return LinearSystem(g.n, tuple(rows), tuple(tags))
+    return _trusted_system(g.n, tuple(rows), tuple(tags))
 
 
 def lift_subgraph_system(
@@ -173,80 +164,7 @@ def lift_subgraph_system(
         for i, c in enumerate(row):
             out[vmap[i]] = c
         rows.append(tuple(out))
-    return LinearSystem(host_n, tuple(rows), sub.tags)
-
-
-def _check_maps_partition(maps: Sequence[Sequence[int]], host_n: int) -> None:
-    seen: set[int] = set()
-    for vmap in maps:
-        for v in vmap:
-            if v in seen:
-                raise ValueError(f"vertex {v} appears in two parts")
-            seen.add(v)
-    if seen != set(range(host_n)):
-        raise ValueError("part maps leave a gap in the host vertex set")
-
-
-def combine_disjoint_union(
-    parts: Sequence[tuple[LinearSystem, Sequence[int]]], host_n: int
-) -> LinearSystem:
-    """Union of the parts' systems, lifted into host variables.
-
-    Sound when the parts are the connected components of the host graph:
-    a vertex set meets every component in a maximal independent set exactly
-    when it is maximal overall, so no extra equations are needed.
-    """
-    _check_maps_partition([vmap for _, vmap in parts], host_n)
-    rows: list[tuple[Coeff, ...]] = []
-    tags: list[str] = []
-    for sub, vmap in parts:
-        lifted = lift_subgraph_system(sub, vmap, host_n)
-        rows.extend(lifted.rows)
-        tags.extend(lifted.tags)
-    return LinearSystem(host_n, tuple(rows), tuple(tags))
-
-
-def combine_join(
-    parts: Sequence[tuple[LinearSystem, Sequence[int], Iterable[int]]],
-    g: Graph,
-) -> LinearSystem:
-    """Systems of the co-components plus chained set-weight equations.
-
-    ``parts`` lists (system, vertex_map, mis) per co-component, with ``mis``
-    a maximal independent set of that part given in host indices. Any
-    maximal independent set of the host graph lives inside a single
-    co-component, which is what makes the k-1 chained equations sufficient.
-    """
-    if len(parts) < 2:
-        raise ValueError("a join needs at least two parts")
-    host_n = g.n
-    _check_maps_partition([vmap for _, vmap, _ in parts], host_n)
-    mis_sets = []
-    for _, vmap, mis in parts:
-        mis_set = frozenset(mis)
-        part_set = set(vmap)
-        if not mis_set <= part_set:
-            raise ValueError("independent set not contained in its part")
-        for u in mis_set:
-            for w in mis_set:
-                if w > u and g.has_edge(u, w):
-                    raise ValueError("set is not independent in its part")
-        for v in part_set - mis_set:
-            if not any(g.has_edge(v, u) for u in mis_set):
-                raise ValueError(
-                    "independent set not maximal in its part"
-                )
-        mis_sets.append(mis_set)
-    rows: list[tuple[Coeff, ...]] = []
-    tags: list[str] = []
-    for sub, vmap, _ in parts:
-        lifted = lift_subgraph_system(sub, vmap, host_n)
-        rows.extend(lifted.rows)
-        tags.extend(lifted.tags)
-    for j in range(len(parts) - 1):
-        rows.append(_diff_row(host_n, mis_sets[j], mis_sets[j + 1]))
-        tags.append(f"join-eq j={j + 1}")
-    return LinearSystem(host_n, tuple(rows), tuple(tags))
+    return _trusted_system(host_n, tuple(rows), sub.tags)
 
 
 def lift_quotient_system(
@@ -288,37 +206,11 @@ def lift_quotient_system(
                     out[v] = c
         rows.append(tuple(out))
         tags.append(f"subst[{tag}]" if tag else "subst")
-    return LinearSystem(host_n, tuple(rows), tuple(tags))
+    return _trusted_system(host_n, tuple(rows), tuple(tags))
 
 
 # ---------------------------------------------------------------------------
 # modular decomposition pipeline
-
-
-def _bruteforce_base(cap: int) -> Callable[[Graph], LinearSystem]:
-    def solve(h: Graph) -> LinearSystem:
-        return extract_independent_subsystem(bruteforce_system(h, cap))
-
-    return solve
-
-
-def _base_prime_solver(cfg: SolverConfig) -> Callable[[Graph], LinearSystem]:
-    """Solver applied to prime quotient graphs; its output is independent."""
-    if cfg.base_solver == "claw-free-plugin":
-        plugin = cfg.claw_free_plugin
-
-        def solve(h: Graph) -> LinearSystem:
-            return extract_independent_subsystem(plugin(h))
-
-        return solve
-    brute = _bruteforce_base(cfg.mis_cap)
-    if cfg.base_solver == "claw-free":
-
-        def solve(h: Graph) -> LinearSystem:
-            return clawfree_system(h) if is_claw_free(h) else brute(h)
-
-        return solve
-    return brute
 
 
 def modular_system(
@@ -330,12 +222,15 @@ def modular_system(
 
     Produces a linearly independent well-covering system with at most n
     equations; it is unit whenever the prime solver emits unit systems.
-    Rows are reduced after prime aggregation and after series aggregation
-    above a prime node; elsewhere they are independent by construction.
+    ``prime_solver`` maps each prime quotient to a well-covering system of
+    it, by default the brute force capped at ``cfg.mis_cap``. Its rows are
+    reduced on the quotient, and again together with the children's rows
+    when there are any; rows are also reduced after series aggregation
+    above a prime node. Elsewhere they are independent by construction.
     """
-    cfg = cfg or SolverConfig()
     if prime_solver is None:
-        prime_solver = _base_prime_solver(cfg)
+        cap = (cfg or SolverConfig()).mis_cap
+        prime_solver = partial(bruteforce_system, cap=cap)
     if g.n == 0:
         return empty_system(0)
     system = _md_system(g, prime_solver)
@@ -367,7 +262,7 @@ def _md_system(
 
     def reduce_from(start: int) -> None:
         kept = extract_independent_subsystem(
-            LinearSystem(g.n, tuple(rows[start:]), tuple(tags[start:]))
+            _trusted_system(g.n, tuple(rows[start:]), tuple(tags[start:]))
         )
         rows[start:] = kept.rows
         tags[start:] = kept.tags
@@ -388,12 +283,18 @@ def _md_system(
                 reduce_from(start)
             return start, mis[0], prime_below
         quot, _ = induced_subgraph(g, reps)
+        children_rows = len(rows) > start
         substituted = lift_quotient_system(
-            prime_solver(quot), [iter_bits(m) for m in mis], g.n
+            extract_independent_subsystem(prime_solver(quot)),
+            [iter_bits(m) for m in mis],
+            g.n,
         )
         rows.extend(substituted.rows)
         tags.extend(substituted.tags)
-        reduce_from(start)
+        # lifting onto disjoint sets keeps the quotient rows independent,
+        # but not of the children's rows
+        if children_rows:
+            reduce_from(start)
         chosen = greedy_mis(quot, range(quot.n))
         return start, reduce(or_, (mis[j] for j in chosen)), True
 
@@ -401,7 +302,7 @@ def _md_system(
         md_fold(g, leaf, node, _not_a_cograph)
     else:
         md_fold(g, leaf, node)
-    return LinearSystem(g.n, tuple(rows), tuple(tags))
+    return _trusted_system(g.n, tuple(rows), tuple(tags))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +393,7 @@ def clawfree_system(g: Graph) -> LinearSystem:
             tags.append(f"generating {kind}")
         else:
             del echelon[col]
-    return LinearSystem(n, tuple(rows), tuple(tags))
+    return _trusted_system(n, tuple(rows), tuple(tags))
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +432,19 @@ def anti_neighborhood_system(
     for j in range(g.n - 1):
         rows.append(_diff_row(g.n, anchored[j], anchored[j + 1]))
         tags.append(f"anti-eq j={j + 1}")
-    return LinearSystem(g.n, tuple(rows), tuple(tags))
+    return _trusted_system(g.n, tuple(rows), tuple(tags))
 
 
 # ---------------------------------------------------------------------------
 # fork-free pipeline
+
+
+def _check_fork_free(g: Graph) -> None:
+    if not is_fork_free(g):
+        raise StrategyError(
+            "graph contains an induced fork; the fork-free strategy "
+            "does not apply"
+        )
 
 
 def forkfree_system(
@@ -546,33 +455,24 @@ def forkfree_system(
     The modular walk hands each prime quotient to the anti-neighborhood
     reduction. Deleting a closed neighborhood in a prime fork-free graph
     leaves a graph all of whose prime quotients are claw-free, so those
-    subproblems run the modular walk again with the configured base solver
-    at the bottom. With the ``claw-free`` base, a prime quotient that is
-    claw-free itself goes to ``clawfree_system`` directly, without the n
-    subproblems. Row reduction after every aggregation keeps the final
-    size at most n. Raises StrategyError when ``g`` has an induced fork;
-    a caller that has found ``g`` fork-free passes ``fork_tested=True`` to
+    subproblems run the modular walk again with the capped brute force at
+    the bottom. Row reduction after every aggregation keeps the final size
+    at most n. Raises StrategyError when ``g`` has an induced fork; a
+    caller that has found ``g`` fork-free passes ``fork_tested=True`` to
     skip the second test.
     """
     cfg = cfg or SolverConfig()
-    if not fork_tested and not is_fork_free(g):
-        raise StrategyError(
-            "graph contains an induced fork; the fork-free strategy "
-            "does not apply"
-        )
-    base = _base_prime_solver(cfg)
+    if not fork_tested:
+        _check_fork_free(g)
+    base = partial(bruteforce_system, cap=cfg.mis_cap)
 
     def primes_clawfree_solver(h: Graph) -> LinearSystem:
-        return modular_system(h, cfg, prime_solver=base)
+        return modular_system(h, prime_solver=base)
 
     def prime_forkfree_solver(h: Graph) -> LinearSystem:
-        if cfg.base_solver == "claw-free" and is_claw_free(h):
-            return clawfree_system(h)
-        return extract_independent_subsystem(
-            anti_neighborhood_system(h, primes_clawfree_solver)
-        )
+        return anti_neighborhood_system(h, primes_clawfree_solver)
 
-    system = modular_system(g, cfg, prime_solver=prime_forkfree_solver)
+    system = modular_system(g, prime_solver=prime_forkfree_solver)
     assert len(system) <= g.n
     return system
 
@@ -601,51 +501,75 @@ def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSys
     brute force otherwise (the only generally sound fallback).
     """
     cfg = cfg or SolverConfig()
-    return resolved_system(g, resolve_strategy(g, cfg), cfg)
-
-
-def resolved_system(g: Graph, strategy: str, cfg: SolverConfig) -> LinearSystem:
-    """Build a well-covering system by ``strategy``, which must be
-    ``resolve_strategy(g, cfg)``. Under ``auto`` that call has tested ``g``
-    for forks already, so the fork-free pipeline does not test again."""
+    strategy = resolve_strategy(g, cfg)
     if strategy == "bruteforce":
         return bruteforce_system(g, cfg.mis_cap)
     if strategy == "cograph":
         return cograph_system(g)
     if strategy == "modular":
         return modular_system(g, cfg)
+    # under auto, resolve_strategy has tested g for forks already
     return forkfree_system(g, cfg, fork_tested=cfg.strategy == "auto")
 
 
-def query_config(cfg: SolverConfig | None = None) -> SolverConfig:
-    """The configuration for a query whose answer is fixed by the solution
-    space: ``cfg`` with the ``claw-free`` base in place of the default
-    ``bruteforce`` one. A configured plug-in is kept."""
+def _query_prime_solver(cap: int) -> Callable[[Graph], LinearSystem]:
+    """The prime solver of the query fold, chosen per prime quotient Q:
+    ``clawfree_system`` if Q is claw-free; else, if Q is fork-free, the
+    anti-neighborhood reduction, whose subproblems fold with this same
+    solver and have claw-free prime quotients; else the capped brute force
+    on Q. Every branch is sound on any Q; the claw and fork tests only
+    pick the cheapest one."""
+
+    def sub(h: Graph) -> LinearSystem:
+        return modular_system(h, prime_solver=solve)
+
+    def solve(q: Graph) -> LinearSystem:
+        if is_claw_free(q):
+            return clawfree_system(q)
+        if is_fork_free(q):
+            return anti_neighborhood_system(q, sub)
+        return bruteforce_system(q, cap)
+
+    return solve
+
+
+def _query_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
+    """A well-covering system for a query whose answer the solution space
+    fixes; its rows need not be those of ``well_covering_system``.
+
+    ``auto`` and ``modular`` fold the decomposition tree with
+    ``_query_prime_solver``, so no recognizer runs on the whole graph.
+    ``forkfree`` tests the whole graph for forks first, then folds the
+    same way. ``cograph`` and ``bruteforce`` build their own systems. Every
+    system but the brute-force chain is independent by construction.
+    """
     cfg = cfg or SolverConfig()
-    if cfg.base_solver == "bruteforce":
-        return replace(cfg, base_solver="claw-free")
-    return cfg
+    if cfg.strategy == "bruteforce":
+        return bruteforce_system(g, cfg.mis_cap)
+    if cfg.strategy == "cograph":
+        return cograph_system(g)
+    if cfg.strategy == "forkfree":
+        _check_fork_free(g)
+    return modular_system(g, prime_solver=_query_prime_solver(cfg.mis_cap))
 
 
 def well_covered_dimension(g: Graph, cfg: SolverConfig | None = None) -> int:
     """Dimension of the space of weightings equalizing all maximal
     independent sets: n minus the rank of any well-covering system.
 
-    Built with ``query_config(cfg)``. Every system but the brute-force
-    chain is independent by construction, so only that one is ranked.
+    Only the brute-force chain is ranked: every other system the query
+    route builds is independent, so its row count is its rank.
     """
-    cfg = query_config(cfg)
-    strategy = resolve_strategy(g, cfg)
-    system = resolved_system(g, strategy, cfg)
-    return g.n - (rank(system) if strategy == "bruteforce" else len(system))
+    cfg = cfg or SolverConfig()
+    system = _query_system(g, cfg)
+    return g.n - (rank(system) if cfg.strategy == "bruteforce" else len(system))
 
 
 def is_well_covered(g: Graph, cfg: SolverConfig | None = None) -> bool:
     """True iff all maximal independent sets have the same cardinality,
-    tested by evaluating the all-ones weighting on a well-covering system
-    built with ``query_config(cfg)``."""
-    system = well_covering_system(g, query_config(cfg))
-    return evaluate(system, (1,) * g.n)
+    tested by evaluating the all-ones weighting on the query route's
+    well-covering system."""
+    return evaluate(_query_system(g, cfg), (1,) * g.n)
 
 
 def is_w_well_covered(
@@ -654,6 +578,5 @@ def is_w_well_covered(
     cfg: SolverConfig | None = None,
 ) -> bool:
     """True iff all maximal independent sets have equal weight under ``w``,
-    tested on a system built with ``query_config(cfg)``."""
-    system = well_covering_system(g, query_config(cfg))
-    return evaluate(system, w)
+    tested on the query route's well-covering system."""
+    return evaluate(_query_system(g, cfg), w)

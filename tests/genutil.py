@@ -6,18 +6,21 @@ from testing all subsets against the definition, ranks from integer
 fraction-free (Bareiss) elimination, and pattern containment from explicit
 injective embeddings. The Fraction elimination loops the library used before
 its integer kernel are kept here, unchanged, as differential oracles for it,
-and so are its recursive maximal independent set enumeration and its
-closure search for the maximal strong modules of a prime node.
+and so are its recursive maximal independent set enumeration, its
+closure search for the maximal strong modules of a prime node, and the
+quotient and system-combining helpers that no solver path used:
+``quotient``, ``combine_disjoint_union`` and ``combine_join``.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from wellcovered.graph import Graph, iter_bits
+from wellcovered.graph import Graph, induced_subgraph, iter_bits, mask_of
 from wellcovered.independent_sets import MISList
 from wellcovered.linalg import Basis, LinearSystem, WeightVector
-from wellcovered.modular import _smallest_module_mask
+from wellcovered.modular import _smallest_module_mask, is_module
+from wellcovered.systems import lift_subgraph_system
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +108,13 @@ def substitute(seed, modules):
             for b in range(modules[v].n):
                 edges.append((offsets[u] + a, offsets[v] + b))
     return Graph.from_edges(n, edges)
+
+
+def fork_substitution(k):
+    """The fork with each vertex replaced by k disjoint copies of K2: n = 10k,
+    well-covered dimension 5k - 2. It has forks, but its prime quotient is
+    the fork's own quotient P4, with the two leaves' modules merged."""
+    return substitute(fork(), [disjoint_union(*[complete(2)] * k)] * 5)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +384,65 @@ def closure_strong_module_masks(g, within):
         blocks.append(block)
         unassigned &= ~block
     return sorted(blocks, key=lambda b: b & -b)
+
+
+def quotient(g, p):
+    """Quotient of ``g`` by a partition into modules: the induced subgraph
+    on the lowest vertex of each block, with those vertices ascending."""
+    masks = [mask_of(b) for b in p]
+    union = mask_of(v for b in p for v in b)
+    # disjoint exactly when adding the masks carries nothing
+    if not all(masks) or sum(masks) != union or union != g.full_mask:
+        raise ValueError("blocks are empty, overlap or leave a gap")
+    for mask in masks:
+        if not is_module(g, iter_bits(mask)):
+            raise ValueError(f"block {sorted(iter_bits(mask))} is not a module")
+    return induced_subgraph(g, [(m & -m).bit_length() - 1 for m in masks])
+
+
+def _lift_parts(parts, host_n):
+    """Rows and tags of the (system, vertex_map, ...) parts in host
+    variables; the maps must partition the host vertices."""
+    maps = [vmap for _, vmap, *_ in parts]
+    if sorted(v for vmap in maps for v in vmap) != list(range(host_n)):
+        raise ValueError("part maps overlap or leave a gap")
+    rows, tags = [], []
+    for sub, vmap, *_ in parts:
+        lifted = lift_subgraph_system(sub, vmap, host_n)
+        rows.extend(lifted.rows)
+        tags.extend(lifted.tags)
+    return rows, tags
+
+
+def combine_disjoint_union(parts, host_n):
+    """Union of the parts' (system, vertex_map) pairs, lifted into host
+    variables; a well-covering system when the parts are the connected
+    components of the host graph."""
+    rows, tags = _lift_parts(parts, host_n)
+    return LinearSystem(host_n, tuple(rows), tuple(tags))
+
+
+def combine_join(parts, g):
+    """Systems of the co-components plus chained set-weight equations.
+
+    ``parts`` lists (system, vertex_map, mis) per co-component, with ``mis``
+    a maximal independent set of that part in host indices. Every maximal
+    independent set of the host lies inside one co-component, so the k - 1
+    chained equations suffice.
+    """
+    if len(parts) < 2:
+        raise ValueError("a join needs at least two parts")
+    rows, tags = _lift_parts(parts, g.n)
+    sets = [frozenset(mis) for _, _, mis in parts]
+    for (_, vmap, _), mis in zip(parts, sets):
+        if any(g.has_edge(u, w) for u, w in combinations(sorted(mis), 2)):
+            raise ValueError("set is not independent in its part")
+        if not all(v in mis or g.adj[v] & mask_of(mis) for v in vmap):
+            raise ValueError("independent set not maximal in its part")
+    for j, (a, b) in enumerate(zip(sets, sets[1:]), start=1):
+        rows.append(tuple((v in a) - (v in b) for v in range(g.n)))
+        tags.append(f"join-eq j={j}")
+    return LinearSystem(g.n, tuple(rows), tuple(tags))
 
 
 def has_induced(g, pattern):

@@ -124,8 +124,11 @@ class TestDimensionVerb:
 
     @pytest.mark.parametrize("verb", ["dimension", "is-well-covered"])
     def test_auto_tests_forks_once(self, capsys, monkeypatch, verb):
-        # the bull is fork-free but not a cograph: auto picks forkfree after
-        # one fork test, and the fork-free pipeline does not test again
+        # the bull is fork-free but not a cograph. dimension folds it with
+        # no whole-graph fork test, and its one prime quotient, the bull,
+        # is claw-free. is-well-covered resolves the strategy, for the
+        # brute-force witness, with one fork test; the fold does not repeat
+        # it
         import wellcovered.systems as systems
 
         calls = []
@@ -135,7 +138,40 @@ class TestDimensionVerb:
         )
         code, out, _ = run(capsys, [verb], stdin=BULL, monkeypatch=monkeypatch)
         assert code == 0 and out.strip() in ("3", "no")
-        assert len(calls) == 1
+        assert len(calls) == {"dimension": 0, "is-well-covered": 1}[verb]
+
+    @pytest.mark.parametrize("verb", ["dimension", "basis", "check-weighting"])
+    def test_auto_runs_no_whole_graph_recognizer(
+        self, capsys, monkeypatch, tmp_path, verb
+    ):
+        import wellcovered.systems as systems
+
+        g = gu.fork_substitution(2)
+        text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+        weights = tmp_path / "w.txt"
+        weights.write_text("0\n" * g.n)
+        calls = []
+        for name in ("is_p4_free", "is_fork_free"):
+            real = getattr(systems, name)
+            monkeypatch.setattr(
+                systems, name, lambda h, real=real: calls.append(h) or real(h)
+            )
+        extra = ["--weights", str(weights)] if verb == "check-weighting" else []
+        code, _, err = run(
+            capsys, [verb, *extra], stdin=text, monkeypatch=monkeypatch
+        )
+        assert code == 0, err
+        assert all(h.n < g.n for h in calls)
+
+    def test_fork_substitution(self, capsys, monkeypatch):
+        # whole-graph brute force at k = 8 exits 3 at the default cap
+        for k in range(1, 9):
+            g = gu.fork_substitution(k)
+            text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+            code, out, err = run(
+                capsys, ["dimension"], stdin=text, monkeypatch=monkeypatch
+            )
+            assert (code, out) == (0, f"{5 * k - 2}\n"), err
 
     @pytest.mark.parametrize(
         "graph, flags, expected, ranked",
@@ -364,6 +400,14 @@ class TestInputFormats:
 
 
 class TestExitCodes:
+    def test_vertex_count_over_the_bound(self, capsys, monkeypatch):
+        for stdin in ("10000000", "50001\n"):
+            code, out, err = run(
+                capsys, ["dimension"], stdin=stdin, monkeypatch=monkeypatch
+            )
+            assert code == 1 and out == ""
+            assert "exceeds the limit of 50000" in err
+
     def test_parse_error(self, capsys, monkeypatch):
         code, _, err = run(
             capsys, ["dimension"], stdin="3\n0 9\n", monkeypatch=monkeypatch

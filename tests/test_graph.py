@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genutil as gu
 from wellcovered.graph import (
+    MAX_VERTICES,
     Graph,
     GraphParseError,
     co_components,
@@ -66,6 +69,18 @@ class TestParseEdgeList:
         with pytest.raises(GraphParseError, match=f"line {lineno}"):
             parse_graph(text)
 
+    def test_vertex_count_bound(self):
+        assert parse_graph(str(MAX_VERTICES)).n == MAX_VERTICES
+        # a 9-byte input must not allocate for the count it declares
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphParseError, match="exceeds the limit"):
+                parse_graph("10000000\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestParseGraph6:
     def test_known_small(self):
@@ -105,6 +120,12 @@ class TestParseGraph6:
             parse_graph("A", "graph6")  # missing data byte
         with pytest.raises(GraphParseError):
             parse_graph("A_~", "graph6")  # trailing junk
+
+    def test_vertex_count_bound(self):
+        n = MAX_VERTICES + 1
+        order = "".join(chr(63 + (n >> shift & 63)) for shift in range(30, -1, -6))
+        with pytest.raises(GraphParseError, match="exceeds the limit"):
+            parse_graph("~~" + order, "graph6")
 
     def test_unknown_format(self):
         with pytest.raises(GraphParseError):

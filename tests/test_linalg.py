@@ -43,7 +43,40 @@ class TestConstruction:
         with pytest.raises(TypeError):
             make_system(2, [(0.5, 1)])
         with pytest.raises(TypeError):
+            LinearSystem(2, ((1, 0.5),), ("",))
+        with pytest.raises(TypeError):
+            system_from_json({"num_vars": 2, "rows": [[[1, 2], [0.5, 1]]]})
+        with pytest.raises(TypeError):
             WeightVector((1.0, 2))
+        with pytest.raises(TypeError):
+            evaluate(make_system(2, [(1, -1)]), (0.5, 0.5))
+
+    def test_internal_builds_check_nothing(self, monkeypatch):
+        # entries are checked at the public boundary; systems derived from
+        # checked systems or ints inside the package are not checked again
+        import wellcovered.linalg as linalg
+        from wellcovered.systems import (
+            STRATEGIES,
+            SolverConfig,
+            StrategyError,
+            well_covered_dimension,
+            well_covering_system,
+        )
+
+        checked = []
+        real = linalg._check_entries
+        monkeypatch.setattr(
+            linalg, "_check_entries", lambda v: checked.append(v) or real(v)
+        )
+        for g in (gu.bull(), gu.fork(), gu.petersen()):
+            for strategy in STRATEGIES:
+                cfg = SolverConfig(strategy=strategy)
+                try:
+                    well_covering_system(g, cfg)
+                    well_covered_dimension(g, cfg)
+                except StrategyError:
+                    continue
+        assert checked == []
 
     def test_fractions_canonical(self):
         s = make_system(2, [(Fraction(2, 4), 1)])

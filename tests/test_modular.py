@@ -9,7 +9,6 @@ from wellcovered.modular import (
     maximal_strong_modules,
     md_fold,
     md_tree,
-    quotient,
 )
 
 
@@ -169,32 +168,32 @@ class TestPrimeSplit:
 
 class TestQuotient:
     def test_k23(self):
-        q, reps = quotient(gu.complete_bipartite(2, 3), [{0, 1}, {2, 3, 4}])
+        q, reps = gu.quotient(gu.complete_bipartite(2, 3), [{0, 1}, {2, 3, 4}])
         assert q == gu.complete(2)
         assert reps == (0, 2)
 
     def test_all_singletons(self):
         g = gu.bull()
-        q, reps = quotient(g, [{v} for v in range(g.n)])
+        q, reps = gu.quotient(g, [{v} for v in range(g.n)])
         assert q == g and reps == (0, 1, 2, 3, 4)
 
     def test_two_disjoint_edges(self):
         g = gu.disjoint_union(gu.complete(2), gu.complete(2))
-        q, reps = quotient(g, [{0, 1}, {2, 3}])
+        q, reps = gu.quotient(g, [{0, 1}, {2, 3}])
         assert q == gu.edgeless(2) and reps == (0, 2)
 
     def test_non_module_block(self):
         with pytest.raises(ValueError, match="not a module"):
-            quotient(gu.path(4), [{0, 1}, {2, 3}])
+            gu.quotient(gu.path(4), [{0, 1}, {2, 3}])
 
     def test_bad_partitions(self):
         g = gu.complete(3)
         with pytest.raises(ValueError):
-            quotient(g, [{0, 1}])
+            gu.quotient(g, [{0, 1}])
         with pytest.raises(ValueError):
-            quotient(g, [{0, 1}, {1, 2}])
+            gu.quotient(g, [{0, 1}, {1, 2}])
         with pytest.raises(ValueError):
-            quotient(g, [{0, 1}, {2}, set()])
+            gu.quotient(g, [{0, 1}, {2}, set()])
 
 
 class TestIsPrime:

@@ -1,9 +1,16 @@
+from dataclasses import fields
 from itertools import product
 
 import pytest
 
 import genutil as gu
-from wellcovered.graph import Graph, complement, induced_subgraph, is_claw_free
+from wellcovered.graph import (
+    Graph,
+    complement,
+    induced_subgraph,
+    is_claw_free,
+    is_fork_free,
+)
 from wellcovered.independent_sets import CapExceededError, enumerate_mis
 from wellcovered.linalg import (
     empty_system,
@@ -14,21 +21,20 @@ from wellcovered.linalg import (
     same_solution_space,
 )
 from wellcovered.systems import (
+    STRATEGIES,
     SolverConfig,
     StrategyError,
+    _query_system,
     anti_neighborhood_system,
     bruteforce_system,
     clawfree_system,
     cograph_system,
-    combine_disjoint_union,
-    combine_join,
     forkfree_system,
     is_w_well_covered,
     is_well_covered,
     lift_quotient_system,
     lift_subgraph_system,
     modular_system,
-    query_config,
     resolve_strategy,
     well_covered_dimension,
     well_covering_system,
@@ -105,7 +111,7 @@ class TestCombineDisjointUnion:
     def test_two_edges(self):
         k2 = gu.complete(2)
         parts = [(brute(k2), (0, 1)), (brute(k2), (2, 3))]
-        s = combine_disjoint_union(parts, 4)
+        s = gu.combine_disjoint_union(parts, 4)
         g = gu.disjoint_union(k2, k2)
         assert same_solution_space(s, brute(g))
         assert g.n - rank(s) == 1 + 1  # dimensions add over components
@@ -113,26 +119,26 @@ class TestCombineDisjointUnion:
     def test_two_edgeless_pairs(self):
         # empty part systems union to the empty system; full dimension
         parts = [(empty_system(2), (0, 1)), (empty_system(2), (2, 3))]
-        s = combine_disjoint_union(parts, 4)
+        s = gu.combine_disjoint_union(parts, 4)
         assert s == empty_system(4)
         assert same_solution_space(s, brute(gu.edgeless(4)))
 
     def test_bull_plus_isolated(self):
         g = gu.disjoint_union(gu.bull(), gu.edgeless(1))
         parts = [(brute(gu.bull()), (0, 1, 2, 3, 4)), (empty_system(1), (5,))]
-        s = combine_disjoint_union(parts, 6)
+        s = gu.combine_disjoint_union(parts, 6)
         assert same_solution_space(s, brute(g))
         assert 6 - rank(s) == 4  # dimensions add over components
 
     def test_single_part(self):
         s = brute(gu.bull())
-        assert combine_disjoint_union([(s, (0, 1, 2, 3, 4))], 5) == s
+        assert gu.combine_disjoint_union([(s, (0, 1, 2, 3, 4))], 5) == s
 
     def test_gap_and_overlap(self):
         with pytest.raises(ValueError):
-            combine_disjoint_union([(empty_system(1), (0,))], 2)
+            gu.combine_disjoint_union([(empty_system(1), (0,))], 2)
         with pytest.raises(ValueError):
-            combine_disjoint_union(
+            gu.combine_disjoint_union(
                 [(empty_system(1), (0,)), (empty_system(1), (0,))], 1
             )
 
@@ -150,7 +156,7 @@ class TestCombineDisjointUnion:
                 parts.append((brute(h), tuple(range(off, off + h.n))))
                 off += h.n
             assert same_solution_space(
-                combine_disjoint_union(parts, g.n), brute(g)
+                gu.combine_disjoint_union(parts, g.n), brute(g)
             )
 
 
@@ -161,7 +167,7 @@ class TestCombineJoin:
             (empty_system(1), (0,), {0}),
             (empty_system(1), (1,), {1}),
         ]
-        s = combine_join(parts, g)
+        s = gu.combine_join(parts, g)
         assert s.rows == ((1, -1),)
         assert s.tags == ("join-eq j=1",)
 
@@ -171,7 +177,7 @@ class TestCombineJoin:
             (empty_system(2), (0, 1), {0, 1}),
             (empty_system(3), (2, 3, 4), {2, 3, 4}),
         ]
-        s = combine_join(parts, g)
+        s = gu.combine_join(parts, g)
         assert s.rows == ((1, 1, -1, -1, -1),)
         assert g.n - rank(s) == 4
         assert same_solution_space(s, brute(g))
@@ -198,7 +204,7 @@ class TestCombineJoin:
                     )
                 )
                 off += h.n
-            assert same_solution_space(combine_join(parts, g), brute(g))
+            assert same_solution_space(gu.combine_join(parts, g), brute(g))
 
     def test_not_maximal_rejected(self):
         g = gu.complete_bipartite(2, 3)
@@ -207,7 +213,7 @@ class TestCombineJoin:
             (empty_system(3), (2, 3, 4), {2, 3, 4}),
         ]
         with pytest.raises(ValueError, match="maximal"):
-            combine_join(parts, g)
+            gu.combine_join(parts, g)
 
     def test_not_independent_rejected(self):
         g = gu.join(gu.complete(2), gu.edgeless(1))
@@ -216,11 +222,11 @@ class TestCombineJoin:
             (empty_system(1), (2,), {2}),
         ]
         with pytest.raises(ValueError, match="independent"):
-            combine_join(parts, g)
+            gu.combine_join(parts, g)
 
     def test_needs_two_parts(self):
         with pytest.raises(ValueError):
-            combine_join([(empty_system(1), (0,), {0})], gu.edgeless(1))
+            gu.combine_join([(empty_system(1), (0,), {0})], gu.edgeless(1))
 
 
 class TestLiftQuotientSystem:
@@ -243,7 +249,7 @@ class TestLiftQuotientSystem:
             (empty_system(2), (0, 1), {0, 1}),
             (empty_system(3), (2, 3, 4), {2, 3, 4}),
         ]
-        via_join = combine_join(parts, g)
+        via_join = gu.combine_join(parts, g)
         assert same_solution_space(via_quotient, via_join)
 
     def test_arity_mismatch(self):
@@ -291,8 +297,7 @@ class TestModularSystem:
             calls.append(h.n)
             return bruteforce_system(h)
 
-        cfg = SolverConfig(base_solver="claw-free-plugin", claw_free_plugin=plugin)
-        s = modular_system(gu.bull(), cfg)
+        s = modular_system(gu.bull(), prime_solver=plugin)
         assert calls == [5]  # the bull is prime, handed over whole
         assert same_solution_space(s, brute(gu.bull()))
 
@@ -303,8 +308,7 @@ class TestModularSystem:
                 h.n, base.rows + base.rows, list(base.tags) + list(base.tags)
             )
 
-        cfg = SolverConfig(base_solver="claw-free-plugin", claw_free_plugin=padded)
-        s = modular_system(gu.bull(), cfg)
+        s = modular_system(gu.bull(), prime_solver=padded)
         assert len(s) == rank(s)
         assert same_solution_space(s, brute(gu.bull()))
 
@@ -416,11 +420,13 @@ class TestForkfreeSystem:
             assert same_solution_space(s, brute(g))
 
     def test_random_forkfree_clawfree_base(self):
-        cfg = SolverConfig(base_solver="claw-free")
+        # the query route under forkfree: claw-free prime quotients go to
+        # clawfree_system, the others through the anti-neighbourhoods
+        cfg = SolverConfig(strategy="forkfree")
         rng = gu.seeded(56)
         for _ in range(100):
             g = gu.random_forkfree(rng, 12)
-            s = forkfree_system(g, cfg)
+            s = _query_system(g, cfg)
             assert len(s) == rank(s) <= g.n
             assert all(c in (-1, 0, 1) for row in s.rows for c in row)
             assert same_solution_space(s, brute(g))
@@ -514,12 +520,17 @@ class TestClawfreeSystem:
         assert calls == []
 
     def test_claw_free_test_routes_every_quotient(self, monkeypatch):
-        # prime quotients with a claw (Petersen's, for one) go to the
-        # enumeration, claw-free ones to clawfree_system
+        # on the query route, claw-free prime quotients go to
+        # clawfree_system, those with a fork (Petersen's, for one) to the
+        # enumeration, and the rest through the anti-neighbourhoods
         import wellcovered.systems as systems
 
         rng = gu.seeded(71)
-        clawed = [gu.petersen(), gu.fork()] + [
+        # prime and fork-free, with the claw 4; 0, 2, 5
+        forkfree_clawed = Graph.from_edges(
+            6, [(0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (4, 5)]
+        )
+        clawed = [gu.petersen(), gu.fork(), forkfree_clawed] + [
             Graph.from_edges(s.n + 3, s.edges() + [(0, s.n + k) for k in range(3)])
             for s in gu.clawfree_prime_seeds()
         ]
@@ -528,8 +539,9 @@ class TestClawfreeSystem:
             sizes = [1 + (rng.random() < 0.2) for _ in range(skeleton.n)]
             g = gu.substitute(skeleton, [gu.complete(k) for k in sizes])
             graphs.append((g, brute(g)))
-        seen, enumerated = [], []
-        for name, log in (("clawfree_system", seen), ("bruteforce_system", enumerated)):
+        logs = {"clawfree_system": [], "bruteforce_system": [],
+                "anti_neighborhood_system": []}
+        for name, log in logs.items():
             real = getattr(systems, name)
 
             def logging(h, *args, real=real, log=log):
@@ -538,25 +550,20 @@ class TestClawfreeSystem:
 
             monkeypatch.setattr(systems, name, logging)
         for strategy in ("modular", "forkfree"):
-            cfg = query_config(SolverConfig(strategy=strategy))
             for g, expected in graphs:
                 try:
-                    s = well_covering_system(g, cfg)
+                    s = _query_system(g, SolverConfig(strategy=strategy))
                 except StrategyError:
                     continue
                 assert same_solution_space(s, expected)
                 assert len(s) == rank(s)
+        seen = logs["clawfree_system"]
         assert seen and all(is_claw_free(h) for h in seen)
-        assert any(not is_claw_free(h) for h in enumerated)
-
-    def test_query_config(self):
-        assert query_config().base_solver == "claw-free"
-        cfg = query_config(SolverConfig(strategy="modular", mis_cap=7))
-        assert (cfg.strategy, cfg.base_solver, cfg.mis_cap) == (
-            "modular", "claw-free", 7
-        )
-        plugin = SolverConfig(base_solver="claw-free-plugin", claw_free_plugin=brute)
-        assert query_config(plugin) is plugin
+        enumerated = logs["bruteforce_system"]
+        assert enumerated and not any(is_fork_free(h) for h in enumerated)
+        reduced = logs["anti_neighborhood_system"]
+        assert reduced and all(is_fork_free(h) for h in reduced)
+        assert not any(is_claw_free(h) for h in reduced)
 
 
 class TestQueries:
@@ -594,8 +601,59 @@ class TestQueries:
             SolverConfig(strategy="magic")
         with pytest.raises(ValueError):
             SolverConfig(mis_cap=0)
-        with pytest.raises(ValueError):
-            SolverConfig(base_solver="claw-free-plugin")
+        assert [f.name for f in fields(SolverConfig)] == ["strategy", "mis_cap"]
+
+
+class TestQueryRoute:
+    @pytest.mark.parametrize("strategy", ["auto", "modular"])
+    def test_fork_substitution_dimension(self, strategy):
+        cfg = SolverConfig(strategy=strategy)
+        for k in range(1, 9):
+            g = gu.fork_substitution(k)
+            assert well_covered_dimension(g, cfg) == 5 * k - 2
+            assert not is_w_well_covered(g, (1,) * g.n, cfg)
+
+    def test_fork_substitution_enumerates_no_large_graph(self, monkeypatch):
+        # the fork substitution has forks, but its one prime quotient is a
+        # P4: no graph of more than 5 vertices may be enumerated
+        import wellcovered.independent_sets as independent_sets
+        import wellcovered.systems as systems
+
+        sizes = []
+        for mod in (systems, independent_sets):
+            real = mod.enumerate_mis
+
+            def counting(h, *args, real=real):
+                sizes.append(h.n)
+                return real(h, *args)
+
+            monkeypatch.setattr(mod, "enumerate_mis", counting)
+        for strategy in ("auto", "modular"):
+            for k in range(1, 9):
+                well_covered_dimension(
+                    gu.fork_substitution(k), SolverConfig(strategy=strategy)
+                )
+                assert max(sizes, default=0) <= 5, (strategy, k)
+
+    def test_random_graphs_match_system_route(self):
+        rng = gu.seeded(73)
+        with_fork = 0
+        for _ in range(150):
+            g = gu.random_graph(rng, rng.randint(1, 12), rng.random())
+            with_fork += not is_fork_free(g)
+            s = _query_system(g)
+            assert len(s) == rank(s) <= g.n
+            assert same_solution_space(s, well_covering_system(g))
+            dims = set()
+            for strategy in STRATEGIES:
+                try:
+                    s = _query_system(g, SolverConfig(strategy=strategy))
+                except StrategyError:
+                    continue
+                assert same_solution_space(s, well_covering_system(g))
+                dims.add(well_covered_dimension(g, SolverConfig(strategy=strategy)))
+            assert dims == {g.n - rank(s)}
+        assert with_fork >= 30
 
 
 class TestWeightingSoundness:
@@ -616,8 +674,6 @@ class TestModuleMISAssembly:
         # with the met modules maximal independent in the quotient, are
         # exactly the maximal independent sets of the composed graph
         rng = gu.seeded(59)
-        from wellcovered.modular import quotient
-
         for _ in range(30):
             seed = gu.random_graph(rng, rng.randint(2, 4), rng.random())
             modules = [
@@ -636,7 +692,7 @@ class TestModuleMISAssembly:
                 )
                 for j in range(seed.n)
             ]
-            quot, reps = quotient(g, blocks)
+            quot, reps = gu.quotient(g, blocks)
             per_block = []
             for block in blocks:
                 sub, vmap = induced_subgraph(g, block)
