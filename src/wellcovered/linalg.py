@@ -320,9 +320,8 @@ def system_from_json(data: dict) -> LinearSystem:
     return LinearSystem(int(data["num_vars"]), rows, tags)
 
 
-def basis_to_json(b: Basis, num_vars: int | None = None) -> dict:
-    if num_vars is None:
-        num_vars = len(b.vectors[0]) if b.vectors else 0
+def basis_to_json(b: Basis, num_vars: int) -> dict:
+    """JSON form of ``b``, a basis of weightings of ``num_vars`` variables."""
     return {
         "num_vars": num_vars,
         "vectors": [
@@ -363,12 +362,12 @@ def format_equation(row: Sequence[Coeff]) -> str:
     return text + " = 0"
 
 
-def system_to_text(s: LinearSystem, with_tags: bool = True) -> str:
-    """Human-readable rendering, one equation per line."""
+def system_to_text(s: LinearSystem) -> str:
+    """Human-readable rendering, one equation per line, tagged."""
     lines = []
     for row, tag in zip(s.rows, s.tags):
         line = format_equation(row)
-        if with_tags and tag:
+        if tag:
             line += f"  # {tag}"
         lines.append(line)
     return "\n".join(lines)

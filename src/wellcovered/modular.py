@@ -12,10 +12,10 @@ Components and co-components split parallel and series nodes. A prime node
 lowest vertex v: refining the other vertices by every vertex that splits a
 part leaves the maximal modules that avoid v (Ehrenfeucht, Gabow, McConnell
 and Sullivan 1994; Habib and Paul 2010). Each of them is a maximal strong
-module or lies inside the one that holds v, which one closure under
-splitters per part tells apart. A split costs O(n^2) mask operations for
-the refinement plus those closures, not the closure of every vertex pair;
-it is still not one of the linear-time algorithms known for the problem.
+module or lies inside the one that holds v, which the forcing relation of
+the same paper tells apart at one mask operation per vertex forced. A
+split costs O(n^2) mask operations; it is still not one of the
+linear-time algorithms known for the problem.
 
 ``md_fold`` is the one walk over the tree. It is iterative, so ``md_tree``
 and the system builders that use it handle trees of any depth.
@@ -107,20 +107,6 @@ def is_module(g: Graph, m: Iterable[int]) -> bool:
     return True
 
 
-def _smallest_module_mask(g: Graph, seed: int, within: int) -> int:
-    """Closure of ``seed`` under splitters inside g[within]."""
-    m = seed
-    while True:
-        add = 0
-        for v in iter_bits(within & ~m):
-            seen = g.adj[v] & m
-            if seen != 0 and seen != m:
-                add |= 1 << v
-        if not add:
-            return m
-        m |= add
-
-
 def _strong_module_masks(g: Graph, within: int) -> list[int]:
     """Maximal proper modules of g[within] when it is connected and
     co-connected; they are pairwise disjoint and partition the vertex set.
@@ -130,10 +116,13 @@ def _strong_module_masks(g: Graph, within: int) -> list[int]:
     maximal modules that avoid v. Each is either a maximal proper module
     or lies inside M(v), the one that holds v; a part X lies inside M(v)
     exactly when the smallest module that holds X and the part of M(v)
-    found so far is proper. So there is one closure per part at most.
+    found so far is proper. Forcing grows that module: with v and u it
+    holds each vertex that sees exactly one of them. The growth stops at
+    a part already found outside M(v), as it can then only end at ``within``.
     """
     v = within & -within
-    nbrs = g.adj[v.bit_length() - 1] & within
+    adj_v = g.adj[v.bit_length() - 1]
+    nbrs = adj_v & within
     # both parts are nonempty: g[within] is connected and co-connected
     parts = [nbrs, within & ~nbrs & ~v]
     final: list[int] = []
@@ -146,28 +135,33 @@ def _strong_module_masks(g: Graph, within: int) -> list[int]:
                 break
         else:
             final.append(x)
-    block = v
+    block, outside = v, 0
     for x in final:
-        if x & ~block:
-            m = _smallest_module_mask(g, block | x, within)
-            if m != within:
-                block = m
+        # x is a module, so its other vertices force nothing outside x
+        m, todo = block | x, x & -x
+        while todo and not m & outside:
+            u = todo & -todo
+            todo ^= u
+            forced = (g.adj[u.bit_length() - 1] ^ adj_v) & within & ~m
+            m |= forced
+            todo |= forced
+        if m == within or m & outside:
+            outside |= x
+        else:
+            block = m
     blocks = [block] + [x for x in final if not x & block]
     return sorted(blocks, key=lambda b: b & -b)
 
 
-def _partition_masks(
-    g: Graph, within: int, prime_split=_strong_module_masks
-) -> tuple[str, list[int]]:
-    """Kind and maximal strong module masks of g[within] (>= 2 vertices),
-    with ``prime_split`` finding the modules when the kind is prime."""
+def _partition_masks(g: Graph, within: int) -> tuple[str, list[int]]:
+    """Kind and maximal strong module masks of g[within] (>= 2 vertices)."""
     comps = component_masks(g, within)
     if len(comps) >= 2:
         return PARALLEL, comps
     cocomps = co_component_masks(g, within)
     if len(cocomps) >= 2:
         return SERIES, cocomps
-    return PRIME, prime_split(g, within)
+    return PRIME, _strong_module_masks(g, within)
 
 
 def maximal_strong_modules(g: Graph) -> list[frozenset[int]]:
@@ -197,13 +191,12 @@ def md_fold(
     g: Graph,
     leaf: Callable[[int], T],
     node: Callable[[str, int, tuple[int, ...], list[T]], T],
-    prime_split: Callable[[Graph, int], list[int]] = _strong_module_masks,
 ) -> T:
     """Fold the modular decomposition tree of ``g`` (n >= 1) bottom-up,
     on an explicit stack rather than by recursion.
 
     A vertex mask splits into its components (parallel), else its
-    co-components (series), else ``prime_split(g, mask)`` (prime). Values
+    co-components (series), else its maximal proper modules (prime). Values
     come in post-order: ``leaf(v)`` per vertex, ``node(kind, mask, reps,
     values)`` per internal node, with each child's lowest vertex and value
     in child order, which is by lowest vertex.
@@ -219,7 +212,7 @@ def md_fold(
             if mask & (mask - 1) == 0:
                 values.append(leaf(mask.bit_length() - 1))
                 continue
-            split = _partition_masks(g, mask, prime_split)
+            split = _partition_masks(g, mask)
             work.append((mask, split))
             work.extend((b, None) for b in reversed(split[1]))
         else:

@@ -12,19 +12,21 @@ weight. This module builds such systems along several routes:
   disconnected graph takes the union of its components' systems; a join
   takes the union of the co-components' systems plus chained equations
   between one maximal independent set per co-component; a prime quotient is
-  handed to a prime solver (by default the capped brute force), whose
-  equations are reduced and re-expanded by substituting, for each quotient
-  vertex, the sum over a maximal independent set of the corresponding
-  module. Row reduction after every prime step whose children have rows,
-  and after every join with a prime node below it, keeps the system at most
-  n equations. A join with no prime node below needs none: every node of a
-  cotree has a well-covered weighting that gives its chosen set a nonzero
-  weight, so the chained equations are independent of the co-components'
-  rows. The walk is iterative (``modular.md_fold``) and writes each row
-  once, over all n variables.
-* ``cograph_system``: the modular walk without a prime step, for graphs
-  without induced 4-vertex paths. Only parallel and series nodes occur, so
-  no row is reduced, and a counting argument bounds the size by n - 1.
+  handed to the prime solver, the one part a caller plugs in (by default
+  the capped brute force), whose equations are reduced and re-expanded by
+  substituting, for each quotient vertex, the sum over a maximal
+  independent set of the corresponding module. Row reduction after every
+  prime step whose children have rows, and after every join with a prime
+  node below it, keeps the system at most n equations. A join with no
+  prime node below needs none: every node of a cotree has a well-covered
+  weighting that gives its chosen set a nonzero weight, so the chained
+  equations are independent of the co-components' rows. The walk is
+  iterative (``modular.md_fold``) and writes each row once, over all n
+  variables.
+* ``cograph_system``: the modular walk with a prime solver that refuses.
+  On graphs without induced 4-vertex paths only parallel and series nodes
+  occur, so no row is reduced, and a counting argument bounds the size by
+  n - 1.
 * ``anti_neighborhood_system``: combine systems of the graphs G - N[v], one
   per vertex v, with chained equations relating the sets I_v + {v}.
 * ``clawfree_system``: for claw-free graphs, one equation per generating
@@ -233,30 +235,9 @@ def modular_system(
         prime_solver = partial(bruteforce_system, cap=cap)
     if g.n == 0:
         return empty_system(0)
-    system = _md_system(g, prime_solver)
-    assert len(system) <= g.n
-    return system
-
-
-def _not_a_cograph(g: Graph, within: int) -> list[int]:
-    raise StrategyError(
-        "graph has an induced 4-vertex path; the cograph "
-        "strategy does not apply (use modular or forkfree)"
-    )
-
-
-def _md_system(
-    g: Graph, prime_solver: Callable[[Graph], LinearSystem] | None
-) -> LinearSystem:
-    """Fold the modular decomposition tree of ``g`` (n >= 1) into rows over
-    all n host variables, so each row is written once.
-
-    A subtree folds to (start, mis, prime_below): its rows are
-    ``rows[start:]``, ``mis`` is the bitmask of one of its maximal
-    independent sets, and ``prime_below`` tells whether it has a prime
-    node. With ``prime_solver`` None this is the cograph walk: the first
-    prime split raises StrategyError, before any strong-module search.
-    """
+    # a subtree folds to (start, mis, prime_below): its rows, over all n
+    # host variables, are rows[start:], mis is the bitmask of one of its
+    # maximal independent sets, and prime_below says if it has a prime node
     rows: list[tuple[Coeff, ...]] = []
     tags: list[str] = []
 
@@ -298,10 +279,8 @@ def _md_system(
         chosen = greedy_mis(quot, range(quot.n))
         return start, reduce(or_, (mis[j] for j in chosen)), True
 
-    if prime_solver is None:
-        md_fold(g, leaf, node, _not_a_cograph)
-    else:
-        md_fold(g, leaf, node)
+    md_fold(g, leaf, node)
+    assert len(rows) <= g.n
     return _trusted_system(g.n, tuple(rows), tuple(tags))
 
 
@@ -312,14 +291,20 @@ def _md_system(
 def cograph_system(g: Graph) -> LinearSystem:
     """Elimination-free system for graphs with no induced 4-vertex path.
 
-    The modular walk without a prime step: no row is reduced, and there are
-    at most n - 1 equations. Raises StrategyError on any other graph; use
-    the modular or fork-free strategy there.
+    The modular walk with a prime solver that refuses: with only parallel
+    and series nodes no row is reduced, and there are at most n - 1
+    equations. Raises StrategyError at the first prime node on any other
+    graph; use the modular or fork-free strategy there.
     """
-    if g.n == 0:
-        return empty_system(0)
-    system = _md_system(g, None)
-    assert len(system) <= g.n - 1
+
+    def refuse(q: Graph) -> LinearSystem:
+        raise StrategyError(
+            "graph has an induced 4-vertex path; the cograph "
+            "strategy does not apply (use modular or forkfree)"
+        )
+
+    system = modular_system(g, prime_solver=refuse)
+    assert len(system) <= max(g.n - 1, 0)
     return system
 
 
@@ -447,9 +432,16 @@ def _check_fork_free(g: Graph) -> None:
         )
 
 
-def forkfree_system(
-    g: Graph, cfg: SolverConfig | None = None, *, fork_tested: bool = False
-) -> LinearSystem:
+def _anti_neighborhood_solver(
+    prime_solver: Callable[[Graph], LinearSystem]
+) -> Callable[[Graph], LinearSystem]:
+    """The anti-neighborhood reduction as a prime solver: each G - N[v]
+    runs the modular walk with ``prime_solver`` at its prime quotients."""
+    sub = partial(modular_system, prime_solver=prime_solver)
+    return lambda q: anti_neighborhood_system(q, sub)
+
+
+def forkfree_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
     """Unit, linearly independent well-covering system for fork-free graphs.
 
     The modular walk hands each prime quotient to the anti-neighborhood
@@ -457,24 +449,12 @@ def forkfree_system(
     leaves a graph all of whose prime quotients are claw-free, so those
     subproblems run the modular walk again with the capped brute force at
     the bottom. Row reduction after every aggregation keeps the final size
-    at most n. Raises StrategyError when ``g`` has an induced fork; a
-    caller that has found ``g`` fork-free passes ``fork_tested=True`` to
-    skip the second test.
+    at most n. Raises StrategyError when ``g`` has an induced fork.
     """
     cfg = cfg or SolverConfig()
-    if not fork_tested:
-        _check_fork_free(g)
+    _check_fork_free(g)
     base = partial(bruteforce_system, cap=cfg.mis_cap)
-
-    def primes_clawfree_solver(h: Graph) -> LinearSystem:
-        return modular_system(h, prime_solver=base)
-
-    def prime_forkfree_solver(h: Graph) -> LinearSystem:
-        return anti_neighborhood_system(h, primes_clawfree_solver)
-
-    system = modular_system(g, prime_solver=prime_forkfree_solver)
-    assert len(system) <= g.n
-    return system
+    return modular_system(g, prime_solver=_anti_neighborhood_solver(base))
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +488,11 @@ def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSys
         return cograph_system(g)
     if strategy == "modular":
         return modular_system(g, cfg)
+    if cfg.strategy == "forkfree":
+        return forkfree_system(g, cfg)
     # under auto, resolve_strategy has tested g for forks already
-    return forkfree_system(g, cfg, fork_tested=cfg.strategy == "auto")
+    base = partial(bruteforce_system, cap=cfg.mis_cap)
+    return modular_system(g, prime_solver=_anti_neighborhood_solver(base))
 
 
 def _query_prime_solver(cap: int) -> Callable[[Graph], LinearSystem]:
@@ -520,16 +503,14 @@ def _query_prime_solver(cap: int) -> Callable[[Graph], LinearSystem]:
     on Q. Every branch is sound on any Q; the claw and fork tests only
     pick the cheapest one."""
 
-    def sub(h: Graph) -> LinearSystem:
-        return modular_system(h, prime_solver=solve)
-
     def solve(q: Graph) -> LinearSystem:
         if is_claw_free(q):
             return clawfree_system(q)
         if is_fork_free(q):
-            return anti_neighborhood_system(q, sub)
+            return anti_neighborhoods(q)
         return bruteforce_system(q, cap)
 
+    anti_neighborhoods = _anti_neighborhood_solver(solve)
     return solve
 
 

@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 from wellcovered.graph import Graph, induced_subgraph, iter_bits, mask_of
 from wellcovered.independent_sets import MISList
 from wellcovered.linalg import Basis, LinearSystem, WeightVector
-from wellcovered.modular import _smallest_module_mask, is_module
+from wellcovered.modular import is_module, is_prime
 from wellcovered.systems import lift_subgraph_system
 
 
@@ -110,6 +110,20 @@ def substitute(seed, modules):
     return Graph.from_edges(n, edges)
 
 
+def rook(m):
+    """K_m x K_m: cells of an m x m board, adjacent in a shared row or column."""
+    return Graph.from_edges(
+        m * m,
+        [(a, b) for a in range(m * m) for b in range(a + 1, m * m)
+         if a // m == b // m or a % m == b % m],
+    )
+
+
+def relabel(g, order):
+    """``g`` with each vertex v renamed ``order[v]``."""
+    return Graph.from_edges(g.n, [(order[u], order[v]) for u, v in g.edges()])
+
+
 def fork_substitution(k):
     """The fork with each vertex replaced by k disjoint copies of K2: n = 10k,
     well-covered dimension 5k - 2. It has forks, but its prime quotient is
@@ -181,6 +195,57 @@ def random_cograph(rng, n):
         for part in parts:
             stack.append((part, not is_join))
     return Graph(n, tuple(adj))
+
+
+def shuffled(rng, g):
+    """``g`` relabelled by a random permutation, and that permutation."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    return relabel(g, order), order
+
+
+def shuffled_substitution(rng, skeleton_n, module_n, module=None):
+    """A random prime skeleton with a graph substituted for each vertex,
+    with sizes drawn from the (low, high) ranges, under a random vertex
+    order, so that the lowest vertex of a prime node often sits in a larger
+    module. ``module(rng, k)`` makes each module graph, by default G(k, p)
+    with p uniform."""
+    module = module or (lambda rng, k: random_graph(rng, k, rng.random()))
+    while True:
+        skel = random_graph(rng, rng.randint(*skeleton_n), rng.uniform(0.3, 0.7))
+        if is_prime(skel):
+            break
+    modules = [module(rng, rng.randint(*module_n)) for _ in range(skel.n)]
+    return shuffled(rng, substitute(skel, modules))[0]
+
+
+def prime_line_graph(rng, k, p, n_range):
+    """The line graph of G(k, p), drawn again until it is prime and its
+    order lies in the (low, high) range. Line graphs have no claw."""
+    while True:
+        g = line_graph(random_graph(rng, k, p))
+        if n_range[0] <= g.n <= n_range[1] and is_prime(g):
+            return g
+
+
+def line_graph_clique_substitution(rng):
+    """Cliques of 5..25 vertices substituted into a prime line graph on
+    8..14 vertices, under a random vertex order: claw-free, so fork-free."""
+    skel = prime_line_graph(rng, 7, 0.6, (8, 14))
+    g = substitute(skel, [complete(rng.randint(5, 25)) for _ in range(skel.n)])
+    return shuffled(rng, g)[0]
+
+
+def random_greedy_mis(rng, g):
+    """The maximal independent set that a greedy scan in a random vertex
+    order picks, as a sorted list."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    chosen = 0
+    for v in order:
+        if not g.adj[v] & chosen:
+            chosen |= 1 << v
+    return list(iter_bits(chosen))
 
 
 def line_graph(h):
@@ -369,6 +434,21 @@ def brute_maximal_strong_modules(g):
     return sorted(maximal, key=min)
 
 
+def splitter_closure_mask(g, seed, within):
+    """Smallest module of g[within] that holds ``seed``: add every vertex
+    that sees some but not all of the set, until none is left."""
+    m = seed
+    while True:
+        add = 0
+        for v in iter_bits(within & ~m):
+            seen = g.adj[v] & m
+            if seen != 0 and seen != m:
+                add |= 1 << v
+        if not add:
+            return m
+        m |= add
+
+
 def closure_strong_module_masks(g, within):
     """Maximal proper modules of g[within] when it is connected and
     co-connected; they are pairwise disjoint and partition the vertex set."""
@@ -378,7 +458,7 @@ def closure_strong_module_masks(g, within):
         v = unassigned & -unassigned
         block = v
         for u in iter_bits(within & ~v):
-            m = _smallest_module_mask(g, v | (1 << u), within)
+            m = splitter_closure_mask(g, v | (1 << u), within)
             if m != within:
                 block |= m
         blocks.append(block)

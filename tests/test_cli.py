@@ -122,13 +122,13 @@ class TestDimensionVerb:
         code, out, _ = run(capsys, ["dimension", bull_file, "--output", "json"])
         assert json.loads(out) == {"dimension": 3}
 
-    @pytest.mark.parametrize("verb", ["dimension", "is-well-covered"])
+    @pytest.mark.parametrize("verb", ["dimension", "is-well-covered", "system"])
     def test_auto_tests_forks_once(self, capsys, monkeypatch, verb):
         # the bull is fork-free but not a cograph. dimension folds it with
         # no whole-graph fork test, and its one prime quotient, the bull,
         # is claw-free. is-well-covered resolves the strategy, for the
-        # brute-force witness, with one fork test; the fold does not repeat
-        # it
+        # brute-force witness, with one fork test, and system resolves it
+        # to pick the fork-free fold; neither fold repeats the test
         import wellcovered.systems as systems
 
         calls = []
@@ -137,8 +137,10 @@ class TestDimensionVerb:
             systems, "is_fork_free", lambda h: calls.append(h) or real(h)
         )
         code, out, _ = run(capsys, [verb], stdin=BULL, monkeypatch=monkeypatch)
-        assert code == 0 and out.strip() in ("3", "no")
-        assert len(calls) == {"dimension": 0, "is-well-covered": 1}[verb]
+        expected = {"dimension": (1, 0), "is-well-covered": (1, 1), "system": (2, 1)}
+        lines, fork_tests = expected[verb]
+        assert code == 0 and len(out.splitlines()) == lines
+        assert len(calls) == fork_tests
 
     @pytest.mark.parametrize("verb", ["dimension", "basis", "check-weighting"])
     def test_auto_runs_no_whole_graph_recognizer(

@@ -373,6 +373,13 @@ class TestSerialization:
         b = Basis((WeightVector((1, Fraction(2, 3))), WeightVector((0, -1))))
         assert basis_from_json(basis_to_json(b, 2)) == b
 
+    def test_empty_basis_roundtrip(self):
+        b = null_space_basis(make_system(2, [(1, 0), (0, 1)]))
+        assert b.vectors == ()
+        data = basis_to_json(b, 2)
+        assert data == {"num_vars": 2, "vectors": []}
+        assert basis_from_json(data) == b
+
     def test_format_unit(self):
         assert format_equation((0, 0, -1, 1, -1)) == "-x_3 + x_4 - x_5 = 0"
         assert format_equation((-1, 1, -1, 0, 0)) == "-x_1 + x_2 - x_3 = 0"

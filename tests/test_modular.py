@@ -51,25 +51,6 @@ class TestIsModule:
                     assert is_module(g, combo) == (frozenset(combo) in mods)
 
 
-def shuffled_substitution(rng, skeleton_n, module_n):
-    """A random prime skeleton with a random graph substituted for each
-    vertex, with sizes drawn from the (low, high) ranges, under a random
-    vertex order, so that the lowest vertex of a prime node often sits in a
-    larger module."""
-    while True:
-        skel = gu.random_graph(rng, rng.randint(*skeleton_n), rng.uniform(0.3, 0.7))
-        if is_prime(skel):
-            break
-    modules = [
-        gu.random_graph(rng, rng.randint(*module_n), rng.random())
-        for _ in range(skel.n)
-    ]
-    g = gu.substitute(skel, modules)
-    order = list(range(g.n))
-    rng.shuffle(order)
-    return Graph.from_edges(g.n, [(order[u], order[v]) for u, v in g.edges()])
-
-
 class TestMaximalStrongModules:
     def test_edgeless(self):
         assert maximal_strong_modules(gu.edgeless(3)) == [
@@ -106,7 +87,7 @@ class TestMaximalStrongModules:
         # prime roots whose lowest vertex often sits in a larger module
         checked = lowest_in_module = 0
         while checked < 100:
-            g = shuffled_substitution(rng, (4, 5), (1, 2))
+            g = gu.shuffled_substitution(rng, (4, 5), (1, 2))
             if g.n <= 9:
                 blocks = maximal_strong_modules(g)
                 assert blocks == gu.brute_maximal_strong_modules(g)
@@ -115,26 +96,39 @@ class TestMaximalStrongModules:
         assert lowest_in_module >= 20
 
 
+class _CountingAdj(tuple):
+    """An adjacency tuple that counts the reads made through it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
 class TestPrimeSplit:
     """The refinement split against the closure search it replaced."""
 
     def prime_splits(self, g):
         """(refinement, closure) block masks at every prime node of g."""
         found = []
+        real = modular._strong_module_masks
 
         def split(h, within):
-            got = modular._strong_module_masks(h, within)
+            got = real(h, within)
             found.append((got, gu.closure_strong_module_masks(h, within)))
             return got
 
-        md_fold(g, lambda v: None, lambda *args: None, split)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modular, "_strong_module_masks", split)
+            md_fold(g, lambda v: None, lambda *args: None)
         return found
 
     def test_matches_closure_on_substitutions(self):
         rng = gu.seeded(41)
         nodes = lowest_in_module = 0
         for _ in range(150):
-            g = shuffled_substitution(rng, (4, 9), (1, 6))
+            g = gu.shuffled_substitution(rng, (4, 9), (1, 6))
             for got, expected in self.prime_splits(g):
                 assert got == expected
                 nodes += 1
@@ -148,22 +142,18 @@ class TestPrimeSplit:
             for got, expected in self.prime_splits(g):
                 assert got == expected
 
-    def test_one_closure_per_part(self, monkeypatch):
+    def test_adjacency_reads_quadratic(self):
         # a prime line graph on 40 vertices: every refined part is a single
-        # vertex, so the split makes at most n - 1 closures; the pairwise
-        # closure search makes about n^2
+        # vertex, and growing the module of the lowest vertex by forcing
+        # stops at the first part found outside it, so the split reads
+        # fewer than 2n^2 adjacency masks; a splitter closure per part
+        # reads about 2.6n^2
         g = gu.line_graph(gu.random_graph(gu.seeded(11), 12, 0.6))
         assert g.n == 40 and is_prime(g)
-        calls = []
-        real = modular._smallest_module_mask
-        monkeypatch.setattr(
-            modular,
-            "_smallest_module_mask",
-            lambda *args: calls.append(args) or real(*args),
-        )
-        blocks = modular._strong_module_masks(g, g.full_mask)
+        counted = Graph(g.n, _CountingAdj(g.adj))
+        blocks = modular._strong_module_masks(counted, counted.full_mask)
         assert blocks == [1 << v for v in range(g.n)]
-        assert len(calls) <= g.n
+        assert counted.adj.reads <= 2 * g.n**2
 
 
 class TestQuotient:

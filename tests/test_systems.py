@@ -432,15 +432,6 @@ class TestForkfreeSystem:
             assert same_solution_space(s, brute(g))
 
 
-def rook(m):
-    """K_m x K_m: cells of an m x m board, adjacent in a shared row or column."""
-    return Graph.from_edges(
-        m * m,
-        [(a, b) for a in range(m * m) for b in range(a + 1, m * m)
-         if a // m == b // m or a % m == b % m],
-    )
-
-
 def co_triangle_free(rng, n):
     """The complement of a random triangle-free graph: claw-free, since a
     claw's three leaves are a triangle of the complement."""
@@ -491,7 +482,7 @@ class TestClawfreeSystem:
 
     @pytest.mark.parametrize("m", range(4, 9))
     def test_rook_dimension(self, m):
-        s = clawfree_system(rook(m))
+        s = clawfree_system(gu.rook(m))
         assert len(s) == rank(s)
         assert m * m - len(s) == 2 * m - 1
 
@@ -516,7 +507,7 @@ class TestClawfreeSystem:
                 return real(h, *args)
 
             monkeypatch.setattr(mod, "enumerate_mis", counting)
-        assert well_covered_dimension(rook(7)) == 13
+        assert well_covered_dimension(gu.rook(7)) == 13
         assert calls == []
 
     def test_claw_free_test_routes_every_quotient(self, monkeypatch):
