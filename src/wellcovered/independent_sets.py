@@ -98,22 +98,61 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MISList:
     return MISList(tuple(sets), len(found) <= cap)
 
 
+def _cover_refutes(g: Graph, sets: list[int]) -> bool:
+    """Whether fewer cliques of ``g`` than a greedy packing of ``sets``
+    has members cover the packing's union; see ``meets_all_cliques``."""
+    packed: list[int] = []
+    union = 0
+    for s in sorted(sets, key=int.bit_count):
+        if not s & union:
+            packed.append(s)
+            union |= s
+    uncovered = union
+    for _ in range(len(packed) - 1):  # cover cliques the bound may use
+        low = uncovered & -uncovered
+        own = next(s for s in packed if s & low)
+        clique, grow = low, union & ~own
+        while True:
+            grow &= g.adj[low.bit_length() - 1]
+            if not grow:
+                break
+            low = grow & -grow
+            clique |= low
+        uncovered &= ~clique
+        if not uncovered:
+            return True
+    return False
+
+
 def meets_all_cliques(g: Graph, cliques: Sequence[int]) -> bool:
     """True iff some independent set of ``g`` meets every clique in
     ``cliques``, a list of vertex bitmasks. An empty clique is never met.
 
-    Depth-first: branch on the unmet clique with the fewest available
-    vertices, where choosing a vertex makes its closed neighbourhood
-    unavailable. A state is the available vertices that lie in some unmet
-    clique, with the set of unmet cliques; failed states are remembered, so
-    that pigeonhole-like instances (more cliques to meet than the available
-    vertices can pairwise avoid) are refuted once per state, not once per
-    order of choices.
+    First a packing-versus-cover bound, which refutes pigeonhole instances
+    (the rows of K_r x K_(r-1), say) without a search. Pack pairwise
+    disjoint sets of ``cliques`` greedily, smallest first: a packing P with
+    union U. An independent set meeting all of P holds |P| distinct vertices
+    of U, one in each packed set. Then cover U greedily with cliques of
+    ``g``, each grown from the lowest uncovered vertex through common
+    neighbours outside that vertex's packed set (on K_r x K_(r-1) these are
+    the columns). An independent set holds at most one vertex of each cover
+    clique, so if fewer than |P| of them cover U, no independent set meets
+    all of ``cliques``. The bound is sound for any family of sets, cliques
+    or not.
+
+    Otherwise depth-first: branch on the unmet clique with the fewest
+    available vertices, where choosing a vertex makes its closed
+    neighbourhood unavailable. A state is the available vertices that lie
+    in some unmet clique, with the set of unmet cliques; failed states are
+    remembered, so that instances the bound misses are refuted once per
+    state, not once per order of choices.
     """
     cliques = list(dict.fromkeys(cliques))
     if not cliques:
         return True
     if not all(cliques):
+        return False
+    if _cover_refutes(g, cliques):
         return False
     hit: dict[int, int] = {}  # vertex -> bitmask of the cliques holding it
     for i, c in enumerate(cliques):

@@ -31,10 +31,11 @@ weight. This module builds such systems along several routes:
   per vertex v, with chained equations relating the sets I_v + {v}.
 * ``clawfree_system``: for claw-free graphs, one equation per generating
   subgraph (an edge, an induced P3 or an induced C4; Levit and Tankus
-  2015) that is not implied by those before it. Candidates are tested with
-  ``independent_sets.meets_all_cliques`` and skipped without a test when
-  the incremental kernel (``linalg._insert``) finds their row in the span,
-  so the rows are independent by construction.
+  2015) that is not implied by those before it. A candidate is skipped at
+  once when one of the cliques it must meet is empty, then without a test
+  when the incremental kernel (``linalg._insert``) finds its row in the
+  span, so the rows are independent by construction; the rest are tested
+  with ``independent_sets.meets_all_cliques``.
 * ``forkfree_system``: for graphs with no induced fork. Prime quotients are
   solved through the anti-neighborhood reduction, whose subproblems have
   claw-free prime quotients and bottom out at the capped brute force.
@@ -334,8 +335,9 @@ def _generating_candidates(g: Graph) -> Iterable[tuple[str, int, int]]:
                     yield "c4", 1 << x1 | 1 << x2, 1 << y1 | 1 << y2
 
 
-def _is_generating(g: Graph, x: int, y: int) -> bool:
-    """Whether some independent S makes both S + X and S + Y maximal.
+def _generating_cliques(g: Graph, x: int, y: int) -> list[int]:
+    """The cliques that an independent S must meet for both S + X and S + Y
+    to be maximal; (X, Y) is generating iff ``meets_all_cliques`` holds.
 
     S must avoid N[X + Y], so it lies in R = V - N[X + Y], where it must be
     maximal, and it must dominate D = (N(X) ^ N(Y)) - (X + Y), which X + Y
@@ -347,7 +349,7 @@ def _is_generating(g: Graph, x: int, y: int) -> bool:
     ny = reduce(or_, (g.adj[v] for v in iter_bits(y)))
     rest = g.full_mask & ~(nx | ny | x | y)
     undominated = (nx ^ ny) & ~(x | y)
-    return meets_all_cliques(g, [g.adj[d] & rest for d in iter_bits(undominated)])
+    return [g.adj[d] & rest for d in iter_bits(undominated)]
 
 
 def clawfree_system(g: Graph) -> LinearSystem:
@@ -357,10 +359,14 @@ def clawfree_system(g: Graph) -> LinearSystem:
     338, 2015): the well-covered weightings of a claw-free graph are those
     with w(X) = w(Y) for every generating subgraph (X, Y), and each such
     subgraph is an edge, an induced P3 or an induced C4. The candidates are
-    taken in a fixed order; a candidate row w(X) - w(Y) already in the span
-    of the rows accepted so far is skipped without a search, so at most n
-    rows are accepted and they are independent. The result is meaningless
-    on a graph with a claw; callers test ``is_claw_free`` first.
+    taken in a fixed order. A candidate with an empty clique (a vertex of
+    D with no neighbour in R; see ``_generating_cliques``) is never
+    generating and is skipped before its row is built. A candidate row
+    w(X) - w(Y) already in the span of the rows accepted so far is skipped
+    without a search, so at most n rows are accepted and they are
+    independent. Skipping a candidate that the search would reject leaves
+    the echelon, and so the accepted rows, as they were. The result is
+    meaningless on a graph with a claw; callers test ``is_claw_free`` first.
     """
     n = g.n
     echelon: dict[int, list[int]] = {}
@@ -369,11 +375,14 @@ def clawfree_system(g: Graph) -> LinearSystem:
     for kind, x, y in _generating_candidates(g):
         if len(echelon) == n:
             break
+        cliques = _generating_cliques(g, x, y)
+        if not all(cliques):  # some d in D has no neighbour in R
+            continue
         row = _diff_row(n, iter_bits(x), iter_bits(y))
         col = _insert(echelon, row)
         if col is None:
             continue
-        if _is_generating(g, x, y):
+        if meets_all_cliques(g, cliques):
             rows.append(row)
             tags.append(f"generating {kind}")
         else:

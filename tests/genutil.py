@@ -9,7 +9,10 @@ its integer kernel are kept here, unchanged, as differential oracles for it,
 and so are its recursive maximal independent set enumeration, its
 closure search for the maximal strong modules of a prime node, and the
 quotient and system-combining helpers that no solver path used:
-``quotient``, ``combine_disjoint_union`` and ``combine_join``.
+``quotient``, ``combine_disjoint_union`` and ``combine_join``. Whether an
+independent set meets a family of sets is decided by trying every
+independent subset of their union, and the claw-free base's rows are
+rebuilt in the order of tests it first used, span test before search.
 """
 
 import random
@@ -110,12 +113,14 @@ def substitute(seed, modules):
     return Graph.from_edges(n, edges)
 
 
-def rook(m):
-    """K_m x K_m: cells of an m x m board, adjacent in a shared row or column."""
+def rook(m, k=None):
+    """K_m x K_k, by default K_m x K_m: cells of an m x k board, numbered
+    row by row and adjacent in a shared row or column."""
+    k = m if k is None else k
     return Graph.from_edges(
-        m * m,
-        [(a, b) for a in range(m * m) for b in range(a + 1, m * m)
-         if a // m == b // m or a % m == b % m],
+        m * k,
+        [(a, b) for a in range(m * k) for b in range(a + 1, m * k)
+         if a // k == b // k or a % k == b % k],
     )
 
 
@@ -396,6 +401,55 @@ def recursive_enumerate_mis(g, cap):
         found = found[:cap]
     sets = sorted((frozenset(iter_bits(m)) for m in found), key=sorted)
     return MISList(tuple(sets), complete)
+
+
+def brute_meets_all(g, sets):
+    """Whether some independent vertex set meets every set in ``sets`` (a
+    list of bitmasks), by trying every independent subset of their union."""
+    if not all(sets):
+        return False
+    union = 0
+    for s in sets:
+        union |= s
+    stack = [(0, union)]  # (chosen, vertices that may still join it)
+    while stack:
+        chosen, free = stack.pop()
+        if all(s & chosen for s in sets):
+            return True
+        for v in iter_bits(free):
+            free &= ~(1 << v)
+            stack.append((chosen | 1 << v, free & ~g.adj[v]))
+    return False
+
+
+def clawfree_rows_in_search_order(g):
+    """(rows, tags) of ``systems.clawfree_system`` by the order of tests it
+    used first: each candidate's span test, then, if its row is new, the
+    brute-force test of the cliques N(d) & R, computed here vertex by
+    vertex, for d in D (see ``systems._generating_cliques``)."""
+    from wellcovered.linalg import _insert
+    from wellcovered.systems import _generating_candidates
+
+    echelon, rows, tags = {}, [], []
+    for kind, x, y in _generating_candidates(g):
+        if len(echelon) == g.n:
+            break
+        xs, ys = set(iter_bits(x)), set(iter_bits(y))
+        nx = {u for v in xs for u in iter_bits(g.adj[v])}
+        ny = {u for v in ys for u in iter_bits(g.adj[v])}
+        rest = set(range(g.n)) - nx - ny - xs - ys
+        row = tuple((v in xs) - (v in ys) for v in range(g.n))
+        col = _insert(echelon, row)
+        if col is None:
+            continue
+        cliques = [mask_of(rest & set(iter_bits(g.adj[d])))
+                   for d in sorted((nx ^ ny) - xs - ys)]
+        if brute_meets_all(g, cliques):
+            rows.append(row)
+            tags.append(f"generating {kind}")
+        else:
+            del echelon[col]
+    return rows, tags
 
 
 def brute_modules(g):
@@ -687,6 +741,16 @@ def system_rows_int(system):
 def leaf_count(g):
     """Degree-1 vertices (tree leaves)."""
     return sum(1 for v in range(g.n) if g.degree(v) == 1)
+
+
+class CountingAdj(tuple):
+    """An adjacency tuple that counts the reads made through it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
 
 
 def graph6_encode(g):

@@ -4,11 +4,13 @@ import genutil as gu
 from wellcovered.graph import Graph
 from wellcovered.independent_sets import (
     CapExceededError,
+    _cover_refutes,
     enumerate_mis,
     greedy_mis,
     is_well_covered_bruteforce,
     meets_all_cliques,
 )
+from wellcovered.systems import _generating_candidates, _generating_cliques
 
 
 class TestGreedy:
@@ -142,14 +144,9 @@ class TestWellCoveredBruteforce:
             is_well_covered_bruteforce(g, cap=10)
 
 
-def brute_meets_all(g, sets):
-    """Whether some independent vertex subset meets every set, by trying
-    all 2^n subsets."""
-    for s in range(1 << g.n):
-        if all(not g.adj[v] & s for v in range(g.n) if s >> v & 1):
-            if all(c & s for c in sets):
-                return True
-    return False
+def row_cliques(rows, cols):
+    """The row cliques of ``gu.rook(rows, cols)``, as bitmasks."""
+    return [((1 << cols) - 1) << (cols * r) for r in range(rows)]
 
 
 class TestMeetsAllCliques:
@@ -167,15 +164,25 @@ class TestMeetsAllCliques:
     def test_pigeonhole(self):
         # the rows of K8 x K7 are eight cliques; an independent set takes
         # at most one vertex per column, so it meets at most seven of them
-        rows, cols = 8, 7
-        g = Graph.from_edges(
-            rows * cols,
-            [(a, b) for a in range(rows * cols) for b in range(a + 1, rows * cols)
-             if a // cols == b // cols or a % cols == b % cols],
-        )
-        row_cliques = [((1 << cols) - 1) << (cols * r) for r in range(rows)]
-        assert not meets_all_cliques(g, row_cliques)
-        assert meets_all_cliques(g, row_cliques[:cols])
+        g = gu.rook(8, 7)
+        assert not meets_all_cliques(g, row_cliques(8, 7))
+        assert meets_all_cliques(g, row_cliques(8, 7)[:7])
+
+    def test_cover_grows_cliques_only(self):
+        # 1 and 2 are the ends of the path 1-0-2, and 3 is isolated: no
+        # two cliques cover the packing {1}, {2}, {0, 3}, though the two
+        # sets {0, 1, 2} and {3} do, and {1, 2, 3} meets all three
+        g = Graph.from_edges(4, [(0, 1), (0, 2)])
+        assert meets_all_cliques(g, [0b0010, 0b0100, 0b1001])
+
+    @pytest.mark.parametrize("r", range(6, 10))
+    def test_pigeonhole_refuted_without_search(self, r):
+        # the columns cover the r rows of K_r x K_(r-1) with r - 1 cliques,
+        # found with one adjacency read per vertex and no search
+        g = gu.rook(r, r - 1)
+        counted = Graph(g.n, gu.CountingAdj(g.adj))
+        assert not meets_all_cliques(counted, row_cliques(r, r - 1))
+        assert counted.adj.reads <= r * (r - 1)
 
     def test_random_against_subsets(self):
         rng = gu.seeded(91)
@@ -184,4 +191,32 @@ class TestMeetsAllCliques:
             g = gu.random_graph(rng, n, rng.random())
             k = rng.randint(0, 5)
             sets = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(k)]
-            assert meets_all_cliques(g, sets) == brute_meets_all(g, sets)
+            assert meets_all_cliques(g, sets) == gu.brute_meets_all(g, sets)
+        # genuine clique families: parts of the rows and columns of
+        # K_a x K_b, and the cliques N(d) & R that clawfree_system tests
+        families = []
+        for _ in range(150):
+            a, b = rng.randint(1, 4), rng.randint(1, 4)
+            lines = row_cliques(a, b) + [
+                sum(1 << (r * b + c) for r in range(a)) for c in range(b)
+            ]
+            picked = rng.sample(lines, rng.randint(1, len(lines)))
+            families.append((gu.rook(a, b), [
+                line & (rng.getrandbits(a * b) | line & -line) for line in picked
+            ]))
+        while len(families) < 450:
+            g = gu.random_clawfree(rng, 12)
+            for _, x, y in _generating_candidates(g):
+                cliques = _generating_cliques(g, x, y)
+                if cliques and all(cliques) and rng.random() < 0.3:
+                    families.append((g, cliques))
+        fired = missed = 0
+        for g, cliques in families:
+            expected = gu.brute_meets_all(g, cliques)
+            assert meets_all_cliques(g, cliques) == expected
+            if _cover_refutes(g, list(dict.fromkeys(cliques))):
+                assert not expected
+                fired += 1
+            else:
+                missed += 1
+        assert fired and missed

@@ -89,6 +89,27 @@ def test_strategies_agree(family, routes):
     assert len(applied) == routes
 
 
+SKELETONS = {
+    **{f"rook{m}": lambda m=m: gu.rook(m) for m in range(5, 9)},
+    "line": lambda: gu.prime_line_graph(gu.seeded(3), 50, 0.08, (80, 120)),
+}
+
+
+@pytest.mark.parametrize("name", SKELETONS)
+def test_clique_substitution_keeps_dimension(name):
+    # a maximal independent set of the substitution meets the cliques of a
+    # maximal independent set of the skeleton, in any one vertex each: a
+    # well-covered weighting is constant on each clique, and its values
+    # form a well-covered weighting of the skeleton
+    skeleton = SKELETONS[name]()
+    expected = well_covered_dimension(skeleton)
+    rng = gu.seeded(skeleton.n)
+    for _ in range(2):
+        cliques = [gu.complete(rng.randint(1, 4)) for _ in range(skeleton.n)]
+        g, _ = gu.shuffled(rng, gu.substitute(skeleton, cliques))
+        assert well_covered_dimension(g) == expected
+
+
 CLAW_FREE = {
     "rook7": lambda: gu.rook(7),
     "rook8": lambda: gu.rook(8),

@@ -96,16 +96,6 @@ class TestMaximalStrongModules:
         assert lowest_in_module >= 20
 
 
-class _CountingAdj(tuple):
-    """An adjacency tuple that counts the reads made through it."""
-
-    reads = 0
-
-    def __getitem__(self, i):
-        self.reads += 1
-        return tuple.__getitem__(self, i)
-
-
 class TestPrimeSplit:
     """The refinement split against the closure search it replaced."""
 
@@ -150,7 +140,7 @@ class TestPrimeSplit:
         # reads about 2.6n^2
         g = gu.line_graph(gu.random_graph(gu.seeded(11), 12, 0.6))
         assert g.n == 40 and is_prime(g)
-        counted = Graph(g.n, _CountingAdj(g.adj))
+        counted = Graph(g.n, gu.CountingAdj(g.adj))
         blocks = modular._strong_module_masks(counted, counted.full_mask)
         assert blocks == [1 << v for v in range(g.n)]
         assert counted.adj.reads <= 2 * g.n**2

@@ -480,6 +480,18 @@ class TestClawfreeSystem:
             assert all(c in (-1, 0, 1) for row in s.rows for c in row)
             assert same_solution_space(s, brute(g))
 
+    def test_rows_as_in_search_order(self):
+        # skipping candidates with an empty clique before the span test,
+        # and refuting by the packing bound, accept the same rows as span
+        # tests first and a brute-force test of every new row
+        rng = gu.seeded(83)
+        graphs = [gu.rook(m) for m in range(4, 8)]
+        for family in sorted(CLAWFREE_FAMILIES):
+            graphs += [CLAWFREE_FAMILIES[family](rng) for _ in range(40)]
+        for g in graphs:
+            s = clawfree_system(g)
+            assert (list(s.rows), list(s.tags)) == gu.clawfree_rows_in_search_order(g)
+
     @pytest.mark.parametrize("m", range(4, 9))
     def test_rook_dimension(self, m):
         s = clawfree_system(gu.rook(m))
