@@ -9,15 +9,19 @@ corrupt a solution space. Systems derived inside the package from checked
 systems or from ints are built by ``_trusted_system``, which checks nothing
 again. Systems are immutable; elimination always works on copies.
 
-rank, extract_independent_subsystem and null_space_basis share one
-elimination kernel that sees Python ints only. It is incremental: it inserts
-one row into an echelon and tells whether the row was independent of it, so
-the three are loops over it, and so is the claw-free base of ``systems``,
-which skips candidate rows already in the span. Each row is scaled by the
-lcm of its denominators and reduced by fraction-free cross-multiplication,
-in the manner of Bareiss (1968). Inputs and outputs stay exact int and
-Fraction values; null_space_basis returns the canonical basis read off the
-reduced row echelon form, built with one Fraction per nonzero entry.
+rank, extract_independent_subsystem, null_space_basis and
+same_solution_space share one elimination kernel that sees Python ints only.
+It is incremental: it inserts one row into an echelon and tells whether the
+row was independent of it, so they are loops over it, and so is the
+claw-free base of ``systems``, which skips candidate rows already in the
+span. The kernel is sparse: a row is a dict of its nonzero entries,
+``{col: int}``, so a cancellation costs the nonzeros of the echelon row, not
+``num_vars``; the rows of well-covering systems have a handful each. Each
+row is scaled by the lcm of its denominators and reduced by fraction-free
+cross-multiplication, in the manner of Bareiss (1968), always on its
+leftmost nonzero column. Inputs and outputs stay exact int and Fraction
+values; null_space_basis returns the canonical basis read off the reduced
+row echelon form, built with one Fraction per nonzero entry.
 """
 
 from __future__ import annotations
@@ -138,74 +142,85 @@ class Basis:
 # ---------------------------------------------------------------------------
 # elimination
 #
-# _insert is the one kernel: it adds one row to an echelon. The entry of the
-# row under each pivot is cancelled by cross-multiplication with both
-# multipliers divided by their gcd. A row with anything left is kept,
-# divided by its content and signed so that its pivot (first nonzero column)
-# is positive. _echelon feeds it the rows of a system in input order; the
-# claw-free base of systems.py feeds it candidate rows one at a time.
+# _insert is the one kernel: it adds one row to an echelon. Rows are dicts
+# {col: int} of their nonzero entries; an entry that cancels to zero is
+# dropped. The leftmost nonzero column of the row is cancelled against the
+# echelon row with that pivot, by cross-multiplication with both multipliers
+# divided by their gcd, until the row is empty or its leftmost column has no
+# echelon row. Then the row is kept, divided by its content and signed so
+# that its pivot is positive. _echelon feeds _insert the rows of a system in
+# input order; the claw-free base of systems.py feeds it candidate rows one
+# at a time.
 
 
-def _integer_row(row: Sequence[Coeff]) -> list[int]:
-    """The row times the lcm of its denominators."""
-    d = lcm(*[x.denominator for x in row])
+def _integer_row(row: Sequence[Coeff]) -> dict[int, int]:
+    """The nonzero entries of the row times the lcm of their denominators."""
+    nz = {c: x for c, x in enumerate(row) if x}
+    d = lcm(*[x.denominator for x in nz.values()])
     if d == 1:
-        return [x.numerator for x in row]
-    return [x.numerator * (d // x.denominator) for x in row]
+        return {c: x.numerator for c, x in nz.items()}
+    return {c: x.numerator * (d // x.denominator) for c, x in nz.items()}
 
 
-def _primitive(row: list[int], pivot: int) -> list[int]:
-    """The row divided by its content, with a nonnegative entry at ``pivot``."""
-    g = gcd(*row)
+def _primitive(row: dict[int, int], pivot: int) -> dict[int, int]:
+    """The row divided by its content, with a positive entry at ``pivot``."""
+    g = gcd(*row.values())
     if row[pivot] < 0:
         g = -g
-    return row if g in (0, 1) else [x // g for x in row]
+    return row if g == 1 else {c: x // g for c, x in row.items()}
 
 
-def _cancel(row: list[int], er: list[int], col: int) -> list[int]:
-    """A combination of ``row`` and ``er`` that is zero at ``col``.
+def _cancel(row: dict[int, int], er: dict[int, int], col: int) -> dict[int, int]:
+    """A combination of ``row`` and ``er`` without column ``col``.
 
-    ``er[col]`` must be nonzero. Entries left of ``col`` that are zero in
-    both rows stay zero.
+    Both rows hold ``col``. ``row`` is consumed: the result may be ``row``
+    itself, changed in place. Reads every entry of ``er`` once.
     """
     g = gcd(er[col], row[col])
     a, b = er[col] // g, row[col] // g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, y in er.items():
+        x = row.get(c, 0) - b * y
+        if x:
+            row[c] = x
+        else:
+            del row[c]
     if a == 1:
-        return [x - b * y for x, y in zip(row, er)]
+        return row
     # the result is zero at col, so only its content is divided out
-    return _primitive([a * x - b * y for x, y in zip(row, er)], col)
+    g = gcd(*row.values())
+    return row if g in (0, 1) else {c: x // g for c, x in row.items()}
 
 
-def _insert(echelon: dict[int, list[int]], row: Sequence[Coeff]) -> int | None:
+def _insert(echelon: dict[int, dict[int, int]], row: Sequence[Coeff]) -> int | None:
     """Reduce ``row`` against ``echelon`` and, if anything is left, store it.
 
-    ``echelon`` maps pivot columns to primitive integer rows with a positive
-    pivot and zeros left of it. Returns the pivot column of the stored row,
-    or None when ``row`` lies in the span of the echelon. A caller that
-    decides against a stored row removes it with ``del echelon[col]``.
+    ``echelon`` maps pivot columns to primitive sparse integer rows with a
+    positive pivot and nothing left of it. Returns the pivot column of the
+    stored row, or None when ``row`` lies in the span of the echelon. A
+    caller that decides against a stored row removes it with
+    ``del echelon[col]``.
     """
-    n = len(row)
     work = _integer_row(row)
-    lead = 0
-    while True:
-        lead = next((c for c in range(lead, n) if work[c]), n)
+    while work:
+        lead = min(work)
         er = echelon.get(lead)
         if er is None:
-            break
+            echelon[lead] = _primitive(work, lead)
+            return lead
         work = _cancel(work, er, lead)
-    if lead == n:
-        return None
-    echelon[lead] = _primitive(work, lead)
-    return lead
+    return None
 
 
-def _echelon(s: LinearSystem) -> tuple[list[int], dict[int, list[int]]]:
+def _echelon(s: LinearSystem) -> tuple[list[int], dict[int, dict[int, int]]]:
     """Greedy integer echelon of the rows of ``s``, taken in input order.
 
     Returns the indices of the kept rows (each independent of the rows
     before it) and the echelon built by ``_insert``.
     """
-    echelon: dict[int, list[int]] = {}
+    echelon: dict[int, dict[int, int]] = {}
     kept: list[int] = []
     for idx, row in enumerate(s.rows):
         if len(echelon) == s.num_vars:
@@ -243,45 +258,42 @@ def null_space_basis(s: LinearSystem) -> Basis:
     has num_vars - rank(s) vectors.
     """
     _, echelon = _echelon(s)
-    pivots = sorted(echelon)
-    # back-substitution, bottom-up: clear every later pivot column, so row i
-    # becomes a positive multiple of row i of the reduced row echelon form
-    rows: dict[int, list[int]] = {}
-    for i in range(len(pivots) - 1, -1, -1):
-        pc = pivots[i]
+    # back-substitution, bottom-up: clear every later pivot column, so each
+    # row becomes a positive multiple of its row of the reduced row echelon
+    # form. A reduced row is zero at every other pivot column, so cancelling
+    # with it brings in no pivot column to clear.
+    rows: dict[int, dict[int, int]] = {}
+    for pc in sorted(echelon, reverse=True):
         row = echelon[pc]
-        for later in pivots[i + 1:]:
-            if row[later]:
-                row = _cancel(row, rows[later], later)
+        for later in [c for c in row if c in rows]:
+            row = _cancel(row, rows[later], later)
         rows[pc] = _primitive(row, pc)
-    vectors = []
-    for free in range(s.num_vars):
-        if free in rows:
-            continue
-        vals: list[Coeff] = [0] * s.num_vars
+    n = s.num_vars
+    free_vals = {free: [0] * n for free in range(n) if free not in rows}
+    for free, vals in free_vals.items():
         vals[free] = 1
-        for pc, row in rows.items():
-            if row[free]:
-                vals[pc] = _canon(Fraction(-row[free], row[pc]))
-        vectors.append(WeightVector(tuple(vals)))
-    return Basis(tuple(vectors))
+    for pc, row in rows.items():
+        p = row[pc]
+        for c, x in row.items():
+            if c != pc:  # every other column of a reduced row is free
+                free_vals[c][pc] = -x if p == 1 else _canon(Fraction(-x, p))
+    return Basis(tuple(WeightVector(tuple(v)) for v in free_vals.values()))
 
 
 def same_solution_space(a: LinearSystem, b: LinearSystem) -> bool:
     """True iff the two systems have identical solution sets.
 
-    Row spaces coincide exactly when rank(a) = rank(b) = rank(a + b).
+    Row spaces coincide exactly when every row of b lies in the span of a
+    and rank(b) = rank(a).
     """
     if a.num_vars != b.num_vars:
         raise ValueError(
             f"variable count mismatch: {a.num_vars} vs {b.num_vars}"
         )
-    ra = rank(a)
-    rb = rank(b)
-    if ra != rb:
+    _, echelon = _echelon(a)
+    if any(_insert(echelon, row) is not None for row in b.rows):
         return False
-    union = _trusted_system(a.num_vars, a.rows + b.rows, a.tags + b.tags)
-    return rank(union) == ra
+    return rank(b) == len(echelon)
 
 
 def evaluate(s: LinearSystem, w: WeightVector | Sequence[Coeff]) -> bool:

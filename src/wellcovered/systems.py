@@ -369,7 +369,7 @@ def clawfree_system(g: Graph) -> LinearSystem:
     meaningless on a graph with a claw; callers test ``is_claw_free`` first.
     """
     n = g.n
-    echelon: dict[int, list[int]] = {}
+    echelon: dict[int, dict[int, int]] = {}
     rows: list[tuple[Coeff, ...]] = []
     tags: list[str] = []
     for kind, x, y in _generating_candidates(g):

@@ -5,19 +5,21 @@ independent sets come from filtering all vertex subsets, module structure
 from testing all subsets against the definition, ranks from integer
 fraction-free (Bareiss) elimination, and pattern containment from explicit
 injective embeddings. The Fraction elimination loops the library used before
-its integer kernel are kept here, unchanged, as differential oracles for it,
-and so are its recursive maximal independent set enumeration, its
-closure search for the maximal strong modules of a prime node, and the
-quotient and system-combining helpers that no solver path used:
-``quotient``, ``combine_disjoint_union`` and ``combine_join``. Whether an
-independent set meets a family of sets is decided by trying every
-independent subset of their union, and the claw-free base's rows are
-rebuilt in the order of tests it first used, span test before search.
+its integer kernel, and the dense integer kernel it used before its sparse
+one, are kept here, unchanged, as differential oracles for it, and so are
+its recursive maximal independent set enumeration, its closure search for
+the maximal strong modules of a prime node, and the quotient and
+system-combining helpers that no solver path used: ``quotient``,
+``combine_disjoint_union`` and ``combine_join``. Whether an independent set
+meets a family of sets is decided by trying every independent subset of
+their union, and the claw-free base's rows are rebuilt in the order of
+tests it first used, span test before search.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 from wellcovered.graph import Graph, induced_subgraph, iter_bits, mask_of
 from wellcovered.independent_sets import MISList
@@ -723,6 +725,71 @@ def fraction_rref_basis(s):
             vals[pc] = _canon(-row[free])
         vectors.append(WeightVector(tuple(vals)))
     return Basis(tuple(vectors))
+
+
+# The dense integer kernel below is the library's former _integer_row,
+# _primitive, _cancel, _insert and _echelon, kept verbatim: rows are lists of
+# num_vars ints.
+
+
+def _dense_integer_row(row):
+    """The row times the lcm of its denominators."""
+    d = lcm(*[x.denominator for x in row])
+    if d == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
+def _dense_primitive(row, pivot):
+    """The row divided by its content, with a nonnegative entry at ``pivot``."""
+    g = gcd(*row)
+    if row[pivot] < 0:
+        g = -g
+    return row if g in (0, 1) else [x // g for x in row]
+
+
+def _dense_cancel(row, er, col):
+    """A combination of ``row`` and ``er`` that is zero at ``col``.
+
+    ``er[col]`` must be nonzero. Entries left of ``col`` that are zero in
+    both rows stay zero.
+    """
+    g = gcd(er[col], row[col])
+    a, b = er[col] // g, row[col] // g
+    if a == 1:
+        return [x - b * y for x, y in zip(row, er)]
+    # the result is zero at col, so only its content is divided out
+    return _dense_primitive([a * x - b * y for x, y in zip(row, er)], col)
+
+
+def _dense_insert(echelon, row):
+    """Reduce ``row`` against ``echelon`` and, if anything is left, store it."""
+    n = len(row)
+    work = _dense_integer_row(row)
+    lead = 0
+    while True:
+        lead = next((c for c in range(lead, n) if work[c]), n)
+        er = echelon.get(lead)
+        if er is None:
+            break
+        work = _dense_cancel(work, er, lead)
+    if lead == n:
+        return None
+    echelon[lead] = _dense_primitive(work, lead)
+    return lead
+
+
+def dense_echelon(s):
+    """(kept row indices, echelon of dense primitive rows) of the rows of
+    ``s`` in input order, by the former dense integer kernel."""
+    echelon = {}
+    kept = []
+    for idx, row in enumerate(s.rows):
+        if len(echelon) == s.num_vars:
+            break
+        if _dense_insert(echelon, row) is not None:
+            kept.append(idx)
+    return kept, echelon
 
 
 def system_rows_int(system):

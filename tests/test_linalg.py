@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genutil as gu
+import wellcovered.linalg as linalg
 from wellcovered.linalg import (
     Basis,
     LinearSystem,
@@ -24,7 +25,7 @@ from wellcovered.linalg import (
     system_to_json,
     system_to_text,
 )
-from wellcovered.systems import bruteforce_system
+from wellcovered.systems import bruteforce_system, clawfree_system
 
 BULL_ROWS = [(0, 0, -1, 1, -1), (-1, 1, -1, 0, 0)]
 BULL_BASIS = [(1, 1, 0, 0, 0), (0, 1, 1, 1, 0), (0, 0, 0, 1, 1)]
@@ -54,7 +55,6 @@ class TestConstruction:
     def test_internal_builds_check_nothing(self, monkeypatch):
         # entries are checked at the public boundary; systems derived from
         # checked systems or ints inside the package are not checked again
-        import wellcovered.linalg as linalg
         from wellcovered.systems import (
             STRATEGIES,
             SolverConfig,
@@ -243,6 +243,28 @@ def rational_systems(draw):
     return make_system(n, rows, [f"r{i}" for i in range(len(rows))])
 
 
+@st.composite
+def wide_sparse_systems(draw):
+    """Systems over up to 200 variables whose rows have at most 4 nonzero
+    entries, with duplicate, rescaled and zero rows, in shuffled order."""
+    n = draw(st.integers(0, 200))
+    rows = []
+    for _ in range(draw(st.integers(0, 12 if n else 2))):
+        row = [0] * n
+        for c in draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else ():
+            row[c] = draw(_entries())
+        rows.append(tuple(row))
+    extra = []
+    for row in rows:
+        for factor in draw(
+            st.lists(st.sampled_from([1, -1, 3, Fraction(-2, 3)]), max_size=2)
+        ):
+            extra.append(tuple(factor * x for x in row))
+    extra += [(0,) * n] * draw(st.integers(0, 2))
+    rows = draw(st.permutations(rows + extra))
+    return make_system(n, rows, [f"r{i}" for i in range(len(rows))])
+
+
 def _integral_rows(s):
     """Each row times the product of its denominators."""
     out = []
@@ -262,6 +284,13 @@ def _basis_repr(b):
 def _assert_matches_oracles(s):
     r = rank(s)
     assert r == gu.fraction_rank(s) == gu.bareiss_rank(_integral_rows(s))
+    # the sparse kernel does the dense kernel's arithmetic on the nonzeros
+    kept, echelon = linalg._echelon(s)
+    dense_kept, dense = gu.dense_echelon(s)
+    assert kept == dense_kept
+    assert echelon == {
+        pc: {c: x for c, x in enumerate(row) if x} for pc, row in dense.items()
+    }
     out = extract_independent_subsystem(s)
     expected = gu.fraction_extract(s)
     assert out.rows == expected.rows and out.tags == expected.tags
@@ -274,6 +303,24 @@ class TestKernelAgainstFractionOracles:
     @given(rational_systems())
     def test_random_rational_systems(self, s):
         _assert_matches_oracles(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_sparse_systems())
+    def test_wide_sparse_systems(self, s):
+        _assert_matches_oracles(s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_systems(), st.data())
+    def test_same_solution_space_matches_ranks(self, a, data):
+        # b takes rescaled rows of a and sums of two of them, so that equal,
+        # smaller and (swapped) larger row spaces all occur
+        picks = data.draw(st.lists(st.sampled_from(a.rows), max_size=4)) if a.rows else []
+        rows = [tuple(-2 * x for x in r) for r in picks]
+        rows += [tuple(x + y for x, y in zip(r, t)) for r, t in zip(picks, picks[1:])]
+        b = make_system(a.num_vars, rows)
+        union = make_system(a.num_vars, a.rows + b.rows)
+        expected = gu.fraction_rank(a) == gu.fraction_rank(b) == gu.fraction_rank(union)
+        assert same_solution_space(a, b) == same_solution_space(b, a) == expected
 
     def test_negative_pivots(self):
         s = make_system(3, [(-2, 4, 0), (0, -3, 1), (1, -2, 0), (0, 0, -5)])
@@ -295,6 +342,25 @@ class TestKernelAgainstFractionOracles:
 
 
 class TestIncrementalInsert:
+    def test_span_test_reads_sparse_rows(self, monkeypatch):
+        # the claw-free base's candidate rows have at most four nonzero
+        # entries; a cancellation reads only the nonzeros of the echelon
+        # row (4.0 per call on K_m x K_m), where a dense row holds m^2
+        real = linalg._cancel
+        calls, reads = [0], [0]
+
+        def counting(row, er, col):
+            calls[0] += 1
+            reads[0] += len(er)
+            return real(row, er, col)
+
+        monkeypatch.setattr(linalg, "_cancel", counting)
+        for m in range(6, 10):
+            calls[0] = reads[0] = 0
+            assert len(clawfree_system(gu.rook(m))) == m * m - (2 * m - 1)
+            assert calls[0] > 0
+            assert reads[0] <= 8 * calls[0]
+
     def test_span_and_removal(self):
         echelon = {}
         assert _insert(echelon, (1, -1, 0)) == 0
@@ -302,7 +368,7 @@ class TestIncrementalInsert:
         assert _insert(echelon, (2, 0, -2)) is None  # in the span
         assert _insert(echelon, (Fraction(1, 2), 0, Fraction(-1, 2))) is None
         col = _insert(echelon, (0, 0, 3))
-        assert col == 2 and echelon[2] == [0, 0, 1]
+        assert col == 2 and echelon[2] == {2: 1}
         del echelon[col]  # the caller turned the row down
         assert sorted(echelon) == [0, 1]
         assert _insert(echelon, (0, 0, 1)) == 2
