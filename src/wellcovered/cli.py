@@ -96,12 +96,8 @@ def _config(args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(strategy=args.strategy, mis_cap=args.mis_cap)
 
 
-def _vname(v: int) -> str:
-    return f"v_{v + 1}"
-
-
 def _vset(vertices) -> str:
-    return "{" + ", ".join(_vname(v) for v in sorted(vertices)) + "}"
+    return "{" + ", ".join(f"v_{v + 1}" for v in sorted(vertices)) + "}"
 
 
 def _emit(
@@ -133,7 +129,7 @@ def _run_basis(args, g: Graph) -> None:
     _emit(
         args,
         lambda: basis_to_json(basis, g.n),
-        lambda: "\n".join(" ".join(str(x) for x in vec) for vec in basis.vectors),
+        lambda: "\n".join(" ".join(map(str, vec)) for vec in basis.vectors),
     )
 
 
@@ -200,7 +196,7 @@ def _mdtree_text(tree: MDNode) -> str:
     while stack:
         node, depth = stack.pop()
         if node.is_leaf:
-            lines.append(f"{'  ' * depth}leaf {_vname(node.vertex)}")
+            lines.append(f"{'  ' * depth}leaf v_{node.vertex + 1}")
         else:
             lines.append(f"{'  ' * depth}{node.kind} {_vset(node.vertex_set)}")
         stack.extend((c, depth + 1) for c in reversed(node.children))

@@ -193,17 +193,15 @@ def parse_graph6(text: str) -> Graph:
         raise GraphParseError(
             f"graph6: expected {need} data bytes for n={n}, got {len(data) - pos}"
         )
-    bits = []
-    for b in data[pos:]:
-        bits.extend((b >> shift) & 1 for shift in range(5, -1, -1))
+    bits = "".join(f"{b:06b}" for b in data[pos:])
     masks = [0] * n
     k = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-            k += 1
+        # column j holds the pairs (0, j) .. (j - 1, j), lowest vertex first
+        masks[j] = int(bits[k:k + j][::-1], 2)
+        k += j
+        for i in iter_bits(masks[j]):
+            masks[i] |= 1 << j
     return Graph(n, tuple(masks))
 
 

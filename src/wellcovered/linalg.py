@@ -47,10 +47,6 @@ def _canon(x: Coeff) -> Coeff:
     return x
 
 
-def _q(x: Coeff) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class LinearSystem:
     """A homogeneous linear system with one variable per vertex.
@@ -319,7 +315,7 @@ def system_to_json(s: LinearSystem) -> dict:
     """JSON-friendly dict with rows as [numerator, denominator] pairs."""
     return {
         "num_vars": s.num_vars,
-        "rows": [[[_q(x).numerator, _q(x).denominator] for x in row] for row in s.rows],
+        "rows": [[[x.numerator, x.denominator] for x in row] for row in s.rows],
         "tags": list(s.tags),
     }
 
@@ -336,9 +332,7 @@ def basis_to_json(b: Basis, num_vars: int) -> dict:
     """JSON form of ``b``, a basis of weightings of ``num_vars`` variables."""
     return {
         "num_vars": num_vars,
-        "vectors": [
-            [[_q(x).numerator, _q(x).denominator] for x in v] for v in b.vectors
-        ],
+        "vectors": [[[x.numerator, x.denominator] for x in v] for v in b.vectors],
     }
 
 
@@ -354,24 +348,20 @@ def basis_from_json(data: dict) -> Basis:
 def format_equation(row: Sequence[Coeff]) -> str:
     """Render a row as a signed equation, e.g. "-x_3 + x_4 - x_5 = 0".
 
-    Variables are 1-indexed. Unit coefficients print as bare signed terms;
-    other rationals print as "p/q*x_i".
+    Coefficients are exact, ints or Fractions, as ``LinearSystem`` rows
+    hold them; a float is not a valid coefficient, and one prints as Python
+    prints it. Variables are 1-indexed. Unit coefficients print as bare
+    signed terms; other rationals print as "p/q*x_i".
     """
-    terms = []
-    for i, c in enumerate(row):
-        if c == 0:
-            continue
-        mag = abs(_q(c))
-        name = f"x_{i + 1}"
-        body = name if mag == 1 else f"{mag}*{name}"
-        terms.append(("-" if c < 0 else "+", body))
-    if not terms:
+    text = " ".join(
+        f"{'-' if c < 0 else '+'} {'' if abs(c) == 1 else f'{abs(c)}*'}x_{i + 1}"
+        for i, c in enumerate(row)
+        if c
+    )
+    if not text:
         return "0 = 0"
-    first_sign, first_body = terms[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in terms[1:]:
-        text += f" {sign} {body}"
-    return text + " = 0"
+    # the first term carries no "+" and no space after its sign
+    return (text[2:] if text[0] == "+" else "-" + text[2:]) + " = 0"
 
 
 def system_to_text(s: LinearSystem) -> str:

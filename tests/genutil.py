@@ -821,9 +821,13 @@ class CountingAdj(tuple):
 
 
 def graph6_encode(g):
-    """Independent graph6 encoder for round-trip tests (n <= 62)."""
-    assert g.n <= 62
-    chars = [chr(63 + g.n)]
+    """Independent graph6 encoder for round-trip tests (n <= 258047): the
+    order is one byte up to n = 62, else "~" and three 6-bit bytes."""
+    assert g.n <= 258047
+    if g.n <= 62:
+        chars = [chr(63 + g.n)]
+    else:
+        chars = ["~"] + [chr(63 + ((g.n >> shift) & 63)) for shift in (12, 6, 0)]
     bits = []
     for j in range(1, g.n):
         for i in range(j):
@@ -836,6 +840,53 @@ def graph6_encode(g):
             val = (val << 1) | b
         chars.append(chr(63 + val))
     return "".join(chars)
+
+
+# The renderers below are the library's former format_equation, JSON
+# coefficient pairs, vertex-set names and text mdtree, kept verbatim as
+# references for the output layer.
+
+
+def format_equation_reference(row):
+    terms = []
+    for i, c in enumerate(row):
+        if c == 0:
+            continue
+        mag = abs(_q(c))
+        name = f"x_{i + 1}"
+        body = name if mag == 1 else f"{mag}*{name}"
+        terms.append(("-" if c < 0 else "+", body))
+    if not terms:
+        return "0 = 0"
+    first_sign, first_body = terms[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in terms[1:]:
+        text += f" {sign} {body}"
+    return text + " = 0"
+
+
+def json_pairs_reference(row):
+    return [[_q(x).numerator, _q(x).denominator] for x in row]
+
+
+def _vname_reference(v):
+    return f"v_{v + 1}"
+
+
+def vset_reference(vertices):
+    return "{" + ", ".join(_vname_reference(v) for v in sorted(vertices)) + "}"
+
+
+def mdtree_text_reference(tree):
+    lines, stack = [], [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node.is_leaf:
+            lines.append(f"{'  ' * depth}leaf {_vname_reference(node.vertex)}")
+        else:
+            lines.append(f"{'  ' * depth}{node.kind} {vset_reference(node.vertex_set)}")
+        stack.extend((c, depth + 1) for c in reversed(node.children))
+    return "\n".join(lines)
 
 
 def seeded(seed):

@@ -9,15 +9,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genutil as gu
-from wellcovered.cli import main
+from wellcovered.cli import _mdtree_text, _vset, main
 from wellcovered.linalg import (
     basis_from_json,
     make_system,
     same_solution_space,
     system_from_json,
 )
+from wellcovered.modular import md_tree
 from wellcovered.systems import bruteforce_system
 
 BULL = "5\n0 1\n1 2\n2 3\n3 4\n1 3\n"
@@ -374,6 +377,21 @@ class TestMdtreeVerb:
         assert data["quotient"]["edges"] == [[0, 1], [0, 2], [1, 2]]
         assert len(data["children"]) == 3
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_text_matches_reference(self, seed, cograph):
+        rng = gu.seeded(seed)
+        if cograph:
+            g = gu.random_cograph(rng, rng.randint(1, 40))
+        else:
+            g = gu.shuffled_substitution(rng, (4, 7), (1, 6))
+        tree = md_tree(g)
+        assert _mdtree_text(tree) == gu.mdtree_text_reference(tree)
+
+    @given(st.sets(st.integers(0, 200)))
+    def test_vertex_sets_match_reference(self, vertices):
+        assert _vset(vertices) == gu.vset_reference(vertices)
+
 
 class TestRecognizeVerb:
     def test_p4(self, capsys, monkeypatch):
@@ -506,6 +524,7 @@ class TestCommandLineContract:
         assert [argv[0] for argv, _, _ in examples] == [
             "system",
             "dimension",
+            "is-well-covered",
             "is-well-covered",
         ]
         for argv, stdin, expected in examples:

@@ -107,6 +107,13 @@ class TestParseGraph6:
             g = gu.random_graph(rng, rng.randint(0, 12), rng.random())
             assert parse_graph(gu.graph6_encode(g), "graph6") == g
 
+    @pytest.mark.parametrize("n", [62, 63, 64, 130, 300])
+    @pytest.mark.parametrize("p", [0, 0.02, 0.5, 1])
+    def test_roundtrip_across_order_forms(self, n, p):
+        # n = 62 is the last one-byte order, n >= 63 takes "~" + 3 bytes
+        g = gu.random_graph(gu.seeded(n), n, p)
+        assert parse_graph(gu.graph6_encode(g), "graph6") == g
+
     def test_long_order_encoding(self):
         # 3-byte order form: n=100 edgeless needs ceil(4950/6) zero bytes
         text = "~?@c" + "?" * 825

@@ -1,7 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genutil as gu
@@ -459,3 +460,41 @@ class TestSerialization:
     def test_text_with_tags(self):
         s = make_system(2, [(1, -1)], ["pair"])
         assert system_to_text(s) == "x_1 - x_2 = 0  # pair"
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_systems())
+    @example(make_system(3, [(-2, Fraction(-1), Fraction(3, 2))], [""]))
+    @example(make_system(3, [(Fraction(-1), 0, -1), (0, 0, 0)], ["a", ""]))
+    @example(make_system(2, [(Fraction(-7, 3), Fraction(4))], ["x"]))
+    @example(make_system(0, [(), ()]))
+    def test_renderers_match_reference(self, s):
+        for row in s.rows:
+            assert format_equation(row) == gu.format_equation_reference(row)
+        assert system_to_text(s) == "\n".join(
+            gu.format_equation_reference(row) + (f"  # {tag}" if tag else "")
+            for row, tag in zip(s.rows, s.tags)
+        )
+        pairs = [gu.json_pairs_reference(row) for row in s.rows]
+        assert json.dumps(system_to_json(s)) == json.dumps(
+            {"num_vars": s.num_vars, "rows": pairs, "tags": list(s.tags)}
+        )
+        b = Basis(tuple(WeightVector(row) for row in s.rows))
+        assert json.dumps(basis_to_json(b, s.num_vars)) == json.dumps(
+            {"num_vars": s.num_vars, "vectors": pairs}
+        )
+
+    def test_int_rows_render_without_fractions(self, monkeypatch):
+        s = make_system(4, [(1, -1, 0, 2), (0, 0, -3, 1)], ["pair", ""])
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        text = system_to_text(s)
+        data = system_to_json(s)
+        assert made == []
+        assert text == "x_1 - x_2 + 2*x_4 = 0  # pair\n-3*x_3 + x_4 = 0"
+        assert data["rows"][1] == [[0, 1], [0, 1], [-3, 1], [1, 1]]
