@@ -6,6 +6,11 @@ graph. Adjacency is stored as one Python integer bitmask per vertex, which
 keeps neighborhood algebra (intersections, complements within a vertex
 subset) cheap even for a few thousand vertices. Graphs are immutable; every
 operation returns a new graph.
+
+Edge lists in the canonical layout the generators write (a header of digits,
+then "u v" lines) are read by a fast path that checks and tokenizes the text
+with bytes operations; any other text, and every error, is left to the line
+parser, which reads anything the format allows.
 """
 
 from __future__ import annotations
@@ -125,7 +130,90 @@ def parse_edge_list(text: str) -> Graph:
     The explicit vertex count makes isolated vertices representable; it may
     be at most ``MAX_VERTICES``. Blank lines are ignored. Errors name the
     offending 1-based line number.
+
+    Canonical text (a header of digits, then lines that are exactly "u v"
+    with each index spelled as ``str`` spells it, as the README and the
+    generators write it) takes a fast path that tokenizes with bytes
+    operations and builds each mask once. Any other text goes to the line
+    parser, which reads it as before; every error comes from there.
     """
+    g = _parse_canonical(text)
+    return g if g is not None else _parse_lines(text)
+
+
+_DIGITS = b"0123456789"
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_CHUNK = 1 << 18
+
+
+def _parse_canonical(text: str) -> Graph | None:
+    """The graph of a canonical edge list, or None when in any doubt.
+
+    A missing final newline is supplied. Each chunk of about 256 KB, cut at
+    a newline, must read one " \\n" per line once its digits are deleted
+    and split into two tokens per line; together these rule out empty,
+    padded and split tokens. An index missing from the table of canonical
+    spellings (out of range, "007", "+3") or a self-loop also returns None.
+    Never raises.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode()
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    start = data.find(b"\n") + 1
+    head = data[:start - 1]
+    # int() is not asked to read a header longer than any allowed count
+    if not (head.isdigit() and len(head) <= len(str(MAX_VERTICES))):
+        return None
+    n = int(head)
+    if n > MAX_VERTICES:
+        return None
+    index = {str(i).encode(): i for i in range(n)}
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    while start < len(data):
+        end = data.find(b"\n", start + _CHUNK) + 1 or len(data)
+        chunk = data[start:end]
+        lines = chunk.count(b"\n")
+        tokens = chunk.split()
+        shape = chunk.translate(None, _DIGITS)
+        if len(tokens) != 2 * lines or shape != b" \n" * lines:
+            return None
+        ends = map(index.__getitem__, tokens)
+        try:
+            for u, v in zip(ends, ends):
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+        except KeyError:
+            return None
+        start = end
+    row = bytearray(n)
+    masks = []
+    for u, vs in enumerate(nbrs):
+        # few neighbours: OR in one shifted int each; many: one O(n) row read
+        if len(vs) < 64 or len(vs) * 64 < n:
+            mask = mask_of(vs)
+        else:
+            mask = _row_mask(row, vs)
+        if mask >> u & 1:
+            return None
+        masks.append(mask)
+    return Graph(n, tuple(masks))
+
+
+def _row_mask(row: bytearray, vs: list[int]) -> int:
+    """The mask of ``vs``: marked in the all-zero ``row``, read as bits, and
+    unmarked again."""
+    for v in vs:
+        row[v] = 1
+    mask = int(row[::-1].translate(_BITS), 2)
+    for v in vs:
+        row[v] = 0
+    return mask
+
+
+def _parse_lines(text: str) -> Graph:
+    """Read any edge-list text line by line; the source of every error."""
     n = None
     masks: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

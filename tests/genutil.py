@@ -13,7 +13,9 @@ system-combining helpers that no solver path used: ``quotient``,
 ``combine_disjoint_union`` and ``combine_join``. Whether an independent set
 meets a family of sets is decided by trying every independent subset of
 their union, and the claw-free base's rows are rebuilt in the order of
-tests it first used, span test before search.
+tests it first used, span test before search. A copy of the edge-list
+line parser as it stood before the canonical fast path is the reference
+that every edge-list parse is compared with.
 """
 
 import random
@@ -21,11 +23,71 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
 
-from wellcovered.graph import Graph, induced_subgraph, iter_bits, mask_of
+from wellcovered.graph import (
+    Graph,
+    GraphParseError,
+    _check_order,
+    induced_subgraph,
+    iter_bits,
+    mask_of,
+)
 from wellcovered.independent_sets import MISList
 from wellcovered.linalg import Basis, LinearSystem, WeightVector
 from wellcovered.modular import is_module, is_prime
 from wellcovered.systems import lift_subgraph_system
+
+
+# ---------------------------------------------------------------------------
+# reference parser
+
+
+def parse_edge_list_lines(text: str) -> Graph:
+    """Parse the edge-list format: first line "n", then lines "u v".
+
+    The explicit vertex count makes isolated vertices representable; it may
+    be at most ``MAX_VERTICES``. Blank lines are ignored. Errors name the
+    offending 1-based line number.
+    """
+    n = None
+    masks: list[int] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if n is None:
+            try:
+                n = int(line)
+            except ValueError:
+                raise GraphParseError(
+                    f"line {lineno}: expected vertex count, got {line!r}"
+                ) from None
+            if n < 0:
+                raise GraphParseError(f"line {lineno}: vertex count must be >= 0")
+            _check_order(n, f"line {lineno}: ")
+            masks = [0] * n
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphParseError(
+                f"line {lineno}: expected an edge 'u v', got {line!r}"
+            )
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError(
+                f"line {lineno}: non-integer vertex in {line!r}"
+            ) from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphParseError(
+                f"line {lineno}: vertex index out of range (n={n}) in {line!r}"
+            )
+        if u == v:
+            raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    if n is None:
+        raise GraphParseError("line 1: missing vertex count")
+    return Graph(n, tuple(masks))
 
 
 # ---------------------------------------------------------------------------

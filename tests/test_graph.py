@@ -1,10 +1,14 @@
+import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genutil as gu
+from wellcovered import graph as graph_module
 from wellcovered.graph import (
     MAX_VERTICES,
     Graph,
@@ -80,6 +84,203 @@ class TestParseEdgeList:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def parse_outcome(parse, text):
+    """The graph ``parse`` returns for ``text``, or the message it raises."""
+    try:
+        return parse(text)
+    except GraphParseError as e:
+        return f"GraphParseError: {e}"
+
+
+def edge_list_text(n, edges):
+    """The layout the bench generators and the README write."""
+    return "\n".join([str(n)] + [f"{u} {v}" for u, v in edges]) + "\n"
+
+
+def threshold2000_text():
+    n = 2000
+    return edge_list_text(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+
+
+MUTANTS = ["0", "1", "7", "9", "00", " ", "  ", "\t", "\n", "\r\n", "\r",
+           "\x0b", "\x0c", "\x1c", "\u2028", "+", "-", "_", "x", "\u0663",
+           "\uff13"]
+
+
+@st.composite
+def mutated_canonical_texts(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    ends = st.integers(min_value=0, max_value=n + 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=12))
+    text = edge_list_text(n, edges)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        cut = draw(st.integers(min_value=0, max_value=2))
+        text = text[:at] + draw(st.sampled_from(MUTANTS + [""])) + text[at + cut:]
+    return text
+
+
+EXPLICIT_CASES = [
+    # line endings and spacing
+    "3\r\n0 1\r\n1 2\r\n",
+    "3\n0\t1\n1 2\n",
+    "3\n\n0 1\n\n1 2\n",
+    "\n3\n0 1\n",
+    "3\n0 1\n\n",
+    "3\n 0 1\n1 2 \n",
+    "3\n0  1\n",
+    "3\n0 1\n1 2",
+    "3\n0 1\x0b1 2\n",
+    "3\n0 1\n\x0c",
+    "3\n0 1\n\x1c",
+    "003\n0 1\n",
+    "000003\n0 1\n",
+    " 3 \n0 1\n",
+    "3 \n0 1\n",
+    "5\n0 \n1 2\n3",
+    "5\n0 \n 1\n",
+    "5\n \n0 1\n",
+    "5\n\n0 1 2 3\n",
+    "5\n0 1 2 3\n\n",
+    # bad tokens
+    "3\n0\n",
+    "3\n0 1 2\n",
+    "3\n007 1\n",
+    "9\n007 1\n",
+    "3\n+1 2\n",
+    "3\n-0 2\n",
+    "11\n1_0 2\n",
+    "3\n1_0 2\n",
+    "5\n\u0663 1\n",
+    "5\n\uff13 1\n",
+    "3\na b\n",
+    "3\n0 1\n-1 2\n",
+    # bad edges
+    "3\n1 1\n",
+    "3\n0 1\n2 2\n",
+    "3\n0 3\n",
+    "3\n3 0\n",
+    "3\n0 1\n1 0\n0 1\n",
+    # headers
+    "0\n",
+    "0",
+    "0\n0 1\n",
+    "0\n0 0\n",
+    f"{MAX_VERTICES + 1}\n",
+    f"{MAX_VERTICES + 1}\n0 1\n",
+    "9" * 5000 + "\n0 1\n",
+    "-3\n0 1\n",
+    "x\n0 1\n",
+    "",
+    "\n",
+    " ",
+]
+
+
+class TestCanonicalFastPath:
+    """The fast path agrees with the line parser, never raises, and is the
+    path canonical text takes."""
+
+    def assert_same(self, text):
+        want = parse_outcome(gu.parse_edge_list_lines, text)
+        assert parse_outcome(parse_graph, text) == want
+        fast = graph_module._parse_canonical(text)
+        assert fast is None or fast == want
+
+    @pytest.mark.parametrize("text", EXPLICIT_CASES)
+    def test_explicit_cases_match_line_parser(self, text):
+        self.assert_same(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_canonical_texts())
+    def test_mutated_texts_match_line_parser(self, text):
+        self.assert_same(text)
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        lines = graph_module._parse_lines
+
+        def spy(text):
+            calls.append(text)
+            return lines(text)
+
+        monkeypatch.setattr(graph_module, "_parse_lines", spy)
+        return calls
+
+    @pytest.fixture
+    def row_reads(self, monkeypatch):
+        calls = []
+        row_mask = graph_module._row_mask
+
+        def spy(row, vs):
+            calls.append(len(vs))
+            return row_mask(row, vs)
+
+        monkeypatch.setattr(graph_module, "_row_mask", spy)
+        return calls
+
+    def test_bench_shaped_texts_take_fast_path(self, fallbacks):
+        rng = gu.seeded(12)
+        graphs = [gu.edgeless(1), gu.complete(70), gu.threshold(90), gu.petersen()]
+        graphs += [gu.random_graph(rng, n, p) for n in (2, 9, 40, 130, 300)
+                   for p in (0.05, 0.5)]
+        graphs += [gu.random_cograph(rng, n) for n in (20, 150)]
+        for g in graphs:
+            text = edge_list_text(g.n, g.edges())
+            assert parse_graph(text) == g == gu.parse_edge_list_lines(text)
+            flipped = edge_list_text(g.n, [(v, u) for u, v in reversed(g.edges())])
+            assert parse_graph(flipped) == g
+        assert fallbacks == []
+
+    def test_readme_examples_take_fast_path(self, fallbacks):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        quoted = re.findall(r"printf '([^']*)'", readme)
+        quoted += re.findall(r'parse_graph\("([^"]*)"\)', readme)
+        assert len(quoted) >= 4
+        for text in quoted:
+            text = text.replace("\\n", "\n")
+            assert parse_graph(text) == gu.parse_edge_list_lines(text)
+        assert fallbacks == []
+
+    def test_declared_max_vertices_stays_small(self, fallbacks, row_reads):
+        n = MAX_VERTICES
+        tracemalloc.start()
+        try:
+            g = parse_graph(f"{n}\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g == gu.edgeless(n)
+        assert peak < n * n // 100
+        assert fallbacks == [] and row_reads == []
+
+    def test_sparse_vertices_read_no_row(self, fallbacks, row_reads):
+        # a star centred on the last vertex: only the centre has many
+        # neighbours, and only it may pay for a row of n bytes
+        n = MAX_VERTICES
+        g = parse_graph(edge_list_text(n, [(u, n - 1) for u in range(n - 1)]))
+        assert g.degree(n - 1) == n - 1 and g.adj[0] == 1 << n - 1
+        assert fallbacks == [] and row_reads == [n - 1]
+
+    def test_dense_peak_not_above_line_parser(self, fallbacks):
+        text = threshold2000_text()
+        # the line parser holds every line of the text at once, so its peak
+        # is at least their size (tracing it whole takes seconds more)
+        lines = text.splitlines()
+        line_parser_floor = sys.getsizeof(lines) + sum(map(sys.getsizeof, lines))
+        del lines
+        tracemalloc.start()
+        try:
+            g = parse_graph(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.num_edges() == 1000 * 1000
+        assert peak <= line_parser_floor
+        assert fallbacks == []
 
 
 class TestParseGraph6:
