@@ -136,17 +136,18 @@ def _run_basis(args, g: Graph) -> None:
 def _run_is_well_covered(args, g: Graph) -> None:
     cfg = _config(args)
     witness = None
-    if resolve_strategy(g, cfg) == "bruteforce":
+    # under forkfree the query route runs the one fork test
+    if cfg.strategy != "forkfree" and resolve_strategy(g, cfg) == "bruteforce":
         mis = enumerate_mis(g, cfg.mis_cap)
         if not mis.complete:
             raise CapExceededError(
                 f"maximal independent set cap {cfg.mis_cap} exceeded"
             )
-        covered = len({len(s) for s in mis.sets}) <= 1
+        # in canonical order: the first smallest, the last largest set
+        small = min(mis.sets, key=len)
+        large = max(reversed(mis.sets), key=len)
+        covered = len(small) == len(large)
         if not covered:
-            key = lambda s: (len(s), sorted(s))
-            small = min(mis.sets, key=key)
-            large = max(mis.sets, key=key)
             witness = (small, large)
     else:
         # under auto the query route's fold runs no second recognizer
@@ -209,10 +210,12 @@ def _run_mdtree(args, g: Graph) -> None:
 
 
 def _run_recognize(args, g: Graph) -> None:
+    # every fork holds an induced P4, so a P4-free graph needs no fork test
+    p4_free = is_p4_free(g)
     flags = {
         "claw_free": is_claw_free(g),
-        "fork_free": is_fork_free(g),
-        "p4_free": is_p4_free(g),
+        "fork_free": p4_free or is_fork_free(g),
+        "p4_free": p4_free,
         "prime": is_prime(g),
         "connected": is_connected(g),
         "co_connected": is_co_connected(g),

@@ -94,8 +94,8 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MISList:
             stack.append(frame(r | bit, p & outside, x & outside))
         else:
             found.append(r | bit)
-    sets = sorted((frozenset(iter_bits(m)) for m in found[:cap]), key=sorted)
-    return MISList(tuple(sets), len(found) <= cap)
+    ordered = sorted(tuple(iter_bits(m)) for m in found[:cap])
+    return MISList(tuple(map(frozenset, ordered)), len(found) <= cap)
 
 
 def _cover_refutes(g: Graph, sets: list[int]) -> bool:

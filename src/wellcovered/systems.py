@@ -40,6 +40,9 @@ weight. This module builds such systems along several routes:
   solved through the anti-neighborhood reduction, whose subproblems have
   claw-free prime quotients and bottom out at the capped brute force.
 
+``resolve_strategy`` is the one whole-graph test before solving: under
+``auto`` the fork test picks the fork-free fold (the cograph walk on a
+graph with no induced P4) or the capped brute force.
 ``well_covering_system`` (the ``system`` verb) keeps these routes and the
 brute-force base on prime quotients, so its rows keep their bytes. Queries
 whose answer the solution space fixes (dimension, basis,
@@ -67,7 +70,6 @@ from .graph import (
     induced_subgraph,
     is_claw_free,
     is_fork_free,
-    is_p4_free,
     iter_bits,
 )
 from .independent_sets import (
@@ -412,13 +414,7 @@ def anti_neighborhood_system(
     anchored: list[frozenset[int]] = []
     for j in range(g.n):
         gj, vmap = delete_closed_neighborhood(g, j)
-        sj = sub_solver(gj)
-        if sj.num_vars != gj.n:
-            raise ValueError(
-                f"sub-solver returned {sj.num_vars} variables for a "
-                f"{gj.n}-vertex graph"
-            )
-        lifted = lift_subgraph_system(sj, vmap, g.n)
+        lifted = lift_subgraph_system(sub_solver(gj), vmap, g.n)
         rows.extend(lifted.rows)
         tags.extend(lifted.tags)
         ij = greedy_mis(gj, range(gj.n))
@@ -431,14 +427,6 @@ def anti_neighborhood_system(
 
 # ---------------------------------------------------------------------------
 # fork-free pipeline
-
-
-def _check_fork_free(g: Graph) -> None:
-    if not is_fork_free(g):
-        raise StrategyError(
-            "graph contains an induced fork; the fork-free strategy "
-            "does not apply"
-        )
 
 
 def _anti_neighborhood_solver(
@@ -460,10 +448,8 @@ def forkfree_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
     the bottom. Row reduction after every aggregation keeps the final size
     at most n. Raises StrategyError when ``g`` has an induced fork.
     """
-    cfg = cfg or SolverConfig()
-    _check_fork_free(g)
-    base = partial(bruteforce_system, cap=cfg.mis_cap)
-    return modular_system(g, prime_solver=_anti_neighborhood_solver(base))
+    cap = (cfg or SolverConfig()).mis_cap
+    return well_covering_system(g, SolverConfig("forkfree", cap))
 
 
 # ---------------------------------------------------------------------------
@@ -471,37 +457,36 @@ def forkfree_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
 
 
 def resolve_strategy(g: Graph, cfg: SolverConfig | None = None) -> str:
-    """The concrete strategy ``auto`` dispatches to for this graph."""
+    """The route ``well_covering_system`` takes, and the one whole-graph
+    test before solving: ``auto`` gives ``forkfree`` if ``g`` has no induced
+    fork, else ``bruteforce``; ``forkfree`` raises StrategyError on a fork."""
     cfg = cfg or SolverConfig()
-    if cfg.strategy != "auto":
+    if cfg.strategy not in ("auto", "forkfree"):
         return cfg.strategy
-    if is_p4_free(g):
-        return "cograph"
     if is_fork_free(g):
         return "forkfree"
+    if cfg.strategy == "forkfree":
+        raise StrategyError(
+            "graph contains an induced fork; the fork-free strategy "
+            "does not apply"
+        )
     return "bruteforce"
 
 
 def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
-    """Build a well-covering system with the configured strategy.
-
-    ``auto`` picks the cograph walk for graphs without induced 4-vertex
-    paths, the fork-free pipeline for fork-free graphs, and the capped
-    brute force otherwise (the only generally sound fallback).
-    """
+    """Build a well-covering system along the route ``resolve_strategy``
+    picks; under ``forkfree`` the capped brute force at prime quotients is
+    reached through the anti-neighborhood reduction."""
     cfg = cfg or SolverConfig()
     strategy = resolve_strategy(g, cfg)
     if strategy == "bruteforce":
         return bruteforce_system(g, cfg.mis_cap)
     if strategy == "cograph":
         return cograph_system(g)
-    if strategy == "modular":
-        return modular_system(g, cfg)
-    if cfg.strategy == "forkfree":
-        return forkfree_system(g, cfg)
-    # under auto, resolve_strategy has tested g for forks already
-    base = partial(bruteforce_system, cap=cfg.mis_cap)
-    return modular_system(g, prime_solver=_anti_neighborhood_solver(base))
+    prime_solver = partial(bruteforce_system, cap=cfg.mis_cap)
+    if strategy == "forkfree":
+        prime_solver = _anti_neighborhood_solver(prime_solver)
+    return modular_system(g, prime_solver=prime_solver)
 
 
 def _query_prime_solver(cap: int) -> Callable[[Graph], LinearSystem]:
@@ -529,9 +514,10 @@ def _query_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
 
     ``auto`` and ``modular`` fold the decomposition tree with
     ``_query_prime_solver``, so no recognizer runs on the whole graph.
-    ``forkfree`` tests the whole graph for forks first, then folds the
-    same way. ``cograph`` and ``bruteforce`` build their own systems. Every
-    system but the brute-force chain is independent by construction.
+    ``forkfree`` tests the whole graph for forks first (``resolve_strategy``),
+    then folds the same way. ``cograph`` and ``bruteforce`` build their own
+    systems. Every system but the brute-force chain is independent by
+    construction.
     """
     cfg = cfg or SolverConfig()
     if cfg.strategy == "bruteforce":
@@ -539,7 +525,7 @@ def _query_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
     if cfg.strategy == "cograph":
         return cograph_system(g)
     if cfg.strategy == "forkfree":
-        _check_fork_free(g)
+        resolve_strategy(g, cfg)
     return modular_system(g, prime_solver=_query_prime_solver(cfg.mis_cap))
 
 

@@ -15,11 +15,15 @@ meets a family of sets is decided by trying every independent subset of
 their union, and the claw-free base's rows are rebuilt in the order of
 tests it first used, span test before search. A copy of the edge-list
 line parser as it stood before the canonical fast path is the reference
-that every edge-list parse is compared with.
+that every edge-list parse is compared with. Two earlier choices of the
+front end are kept as oracles too: the three-way ``auto`` dispatch of
+``well_covering_system``, which tested for induced P4s before forks, and
+the key that picked the ``is-well-covered`` witness pair.
 """
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations
 from math import gcd, lcm
 
@@ -28,13 +32,21 @@ from wellcovered.graph import (
     GraphParseError,
     _check_order,
     induced_subgraph,
+    is_fork_free,
+    is_p4_free,
     iter_bits,
     mask_of,
 )
-from wellcovered.independent_sets import MISList
+from wellcovered.independent_sets import DEFAULT_MIS_CAP, MISList
 from wellcovered.linalg import Basis, LinearSystem, WeightVector
 from wellcovered.modular import is_module, is_prime
-from wellcovered.systems import lift_subgraph_system
+from wellcovered.systems import (
+    anti_neighborhood_system,
+    bruteforce_system,
+    cograph_system,
+    lift_subgraph_system,
+    modular_system,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +275,18 @@ def random_cograph(rng, n):
                     adj[v] |= other
         for part in parts:
             stack.append((part, not is_join))
+    return Graph(n, tuple(adj))
+
+
+def random_threshold(rng, n):
+    """Threshold graph with vertices numbered in the order they arrive:
+    each vertex after the first is isolated or dominating, at random."""
+    adj = [0] * n
+    for v in range(1, n):
+        if rng.random() < 0.5:
+            adj[v] = (1 << v) - 1
+            for u in range(v):
+                adj[u] |= 1 << v
     return Graph(n, tuple(adj))
 
 
@@ -641,6 +665,29 @@ def combine_join(parts, g):
         rows.append(tuple((v in a) - (v in b) for v in range(g.n)))
         tags.append(f"join-eq j={j}")
     return LinearSystem(g.n, tuple(rows), tuple(tags))
+
+
+def three_way_auto_system(g, cap=DEFAULT_MIS_CAP):
+    """``well_covering_system`` under ``auto`` as it once dispatched: the
+    cograph walk if ``g`` has no induced P4, else the capped brute force if
+    it has a fork, else the modular walk with the anti-neighborhood
+    reduction at each prime quotient and the capped brute force below."""
+    if is_p4_free(g):
+        return cograph_system(g)
+    if not is_fork_free(g):
+        return bruteforce_system(g, cap)
+    base = partial(bruteforce_system, cap=cap)
+    sub = partial(modular_system, prime_solver=base)
+    return modular_system(
+        g, prime_solver=lambda q: anti_neighborhood_system(q, sub)
+    )
+
+
+def witness_reference(sets):
+    """The ``is-well-covered`` witness pair as once chosen: the least and
+    the greatest maximal independent set under (size, sorted members)."""
+    key = lambda s: (len(s), sorted(s))
+    return min(sets, key=key), max(sets, key=key)
 
 
 def has_induced(g, pattern):

@@ -149,6 +149,7 @@ class TestDimensionVerb:
     def test_auto_runs_no_whole_graph_recognizer(
         self, capsys, monkeypatch, tmp_path, verb
     ):
+        import wellcovered.graph as graph
         import wellcovered.systems as systems
 
         g = gu.fork_substitution(2)
@@ -156,10 +157,10 @@ class TestDimensionVerb:
         weights = tmp_path / "w.txt"
         weights.write_text("0\n" * g.n)
         calls = []
-        for name in ("is_p4_free", "is_fork_free"):
-            real = getattr(systems, name)
+        for mod, name in ((graph, "is_p4_free"), (systems, "is_fork_free")):
+            real = getattr(mod, name)
             monkeypatch.setattr(
-                systems, name, lambda h, real=real: calls.append(h) or real(h)
+                mod, name, lambda h, real=real: calls.append(h) or real(h)
             )
         extra = ["--weights", str(weights)] if verb == "check-weighting" else []
         code, _, err = run(
@@ -263,9 +264,9 @@ class TestIsWellCoveredVerb:
         g = gu.random_cograph(gu.seeded(8), 12)
         text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
         calls = []
-        real = systems.is_p4_free
+        real = systems.is_fork_free
         monkeypatch.setattr(
-            systems, "is_p4_free", lambda h: calls.append(h) or real(h)
+            systems, "is_fork_free", lambda h: calls.append(h) or real(h)
         )
         code, out, _ = run(
             capsys, ["is-well-covered"], stdin=text, monkeypatch=monkeypatch
@@ -302,6 +303,65 @@ class TestIsWellCoveredVerb:
         assert data["well_covered"] is False
         assert data["witness"]["weight_a"] == 2
         assert data["witness"]["weight_b"] == 3
+
+    def test_witness_matches_reference_key(self, capsys, monkeypatch):
+        # the witness is read off the canonical order; it must be the pair
+        # the (size, sorted members) key picks, also when several largest
+        # or smallest sets tie
+        rng = gu.seeded(137)
+        ties = 0
+        for _ in range(150):
+            g = gu.random_graph(rng, rng.randint(1, 11), rng.random())
+            text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+            code, out, _ = run(
+                capsys,
+                ["is-well-covered", "--strategy", "bruteforce", "--output", "json"],
+                stdin=text,
+                monkeypatch=monkeypatch,
+            )
+            sets = gu.brute_mis(g)
+            sizes = [len(s) for s in sets]
+            assert code == 0
+            data = json.loads(out)
+            assert data["well_covered"] == (len(set(sizes)) == 1)
+            if data["well_covered"]:
+                assert data["witness"] is None
+                continue
+            small, large = gu.witness_reference(sets)
+            assert (data["witness"]["set_a"], data["witness"]["set_b"]) == (
+                sorted(small),
+                sorted(large),
+            )
+            ties += sizes.count(len(large)) > 1
+        assert ties >= 20
+
+    @pytest.mark.parametrize("verb", ["dimension", "is-well-covered", "system"])
+    def test_forkfree_tests_forks_once(self, capsys, monkeypatch, verb):
+        import wellcovered.systems as systems
+
+        calls = []
+        real = systems.is_fork_free
+        monkeypatch.setattr(
+            systems, "is_fork_free", lambda h: calls.append(h) or real(h)
+        )
+        code, _, _ = run(
+            capsys,
+            [verb, "--strategy", "forkfree"],
+            stdin=BULL,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0 and len(calls) == 1
+        code, _, err = run(
+            capsys,
+            [verb, "--strategy", "forkfree"],
+            stdin=FORK,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2 and len(calls) == 2
+        assert err == (
+            "error: graph contains an induced fork; the fork-free strategy "
+            "does not apply\n"
+        )
 
 
 class TestCheckWeightingVerb:

@@ -384,6 +384,10 @@ class TestAntiNeighborhoodSystem:
             s = anti_neighborhood_system(g, brute)
             assert same_solution_space(s, brute(g))
 
+    def test_sub_solver_variable_count_checked(self):
+        with pytest.raises(ValueError, match="variables"):
+            anti_neighborhood_system(gu.bull(), lambda h: empty_system(h.n + 1))
+
 
 class TestForkfreeSystem:
     def test_large_cograph_equals_cograph_system(self):
@@ -587,12 +591,18 @@ class TestQueries:
         assert not is_w_well_covered(gu.bull(), (1, 1, 1, 1, 1))
 
     def test_resolve_strategy(self):
-        assert resolve_strategy(gu.complete_bipartite(2, 3)) == "cograph"
+        # a graph with no induced P4 resolves to the fork-free fold, which
+        # is the cograph walk there
+        assert resolve_strategy(gu.complete_bipartite(2, 3)) == "forkfree"
         assert resolve_strategy(gu.bull()) == "forkfree"
         assert resolve_strategy(gu.fork()) == "bruteforce"
         assert resolve_strategy(gu.petersen()) == "bruteforce"
         cfg = SolverConfig(strategy="modular")
         assert resolve_strategy(gu.bull(), cfg) == "modular"
+        cfg = SolverConfig(strategy="forkfree")
+        assert resolve_strategy(gu.bull(), cfg) == "forkfree"
+        with pytest.raises(StrategyError, match="induced fork"):
+            resolve_strategy(gu.fork(), cfg)
 
     def test_auto_dispatch_output(self):
         for g in (gu.complete_bipartite(2, 3), gu.bull(), gu.petersen()):
@@ -813,3 +823,23 @@ def test_recorded_rows_and_tags(pipeline, graph, expected):
     s = build(RECORDED_GRAPHS[graph]())
     got = [("".join(".+-"[c] for c in row), tag) for row, tag in zip(s.rows, s.tags)]
     assert got == expected
+
+
+DISPATCH_FAMILIES = {
+    "cograph": lambda rng: gu.random_cograph(rng, rng.randint(1, 30)),
+    "threshold": lambda rng: gu.random_threshold(rng, rng.randint(1, 30)),
+    "substitution": lambda rng: gu.shuffled_substitution(rng, (4, 6), (1, 3)),
+    "gnp": lambda rng: gu.random_graph(rng, rng.randint(1, 12), rng.random()),
+}
+
+
+@pytest.mark.parametrize("family", DISPATCH_FAMILIES)
+def test_auto_matches_three_way_dispatch(family):
+    # auto resolves with the fork test alone: on a graph with no induced
+    # P4 the fork-free fold meets no prime node, so it prints what the
+    # cograph walk prints, and elsewhere it takes the same route
+    rng = gu.seeded(131)
+    for _ in range(40):
+        g = DISPATCH_FAMILIES[family](rng)
+        s, expected = well_covering_system(g), gu.three_way_auto_system(g)
+        assert (s.rows, s.tags) == (expected.rows, expected.tags)
