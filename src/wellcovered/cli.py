@@ -35,10 +35,10 @@ from typing import Callable
 from .graph import (
     Graph,
     GraphParseError,
+    _finds_fork,
     is_claw_free,
     is_co_connected,
     is_connected,
-    is_fork_free,
     is_p4_free,
     parse_graph,
 )
@@ -193,13 +193,15 @@ def _mdtree_json(node: MDNode) -> dict:
 
 def _mdtree_text(tree: MDNode) -> str:
     """One line per node in pre-order, indented two spaces per level."""
+    names = [f"v_{v + 1}" for v in range(max(tree.vertex_set) + 1)]
     lines, stack = [], [(tree, 0)]
     while stack:
         node, depth = stack.pop()
         if node.is_leaf:
-            lines.append(f"{'  ' * depth}leaf v_{node.vertex + 1}")
+            lines.append(f"{'  ' * depth}leaf {names[node.vertex]}")
         else:
-            lines.append(f"{'  ' * depth}{node.kind} {_vset(node.vertex_set)}")
+            vset = ", ".join(map(names.__getitem__, sorted(node.vertex_set)))
+            lines.append(f"{'  ' * depth}{node.kind} {{{vset}}}")
         stack.extend((c, depth + 1) for c in reversed(node.children))
     return "\n".join(lines)
 
@@ -214,7 +216,7 @@ def _run_recognize(args, g: Graph) -> None:
     p4_free = is_p4_free(g)
     flags = {
         "claw_free": is_claw_free(g),
-        "fork_free": p4_free or is_fork_free(g),
+        "fork_free": p4_free or not _finds_fork(g),
         "p4_free": p4_free,
         "prime": is_prime(g),
         "connected": is_connected(g),

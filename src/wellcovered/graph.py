@@ -342,46 +342,52 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
     return Graph(len(vmap), tuple(masks)), vmap
 
 
-def component_masks(g: Graph, within: int | None = None) -> list[int]:
-    """Vertex bitmasks of the connected components of g[within].
+def _block_masks(g: Graph, within: int | None, flip: int) -> list[int]:
+    """Components of g[within] under the rows ``adj[u] ^ flip``: of g for
+    ``flip`` 0, of its complement for -1.
 
-    Components are listed in increasing order of their lowest vertex.
+    Each block grows breadth first from the lowest vertex left, and each
+    step takes the cheaper direction (Beamer, Asanovic and Patterson 2012):
+    if the frontier is no larger than the unreached rest, it ORs the
+    frontier's rows (top-down); else each unreached vertex joins when its
+    row meets the block (bottom-up). A step reads min(frontier, rest) rows.
     """
+    adj = g.adj
     rem = g.full_mask if within is None else within
     blocks = []
     while rem:
-        start = rem & -rem
-        comp = 0
-        frontier = start
-        while frontier:
+        comp = frontier = rem & -rem
+        rest = rem ^ comp
+        while frontier and rest:
+            if frontier.bit_count() <= rest.bit_count():
+                reach = 0
+                for v in iter_bits(frontier):
+                    reach |= adj[v] ^ flip
+                frontier = reach & rest
+            else:
+                frontier = 0
+                for u in iter_bits(rest):
+                    if (adj[u] ^ flip) & comp:
+                        frontier |= 1 << u
             comp |= frontier
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & rem & ~comp
+            rest ^= frontier
         blocks.append(comp)
-        rem &= ~comp
+        rem = rest
     return blocks
+
+
+def component_masks(g: Graph, within: int | None = None) -> list[int]:
+    """Vertex bitmasks of the connected components of g[within], in
+    increasing order of their lowest vertex. Each step of the walk reads the
+    rows of its frontier or of the unreached rest, whichever is smaller."""
+    return _block_masks(g, within, 0)
 
 
 def co_component_masks(g: Graph, within: int | None = None) -> list[int]:
     """Vertex bitmasks of the co-components (components of the complement)
-    of g[within], in increasing order of their lowest vertex."""
-    rem = g.full_mask if within is None else within
-    blocks = []
-    while rem:
-        start = rem & -rem
-        comp = 0
-        frontier = start
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= rem & ~g.adj[v] & ~(1 << v)
-            frontier = nxt & ~comp
-        blocks.append(comp)
-        rem &= ~comp
-    return blocks
+    of g[within], in increasing order of their lowest vertex, from the same
+    walk as ``component_masks`` with every row read complemented."""
+    return _block_masks(g, within, -1)
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
@@ -435,9 +441,12 @@ def is_fork_free(g: Graph) -> bool:
     A fork consists of a center c adjacent to pairwise-nonadjacent b, d, e,
     plus a fifth vertex adjacent to b only.
     """
-    if is_p4_free(g):
-        # tail-b-c-d is an induced P4 of every fork
-        return True
+    # tail-b-c-d is an induced P4 of every fork
+    return is_p4_free(g) or not _finds_fork(g)
+
+
+def _finds_fork(g: Graph) -> bool:
+    """True iff an exhaustive scan of centers finds an induced fork in g."""
     for c in range(g.n):
         nbrs = g.adj[c]
         for b in iter_bits(nbrs):
@@ -449,8 +458,8 @@ def is_fork_free(g: Graph) -> bool:
                 rest = others & ~g.adj[d] & ~((1 << (d + 1)) - 1)
                 for e in iter_bits(rest):
                     if tails & ~g.adj[d] & ~g.adj[e]:
-                        return False
-    return True
+                        return True
+    return False
 
 
 def is_p4_free(g: Graph) -> bool:

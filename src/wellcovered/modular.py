@@ -7,7 +7,10 @@ are the vertices and whose internal nodes are labeled parallel (graph
 disconnected), series (complement disconnected), or prime (both connected;
 the quotient has only trivial modules).
 
-Components and co-components split parallel and series nodes. A prime node
+Components and co-components split parallel and series nodes. Each step
+of their walk reads the rows of the frontier or of the unreached rest,
+whichever is smaller, so a level of a deep caterpillar tree reads about
+half of its rows, not all of them. A prime node
 (connected and co-connected) is split by partition refinement from its
 lowest vertex v: refining the other vertices by every vertex that splits a
 part leaves the maximal modules that avoid v (Ehrenfeucht, Gabow, McConnell
@@ -18,7 +21,8 @@ split costs O(n^2) mask operations; it is still not one of the
 linear-time algorithms known for the problem.
 
 ``md_fold`` is the one walk over the tree. It is iterative, so ``md_tree``
-and the system builders that use it handle trees of any depth.
+and the system builders that use it handle trees of any depth. ``md_tree``
+makes an internal node's vertex set as the union of its children's sets.
 """
 
 from __future__ import annotations
@@ -237,8 +241,7 @@ def md_tree(g: Graph) -> MDNode:
 
     def node(kind, mask, reps, children) -> MDNode:
         quot, _ = induced_subgraph(g, reps)
-        return MDNode(
-            kind, None, tuple(children), frozenset(iter_bits(mask)), quot, reps
-        )
+        vset = frozenset().union(*(c.vertex_set for c in children))
+        return MDNode(kind, None, tuple(children), vset, quot, reps)
 
     return md_fold(g, leaf, node)

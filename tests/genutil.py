@@ -18,7 +18,10 @@ line parser as it stood before the canonical fast path is the reference
 that every edge-list parse is compared with. Two earlier choices of the
 front end are kept as oracles too: the three-way ``auto`` dispatch of
 ``well_covering_system``, which tested for induced P4s before forks, and
-the key that picked the ``is-well-covered`` witness pair.
+the key that picked the ``is-well-covered`` witness pair. The component
+and co-component walks as they were before each step chose a direction
+(every step ORs the rows of its whole frontier) are kept as oracles for the
+direction-optimizing walk, with the cotree split they drove.
 """
 
 import random
@@ -688,6 +691,61 @@ def witness_reference(sets):
     the greatest maximal independent set under (size, sorted members)."""
     key = lambda s: (len(s), sorted(s))
     return min(sets, key=key), max(sets, key=key)
+
+
+def top_down_component_masks(g, within=None):
+    """``graph.component_masks`` as it was before its walks chose a
+    direction: every step ORs the rows of the whole frontier."""
+    rem = g.full_mask if within is None else within
+    blocks = []
+    while rem:
+        start = rem & -rem
+        comp = 0
+        frontier = start
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            for v in iter_bits(frontier):
+                nxt |= g.adj[v]
+            frontier = nxt & rem & ~comp
+        blocks.append(comp)
+        rem &= ~comp
+    return blocks
+
+
+def top_down_co_component_masks(g, within=None):
+    """``graph.co_component_masks`` as it was before its walks chose a
+    direction."""
+    rem = g.full_mask if within is None else within
+    blocks = []
+    while rem:
+        start = rem & -rem
+        comp = 0
+        frontier = start
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            for v in iter_bits(frontier):
+                nxt |= rem & ~g.adj[v] & ~(1 << v)
+            frontier = nxt & ~comp
+        blocks.append(comp)
+        rem &= ~comp
+    return blocks
+
+
+def top_down_p4_free(g):
+    """``graph.is_p4_free`` driven by the top-down walks."""
+    work = [g.full_mask]
+    while work:
+        within = work.pop()
+        if within & (within - 1):
+            blocks = top_down_component_masks(g, within)
+            if len(blocks) == 1:
+                blocks = top_down_co_component_masks(g, within)
+                if len(blocks) == 1:
+                    return False
+            work.extend(blocks)
+    return True
 
 
 def has_induced(g, pattern):

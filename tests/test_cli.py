@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import genutil as gu
 from wellcovered.cli import _mdtree_text, _vset, main
+from wellcovered.graph import is_fork_free
 from wellcovered.linalg import (
     basis_from_json,
     make_system,
@@ -466,6 +467,40 @@ class TestRecognizeVerb:
         assert flags["fork-free"] == "yes"
         assert flags["connected"] == "yes"
         assert flags["co-connected"] == "yes"
+
+    def test_splits_the_cotree_once(self, capsys, monkeypatch):
+        # the bull has an induced P4, so the fork scan runs, and it does
+        # not split the graph into components and co-components again
+        import wellcovered.cli as cli
+        import wellcovered.graph as graph
+
+        calls = []
+        real = graph.is_p4_free
+        counting = lambda h: calls.append(h) or real(h)
+        monkeypatch.setattr(graph, "is_p4_free", counting)
+        monkeypatch.setattr(cli, "is_p4_free", counting)
+        code, out, _ = run(
+            capsys, ["recognize"], stdin=BULL, monkeypatch=monkeypatch
+        )
+        flags = dict(l.split(": ") for l in out.splitlines())
+        assert code == 0 and flags["fork-free"] == "yes"
+        assert flags["p4-free"] == "no"
+        assert len(calls) == 1
+
+    def test_fork_flag_matches_is_fork_free(self, capsys, monkeypatch):
+        rng = gu.seeded(71)
+        forks = 0
+        for _ in range(60):
+            g = gu.random_graph(rng, rng.randint(5, 9), rng.random())
+            text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+            code, out, _ = run(
+                capsys, ["recognize"], stdin=text, monkeypatch=monkeypatch
+            )
+            flags = dict(l.split(": ") for l in out.splitlines())
+            expected = is_fork_free(g)
+            assert code == 0 and flags["fork-free"] == ("yes" if expected else "no")
+            forks += not expected
+        assert 10 <= forks <= 50
 
 
 class TestInputFormats:

@@ -422,6 +422,61 @@ class TestComponents:
         assert co_components(g) == connected_components(complement(g))
 
 
+def walk_cases():
+    """(graph, within) pairs: G(n <= 14, p), random cographs, arrival-order
+    and alternating threshold graphs, each with the empty, a one-vertex, the
+    full and random vertex masks."""
+    rng = gu.seeded(29)
+    graphs = [gu.threshold(n) for n in (1, 2, 7, 40)]
+    for _ in range(60):
+        graphs.append(gu.random_graph(rng, rng.randint(0, 14), rng.random()))
+        graphs.append(gu.random_cograph(rng, rng.randint(1, 30)))
+        graphs.append(gu.random_threshold(rng, rng.randint(1, 60)))
+    for g in graphs:
+        yield g, None
+        yield g, 0
+        yield g, g.full_mask
+        if g.n:
+            yield g, 1 << rng.randrange(g.n)
+        for _ in range(4):
+            yield g, rng.getrandbits(g.n) if g.n else 0
+
+
+class TestDirectionOptimizingWalk:
+    def test_matches_top_down_walks(self):
+        for g, within in walk_cases():
+            got = graph_module.component_masks(g, within)
+            assert got == gu.top_down_component_masks(g, within)
+            got = graph_module.co_component_masks(g, within)
+            assert got == gu.top_down_co_component_masks(g, within)
+
+    def test_p4_free_matches_top_down_split(self):
+        rng = gu.seeded(31)
+        graphs = [g for g, within in walk_cases() if within is None]
+        graphs += [gu.shuffled_substitution(rng, (4, 7), (1, 4)) for _ in range(30)]
+        found = 0
+        for g in graphs:
+            assert is_p4_free(g) == gu.top_down_p4_free(g)
+            found += not is_p4_free(g)
+        assert 40 <= found <= len(graphs) - 100
+
+    def test_walks_take_both_directions(self):
+        # on an arrival-order threshold graph a block's second frontier is
+        # most of the graph, so a walk that never scans bottom-up reads
+        # every row, as the top-down walk does
+        g = gu.random_threshold(gu.seeded(37), 400)
+        for walk, oracle in (
+            (graph_module.component_masks, gu.top_down_component_masks),
+            (graph_module.co_component_masks, gu.top_down_co_component_masks),
+        ):
+            counted = Graph(g.n, gu.CountingAdj(g.adj))
+            oracle(counted)
+            top_down = counted.adj.reads
+            counted = Graph(g.n, gu.CountingAdj(g.adj))
+            walk(counted)
+            assert counted.adj.reads * 4 <= top_down * 3
+
+
 class TestDeleteClosedNeighborhood:
     def test_bull_center(self):
         sub, vmap = delete_closed_neighborhood(gu.bull(), 2)

@@ -2,7 +2,7 @@ import pytest
 
 import genutil as gu
 import wellcovered.modular as modular
-from wellcovered.graph import Graph
+from wellcovered.graph import Graph, iter_bits
 from wellcovered.modular import (
     is_module,
     is_prime,
@@ -272,6 +272,53 @@ class TestMDTree:
             g = gu.random_graph(rng, rng.randint(1, 8), rng.random())
             t = md_tree(g)
             check_md_tree_invariants(g, t)
+
+
+    def test_node_sets_are_leaf_unions(self):
+        # every internal node's set is the leaves below it and its mask
+        rng = gu.seeded(41)
+        graphs = [gu.threshold(1500)]
+        graphs += [gu.shuffled_substitution(rng, (4, 9), (1, 6)) for _ in range(40)]
+        primes = 0
+        for g in graphs:
+            t = md_tree(g)
+            below = {}
+            work = [(t, ())]
+            while work:
+                node, path = work.pop()
+                if node.is_leaf:
+                    for up in path:
+                        below[id(up)].add(node.vertex)
+                else:
+                    below[id(node)] = set()
+                    work.extend((c, path + (node,)) for c in node.children)
+            internal = [x for x in t.iter_nodes() if not x.is_leaf]
+            assert all(x.vertex_set == below[id(x)] for x in internal)
+            # distinct internal nodes have distinct sets
+            masks = []
+            md_fold(g, lambda v: None, lambda *node: masks.append(node[1]))
+            assert len(masks) == len(internal)
+            assert {frozenset(iter_bits(m)) for m in masks} == {
+                x.vertex_set for x in internal
+            }
+            primes += any(x.kind == "prime" for x in internal)
+        assert primes >= 30
+
+    def test_adjacency_reads_halved(self, monkeypatch):
+        # on an arrival-order threshold graph each level's walk reads
+        # min(frontier, rest) rows a step, about half of what ORing every
+        # frontier row reads
+        g = gu.random_threshold(gu.seeded(43), 1200)
+        counted = Graph(g.n, gu.CountingAdj(g.adj))
+        t = md_tree(counted)
+        reads = counted.adj.reads
+        monkeypatch.setattr(modular, "component_masks", gu.top_down_component_masks)
+        monkeypatch.setattr(
+            modular, "co_component_masks", gu.top_down_co_component_masks
+        )
+        counted = Graph(g.n, gu.CountingAdj(g.adj))
+        assert md_tree(counted) == t
+        assert reads * 2 <= counted.adj.reads
 
 
 def check_md_tree_invariants(g, t):
