@@ -7,20 +7,26 @@ required there. Graphs are read from a file argument or stdin, in edge-list
 or graph6 format; results print as text or JSON. Exit codes: 0 success,
 1 parse error (also a declared vertex count above ``graph.MAX_VERTICES``,
 50 000), 2 strategy inapplicable or argument error, 3 enumeration cap
-exceeded, 4 resource limit reached (recursion depth or memory; for example
-JSON output of a very deep decomposition tree). Run as a program, a reader
-that closes stdout early (``wellcovered mdtree g.txt | head -n 1``) ends it
-with exit 0 and nothing on stderr.
+exceeded, 4 resource limit reached (recursion depth or memory). Run as a
+program, a reader that closes stdout early (``wellcovered mdtree g.txt |
+head -n 1``) ends it with exit 0 and nothing on stderr.
 
 ``system`` builds with ``well_covering_system``, whose rows keep their
-bytes. ``dimension``, ``basis``, ``check-weighting`` and, unless it
-resolves to ``bruteforce``, ``is-well-covered`` print what the solution
-space fixes, so they take the query route (``systems._query_system``):
-under ``auto`` and ``modular`` one decomposition fold that picks a solver
-at each prime quotient. ``is-well-covered`` under ``auto`` still resolves
-the strategy, because a graph with a fork prints a brute-force witness.
-``dimension`` ranks the system only under ``bruteforce``: every other
-system is independent by construction.
+bytes; under ``auto`` its fork-free fold scans the whole graph for forks
+only when it meets a prime node, so a cograph is decomposed once.
+``dimension``, ``basis``, ``check-weighting`` and, except under
+``bruteforce``, ``is-well-covered`` print what the solution space fixes,
+so they take the query route (``systems._query_system``): one
+decomposition fold that picks a solver at each prime quotient.
+``is-well-covered`` under ``auto`` folds as under ``forkfree``, with the
+fork scan at the first prime node, because a graph with a fork prints a
+brute-force witness. ``dimension`` ranks the system only under
+``bruteforce``: every other system is independent by construction.
+
+JSON is written in pieces as ``json.dumps(obj, indent=2)`` would render
+it, from an explicit stack, so a decomposition tree of any depth prints.
+``recognize`` reads the prime, connected and co-connected flags from one
+split of the root.
 """
 
 from __future__ import annotations
@@ -30,15 +36,13 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .graph import (
     Graph,
     GraphParseError,
     _finds_fork,
     is_claw_free,
-    is_co_connected,
-    is_connected,
     is_p4_free,
     parse_graph,
 )
@@ -50,15 +54,23 @@ from .linalg import (
     system_to_json,
     system_to_text,
 )
-from .modular import MDNode, is_prime, md_tree
+from .modular import (
+    LEAF,
+    PARALLEL,
+    PRIME,
+    SERIES,
+    MDNode,
+    _partition_masks,
+    md_tree,
+)
 from .systems import (
     STRATEGIES,
     SolverConfig,
     StrategyError,
+    _ForkFound,
     _query_system,
     is_w_well_covered,
     is_well_covered,
-    resolve_strategy,
     well_covered_dimension,
     well_covering_system,
 )
@@ -100,6 +112,43 @@ def _vset(vertices) -> str:
     return "{" + ", ".join(f"v_{v + 1}" for v in sorted(vertices)) + "}"
 
 
+def _json_pieces(obj) -> Iterator[str]:
+    """``json.dumps(obj, indent=2)`` in pieces, for dicts with str keys,
+    lists, tuples and JSON scalars. It runs on an explicit stack, so any
+    depth of nesting renders, and the whole text is never held at once: a
+    deep decomposition tree nests thousands of levels, and its indentation
+    makes the text grow with the cube of the depth. A list of ints is
+    joined in one step."""
+    # a str is emitted as it is; (value, depth) is rendered at that depth
+    stack: list = [(obj, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            yield item
+            continue
+        value, depth = item
+        if not (value and isinstance(value, (dict, list, tuple))):
+            yield json.dumps(value)
+            continue
+        pad = "  " * depth
+        inner = "\n" + pad + "  "
+        if isinstance(value, dict):
+            brackets = "{}"
+            entries = [(json.dumps(k) + ": ", v) for k, v in value.items()]
+        elif all(type(v) is int for v in value):
+            yield "[" + inner
+            yield ("," + inner).join(map(str, value))
+            yield "\n" + pad + "]"
+            continue
+        else:
+            brackets, entries = "[]", [("", v) for v in value]
+        stack.append("\n" + pad + brackets[1])
+        for i in range(len(entries) - 1, -1, -1):
+            key, v = entries[i]
+            stack.append((v, depth + 1))
+            stack.append(("," if i else brackets[0]) + inner + key)
+
+
 def _emit(
     args: argparse.Namespace,
     to_json: Callable[[], dict],
@@ -107,7 +156,8 @@ def _emit(
 ) -> None:
     """Print the requested rendering; only that one is built."""
     if args.output == "json":
-        print(json.dumps(to_json(), indent=2))
+        sys.stdout.writelines(_json_pieces(to_json()))
+        sys.stdout.write("\n")
     else:
         text = to_text()
         if text:
@@ -133,24 +183,33 @@ def _run_basis(args, g: Graph) -> None:
     )
 
 
+def _enumerated_witness(g: Graph, cap: int) -> tuple[bool, tuple | None]:
+    """Well-coveredness by enumeration, and when it fails the first
+    smallest and the last largest maximal independent set in canonical
+    order."""
+    mis = enumerate_mis(g, cap)
+    if not mis.complete:
+        raise CapExceededError(f"maximal independent set cap {cap} exceeded")
+    small = min(mis.sets, key=len)
+    large = max(reversed(mis.sets), key=len)
+    covered = len(small) == len(large)
+    return covered, None if covered else (small, large)
+
+
 def _run_is_well_covered(args, g: Graph) -> None:
     cfg = _config(args)
     witness = None
-    # under forkfree the query route runs the one fork test
-    if cfg.strategy != "forkfree" and resolve_strategy(g, cfg) == "bruteforce":
-        mis = enumerate_mis(g, cfg.mis_cap)
-        if not mis.complete:
-            raise CapExceededError(
-                f"maximal independent set cap {cfg.mis_cap} exceeded"
-            )
-        # in canonical order: the first smallest, the last largest set
-        small = min(mis.sets, key=len)
-        large = max(reversed(mis.sets), key=len)
-        covered = len(small) == len(large)
-        if not covered:
-            witness = (small, large)
+    if cfg.strategy == "bruteforce":
+        covered, witness = _enumerated_witness(g, cfg.mis_cap)
+    elif cfg.strategy == "auto":
+        # the forkfree query route: its fold scans the whole graph for forks
+        # at its first prime node, and a graph with a fork prints the
+        # brute-force witness
+        try:
+            covered = is_well_covered(g, SolverConfig("forkfree", cfg.mis_cap))
+        except _ForkFound:
+            covered, witness = _enumerated_witness(g, cfg.mis_cap)
     else:
-        # under auto the query route's fold runs no second recognizer
         covered = is_well_covered(g, cfg)
     obj: dict = {"well_covered": covered, "witness": None}
     text = "yes" if covered else "no"
@@ -175,20 +234,24 @@ def _run_check_weighting(args, g: Graph) -> None:
     _emit(args, lambda: {"w_well_covered": ok}, lambda: "yes" if ok else "no")
 
 
-def _mdtree_json(node: MDNode) -> dict:
-    obj: dict = {
-        "kind": node.kind,
-        "vertices": sorted(node.vertex_set),
-    }
-    if node.is_leaf:
-        obj["vertex"] = node.vertex
-    else:
+def _mdtree_json(tree: MDNode) -> dict:
+    """The tree as nested dicts, built in pre-order on an explicit stack."""
+    root: dict = {}
+    stack = [(tree, root)]
+    while stack:
+        node, obj = stack.pop()
+        obj["kind"] = node.kind
+        obj["vertices"] = sorted(node.vertex_set)
+        if node.is_leaf:
+            obj["vertex"] = node.vertex
+            continue
         obj["quotient"] = {
             "reps": list(node.reps),
             "edges": node.quotient.edges(),
         }
-        obj["children"] = [_mdtree_json(c) for c in node.children]
-    return obj
+        obj["children"] = [{} for _ in node.children]
+        stack.extend(zip(node.children, obj["children"]))
+    return root
 
 
 def _mdtree_text(tree: MDNode) -> str:
@@ -214,13 +277,16 @@ def _run_mdtree(args, g: Graph) -> None:
 def _run_recognize(args, g: Graph) -> None:
     # every fork holds an induced P4, so a P4-free graph needs no fork test
     p4_free = is_p4_free(g)
+    # one split of the root: a disconnected graph has a connected
+    # complement; n <= 1 is connected, co-connected and not prime
+    kind, blocks = _partition_masks(g, g.full_mask) if g.n >= 2 else (LEAF, [])
     flags = {
         "claw_free": is_claw_free(g),
         "fork_free": p4_free or not _finds_fork(g),
         "p4_free": p4_free,
-        "prime": is_prime(g),
-        "connected": is_connected(g),
-        "co_connected": is_co_connected(g),
+        "prime": kind == PRIME and all(b & (b - 1) == 0 for b in blocks),
+        "connected": kind != PARALLEL,
+        "co_connected": kind != SERIES,
     }
     _emit(
         args,
@@ -302,7 +368,8 @@ def main(argv: list[str] | None = None) -> int:
         g = parse_graph(text, args.format)
         _VERBS[args.verb][0](args, g)
     except (RecursionError, MemoryError) as exc:
-        # outputs are rendered in full before printing, so stdout is empty
+        # text is rendered in full before printing and a JSON object is
+        # built before any of it is written, so stdout is empty
         print(f"error: resource limit reached: {exc!r}", file=sys.stderr)
         return 4
     except GraphParseError as exc:

@@ -16,6 +16,9 @@ parser, which reads anything the format allows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, count
+from operator import and_, or_
 from typing import Iterable, Iterator
 
 
@@ -42,6 +45,18 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# bin(mask) read backwards, one byte per bit: b"\x01" where a bit is set
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+# walk steps over more vertices than this run in C (see _block_masks)
+_C_STEP = 32
+
+
+def _bit_list(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask`` (>= 0) in increasing order,
+    found in C: O(bit length) steps, none of them in Python."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_BYTES)))
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -351,24 +366,42 @@ def _block_masks(g: Graph, within: int | None, flip: int) -> list[int]:
     if the frontier is no larger than the unreached rest, it ORs the
     frontier's rows (top-down); else each unreached vertex joins when its
     row meets the block (bottom-up). A step reads min(frontier, rest) rows.
+    A step over more than ``_C_STEP`` vertices lists them and reads their
+    rows with ``map``, ``reduce`` and ``compress``, so no Python loop runs
+    per vertex; smaller steps loop inline.
     """
     adj = g.adj
+    row = adj.__getitem__
     rem = g.full_mask if within is None else within
     blocks = []
     while rem:
         comp = frontier = rem & -rem
         rest = rem ^ comp
         while frontier and rest:
-            if frontier.bit_count() <= rest.bit_count():
-                reach = 0
-                for v in iter_bits(frontier):
-                    reach |= adj[v] ^ flip
+            size = frontier.bit_count()
+            if size <= rest.bit_count():
+                if size <= _C_STEP:
+                    reach = 0
+                    for v in iter_bits(frontier):
+                        reach |= adj[v] ^ flip
+                else:
+                    rows = map(row, _bit_list(frontier))
+                    # the OR of the complemented rows is the complement of their AND
+                    reach = ~reduce(and_, rows, -1) if flip else reduce(or_, rows)
                 frontier = reach & rest
-            else:
+            elif rest.bit_count() <= _C_STEP:
                 frontier = 0
                 for u in iter_bits(rest):
                     if (adj[u] ^ flip) & comp:
                         frontier |= 1 << u
+            else:
+                unreached = _bit_list(rest)
+                meets = map(comp.__and__, map(row, unreached))
+                if flip:
+                    # a complemented row meets the block unless the row holds it
+                    meets = map(comp.__ne__, meets)
+                joined = compress(unreached, meets)
+                frontier = reduce(or_, map((1).__lshift__, joined), 0)
             comp |= frontier
             rest ^= frontier
         blocks.append(comp)
@@ -466,15 +499,22 @@ def is_p4_free(g: Graph) -> bool:
     """True iff g has no induced path on four vertices, that is, iff
     splitting it recursively into components or co-components never meets
     a connected, co-connected set of two or more vertices (Corneil, Lerchs
-    and Stewart Burlingham, Complement reducible graphs, 1981)."""
-    work = [g.full_mask]
+    and Stewart Burlingham, Complement reducible graphs, 1981).
+
+    A component is connected and a co-component co-connected, so below the
+    root only the other walk can split a block: each level runs one walk.
+    """
+    # (mask, flip of the walk that split it off; None at the root)
+    work: list[tuple[int, int | None]] = [(g.full_mask, None)]
     while work:
-        within = work.pop()
-        if within & (within - 1):  # two or more vertices
-            blocks = component_masks(g, within)
-            if len(blocks) == 1:
-                blocks = co_component_masks(g, within)
-                if len(blocks) == 1:
-                    return False
-            work.extend(blocks)
+        within, parent = work.pop()
+        if within & (within - 1) == 0:  # fewer than two vertices
+            continue
+        for flip in (0, -1) if parent is None else (~parent,):
+            blocks = _block_masks(g, within, flip)
+            if len(blocks) > 1:
+                work.extend((b, flip) for b in blocks)
+                break
+        else:
+            return False
     return True

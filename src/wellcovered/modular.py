@@ -10,7 +10,12 @@ the quotient has only trivial modules).
 Components and co-components split parallel and series nodes. Each step
 of their walk reads the rows of the frontier or of the unreached rest,
 whichever is smaller, so a level of a deep caterpillar tree reads about
-half of its rows, not all of them. A prime node
+half of its rows, not all of them, and a step over more than a few dozen
+vertices reads them in C (``graph._block_masks``). A child of a parallel
+node is connected and a child of a series node co-connected, so ``md_fold``
+passes each node's kind down and its children skip the walk that cannot
+split them: below the root, one walk per level, except under a prime
+node, whose children run both. A prime node
 (connected and co-connected) is split by partition refinement from its
 lowest vertex v: refining the other vertices by every vertex that splits a
 part leaves the maximal modules that avoid v (Ehrenfeucht, Gabow, McConnell
@@ -157,14 +162,23 @@ def _strong_module_masks(g: Graph, within: int) -> list[int]:
     return sorted(blocks, key=lambda b: b & -b)
 
 
-def _partition_masks(g: Graph, within: int) -> tuple[str, list[int]]:
-    """Kind and maximal strong module masks of g[within] (>= 2 vertices)."""
-    comps = component_masks(g, within)
-    if len(comps) >= 2:
-        return PARALLEL, comps
-    cocomps = co_component_masks(g, within)
-    if len(cocomps) >= 2:
-        return SERIES, cocomps
+def _partition_masks(
+    g: Graph, within: int, parent: str | None = None
+) -> tuple[str, list[int]]:
+    """Kind and maximal strong module masks of g[within] (>= 2 vertices).
+
+    A child of a parallel node is a component, hence connected, and a child
+    of a series node is co-connected, so given the kind of the node
+    ``within`` hangs from, the walk that cannot split it is skipped.
+    """
+    if parent != PARALLEL:
+        comps = component_masks(g, within)
+        if len(comps) >= 2:
+            return PARALLEL, comps
+    if parent != SERIES:
+        cocomps = co_component_masks(g, within)
+        if len(cocomps) >= 2:
+            return SERIES, cocomps
     return PRIME, _strong_module_masks(g, within)
 
 
@@ -208,19 +222,21 @@ def md_fold(
     if g.n < 1:
         raise ValueError("modular decomposition requires at least one vertex")
     values: list[T] = []
-    # (mask, None) expands a mask; (mask, (kind, blocks)) folds its children
-    work: list[tuple[int, tuple[str, list[int]] | None]] = [(g.full_mask, None)]
+    # (mask, kind of its parent, None) expands a mask;
+    # (mask, kind, blocks) folds its children
+    work: list[tuple[int, str | None, list[int] | None]] = [
+        (g.full_mask, None, None)
+    ]
     while work:
-        mask, split = work.pop()
-        if split is None:
+        mask, kind, blocks = work.pop()
+        if blocks is None:
             if mask & (mask - 1) == 0:
                 values.append(leaf(mask.bit_length() - 1))
                 continue
-            split = _partition_masks(g, mask)
-            work.append((mask, split))
-            work.extend((b, None) for b in reversed(split[1]))
+            kind, blocks = _partition_masks(g, mask, kind)
+            work.append((mask, kind, blocks))
+            work.extend((b, kind, None) for b in reversed(blocks))
         else:
-            kind, blocks = split
             children = values[-len(blocks):]
             del values[-len(blocks):]
             reps = tuple((b & -b).bit_length() - 1 for b in blocks)

@@ -40,12 +40,17 @@ weight. This module builds such systems along several routes:
   solved through the anti-neighborhood reduction, whose subproblems have
   claw-free prime quotients and bottom out at the capped brute force.
 
-``resolve_strategy`` is the one whole-graph test before solving: under
-``auto`` the fork test picks the fork-free fold (the cograph walk on a
-graph with no induced P4) or the capped brute force.
-``well_covering_system`` (the ``system`` verb) keeps these routes and the
-brute-force base on prime quotients, so its rows keep their bytes. Queries
-whose answer the solution space fixes (dimension, basis,
+``well_covering_system`` (the ``system`` verb) under ``auto`` and
+``forkfree`` starts the fork-free fold at once. The one whole-graph fork
+scan runs when the fold meets its first prime node (``_fork_checked``); on
+a fork, ``auto`` drops the fold for the capped brute force and
+``forkfree`` raises StrategyError. A tree with no prime node is P4-free,
+hence fork-free, so a cograph is decomposed once and the fold is the
+cograph walk. ``resolve_strategy`` names the route taken, with a separate
+test. The routes and the brute-force base on prime quotients are as
+before, so the rows keep their bytes.
+
+Queries whose answer the solution space fixes (dimension, basis,
 w-well-coveredness) need any well-covering system, so under ``auto`` and
 ``modular`` they fold the decomposition tree once and pick a solver at each
 prime quotient Q: ``clawfree_system`` if Q is claw-free, else the
@@ -66,6 +71,7 @@ from typing import Callable, Iterable, Sequence
 
 from .graph import (
     Graph,
+    _finds_fork,
     delete_closed_neighborhood,
     induced_subgraph,
     is_claw_free,
@@ -97,6 +103,16 @@ STRATEGIES = ("auto", "bruteforce", "cograph", "modular", "forkfree")
 
 class StrategyError(RuntimeError):
     """Raised when a solving strategy's preconditions do not hold."""
+
+
+class _ForkFound(StrategyError):
+    """Raised by the whole-graph fork scan of a fork-free fold."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            "graph contains an induced fork; the fork-free strategy "
+            "does not apply"
+        )
 
 
 @dataclass
@@ -456,37 +472,65 @@ def forkfree_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
 # strategy dispatch and derived queries
 
 
+def _fork_checked(
+    g: Graph, prime_solver: Callable[[Graph], LinearSystem]
+) -> Callable[[Graph], LinearSystem]:
+    """``prime_solver`` behind the one whole-graph fork scan of a fold over
+    ``g``. The scan runs at the first call, when the fold meets its first
+    prime node, and raises ``_ForkFound`` if ``g`` has an induced fork. A
+    tree with no prime node is P4-free, hence fork-free, and is decomposed
+    once with no scan."""
+    scanned = False
+
+    def solve(q: Graph) -> LinearSystem:
+        nonlocal scanned
+        if not scanned:
+            scanned = True
+            if _finds_fork(g):
+                raise _ForkFound()
+        return prime_solver(q)
+
+    return solve
+
+
 def resolve_strategy(g: Graph, cfg: SolverConfig | None = None) -> str:
-    """The route ``well_covering_system`` takes, and the one whole-graph
-    test before solving: ``auto`` gives ``forkfree`` if ``g`` has no induced
-    fork, else ``bruteforce``; ``forkfree`` raises StrategyError on a fork."""
+    """The route ``well_covering_system`` takes: ``auto`` gives
+    ``forkfree`` if ``g`` has no induced fork, else ``bruteforce``;
+    ``forkfree`` raises StrategyError on a fork. ``well_covering_system``
+    reaches the same answer without a separate pass, at the first prime
+    node of its fold."""
     cfg = cfg or SolverConfig()
     if cfg.strategy not in ("auto", "forkfree"):
         return cfg.strategy
     if is_fork_free(g):
         return "forkfree"
     if cfg.strategy == "forkfree":
-        raise StrategyError(
-            "graph contains an induced fork; the fork-free strategy "
-            "does not apply"
-        )
+        raise _ForkFound()
     return "bruteforce"
 
 
 def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
     """Build a well-covering system along the route ``resolve_strategy``
-    picks; under ``forkfree`` the capped brute force at prime quotients is
-    reached through the anti-neighborhood reduction."""
+    names. ``auto`` and ``forkfree`` start the fork-free fold at once, with
+    the capped brute force at prime quotients reached through the
+    anti-neighborhood reduction; the fold's first prime node runs the one
+    whole-graph fork scan, and on a fork ``auto`` drops the fold for the
+    capped brute force while ``forkfree`` raises StrategyError."""
     cfg = cfg or SolverConfig()
-    strategy = resolve_strategy(g, cfg)
-    if strategy == "bruteforce":
+    if cfg.strategy == "bruteforce":
         return bruteforce_system(g, cfg.mis_cap)
-    if strategy == "cograph":
+    if cfg.strategy == "cograph":
         return cograph_system(g)
     prime_solver = partial(bruteforce_system, cap=cfg.mis_cap)
-    if strategy == "forkfree":
-        prime_solver = _anti_neighborhood_solver(prime_solver)
-    return modular_system(g, prime_solver=prime_solver)
+    if cfg.strategy == "modular":
+        return modular_system(g, prime_solver=prime_solver)
+    prime_solver = _fork_checked(g, _anti_neighborhood_solver(prime_solver))
+    try:
+        return modular_system(g, prime_solver=prime_solver)
+    except _ForkFound:
+        if cfg.strategy == "forkfree":
+            raise
+    return bruteforce_system(g, cfg.mis_cap)
 
 
 def _query_prime_solver(cap: int) -> Callable[[Graph], LinearSystem]:
@@ -514,19 +558,20 @@ def _query_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
 
     ``auto`` and ``modular`` fold the decomposition tree with
     ``_query_prime_solver``, so no recognizer runs on the whole graph.
-    ``forkfree`` tests the whole graph for forks first (``resolve_strategy``),
-    then folds the same way. ``cograph`` and ``bruteforce`` build their own
-    systems. Every system but the brute-force chain is independent by
-    construction.
+    ``forkfree`` folds the same way, behind the whole-graph fork scan at
+    the first prime node (``_fork_checked``). ``cograph`` and
+    ``bruteforce`` build their own systems. Every system but the
+    brute-force chain is independent by construction.
     """
     cfg = cfg or SolverConfig()
     if cfg.strategy == "bruteforce":
         return bruteforce_system(g, cfg.mis_cap)
     if cfg.strategy == "cograph":
         return cograph_system(g)
+    prime_solver = _query_prime_solver(cfg.mis_cap)
     if cfg.strategy == "forkfree":
-        resolve_strategy(g, cfg)
-    return modular_system(g, prime_solver=_query_prime_solver(cfg.mis_cap))
+        prime_solver = _fork_checked(g, prime_solver)
+    return modular_system(g, prime_solver=prime_solver)
 
 
 def well_covered_dimension(g: Graph, cfg: SolverConfig | None = None) -> int:

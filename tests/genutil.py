@@ -34,6 +34,8 @@ from wellcovered.graph import (
     Graph,
     GraphParseError,
     _check_order,
+    co_component_masks,
+    component_masks,
     induced_subgraph,
     is_fork_free,
     is_p4_free,
@@ -42,7 +44,7 @@ from wellcovered.graph import (
 )
 from wellcovered.independent_sets import DEFAULT_MIS_CAP, MISList
 from wellcovered.linalg import Basis, LinearSystem, WeightVector
-from wellcovered.modular import is_module, is_prime
+from wellcovered.modular import _strong_module_masks, is_module, is_prime
 from wellcovered.systems import (
     anti_neighborhood_system,
     bruteforce_system,
@@ -748,6 +750,53 @@ def top_down_p4_free(g):
     return True
 
 
+def two_walk_partition(g, within, parent=None):
+    """``modular._partition_masks`` as it was before it took the kind of
+    the parent node: the component walk, then the co-component walk, at
+    every level; ``parent`` is ignored."""
+    comps = component_masks(g, within)
+    if len(comps) >= 2:
+        return "parallel", comps
+    cocomps = co_component_masks(g, within)
+    if len(cocomps) >= 2:
+        return "series", cocomps
+    return "prime", _strong_module_masks(g, within)
+
+
+def two_walk_p4_free(g):
+    """``graph.is_p4_free`` as it was before it alternated the walks: the
+    component walk, then the co-component walk, on every block."""
+    work = [g.full_mask]
+    while work:
+        within = work.pop()
+        if within & (within - 1):
+            blocks = component_masks(g, within)
+            if len(blocks) == 1:
+                blocks = co_component_masks(g, within)
+                if len(blocks) == 1:
+                    return False
+            work.extend(blocks)
+    return True
+
+
+def two_walk_post_order(g):
+    """(kind, mask, reps) of each internal node of the decomposition tree
+    of ``g``, in post-order, split by ``two_walk_partition``."""
+    out = []
+    work = [(g.full_mask, None)]
+    while work:
+        mask, split = work.pop()
+        if split is None:
+            if mask & (mask - 1):
+                split = two_walk_partition(g, mask)
+                work.append((mask, split))
+                work.extend((b, None) for b in reversed(split[1]))
+        else:
+            kind, blocks = split
+            out.append((kind, mask, tuple((b & -b).bit_length() - 1 for b in blocks)))
+    return out
+
+
 def has_induced(g, pattern):
     """Brute-force induced-subgraph containment via injective embeddings."""
     k = pattern.n
@@ -1054,6 +1103,18 @@ def mdtree_text_reference(tree):
             lines.append(f"{'  ' * depth}{node.kind} {vset_reference(node.vertex_set)}")
         stack.extend((c, depth + 1) for c in reversed(node.children))
     return "\n".join(lines)
+
+
+def mdtree_json_reference(node):
+    """The ``mdtree --output json`` object as the recursive builder once
+    made it; the recursion limit bounds the depth it can reach."""
+    obj = {"kind": node.kind, "vertices": sorted(node.vertex_set)}
+    if node.is_leaf:
+        obj["vertex"] = node.vertex
+    else:
+        obj["quotient"] = {"reps": list(node.reps), "edges": node.quotient.edges()}
+        obj["children"] = [mdtree_json_reference(c) for c in node.children]
+    return obj
 
 
 def seeded(seed):

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genutil as gu
-from wellcovered.cli import _mdtree_text, _vset, main
-from wellcovered.graph import is_fork_free
+from wellcovered.cli import _json_pieces, _mdtree_json, _mdtree_text, _vset, main
+from wellcovered.graph import Graph, is_fork_free
 from wellcovered.linalg import (
     basis_from_json,
     make_system,
@@ -37,6 +37,20 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def record_calls(monkeypatch, targets):
+    """Wrap each (module, name) so that a call appends its name to the
+    returned list."""
+    calls = []
+    for mod, name in targets:
+        real = getattr(mod, name)
+        monkeypatch.setattr(
+            mod,
+            name,
+            lambda *a, real=real, name=name: calls.append(name) or real(*a),
+        )
+    return calls
 
 
 DEEP_N = 1500
@@ -97,6 +111,24 @@ class TestSystemVerb:
         code, out, _ = run(capsys, ["system", bull_file, "--output", "json"])
         assert code == 0 and len(json.loads(out)["rows"]) == 2
 
+    @pytest.mark.parametrize("strategy", ["auto", "forkfree"])
+    def test_cograph_decomposed_once(self, capsys, monkeypatch, strategy):
+        # a cograph's tree has no prime node, so the fork-free fold is the
+        # cograph walk: no fork scan and no separate cotree split
+        import wellcovered.graph as graph
+        import wellcovered.systems as systems
+
+        g = gu.random_cograph(gu.seeded(9), 60)
+        text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+        calls = record_calls(
+            monkeypatch,
+            [(systems, "_finds_fork"), (systems, "md_fold"), (graph, "is_p4_free")],
+        )
+        argv = ["system", "--strategy", strategy]
+        code, out, _ = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+        assert code == 0 and out
+        assert calls == ["md_fold"]
+
     def test_deterministic(self, capsys, bull_file):
         _, out1, _ = run(capsys, ["system", bull_file, "--output", "json"])
         _, out2, _ = run(capsys, ["system", bull_file, "--output", "json"])
@@ -130,15 +162,15 @@ class TestDimensionVerb:
     def test_auto_tests_forks_once(self, capsys, monkeypatch, verb):
         # the bull is fork-free but not a cograph. dimension folds it with
         # no whole-graph fork test, and its one prime quotient, the bull,
-        # is claw-free. is-well-covered resolves the strategy, for the
-        # brute-force witness, with one fork test, and system resolves it
-        # to pick the fork-free fold; neither fold repeats the test
+        # is claw-free. is-well-covered (which prints a brute-force witness
+        # on a fork) and system start the fork-free fold at once, and scan
+        # the whole graph for forks once, at its first prime node
         import wellcovered.systems as systems
 
         calls = []
-        real = systems.is_fork_free
+        real = systems._finds_fork
         monkeypatch.setattr(
-            systems, "is_fork_free", lambda h: calls.append(h) or real(h)
+            systems, "_finds_fork", lambda h: calls.append(h) or real(h)
         )
         code, out, _ = run(capsys, [verb], stdin=BULL, monkeypatch=monkeypatch)
         expected = {"dimension": (1, 0), "is-well-covered": (1, 1), "system": (2, 1)}
@@ -260,20 +292,22 @@ class TestIsWellCoveredVerb:
         assert code == 0 and out.strip() == "yes"
 
     def test_auto_recognizes_once(self, capsys, monkeypatch):
+        # a cograph's tree has no prime node: one fold recognizes it, with
+        # no fork scan and no separate cotree split
+        import wellcovered.graph as graph
         import wellcovered.systems as systems
 
         g = gu.random_cograph(gu.seeded(8), 12)
         text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
-        calls = []
-        real = systems.is_fork_free
-        monkeypatch.setattr(
-            systems, "is_fork_free", lambda h: calls.append(h) or real(h)
+        calls = record_calls(
+            monkeypatch,
+            [(systems, "_finds_fork"), (systems, "md_fold"), (graph, "is_p4_free")],
         )
         code, out, _ = run(
             capsys, ["is-well-covered"], stdin=text, monkeypatch=monkeypatch
         )
         assert code == 0 and out.strip() in ("yes", "no")
-        assert len(calls) == 1
+        assert calls == ["md_fold"]
 
     def test_bull_no(self, capsys, bull_file):
         code, out, _ = run(capsys, ["is-well-covered", bull_file])
@@ -338,12 +372,13 @@ class TestIsWellCoveredVerb:
 
     @pytest.mark.parametrize("verb", ["dimension", "is-well-covered", "system"])
     def test_forkfree_tests_forks_once(self, capsys, monkeypatch, verb):
+        # the fold scans the whole graph for forks at its first prime node
         import wellcovered.systems as systems
 
         calls = []
-        real = systems.is_fork_free
+        real = systems._finds_fork
         monkeypatch.setattr(
-            systems, "is_fork_free", lambda h: calls.append(h) or real(h)
+            systems, "_finds_fork", lambda h: calls.append(h) or real(h)
         )
         code, _, _ = run(
             capsys,
@@ -410,13 +445,74 @@ class TestMdtreeVerb:
         assert lines[2].startswith("  series {v_2, v_3, ")
         assert lines[-1] == "  " * (DEEP_N - 1) + f"leaf v_{DEEP_N}"
 
-    def test_deep_tree_json_exits_4(self, capsys, deep_file):
-        # the JSON layout nests one level per tree level, deeper than the
-        # recursion limit allows
-        code, out, err = run(capsys, ["mdtree", deep_file, "--output", "json"])
-        assert code == 4 and out == ""
-        assert err.startswith("error: resource limit reached: RecursionError(")
-        assert err.count("\n") == 1
+    def test_deep_tree_json_streams(self, capsys, monkeypatch, deep_file):
+        # the JSON layout nests two levels per tree level, and its
+        # indentation makes the text about 2.4 GB: it is written in pieces
+        # from an explicit stack, and never held at once
+        class Sink:
+            size = kinds = largest = 0
+            head = tail = ""
+
+            def write(self, piece):
+                self.size += len(piece)
+                self.kinds += piece.count('"kind"')
+                self.largest = max(self.largest, len(piece))
+                self.head = (self.head + piece[:40])[:40]
+                self.tail = (self.tail + piece[-4:])[-4:]
+
+            def writelines(self, pieces):
+                for piece in pieces:
+                    self.write(piece)
+
+        sink = Sink()
+        monkeypatch.setattr("sys.stdout", sink)
+        code = main(["mdtree", deep_file, "--output", "json"])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert sink.kinds == 2 * DEEP_N - 1
+        assert sink.head.startswith('{\n  "kind": "parallel"')
+        assert sink.tail == "]\n}\n"
+        assert sink.size > 2 * 10**9 and sink.largest < 4 * 10**6
+
+    def test_json_matches_json_dumps(self, capsys, monkeypatch):
+        # every verb's JSON, as json.dumps(obj, indent=2) renders it, on
+        # the small graph families the desk workload runs
+        import wellcovered.cli as cli
+
+        rng = gu.seeded(151)
+        graphs = [gu.bull(), gu.petersen(), gu.path(1), Graph.from_edges(3, [])]
+        for i in range(60):
+            n = 5 + i % 12
+            graphs.append(
+                (
+                    gu.random_graph(rng, n, rng.random()),
+                    gu.random_tree(rng, n),
+                    gu.cycle(n),
+                    gu.random_cograph(rng, n),
+                    gu.shuffled_substitution(rng, (4, 6), (1, 3)),
+                    gu.line_graph(gu.random_graph(rng, 6, 0.5)),
+                )[i % 6]
+            )
+        for g in graphs:
+            text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+            for verb, extra in (
+                ("system", []),
+                ("dimension", []),
+                ("basis", []),
+                ("is-well-covered", []),
+                ("is-well-covered", ["--strategy", "bruteforce"]),
+                ("mdtree", []),
+                ("recognize", []),
+            ):
+                argv = [verb, "--output", "json", *extra]
+                outs = []
+                for pieces in (
+                    cli._json_pieces,
+                    lambda obj: [json.dumps(obj, indent=2)],
+                ):
+                    with monkeypatch.context() as m:
+                        m.setattr(cli, "_json_pieces", pieces)
+                        outs.append(run(capsys, argv, stdin=text, monkeypatch=m))
+                assert outs[0] == outs[1] and outs[0][0] == 0
 
     def test_bull_text(self, capsys, bull_file):
         code, out, _ = run(capsys, ["mdtree", bull_file])
@@ -448,6 +544,34 @@ class TestMdtreeVerb:
             g = gu.shuffled_substitution(rng, (4, 7), (1, 6))
         tree = md_tree(g)
         assert _mdtree_text(tree) == gu.mdtree_text_reference(tree)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner)
+            | st.tuples(inner, inner)
+            | st.dictionaries(st.text(), inner),
+            max_leaves=40,
+        )
+    )
+    def test_pieces_join_to_json_dumps(self, obj):
+        assert "".join(_json_pieces(obj)) == json.dumps(obj, indent=2)
+
+    def test_mdtree_json_matches_reference(self):
+        # trees shallow enough for the recursive builder and json.dumps
+        rng = gu.seeded(157)
+        graphs = [gu.threshold(n) for n in (1, 2, 3, 250)]
+        graphs += [gu.random_threshold(rng, 200), gu.random_cograph(rng, 300)]
+        graphs += [gu.shuffled_substitution(rng, (4, 7), (1, 6)) for _ in range(30)]
+        graphs += [
+            gu.random_graph(rng, rng.randint(1, 14), rng.random()) for _ in range(60)
+        ]
+        for g in graphs:
+            tree = md_tree(g)
+            obj = _mdtree_json(tree)
+            assert obj == gu.mdtree_json_reference(tree)
+            assert "".join(_json_pieces(obj)) == json.dumps(obj, indent=2)
 
     @given(st.sets(st.integers(0, 200)))
     def test_vertex_sets_match_reference(self, vertices):
@@ -486,6 +610,31 @@ class TestRecognizeVerb:
         assert code == 0 and flags["fork-free"] == "yes"
         assert flags["p4-free"] == "no"
         assert len(calls) == 1
+
+    def test_root_flags_from_one_split(self, capsys, monkeypatch):
+        # prime, connected and co-connected come from one split of the
+        # root, and agree with the whole-graph tests they replace
+        import wellcovered.cli as cli
+        from wellcovered.graph import is_co_connected, is_connected
+        from wellcovered.modular import is_prime
+
+        rng = gu.seeded(73)
+        seen = set()
+        for i in range(200):
+            g = gu.random_graph(rng, i % 11, rng.random())
+            text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+            with monkeypatch.context() as m:
+                calls = record_calls(m, [(cli, "_partition_masks")])
+                code, out, _ = run(
+                    capsys, ["recognize", "--output", "json"], stdin=text, monkeypatch=m
+                )
+            flags = json.loads(out)
+            expected = (is_prime(g), is_connected(g), is_co_connected(g))
+            got = (flags["prime"], flags["connected"], flags["co_connected"])
+            assert code == 0 and got == expected
+            assert len(calls) == (g.n >= 2)
+            seen.add(expected)
+        assert len(seen) == 4
 
     def test_fork_flag_matches_is_fork_free(self, capsys, monkeypatch):
         rng = gu.seeded(71)

