@@ -75,7 +75,6 @@ from .systems import (
     lift_quotient_system,
     lift_subgraph_system,
     modular_system,
-    resolve_strategy,
     well_covered_dimension,
     well_covering_system,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "null_space_basis",
     "parse_graph",
     "rank",
-    "resolve_strategy",
     "same_solution_space",
     "system_from_json",
     "system_to_json",

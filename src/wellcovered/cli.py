@@ -12,16 +12,16 @@ program, a reader that closes stdout early (``wellcovered mdtree g.txt |
 head -n 1``) ends it with exit 0 and nothing on stderr.
 
 ``system`` builds with ``well_covering_system``, whose rows keep their
-bytes; under ``auto`` its fork-free fold scans the whole graph for forks
-only when it meets a prime node, so a cograph is decomposed once.
+bytes; under ``auto`` its fold tests each prime node for forks before
+solving it, and scans no whole graph, so a cograph is decomposed once.
 ``dimension``, ``basis``, ``check-weighting`` and, except under
 ``bruteforce``, ``is-well-covered`` print what the solution space fixes,
 so they take the query route (``systems._query_system``): one
 decomposition fold that picks a solver at each prime quotient.
-``is-well-covered`` under ``auto`` folds as under ``forkfree``, with the
-fork scan at the first prime node, because a graph with a fork prints a
-brute-force witness. ``dimension`` ranks the system only under
-``bruteforce``: every other system is independent by construction.
+``is-well-covered`` under ``auto`` folds as under ``forkfree``, refusing
+forks, because a graph with a fork prints a brute-force witness.
+``dimension`` ranks the system only under ``bruteforce``: every other
+system is independent by construction.
 
 JSON is written in pieces as ``json.dumps(obj, indent=2)`` would render
 it, from an explicit stack, so a decomposition tree of any depth prints.
@@ -202,8 +202,8 @@ def _run_is_well_covered(args, g: Graph) -> None:
     if cfg.strategy == "bruteforce":
         covered, witness = _enumerated_witness(g, cfg.mis_cap)
     elif cfg.strategy == "auto":
-        # the forkfree query route: its fold scans the whole graph for forks
-        # at its first prime node, and a graph with a fork prints the
+        # the forkfree query route: its fold tests each prime node for
+        # forks before solving it, and a graph with a fork prints the
         # brute-force witness
         try:
             covered = is_well_covered(g, SolverConfig("forkfree", cfg.mis_cap))
@@ -368,8 +368,8 @@ def main(argv: list[str] | None = None) -> int:
         g = parse_graph(text, args.format)
         _VERBS[args.verb][0](args, g)
     except (RecursionError, MemoryError) as exc:
-        # text is rendered in full before printing and a JSON object is
-        # built before any of it is written, so stdout is empty
+        # text is rendered whole before printing, so stdout is empty; JSON
+        # is written in pieces, and a MemoryError can leave part of it there
         print(f"error: resource limit reached: {exc!r}", file=sys.stderr)
         return 4
     except GraphParseError as exc:

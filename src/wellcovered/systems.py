@@ -41,14 +41,14 @@ weight. This module builds such systems along several routes:
   claw-free prime quotients and bottom out at the capped brute force.
 
 ``well_covering_system`` (the ``system`` verb) under ``auto`` and
-``forkfree`` starts the fork-free fold at once. The one whole-graph fork
-scan runs when the fold meets its first prime node (``_fork_checked``); on
-a fork, ``auto`` drops the fold for the capped brute force and
-``forkfree`` raises StrategyError. A tree with no prime node is P4-free,
-hence fork-free, so a cograph is decomposed once and the fold is the
-cograph walk. ``resolve_strategy`` names the route taken, with a separate
-test. The routes and the brute-force base on prime quotients are as
-before, so the rows keep their bytes.
+``forkfree`` runs the fork-refusing fold: before solving a prime node it
+scans for forks the graph induced on a pair of vertices from each child
+(``_fold_system``), at most twice the quotient's size, and no whole-graph
+scan runs. On a fork, ``auto`` drops the fold for the capped brute force
+and ``forkfree`` raises StrategyError. A tree with no prime node is
+P4-free, hence fork-free, so a cograph is decomposed once and the fold is
+the cograph walk. The routes and the brute-force base on prime quotients
+are as before, so the rows keep their bytes.
 
 Queries whose answer the solution space fixes (dimension, basis,
 w-well-coveredness) need any well-covering system, so under ``auto`` and
@@ -75,7 +75,6 @@ from .graph import (
     delete_closed_neighborhood,
     induced_subgraph,
     is_claw_free,
-    is_fork_free,
     iter_bits,
 )
 from .independent_sets import (
@@ -106,7 +105,7 @@ class StrategyError(RuntimeError):
 
 
 class _ForkFound(StrategyError):
-    """Raised by the whole-graph fork scan of a fork-free fold."""
+    """Raised by the fork-refusing fold on a graph with an induced fork."""
 
     def __init__(self) -> None:
         super().__init__(
@@ -252,11 +251,35 @@ def modular_system(
     if prime_solver is None:
         cap = (cfg or SolverConfig()).mis_cap
         prime_solver = partial(bruteforce_system, cap=cap)
+    return _fold_system(g, prime_solver)
+
+
+def _two_lowest(mask: int) -> int:
+    low = mask & -mask
+    rest = mask ^ low
+    return low | rest & -rest
+
+
+def _fold_system(
+    g: Graph,
+    prime_solver: Callable[[Graph], LinearSystem],
+    refuse_forks: bool = False,
+) -> LinearSystem:
+    """``modular_system``'s fold. With ``refuse_forks`` it raises
+    ``_ForkFound`` on a graph with an induced fork, before solving the
+    prime node that holds one. A fork in no single child of a node is at a
+    prime node, as it is connected and co-connected; it meets each child
+    in one vertex, except that its two leaves may share a child that is
+    not a clique, where any non-adjacent pair can stand in for them. So
+    each subtree also yields a pair, an independent set of two of its
+    vertices, or of one if its module is a clique, and a prime node is
+    scanned on the union of its children's pairs: at most 2|quotient|."""
     if g.n == 0:
         return empty_system(0)
-    # a subtree folds to (start, mis, prime_below): its rows, over all n
-    # host variables, are rows[start:], mis is the bitmask of one of its
-    # maximal independent sets, and prime_below says if it has a prime node
+    # a subtree folds to (start, mis, prime_below, pair): its rows, over all
+    # n host variables, are rows[start:], mis and pair are bitmasks of one
+    # of its maximal independent sets and of its pair, and prime_below says
+    # if it has a prime node
     rows: list[tuple[Coeff, ...]] = []
     tags: list[str] = []
 
@@ -267,21 +290,27 @@ def modular_system(
         rows[start:] = kept.rows
         tags[start:] = kept.tags
 
-    def leaf(v: int) -> tuple[int, int, bool]:
-        return len(rows), 1 << v, False
+    def leaf(v: int) -> tuple[int, int, bool, int]:
+        return len(rows), 1 << v, False, 1 << v
 
-    def node(kind, mask, reps, children) -> tuple[int, int, bool]:
-        starts, mis, below = zip(*children)
+    def node(kind, mask, reps, children) -> tuple[int, int, bool, int]:
+        starts, mis, below, pairs = zip(*children)
         start, prime_below = starts[0], any(below)
         if kind == PARALLEL:
-            return start, reduce(or_, mis), prime_below
+            pair = _two_lowest(reduce(or_, pairs))
+            return start, reduce(or_, mis), prime_below, pair
         if kind == SERIES:
             for j, (a, b) in enumerate(zip(mis, mis[1:]), start=1):
                 rows.append(_diff_row(g.n, iter_bits(a), iter_bits(b)))
                 tags.append(f"join-eq j={j}")
             if prime_below:
                 reduce_from(start)
-            return start, mis[0], prime_below
+            pair = next((p for p in pairs if p & (p - 1)), pairs[0])
+            return start, mis[0], prime_below, pair
+        if refuse_forks:
+            scanned, _ = induced_subgraph(g, iter_bits(reduce(or_, pairs)))
+            if _finds_fork(scanned):
+                raise _ForkFound()
         quot, _ = induced_subgraph(g, reps)
         children_rows = len(rows) > start
         substituted = lift_quotient_system(
@@ -295,8 +324,8 @@ def modular_system(
         # but not of the children's rows
         if children_rows:
             reduce_from(start)
-        chosen = greedy_mis(quot, range(quot.n))
-        return start, reduce(or_, (mis[j] for j in chosen)), True
+        chosen = reduce(or_, (mis[j] for j in greedy_mis(quot, range(quot.n))))
+        return start, chosen, True, _two_lowest(chosen)
 
     md_fold(g, leaf, node)
     assert len(rows) <= g.n
@@ -472,50 +501,12 @@ def forkfree_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
 # strategy dispatch and derived queries
 
 
-def _fork_checked(
-    g: Graph, prime_solver: Callable[[Graph], LinearSystem]
-) -> Callable[[Graph], LinearSystem]:
-    """``prime_solver`` behind the one whole-graph fork scan of a fold over
-    ``g``. The scan runs at the first call, when the fold meets its first
-    prime node, and raises ``_ForkFound`` if ``g`` has an induced fork. A
-    tree with no prime node is P4-free, hence fork-free, and is decomposed
-    once with no scan."""
-    scanned = False
-
-    def solve(q: Graph) -> LinearSystem:
-        nonlocal scanned
-        if not scanned:
-            scanned = True
-            if _finds_fork(g):
-                raise _ForkFound()
-        return prime_solver(q)
-
-    return solve
-
-
-def resolve_strategy(g: Graph, cfg: SolverConfig | None = None) -> str:
-    """The route ``well_covering_system`` takes: ``auto`` gives
-    ``forkfree`` if ``g`` has no induced fork, else ``bruteforce``;
-    ``forkfree`` raises StrategyError on a fork. ``well_covering_system``
-    reaches the same answer without a separate pass, at the first prime
-    node of its fold."""
-    cfg = cfg or SolverConfig()
-    if cfg.strategy not in ("auto", "forkfree"):
-        return cfg.strategy
-    if is_fork_free(g):
-        return "forkfree"
-    if cfg.strategy == "forkfree":
-        raise _ForkFound()
-    return "bruteforce"
-
-
 def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
-    """Build a well-covering system along the route ``resolve_strategy``
-    names. ``auto`` and ``forkfree`` start the fork-free fold at once, with
-    the capped brute force at prime quotients reached through the
-    anti-neighborhood reduction; the fold's first prime node runs the one
-    whole-graph fork scan, and on a fork ``auto`` drops the fold for the
-    capped brute force while ``forkfree`` raises StrategyError."""
+    """Build a well-covering system along the route ``cfg`` names.
+    ``auto`` and ``forkfree`` run the fork-refusing fold, with the capped
+    brute force at prime quotients reached through the anti-neighborhood
+    reduction; on a fork ``auto`` drops the fold for the capped brute force
+    while ``forkfree`` raises StrategyError."""
     cfg = cfg or SolverConfig()
     if cfg.strategy == "bruteforce":
         return bruteforce_system(g, cfg.mis_cap)
@@ -524,12 +515,18 @@ def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSys
     prime_solver = partial(bruteforce_system, cap=cfg.mis_cap)
     if cfg.strategy == "modular":
         return modular_system(g, prime_solver=prime_solver)
-    prime_solver = _fork_checked(g, _anti_neighborhood_solver(prime_solver))
+    prime_solver = _anti_neighborhood_solver(prime_solver)
     try:
-        return modular_system(g, prime_solver=prime_solver)
+        return _fold_system(g, prime_solver, refuse_forks=True)
     except _ForkFound:
         if cfg.strategy == "forkfree":
             raise
+    except CapExceededError:
+        # the fold may hit the cap before it meets a fork; auto's brute force
+        # would hit it too, as no induced subgraph has more maximal sets
+        if cfg.strategy == "forkfree" and _finds_fork(g):
+            raise _ForkFound() from None
+        raise
     return bruteforce_system(g, cfg.mis_cap)
 
 
@@ -544,7 +541,8 @@ def _query_prime_solver(cap: int) -> Callable[[Graph], LinearSystem]:
     def solve(q: Graph) -> LinearSystem:
         if is_claw_free(q):
             return clawfree_system(q)
-        if is_fork_free(q):
+        # a prime graph has an induced P4, so no P4 test first
+        if not _finds_fork(q):
             return anti_neighborhoods(q)
         return bruteforce_system(q, cap)
 
@@ -558,8 +556,7 @@ def _query_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
 
     ``auto`` and ``modular`` fold the decomposition tree with
     ``_query_prime_solver``, so no recognizer runs on the whole graph.
-    ``forkfree`` folds the same way, behind the whole-graph fork scan at
-    the first prime node (``_fork_checked``). ``cograph`` and
+    ``forkfree`` runs the same fold refusing forks. ``cograph`` and
     ``bruteforce`` build their own systems. Every system but the
     brute-force chain is independent by construction.
     """
@@ -569,9 +566,7 @@ def _query_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
     if cfg.strategy == "cograph":
         return cograph_system(g)
     prime_solver = _query_prime_solver(cfg.mis_cap)
-    if cfg.strategy == "forkfree":
-        prime_solver = _fork_checked(g, prime_solver)
-    return modular_system(g, prime_solver=prime_solver)
+    return _fold_system(g, prime_solver, refuse_forks=cfg.strategy == "forkfree")
 
 
 def well_covered_dimension(g: Graph, cfg: SolverConfig | None = None) -> int:

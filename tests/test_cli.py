@@ -161,10 +161,10 @@ class TestDimensionVerb:
     @pytest.mark.parametrize("verb", ["dimension", "is-well-covered", "system"])
     def test_auto_tests_forks_once(self, capsys, monkeypatch, verb):
         # the bull is fork-free but not a cograph. dimension folds it with
-        # no whole-graph fork test, and its one prime quotient, the bull,
-        # is claw-free. is-well-covered (which prints a brute-force witness
-        # on a fork) and system start the fork-free fold at once, and scan
-        # the whole graph for forks once, at its first prime node
+        # no fork test, and its one prime quotient, the bull, is claw-free.
+        # is-well-covered (which prints a brute-force witness on a fork) and
+        # system run the fork-refusing fold, which scans the bull's one
+        # prime node, here the whole graph, once
         import wellcovered.systems as systems
 
         calls = []
@@ -190,7 +190,7 @@ class TestDimensionVerb:
         weights = tmp_path / "w.txt"
         weights.write_text("0\n" * g.n)
         calls = []
-        for mod, name in ((graph, "is_p4_free"), (systems, "is_fork_free")):
+        for mod, name in ((graph, "is_p4_free"), (systems, "_finds_fork")):
             real = getattr(mod, name)
             monkeypatch.setattr(
                 mod, name, lambda h, real=real: calls.append(h) or real(h)
@@ -201,6 +201,36 @@ class TestDimensionVerb:
         )
         assert code == 0, err
         assert all(h.n < g.n for h in calls)
+
+    @pytest.mark.parametrize(
+        "verb", ["system", "dimension", "basis", "is-well-covered", "check-weighting"]
+    )
+    def test_auto_fork_scans_see_at_most_twice_a_quotient(
+        self, capsys, monkeypatch, tmp_path, verb
+    ):
+        # cliques substituted into a prime line graph: fork-free, with one
+        # prime node. system and is-well-covered scan it for forks on a
+        # vertex of each clique; the queries see a claw-free quotient
+        import wellcovered.systems as systems
+
+        g = gu.line_graph_clique_substitution(gu.seeded(3))
+        primes = [x.quotient.n for x in md_tree(g).iter_nodes() if x.kind == "prime"]
+        text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+        weights = tmp_path / "w.txt"
+        weights.write_text("0\n" * g.n)
+        calls = []
+        real = systems._finds_fork
+        monkeypatch.setattr(
+            systems, "_finds_fork", lambda h: calls.append(h) or real(h)
+        )
+        extra = ["--weights", str(weights)] if verb == "check-weighting" else []
+        code, _, err = run(
+            capsys, [verb, *extra], stdin=text, monkeypatch=monkeypatch
+        )
+        assert code == 0, err
+        assert g.n == 157 and len(primes) == 1
+        assert len(calls) == (verb in ("system", "is-well-covered"))
+        assert all(h.n <= 2 * max(primes) for h in calls)
 
     def test_fork_substitution(self, capsys, monkeypatch):
         # whole-graph brute force at k = 8 exits 3 at the default cap
@@ -372,7 +402,7 @@ class TestIsWellCoveredVerb:
 
     @pytest.mark.parametrize("verb", ["dimension", "is-well-covered", "system"])
     def test_forkfree_tests_forks_once(self, capsys, monkeypatch, verb):
-        # the fold scans the whole graph for forks at its first prime node
+        # the fold scans the one prime node of the bull and of the fork
         import wellcovered.systems as systems
 
         calls = []
@@ -691,6 +721,23 @@ class TestExitCodes:
         )
         assert code == 2 and "fork" in err
 
+    @pytest.mark.parametrize("strategy, status", [("forkfree", 2), ("auto", 3)])
+    def test_cap_hit_below_a_fork(self, capsys, monkeypatch, strategy, status):
+        # C7 and a fork: the fold solves C7 first, and the cap of 2 stops
+        # its anti-neighbourhood brute force before the fork is met. A
+        # graph with a fork is still inapplicable under forkfree; auto would
+        # hit the cap on the whole graph too
+        c7 = "".join(f"{i} {(i + 1) % 7}\n" for i in range(7))
+        fork = "7 8\n8 9\n9 10\n9 11\n"
+        code, out, err = run(
+            capsys,
+            ["system", "--strategy", strategy, "--mis-cap", "2"],
+            stdin=f"12\n{c7}{fork}",
+            monkeypatch=monkeypatch,
+        )
+        assert code == status and out == ""
+        assert ("fork" in err) == (strategy == "forkfree")
+
     def test_cograph_inapplicable(self, capsys, monkeypatch):
         code, _, err = run(
             capsys,
@@ -774,6 +821,20 @@ class TestCommandLineContract:
         for argv, stdin, expected in examples:
             code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
             assert (code, out, err) == (0, expected, "")
+
+    def test_runs_as_a_package(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "wellcovered", "dimension"],
+            input=BULL,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3\n", "")
 
     def test_check_weighting_needs_weights(self, capsys, bull_file):
         code, out, err = exits_with(capsys, ["check-weighting", bull_file])

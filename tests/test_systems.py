@@ -20,7 +20,7 @@ from wellcovered.linalg import (
     rank,
     same_solution_space,
 )
-from wellcovered.modular import md_tree
+from wellcovered.modular import md_fold, md_tree
 from wellcovered.systems import (
     STRATEGIES,
     SolverConfig,
@@ -36,7 +36,6 @@ from wellcovered.systems import (
     lift_quotient_system,
     lift_subgraph_system,
     modular_system,
-    resolve_strategy,
     well_covered_dimension,
     well_covering_system,
 )
@@ -591,20 +590,6 @@ class TestQueries:
         assert is_w_well_covered(gu.bull(), (1, 1, 0, 0, 0))
         assert not is_w_well_covered(gu.bull(), (1, 1, 1, 1, 1))
 
-    def test_resolve_strategy(self):
-        # a graph with no induced P4 resolves to the fork-free fold, which
-        # is the cograph walk there
-        assert resolve_strategy(gu.complete_bipartite(2, 3)) == "forkfree"
-        assert resolve_strategy(gu.bull()) == "forkfree"
-        assert resolve_strategy(gu.fork()) == "bruteforce"
-        assert resolve_strategy(gu.petersen()) == "bruteforce"
-        cfg = SolverConfig(strategy="modular")
-        assert resolve_strategy(gu.bull(), cfg) == "modular"
-        cfg = SolverConfig(strategy="forkfree")
-        assert resolve_strategy(gu.bull(), cfg) == "forkfree"
-        with pytest.raises(StrategyError, match="induced fork"):
-            resolve_strategy(gu.fork(), cfg)
-
     def test_auto_dispatch_output(self):
         for g in (gu.complete_bipartite(2, 3), gu.bull(), gu.petersen()):
             s = well_covering_system(g)
@@ -847,25 +832,70 @@ def test_auto_matches_three_way_dispatch(family):
 
 
 @pytest.mark.parametrize("strategy", ["auto", "forkfree"])
-def test_fork_scan_runs_once_per_fold(monkeypatch, strategy):
-    # the fork-free fold scans the whole graph at its first prime node
-    # only: three prime nodes, one scan, and the rows of the three-way
-    # dispatch; with a fork, auto takes the brute force, forkfree refuses
+def test_fork_scans_see_at_most_twice_the_quotient(monkeypatch, strategy):
+    # the fork-refusing fold scans, before each prime node, the graph on a
+    # pair from each child: one scan per prime node, in fold order, of at
+    # most twice its quotient's vertices, and no whole-graph scan. The
+    # rows are those of the three-way dispatch; with a fork, auto takes
+    # the brute force and forkfree refuses
     import wellcovered.systems as systems
 
     calls = []
     real = systems._finds_fork
     monkeypatch.setattr(systems, "_finds_fork", lambda h: calls.append(h) or real(h))
-    g = gu.join(gu.disjoint_union(gu.bull(), gu.path(4)), gu.bull())
+    # the P4 with its second vertex doubled: a prime node with a child that
+    # is not a clique, so its scan is larger than its quotient
+    doubled = gu.substitute(gu.path(4), [gu.edgeless(k) for k in (1, 2, 1, 1)])
+    g = gu.join(gu.disjoint_union(gu.bull(), doubled), gu.bull())
     cfg = SolverConfig(strategy)
     s, expected = well_covering_system(g, cfg), gu.three_way_auto_system(g)
     assert (s.rows, s.tags) == (expected.rows, expected.tags)
-    assert sum(x.kind == "prime" for x in md_tree(g).iter_nodes()) == 3
-    assert len(calls) == 1
+    quotients = []
+    md_fold(
+        g,
+        lambda v: None,
+        lambda kind, mask, reps, _: kind == "prime" and quotients.append(len(reps)),
+    )
+    assert [h.n for h in calls] == [5, 5, 5] and quotients == [5, 4, 5]
+    calls.clear()
     g = gu.disjoint_union(gu.bull(), gu.fork())
     if strategy == "forkfree":
         with pytest.raises(StrategyError, match="induced fork"):
             well_covering_system(g, cfg)
     else:
         assert well_covering_system(g, cfg) == bruteforce_system(g)
-    assert len(calls) == 2
+    assert [h.n for h in calls] == [5, 5]
+
+
+FORK_FAMILIES = {
+    "gnp": lambda rng: gu.random_graph(rng, rng.randint(1, 13), rng.random()),
+    # a series module whose first child is one vertex and whose later
+    # child is not a clique has a one-vertex chosen set, so a pair read off
+    # that set alone would miss the forks whose two leaves lie in it
+    "cograph_substitution": lambda rng: gu.shuffled_substitution(
+        rng, (4, 6), (1, 3), gu.random_cograph
+    ),
+}
+
+
+@pytest.mark.parametrize("family", FORK_FAMILIES)
+def test_forkfree_refuses_exactly_the_graphs_with_a_fork(family):
+    # the fork-refusing folds of system and of the queries scan no whole
+    # graph, yet must refuse a graph iff it has an induced fork, and on a
+    # fork-free graph system prints the rows of the three-way dispatch
+    rng = gu.seeded(139)
+    cfg = SolverConfig("forkfree")
+    forks = 0
+    for _ in range(120):
+        g = FORK_FAMILIES[family](rng)
+        has_fork = gu.has_induced(g, gu.fork())
+        forks += has_fork
+        if has_fork:
+            for build in (well_covering_system, _query_system):
+                with pytest.raises(StrategyError, match="induced fork"):
+                    build(g, cfg)
+            continue
+        s, expected = well_covering_system(g, cfg), gu.three_way_auto_system(g)
+        assert (s.rows, s.tags) == (expected.rows, expected.tags)
+        assert same_solution_space(_query_system(g, cfg), s)
+    assert 20 <= forks <= 110
