@@ -17,16 +17,10 @@ quotient.
 from .graph import (
     Graph,
     GraphParseError,
-    co_components,
     complement,
-    connected_components,
     delete_closed_neighborhood,
     induced_subgraph,
     is_claw_free,
-    is_co_connected,
-    is_connected,
-    is_fork_free,
-    is_p4_free,
     parse_graph,
 )
 from .independent_sets import (
@@ -96,10 +90,8 @@ __all__ = [
     "basis_to_json",
     "bruteforce_system",
     "clawfree_system",
-    "co_components",
     "cograph_system",
     "complement",
-    "connected_components",
     "delete_closed_neighborhood",
     "empty_system",
     "enumerate_mis",
@@ -110,11 +102,7 @@ __all__ = [
     "greedy_mis",
     "induced_subgraph",
     "is_claw_free",
-    "is_co_connected",
-    "is_connected",
-    "is_fork_free",
     "is_module",
-    "is_p4_free",
     "is_prime",
     "is_w_well_covered",
     "is_well_covered",

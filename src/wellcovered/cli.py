@@ -25,8 +25,8 @@ system is independent by construction.
 
 JSON is written in pieces as ``json.dumps(obj, indent=2)`` would render
 it, from an explicit stack, so a decomposition tree of any depth prints.
-``recognize`` reads the prime, connected and co-connected flags from one
-split of the root.
+``recognize`` reads its six flags off one decomposition fold, whose claw
+and fork scans see at most three vertices per child of a prime node.
 """
 
 from __future__ import annotations
@@ -38,14 +38,7 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .graph import (
-    Graph,
-    GraphParseError,
-    _finds_fork,
-    is_claw_free,
-    is_p4_free,
-    parse_graph,
-)
+from .graph import Graph, GraphParseError, parse_graph
 from .independent_sets import DEFAULT_MIS_CAP, CapExceededError, enumerate_mis
 from .linalg import (
     WeightVector,
@@ -54,15 +47,7 @@ from .linalg import (
     system_to_json,
     system_to_text,
 )
-from .modular import (
-    LEAF,
-    PARALLEL,
-    PRIME,
-    SERIES,
-    MDNode,
-    _partition_masks,
-    md_tree,
-)
+from .modular import MDNode, _tree_flags, md_tree
 from .systems import (
     STRATEGIES,
     SolverConfig,
@@ -275,19 +260,7 @@ def _run_mdtree(args, g: Graph) -> None:
 
 
 def _run_recognize(args, g: Graph) -> None:
-    # every fork holds an induced P4, so a P4-free graph needs no fork test
-    p4_free = is_p4_free(g)
-    # one split of the root: a disconnected graph has a connected
-    # complement; n <= 1 is connected, co-connected and not prime
-    kind, blocks = _partition_masks(g, g.full_mask) if g.n >= 2 else (LEAF, [])
-    flags = {
-        "claw_free": is_claw_free(g),
-        "fork_free": p4_free or not _finds_fork(g),
-        "p4_free": p4_free,
-        "prime": kind == PRIME and all(b & (b - 1) == 0 for b in blocks),
-        "connected": kind != PARALLEL,
-        "co_connected": kind != SERIES,
-    }
+    flags = _tree_flags(g)
     _emit(
         args,
         lambda: flags,
@@ -362,6 +335,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_intermixed_args(argv)
     if (args.weights is None) == (args.verb == "check-weighting"):
         _PARSER.error("--weights is for check-weighting only, and required there")
+    if args.mis_cap < 1:
+        _PARSER.error("argument --mis-cap: must be at least 1")
     try:
         stdin = args.input in (None, "-")
         text = sys.stdin.read() if stdin else _read_file(args.input)
@@ -375,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (StrategyError, ValueError) as exc:
+    except StrategyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceededError as exc:

@@ -423,24 +423,6 @@ def co_component_masks(g: Graph, within: int | None = None) -> list[int]:
     return _block_masks(g, within, -1)
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Partition of the vertex set into maximal connected subgraphs."""
-    return [frozenset(iter_bits(b)) for b in component_masks(g)]
-
-
-def co_components(g: Graph) -> list[frozenset[int]]:
-    """Partition of the vertex set by connected components of the complement."""
-    return [frozenset(iter_bits(b)) for b in co_component_masks(g)]
-
-
-def is_connected(g: Graph) -> bool:
-    return len(component_masks(g)) <= 1
-
-
-def is_co_connected(g: Graph) -> bool:
-    return len(co_component_masks(g)) <= 1
-
-
 def delete_closed_neighborhood(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
     """The subgraph induced by the vertices outside N[v], with its vertex map."""
     if not 0 <= v < g.n:
@@ -453,7 +435,8 @@ def delete_closed_neighborhood(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]
 # induced-subgraph recognition
 #
 # The claw and fork predicates perform exhaustive search over vertex tuples;
-# their loops are pruned orderings of the naive O(n^4)/O(n^5) scans.
+# their loops are pruned orderings of the naive O(n^4)/O(n^5) scans. The
+# decomposition folds run them on small graphs, not on whole graphs.
 
 
 def is_claw_free(g: Graph) -> bool:
@@ -468,18 +451,10 @@ def is_claw_free(g: Graph) -> bool:
     return True
 
 
-def is_fork_free(g: Graph) -> bool:
-    """True iff g has no induced fork (a claw with one edge subdivided once).
-
-    A fork consists of a center c adjacent to pairwise-nonadjacent b, d, e,
-    plus a fifth vertex adjacent to b only.
-    """
-    # tail-b-c-d is an induced P4 of every fork
-    return is_p4_free(g) or not _finds_fork(g)
-
-
 def _finds_fork(g: Graph) -> bool:
-    """True iff an exhaustive scan of centers finds an induced fork in g."""
+    """True iff an exhaustive scan of centers finds an induced fork in g: a
+    center c adjacent to pairwise non-adjacent b, d, e, and a fifth vertex
+    adjacent to b only (a claw with one edge subdivided once)."""
     for c in range(g.n):
         nbrs = g.adj[c]
         for b in iter_bits(nbrs):
@@ -493,28 +468,3 @@ def _finds_fork(g: Graph) -> bool:
                     if tails & ~g.adj[d] & ~g.adj[e]:
                         return True
     return False
-
-
-def is_p4_free(g: Graph) -> bool:
-    """True iff g has no induced path on four vertices, that is, iff
-    splitting it recursively into components or co-components never meets
-    a connected, co-connected set of two or more vertices (Corneil, Lerchs
-    and Stewart Burlingham, Complement reducible graphs, 1981).
-
-    A component is connected and a co-component co-connected, so below the
-    root only the other walk can split a block: each level runs one walk.
-    """
-    # (mask, flip of the walk that split it off; None at the root)
-    work: list[tuple[int, int | None]] = [(g.full_mask, None)]
-    while work:
-        within, parent = work.pop()
-        if within & (within - 1) == 0:  # fewer than two vertices
-            continue
-        for flip in (0, -1) if parent is None else (~parent,):
-            blocks = _block_masks(g, within, flip)
-            if len(blocks) > 1:
-                work.extend((b, flip) for b in blocks)
-                break
-        else:
-            return False
-    return True

@@ -25,21 +25,26 @@ the same paper tells apart at one mask operation per vertex forced. A
 split costs O(n^2) mask operations; it is still not one of the
 linear-time algorithms known for the problem.
 
-``md_fold`` is the one walk over the tree. It is iterative, so ``md_tree``
-and the system builders that use it handle trees of any depth. ``md_tree``
-makes an internal node's vertex set as the union of its children's sets.
+``md_fold`` is the one walk over the tree. It is iterative, so ``md_tree``,
+the system builders and ``recognize``'s flags (``_tree_flags``) handle
+trees of any depth. ``md_tree`` makes an internal node's vertex set as the
+union of its children's sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, TypeVar
+from functools import reduce
+from operator import or_
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .graph import (
     Graph,
+    _finds_fork,
     co_component_masks,
     component_masks,
     induced_subgraph,
+    is_claw_free,
     iter_bits,
     mask_of,
 )
@@ -261,3 +266,86 @@ def md_tree(g: Graph) -> MDNode:
         return MDNode(kind, None, tuple(children), vset, quot, reps)
 
     return md_fold(g, leaf, node)
+
+
+def _lowest(mask: int, k: int) -> int:
+    """The k lowest vertices of ``mask``, or all of them if it has fewer."""
+    out = 0
+    for _ in range(k):
+        low = mask & -mask
+        out |= low
+        mask ^= low
+    return out
+
+
+def _sample(kind: str, samples: Sequence[int], k: int) -> int:
+    """An independent set of min(alpha, k) vertices of a parallel or series
+    node, from such sets of its children: the k lowest of their union
+    (components add their independence numbers), or the first largest
+    (co-components do not combine)."""
+    if kind == PARALLEL:
+        return _lowest(reduce(or_, samples), k)
+    return max(samples, key=int.bit_count)
+
+
+def _independent_triple(h: Graph) -> int:
+    """Three independent vertices of ``h``, else two, else one."""
+    found = 1
+    for a in range(h.n):
+        for b in iter_bits(h.full_mask & ~h.adj[a] & ~((2 << a) - 1)):
+            found = 1 << a | 1 << b
+            rest = h.full_mask & ~h.adj[a] & ~h.adj[b] & ~((2 << b) - 1)
+            if rest:
+                return found | rest & -rest
+    return found
+
+
+def _tree_flags(g: Graph) -> dict[str, bool]:
+    """Whether ``g`` is claw-free, fork-free, P4-free, prime, connected and
+    co-connected, read off one fold of its decomposition tree.
+
+    P4-free means no prime node; the root's kind and arity give the last
+    three flags. A claw or a fork that no child of a node holds spans the
+    node and meets each child in an independent set (its only proper
+    modules of two or more vertices are sets of leaves), so each subtree
+    yields a sample, min(alpha, 3) independent vertices, that can stand
+    in for it. A claw spans a series node iff a child samples three
+    vertices, and a fork, being co-connected, spans none. At a prime
+    node, the graph on its children's samples (at most three times the
+    quotient) holds a claw or a fork iff one spans the node, and is
+    scanned for each flag not yet known. A graph on at most one vertex
+    gets the flags of a vertex.
+    """
+    flags = {"claw_free": True, "fork_free": True, "p4_free": True,
+             "prime": False, "connected": True, "co_connected": True}
+
+    def node(kind, mask, reps, samples) -> int:
+        root = mask == g.full_mask
+        if root:
+            flags["prime"] = kind == PRIME and len(reps) == g.n
+            flags["connected"] = kind != PARALLEL
+            flags["co_connected"] = kind != SERIES
+        if not flags["fork_free"]:
+            return 0  # a fork holds a claw: no flag that samples feed is open
+        if kind != PRIME:
+            sample = _sample(kind, samples, 3)
+            if kind == SERIES and sample.bit_count() == 3:
+                flags["claw_free"] = False
+            return sample
+        flags["p4_free"] = False
+        union = reduce(or_, samples)
+        h = g
+        if union != g.full_mask:
+            h, vmap = induced_subgraph(g, iter_bits(union))
+        if flags["claw_free"]:
+            flags["claw_free"] = is_claw_free(h)
+        # a claw-free graph has no fork
+        if flags["fork_free"] and not flags["claw_free"]:
+            flags["fork_free"] = not _finds_fork(h)
+        if root:
+            return 0
+        return mask_of(vmap[i] for i in iter_bits(_independent_triple(h)))
+
+    if g.n:
+        md_fold(g, (1).__lshift__, node)
+    return flags

@@ -95,7 +95,7 @@ from .linalg import (
     extract_independent_subsystem,
     rank,
 )
-from .modular import PARALLEL, SERIES, md_fold
+from .modular import PARALLEL, SERIES, _lowest, _sample, _tree_flags, md_fold
 
 STRATEGIES = ("auto", "bruteforce", "cograph", "modular", "forkfree")
 
@@ -254,12 +254,6 @@ def modular_system(
     return _fold_system(g, prime_solver)
 
 
-def _two_lowest(mask: int) -> int:
-    low = mask & -mask
-    rest = mask ^ low
-    return low | rest & -rest
-
-
 def _fold_system(
     g: Graph,
     prime_solver: Callable[[Graph], LinearSystem],
@@ -272,8 +266,9 @@ def _fold_system(
     in one vertex, except that its two leaves may share a child that is
     not a clique, where any non-adjacent pair can stand in for them. So
     each subtree also yields a pair, an independent set of two of its
-    vertices, or of one if its module is a clique, and a prime node is
-    scanned on the union of its children's pairs: at most 2|quotient|."""
+    vertices, or of one if its module is a clique (``modular._sample`` with
+    k = 2, as ``_tree_flags`` samples three), and a prime node is scanned
+    on the union of its children's pairs: at most 2|quotient|."""
     if g.n == 0:
         return empty_system(0)
     # a subtree folds to (start, mis, prime_below, pair): its rows, over all
@@ -297,16 +292,14 @@ def _fold_system(
         starts, mis, below, pairs = zip(*children)
         start, prime_below = starts[0], any(below)
         if kind == PARALLEL:
-            pair = _two_lowest(reduce(or_, pairs))
-            return start, reduce(or_, mis), prime_below, pair
+            return start, reduce(or_, mis), prime_below, _sample(kind, pairs, 2)
         if kind == SERIES:
             for j, (a, b) in enumerate(zip(mis, mis[1:]), start=1):
                 rows.append(_diff_row(g.n, iter_bits(a), iter_bits(b)))
                 tags.append(f"join-eq j={j}")
             if prime_below:
                 reduce_from(start)
-            pair = next((p for p in pairs if p & (p - 1)), pairs[0])
-            return start, mis[0], prime_below, pair
+            return start, mis[0], prime_below, _sample(kind, pairs, 2)
         if refuse_forks:
             scanned, _ = induced_subgraph(g, iter_bits(reduce(or_, pairs)))
             if _finds_fork(scanned):
@@ -325,7 +318,7 @@ def _fold_system(
         if children_rows:
             reduce_from(start)
         chosen = reduce(or_, (mis[j] for j in greedy_mis(quot, range(quot.n))))
-        return start, chosen, True, _two_lowest(chosen)
+        return start, chosen, True, _lowest(chosen, 2)
 
     md_fold(g, leaf, node)
     assert len(rows) <= g.n
@@ -524,7 +517,7 @@ def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSys
     except CapExceededError:
         # the fold may hit the cap before it meets a fork; auto's brute force
         # would hit it too, as no induced subgraph has more maximal sets
-        if cfg.strategy == "forkfree" and _finds_fork(g):
+        if cfg.strategy == "forkfree" and not _tree_flags(g)["fork_free"]:
             raise _ForkFound() from None
         raise
     return bruteforce_system(g, cfg.mis_cap)

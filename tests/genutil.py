@@ -21,7 +21,9 @@ front end are kept as oracles too: the three-way ``auto`` dispatch of
 the key that picked the ``is-well-covered`` witness pair. The component
 and co-component walks as they were before each step chose a direction
 (every step ORs the rows of its whole frontier) are kept as oracles for the
-direction-optimizing walk, with the cotree split they drove.
+direction-optimizing walk, with the cotree split they drove. The
+whole-graph fork test the library ran before it read recognition off the
+decomposition tree is kept as ``is_fork_free``.
 """
 
 import random
@@ -34,11 +36,10 @@ from wellcovered.graph import (
     Graph,
     GraphParseError,
     _check_order,
+    _finds_fork,
     co_component_masks,
     component_masks,
     induced_subgraph,
-    is_fork_free,
-    is_p4_free,
     iter_bits,
     mask_of,
 )
@@ -412,8 +413,6 @@ def random_forkfree(rng, max_n):
     independent module at the end of an induced 4-vertex path completes a
     fork), so those candidates are filtered.
     """
-    from wellcovered.graph import is_fork_free
-
     while True:
         style = rng.randrange(4)
         if style == 0:
@@ -677,7 +676,7 @@ def three_way_auto_system(g, cap=DEFAULT_MIS_CAP):
     cograph walk if ``g`` has no induced P4, else the capped brute force if
     it has a fork, else the modular walk with the anti-neighborhood
     reduction at each prime quotient and the capped brute force below."""
-    if is_p4_free(g):
+    if top_down_p4_free(g):
         return cograph_system(g)
     if not is_fork_free(g):
         return bruteforce_system(g, cap)
@@ -736,7 +735,8 @@ def top_down_co_component_masks(g, within=None):
 
 
 def top_down_p4_free(g):
-    """``graph.is_p4_free`` driven by the top-down walks."""
+    """``graph.is_p4_free``, the cotree split the library once ran on the
+    whole graph, driven by the top-down walks."""
     work = [g.full_mask]
     while work:
         within = work.pop()
@@ -748,6 +748,12 @@ def top_down_p4_free(g):
                     return False
             work.extend(blocks)
     return True
+
+
+def is_fork_free(g):
+    """``graph.is_fork_free`` as it was, a whole-graph scan: with no induced
+    P4 there is no fork, else the exhaustive scan of centres decides."""
+    return top_down_p4_free(g) or not _finds_fork(g)
 
 
 def two_walk_partition(g, within, parent=None):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import genutil as gu
 from wellcovered.cli import _json_pieces, _mdtree_json, _mdtree_text, _vset, main
-from wellcovered.graph import Graph, is_fork_free
+from wellcovered.graph import Graph
 from wellcovered.linalg import (
     basis_from_json,
     make_system,
@@ -114,15 +114,14 @@ class TestSystemVerb:
     @pytest.mark.parametrize("strategy", ["auto", "forkfree"])
     def test_cograph_decomposed_once(self, capsys, monkeypatch, strategy):
         # a cograph's tree has no prime node, so the fork-free fold is the
-        # cograph walk: no fork scan and no separate cotree split
-        import wellcovered.graph as graph
+        # cograph walk: no fork scan and no separate recognizing fold
         import wellcovered.systems as systems
 
         g = gu.random_cograph(gu.seeded(9), 60)
         text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
         calls = record_calls(
             monkeypatch,
-            [(systems, "_finds_fork"), (systems, "md_fold"), (graph, "is_p4_free")],
+            [(systems, "_finds_fork"), (systems, "md_fold"), (systems, "_tree_flags")],
         )
         argv = ["system", "--strategy", strategy]
         code, out, _ = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
@@ -182,25 +181,34 @@ class TestDimensionVerb:
     def test_auto_runs_no_whole_graph_recognizer(
         self, capsys, monkeypatch, tmp_path, verb
     ):
-        import wellcovered.graph as graph
+        # modules substituted into the spider (P5 with a pendant at its
+        # middle vertex), a prime quotient with a claw and a fork: the
+        # query fold scans that quotient for both, and never the graph
         import wellcovered.systems as systems
 
-        g = gu.fork_substitution(2)
+        spider = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+        g = gu.substitute(spider, [gu.complete(3), gu.edgeless(2)] * 3)
         text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
         weights = tmp_path / "w.txt"
         weights.write_text("0\n" * g.n)
         calls = []
-        for mod, name in ((graph, "is_p4_free"), (systems, "_finds_fork")):
-            real = getattr(mod, name)
+        for name in ("is_claw_free", "_finds_fork"):
+            real = getattr(systems, name)
             monkeypatch.setattr(
-                mod, name, lambda h, real=real: calls.append(h) or real(h)
+                systems,
+                name,
+                lambda h, real=real, name=name: calls.append((name, h)) or real(h),
             )
         extra = ["--weights", str(weights)] if verb == "check-weighting" else []
         code, _, err = run(
             capsys, [verb, *extra], stdin=text, monkeypatch=monkeypatch
         )
         assert code == 0, err
-        assert all(h.n < g.n for h in calls)
+        assert g.n == 15
+        assert [(name, h.n) for name, h in calls] == [
+            ("is_claw_free", 6),
+            ("_finds_fork", 6),
+        ]
 
     @pytest.mark.parametrize(
         "verb", ["system", "dimension", "basis", "is-well-covered", "check-weighting"]
@@ -323,15 +331,14 @@ class TestIsWellCoveredVerb:
 
     def test_auto_recognizes_once(self, capsys, monkeypatch):
         # a cograph's tree has no prime node: one fold recognizes it, with
-        # no fork scan and no separate cotree split
-        import wellcovered.graph as graph
+        # no fork scan and no separate recognizing fold
         import wellcovered.systems as systems
 
         g = gu.random_cograph(gu.seeded(8), 12)
         text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
         calls = record_calls(
             monkeypatch,
-            [(systems, "_finds_fork"), (systems, "md_fold"), (graph, "is_p4_free")],
+            [(systems, "_finds_fork"), (systems, "md_fold"), (systems, "_tree_flags")],
         )
         code, out, _ = run(
             capsys, ["is-well-covered"], stdin=text, monkeypatch=monkeypatch
@@ -623,29 +630,26 @@ class TestRecognizeVerb:
         assert flags["co-connected"] == "yes"
 
     def test_splits_the_cotree_once(self, capsys, monkeypatch):
-        # the bull has an induced P4, so the fork scan runs, and it does
-        # not split the graph into components and co-components again
-        import wellcovered.cli as cli
-        import wellcovered.graph as graph
+        # the bull is prime: one decomposition fold, one claw scan of the
+        # bull itself, and no fork scan, as a claw-free graph has no fork
+        import wellcovered.modular as modular
 
-        calls = []
-        real = graph.is_p4_free
-        counting = lambda h: calls.append(h) or real(h)
-        monkeypatch.setattr(graph, "is_p4_free", counting)
-        monkeypatch.setattr(cli, "is_p4_free", counting)
+        calls = record_calls(
+            monkeypatch,
+            [(modular, "md_fold"), (modular, "is_claw_free"), (modular, "_finds_fork")],
+        )
         code, out, _ = run(
             capsys, ["recognize"], stdin=BULL, monkeypatch=monkeypatch
         )
         flags = dict(l.split(": ") for l in out.splitlines())
         assert code == 0 and flags["fork-free"] == "yes"
         assert flags["p4-free"] == "no"
-        assert len(calls) == 1
+        assert calls == ["md_fold", "is_claw_free"]
 
     def test_root_flags_from_one_split(self, capsys, monkeypatch):
-        # prime, connected and co-connected come from one split of the
-        # root, and agree with the whole-graph tests they replace
-        import wellcovered.cli as cli
-        from wellcovered.graph import is_co_connected, is_connected
+        # prime, connected and co-connected come from the root of the one
+        # fold, and agree with the whole-graph tests they replace
+        import wellcovered.modular as modular
         from wellcovered.modular import is_prime
 
         rng = gu.seeded(73)
@@ -654,32 +658,94 @@ class TestRecognizeVerb:
             g = gu.random_graph(rng, i % 11, rng.random())
             text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
             with monkeypatch.context() as m:
-                calls = record_calls(m, [(cli, "_partition_masks")])
+                calls = record_calls(m, [(modular, "md_fold")])
                 code, out, _ = run(
                     capsys, ["recognize", "--output", "json"], stdin=text, monkeypatch=m
                 )
             flags = json.loads(out)
-            expected = (is_prime(g), is_connected(g), is_co_connected(g))
+            expected = (
+                is_prime(g),
+                len(gu.top_down_component_masks(g)) <= 1,
+                len(gu.top_down_co_component_masks(g)) <= 1,
+            )
             got = (flags["prime"], flags["connected"], flags["co_connected"])
             assert code == 0 and got == expected
-            assert len(calls) == (g.n >= 2)
+            assert len(calls) == (g.n >= 1)
             seen.add(expected)
         assert len(seen) == 4
 
-    def test_fork_flag_matches_is_fork_free(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("family", ["gnp", "cograph_substitution", "substitution"])
+    def test_flags_match_whole_graph_oracles(self, capsys, monkeypatch, family):
+        # all six flags against whole-graph scans, the cotree split, the
+        # root's walks and, on graphs of at most seven vertices, a search
+        # of every vertex tuple
+        from wellcovered.graph import is_claw_free
+        from wellcovered.modular import is_prime
+
+        make = {
+            "gnp": lambda rng: gu.random_graph(rng, rng.randint(0, 13), rng.random()),
+            "cograph_substitution": lambda rng: gu.shuffled_substitution(
+                rng, (4, 6), (1, 3), gu.random_cograph
+            ),
+            "substitution": lambda rng: gu.shuffled_substitution(rng, (4, 6), (1, 3)),
+        }[family]
         rng = gu.seeded(71)
-        forks = 0
-        for _ in range(60):
-            g = gu.random_graph(rng, rng.randint(5, 9), rng.random())
+        tallies = {}
+        for _ in range(150):
+            g = make(rng)
             text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
             code, out, _ = run(
-                capsys, ["recognize"], stdin=text, monkeypatch=monkeypatch
+                capsys, ["recognize", "--output", "json"], stdin=text, monkeypatch=monkeypatch
             )
-            flags = dict(l.split(": ") for l in out.splitlines())
-            expected = is_fork_free(g)
-            assert code == 0 and flags["fork-free"] == ("yes" if expected else "no")
-            forks += not expected
-        assert 10 <= forks <= 50
+            expected = {
+                "claw_free": is_claw_free(g),
+                "fork_free": gu.is_fork_free(g),
+                "p4_free": gu.top_down_p4_free(g),
+                "prime": is_prime(g),
+                "connected": len(gu.top_down_component_masks(g)) <= 1,
+                "co_connected": len(gu.top_down_co_component_masks(g)) <= 1,
+            }
+            if g.n <= 7:
+                for name, pattern in (
+                    ("claw_free", gu.claw()),
+                    ("fork_free", gu.fork()),
+                    ("p4_free", gu.path(4)),
+                ):
+                    assert expected[name] == (not gu.has_induced(g, pattern))
+            assert code == 0 and json.loads(out) == expected
+            for name, value in expected.items():
+                tallies[name, value] = tallies.get((name, value), 0) + 1
+        # every flag is seen both ways on G(n, p); a substitution into a
+        # prime skeleton is connected, co-connected and not P4-free
+        for name in ("claw_free", "fork_free") if family != "gnp" else expected:
+            assert tallies.get((name, True), 0) >= 5, name
+            assert tallies.get((name, False), 0) >= 5, name
+
+    def test_scans_see_at_most_thrice_a_quotient(self, capsys, monkeypatch):
+        # cliques substituted into a prime line graph: one fold, and each
+        # scan sees at most three vertices of each child of the prime node
+        import wellcovered.modular as modular
+
+        g = gu.line_graph_clique_substitution(gu.seeded(3))
+        primes = [x.quotient.n for x in md_tree(g).iter_nodes() if x.kind == "prime"]
+        text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+        folds = record_calls(monkeypatch, [(modular, "md_fold")])
+        scanned = []
+        for name in ("is_claw_free", "_finds_fork"):
+            real = getattr(modular, name)
+            monkeypatch.setattr(
+                modular, name, lambda h, real=real: scanned.append(h) or real(h)
+            )
+        code, out, _ = run(
+            capsys, ["recognize"], stdin=text, monkeypatch=monkeypatch
+        )
+        assert code == 0 and out == (
+            "claw-free: yes\nfork-free: yes\np4-free: no\nprime: no\n"
+            "connected: yes\nco-connected: yes\n"
+        )
+        assert g.n == 157 and len(primes) == 1
+        assert folds == ["md_fold"]
+        assert scanned and all(h.n <= 3 * max(primes) for h in scanned)
 
 
 class TestInputFormats:
@@ -835,6 +901,10 @@ class TestCommandLineContract:
             timeout=120,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3\n", "")
+
+    def test_mis_cap_below_one_refused(self, capsys, bull_file):
+        code, out, err = exits_with(capsys, ["dimension", bull_file, "--mis-cap", "0"])
+        assert code == 2 and out == "" and "--mis-cap" in err
 
     def test_check_weighting_needs_weights(self, capsys, bull_file):
         code, out, err = exits_with(capsys, ["check-weighting", bull_file])

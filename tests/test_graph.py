@@ -13,16 +13,17 @@ from wellcovered.graph import (
     MAX_VERTICES,
     Graph,
     GraphParseError,
-    co_components,
+    _finds_fork,
+    co_component_masks,
     complement,
-    connected_components,
+    component_masks,
     delete_closed_neighborhood,
     induced_subgraph,
     is_claw_free,
-    is_fork_free,
-    is_p4_free,
+    iter_bits,
     parse_graph,
 )
+from wellcovered.modular import _tree_flags
 
 
 def small_graph(draw):
@@ -377,6 +378,14 @@ class TestInducedSubgraph:
             induced_subgraph(gu.bull(), [0, 7])
 
 
+def connected_components(g):
+    return [frozenset(iter_bits(b)) for b in component_masks(g)]
+
+
+def co_components(g):
+    return [frozenset(iter_bits(b)) for b in co_component_masks(g)]
+
+
 class TestComponents:
     def test_two_k2(self):
         g = gu.disjoint_union(gu.complete(2), gu.complete(2))
@@ -456,8 +465,9 @@ class TestDirectionOptimizingWalk:
         graphs += [gu.shuffled_substitution(rng, (4, 7), (1, 4)) for _ in range(30)]
         found = 0
         for g in graphs:
-            assert is_p4_free(g) == gu.top_down_p4_free(g)
-            found += not is_p4_free(g)
+            p4_free = _tree_flags(g)["p4_free"]
+            assert p4_free == gu.top_down_p4_free(g)
+            found += not p4_free
         assert 40 <= found <= len(graphs) - 100
 
     @pytest.mark.parametrize("c_step", [0, 10**9])
@@ -479,7 +489,7 @@ class TestDirectionOptimizingWalk:
             got = graph_module.co_component_masks(g, within)
             assert got == gu.top_down_co_component_masks(g, within)
         for g in {g for g, _ in cases}:
-            assert is_p4_free(g) == gu.top_down_p4_free(g)
+            assert _tree_flags(g)["p4_free"] == gu.top_down_p4_free(g)
 
     def test_only_large_steps_run_in_c(self, monkeypatch):
         g = gu.random_threshold(gu.seeded(43), 300)
@@ -496,11 +506,12 @@ class TestDirectionOptimizingWalk:
         assert graph_module._bit_list(mask) == list(graph_module.iter_bits(mask))
 
     def test_p4_free_runs_one_walk_per_level(self):
-        # below the root each block runs only the walk that can split it;
-        # over 20 seeds the ratio of rows read was 0.669-0.671
+        # below the root each block of the fold behind recognize runs only
+        # the walk that can split it; over 20 seeds the ratio of rows read
+        # to those of the two-walk split was 0.669-0.671
         g = gu.random_threshold(gu.seeded(59), 1200)
         counted = Graph(g.n, gu.CountingAdj(g.adj))
-        assert is_p4_free(counted)
+        assert _tree_flags(counted)["p4_free"]
         reads = counted.adj.reads
         counted = Graph(g.n, gu.CountingAdj(g.adj))
         assert gu.two_walk_p4_free(counted)
@@ -543,41 +554,54 @@ class TestDeleteClosedNeighborhood:
 
 
 class TestRecognition:
+    # the claw and fork scans on whole graphs, and the flags recognize reads
+    # off the decomposition fold
+
     def test_claw(self):
         g = gu.claw()
-        assert not is_claw_free(g)
-        assert is_fork_free(g)
+        assert not is_claw_free(g) and not _finds_fork(g)
+        flags = _tree_flags(g)
+        assert not flags["claw_free"] and flags["fork_free"]
 
     def test_fork(self):
         g = gu.fork()
-        assert not is_fork_free(g)
+        assert _finds_fork(g)
         assert not is_claw_free(g)  # a fork contains a claw
+        flags = _tree_flags(g)
+        assert not flags["fork_free"] and not flags["claw_free"]
 
     def test_bull(self):
         g = gu.bull()
-        assert is_claw_free(g)
-        assert is_fork_free(g)
-        assert not is_p4_free(g)
+        assert is_claw_free(g) and not _finds_fork(g)
+        flags = _tree_flags(g)
+        assert flags["claw_free"] and flags["fork_free"]
+        assert not flags["p4_free"] and flags["prime"]
 
     def test_p4(self):
         g = gu.path(4)
-        assert not is_p4_free(g)
-        assert is_claw_free(g)
-        assert is_fork_free(g)
+        assert is_claw_free(g) and not _finds_fork(g)
+        flags = _tree_flags(g)
+        assert flags["claw_free"] and flags["fork_free"]
+        assert not flags["p4_free"] and flags["prime"]
 
     def test_against_bruteforce_search(self):
         rng = gu.seeded(11)
         for _ in range(120):
             g = gu.random_graph(rng, rng.randint(0, 8), rng.random())
-            assert is_claw_free(g) == (not gu.has_induced(g, gu.claw()))
-            assert is_fork_free(g) == (not gu.has_induced(g, gu.fork()))
-            assert is_p4_free(g) == (not gu.has_induced(g, gu.path(4)))
+            claw = gu.has_induced(g, gu.claw())
+            fork = gu.has_induced(g, gu.fork())
+            p4 = gu.has_induced(g, gu.path(4))
+            assert (is_claw_free(g), _finds_fork(g)) == (not claw, fork)
+            flags = _tree_flags(g)
+            got = (flags["claw_free"], flags["fork_free"], flags["p4_free"])
+            assert got == (not claw, not fork, not p4)
 
     def test_implications(self):
         rng = gu.seeded(13)
         for _ in range(150):
             g = gu.random_graph(rng, rng.randint(0, 8), rng.random())
-            if is_p4_free(g):
-                assert is_fork_free(g)
-            if is_claw_free(g):
-                assert is_fork_free(g)
+            flags = _tree_flags(g)
+            if flags["p4_free"] or flags["claw_free"]:
+                assert flags["fork_free"]
+            if flags["prime"]:
+                assert flags["connected"] and flags["co_connected"]

@@ -8,7 +8,6 @@ no enumeration of all maximal independent sets.
 import pytest
 
 import genutil as gu
-from wellcovered.graph import is_fork_free
 from wellcovered.linalg import null_space_basis, rank, same_solution_space
 from wellcovered.modular import md_tree
 from wellcovered.systems import (
@@ -76,7 +75,7 @@ def test_strategies_agree(family, routes):
         systems, dims = [], set()
         for strategy in ("cograph", "modular", "forkfree", "auto"):
             cfg = SolverConfig(strategy=strategy)
-            if strategy == "auto" and not is_fork_free(g):
+            if strategy == "auto" and not gu.is_fork_free(g):
                 continue
             try:
                 systems.append(well_covering_system(g, cfg))

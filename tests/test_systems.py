@@ -9,7 +9,6 @@ from wellcovered.graph import (
     complement,
     induced_subgraph,
     is_claw_free,
-    is_fork_free,
 )
 from wellcovered.independent_sets import CapExceededError, enumerate_mis
 from wellcovered.linalg import (
@@ -391,8 +390,8 @@ class TestAntiNeighborhoodSystem:
 
 class TestForkfreeSystem:
     def test_large_cograph_equals_cograph_system(self):
-        # a cograph has no induced P4, so no fork: is_fork_free answers from
-        # the cotree split instead of its claw scan
+        # a cograph has no induced P4, so no fork: the fork-refusing fold
+        # meets no prime node and is the cograph walk
         g = gu.random_cograph(gu.seeded(52), 200)
         assert forkfree_system(g) == cograph_system(g)
 
@@ -567,9 +566,9 @@ class TestClawfreeSystem:
         seen = logs["clawfree_system"]
         assert seen and all(is_claw_free(h) for h in seen)
         enumerated = logs["bruteforce_system"]
-        assert enumerated and not any(is_fork_free(h) for h in enumerated)
+        assert enumerated and not any(gu.is_fork_free(h) for h in enumerated)
         reduced = logs["anti_neighborhood_system"]
-        assert reduced and all(is_fork_free(h) for h in reduced)
+        assert reduced and all(gu.is_fork_free(h) for h in reduced)
         assert not any(is_claw_free(h) for h in reduced)
 
 
@@ -639,7 +638,7 @@ class TestQueryRoute:
         with_fork = 0
         for _ in range(150):
             g = gu.random_graph(rng, rng.randint(1, 12), rng.random())
-            with_fork += not is_fork_free(g)
+            with_fork += not gu.is_fork_free(g)
             s = _query_system(g)
             assert len(s) == rank(s) <= g.n
             assert same_solution_space(s, well_covering_system(g))
