@@ -69,12 +69,27 @@ def _read_file(path: str) -> str:
         raise GraphParseError(f"cannot read {path}: {exc}") from None
 
 
+# Fraction builds 10**exp for a decimal exponent: seconds for a 12-byte
+# "1e10000000", and no end for larger ones. 4300 is the interpreter's
+# default limit on the digits of an int read from text.
+_MAX_EXPONENT = 4300
+
+
 def _read_weights(path: str, n: int) -> WeightVector:
     values = []
     for lineno, raw in enumerate(_read_file(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
+        _, e, exp = line.upper().partition("E")
+        digits = exp.lstrip("+-").replace("_", "").lstrip("0")
+        if e and digits.isdecimal() and (
+            len(digits) > 4 or int(digits) > _MAX_EXPONENT
+        ):
+            raise GraphParseError(
+                f"weights line {lineno}: decimal exponent beyond "
+                f"{_MAX_EXPONENT} in magnitude"
+            )
         try:
             frac = Fraction(line)
         except (ValueError, ZeroDivisionError):

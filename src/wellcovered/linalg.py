@@ -11,10 +11,11 @@ again. Systems are immutable; elimination always works on copies.
 
 rank, extract_independent_subsystem, null_space_basis and
 same_solution_space share one elimination kernel that sees Python ints only.
-It is incremental: it inserts one row into an echelon and tells whether the
-row was independent of it, so they are loops over it, and so is the
-claw-free base of ``systems``, which skips candidate rows already in the
-span. The kernel is sparse: a row is a dict of its nonzero entries,
+It is incremental: it reduces one row against an echelon and returns what
+is left, which is stored only if the caller wants it, so they are loops
+over it, and so is the claw-free base of ``systems``, which skips candidate
+rows already in the span and stores a new row only once it is accepted.
+The kernel is sparse: a row is a dict of its nonzero entries,
 ``{col: int}``, so a cancellation costs the nonzeros of the echelon row, not
 ``num_vars``; the rows of well-covering systems have a handful each. Each
 row is scaled by the lcm of its denominators and reduced by fraction-free
@@ -138,15 +139,16 @@ class Basis:
 # ---------------------------------------------------------------------------
 # elimination
 #
-# _insert is the one kernel: it adds one row to an echelon. Rows are dicts
-# {col: int} of their nonzero entries; an entry that cancels to zero is
-# dropped. The leftmost nonzero column of the row is cancelled against the
-# echelon row with that pivot, by cross-multiplication with both multipliers
-# divided by their gcd, until the row is empty or its leftmost column has no
-# echelon row. Then the row is kept, divided by its content and signed so
-# that its pivot is positive. _echelon feeds _insert the rows of a system in
-# input order; the claw-free base of systems.py feeds it candidate rows one
-# at a time.
+# _reduce is the one kernel: it reduces one row against an echelon. Rows are
+# dicts {col: int} of their nonzero entries; an entry that cancels to zero
+# is dropped. The leftmost nonzero column of the row is cancelled against
+# the echelon row with that pivot, by cross-multiplication with both
+# multipliers divided by their gcd, until the row is empty or its leftmost
+# column has no echelon row. _store keeps such a residual, divided by its
+# content and signed so that its pivot is positive, and _insert is the two
+# in turn. _echelon feeds _insert the rows of a system in input order; the
+# claw-free base of systems.py reduces each candidate row and stores it
+# only once the candidate is accepted.
 
 
 def _integer_row(row: Sequence[Coeff]) -> dict[int, int]:
@@ -190,24 +192,41 @@ def _cancel(row: dict[int, int], er: dict[int, int], col: int) -> dict[int, int]
     return row if g in (0, 1) else {c: x // g for c, x in row.items()}
 
 
-def _insert(echelon: dict[int, dict[int, int]], row: Sequence[Coeff]) -> int | None:
-    """Reduce ``row`` against ``echelon`` and, if anything is left, store it.
+def _reduce(
+    echelon: dict[int, dict[int, int]], work: dict[int, int]
+) -> dict[int, int] | None:
+    """Reduce the sparse integer row ``work`` against ``echelon``.
 
     ``echelon`` maps pivot columns to primitive sparse integer rows with a
-    positive pivot and nothing left of it. Returns the pivot column of the
-    stored row, or None when ``row`` lies in the span of the echelon. A
-    caller that decides against a stored row removes it with
-    ``del echelon[col]``.
+    positive pivot and nothing left of it. Returns the residual, whose
+    leftmost column has no echelon row, or None when ``work`` lies in the
+    span of the echelon. ``work`` is consumed and ``echelon`` is left as
+    it was.
     """
-    work = _integer_row(row)
     while work:
         lead = min(work)
         er = echelon.get(lead)
         if er is None:
-            echelon[lead] = _primitive(work, lead)
-            return lead
+            return work
         work = _cancel(work, er, lead)
     return None
+
+
+def _store(echelon: dict[int, dict[int, int]], residual: dict[int, int]) -> int:
+    """Store a residual of ``_reduce`` in ``echelon``; returns its pivot."""
+    lead = min(residual)
+    echelon[lead] = _primitive(residual, lead)
+    return lead
+
+
+def _insert(echelon: dict[int, dict[int, int]], row: Sequence[Coeff]) -> int | None:
+    """Reduce ``row`` against ``echelon`` and, if anything is left, store it.
+
+    Returns the pivot column of the stored row, or None when ``row`` lies
+    in the span of the echelon.
+    """
+    residual = _reduce(echelon, _integer_row(row))
+    return None if residual is None else _store(echelon, residual)
 
 
 def _echelon(s: LinearSystem) -> tuple[list[int], dict[int, dict[int, int]]]:

@@ -32,10 +32,14 @@ weight. This module builds such systems along several routes:
 * ``clawfree_system``: for claw-free graphs, one equation per generating
   subgraph (an edge, an induced P3 or an induced C4; Levit and Tankus
   2015) that is not implied by those before it. A candidate is skipped at
-  once when one of the cliques it must meet is empty, then without a test
-  when the incremental kernel (``linalg._insert``) finds its row in the
-  span, so the rows are independent by construction; the rest are tested
-  with ``independent_sets.meets_all_cliques``.
+  the first empty one of the cliques it must meet, then without a test
+  when its row is in the span, so the rows are independent by
+  construction; the rest are tested with
+  ``independent_sets.meets_all_cliques``, and a row is stored only once
+  accepted. The edges come first and their span test is a union-find; a
+  later row is reduced by the sparse kernel (``linalg._reduce``) after
+  summing its coefficients per class, so each candidate costs about its
+  degree.
 * ``forkfree_system``: for graphs with no induced fork. Prime quotients are
   solved through the anti-neighborhood reduction, whose subproblems have
   claw-free prime quotients and bottom out at the capped brute force.
@@ -88,7 +92,8 @@ from .linalg import (
     Coeff,
     LinearSystem,
     WeightVector,
-    _insert,
+    _reduce,
+    _store,
     _trusted_system,
     empty_system,
     evaluate,
@@ -357,7 +362,10 @@ def _generating_candidates(g: Graph) -> Iterable[tuple[str, int, int]]:
     """(kind, X, Y) vertex bitmasks of the induced complete bipartite
     subgraphs with sides of at most two vertices: each edge u-v (u < v) as
     ({u}, {v}), each induced P3 a-c-b as ({c}, {a, b}) by centre, then each
-    induced C4 split into its diagonals, X the one with the lowest vertex."""
+    induced C4 split into its diagonals, X the one with the lowest vertex.
+    Every edge comes before any P3 or C4; ``clawfree_system`` relies on it.
+    A C4's diagonal partner x2 of its lowest vertex x1 lies at distance two
+    from x1 through a later vertex, so only those are tried."""
     adj = g.adj
     for u, v in g.edges():
         yield "edge", 1 << u, 1 << v
@@ -368,28 +376,45 @@ def _generating_candidates(g: Graph) -> Iterable[tuple[str, int, int]]:
     for x1 in range(g.n):
         later = g.full_mask & ~((2 << x1) - 1)
         common_to = adj[x1] & later
-        for x2 in iter_bits(later & ~adj[x1]):
+        partners = 0
+        for y in iter_bits(common_to):
+            partners |= adj[y]
+        for x2 in iter_bits(partners & later & ~adj[x1]):
             common = common_to & adj[x2]
             for y1 in iter_bits(common):
                 for y2 in iter_bits(common & ~adj[y1] & ~((2 << y1) - 1)):
                     yield "c4", 1 << x1 | 1 << x2, 1 << y1 | 1 << y2
 
 
-def _generating_cliques(g: Graph, x: int, y: int) -> list[int]:
+def _generating_cliques(g: Graph, x: int, y: int) -> list[int] | None:
     """The cliques that an independent S must meet for both S + X and S + Y
-    to be maximal; (X, Y) is generating iff ``meets_all_cliques`` holds.
+    to be maximal, or None if one of them is empty; (X, Y) is generating
+    iff this is not None and ``meets_all_cliques`` holds. X and Y have at
+    most two vertices each.
 
     S must avoid N[X + Y], so it lies in R = V - N[X + Y], where it must be
     maximal, and it must dominate D = (N(X) ^ N(Y)) - (X + Y), which X + Y
     leaves undominated on one side. In a claw-free graph N(d) & R is a
     clique for every d in D, so the question is whether an independent set
     of G[R] meets all these cliques; any such set extends to a maximal one.
+    A d with no neighbour in R can be dominated by no such S, so the list
+    stops there: most candidates are dropped at their first cliques.
     """
-    nx = reduce(or_, (g.adj[v] for v in iter_bits(x)))
-    ny = reduce(or_, (g.adj[v] for v in iter_bits(y)))
-    rest = g.full_mask & ~(nx | ny | x | y)
-    undominated = (nx ^ ny) & ~(x | y)
-    return [g.adj[d] & rest for d in iter_bits(undominated)]
+    adj = g.adj
+    nx = adj[x.bit_length() - 1] | adj[(x & -x).bit_length() - 1]
+    ny = adj[y.bit_length() - 1] | adj[(y & -y).bit_length() - 1]
+    xy = x | y
+    rest = g.full_mask & ~(nx | ny | xy)
+    cliques = []
+    undominated = (nx ^ ny) & ~xy
+    while undominated:  # iter_bits, inlined: most candidates stop early
+        low = undominated & -undominated
+        undominated ^= low
+        clique = adj[low.bit_length() - 1] & rest
+        if not clique:
+            return None
+        cliques.append(clique)
+    return cliques
 
 
 def clawfree_system(g: Graph) -> LinearSystem:
@@ -401,32 +426,59 @@ def clawfree_system(g: Graph) -> LinearSystem:
     subgraph is an edge, an induced P3 or an induced C4. The candidates are
     taken in a fixed order. A candidate with an empty clique (a vertex of
     D with no neighbour in R; see ``_generating_cliques``) is never
-    generating and is skipped before its row is built. A candidate row
+    generating and is skipped before its row is tested. A candidate row
     w(X) - w(Y) already in the span of the rows accepted so far is skipped
     without a search, so at most n rows are accepted and they are
-    independent. Skipping a candidate that the search would reject leaves
-    the echelon, and so the accepted rows, as they were. The result is
-    meaningless on a graph with a claw; callers test ``is_claw_free`` first.
+    independent. The rest are searched, and a row is stored only once its
+    candidate is accepted.
+
+    Every edge comes first, and while they are tested the accepted rows
+    are edge equalities w(u) = w(v): an edge row is in their span iff u
+    and v are already in one class of a union-find. The edge rows span the
+    kernel of the map that sums a row's coefficients per class, so a P3
+    or C4 row is in the span of all accepted rows iff its class sums are
+    in the span of the accepted P3 and C4 rows' class sums. Those sums go
+    to the sparse kernel (``linalg._reduce``), one column per class, and
+    the rank is the merges plus the stored rows. The result is meaningless
+    on a graph with a claw; callers test ``is_claw_free`` first.
     """
     n = g.n
+    parent = list(range(n))  # union-find over the accepted edges
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]  # path halving
+            v = parent[v]
+        return v
+
+    merges = 0
     echelon: dict[int, dict[int, int]] = {}
     rows: list[tuple[Coeff, ...]] = []
     tags: list[str] = []
     for kind, x, y in _generating_candidates(g):
-        if len(echelon) == n:
+        if merges + len(echelon) == n:
             break
         cliques = _generating_cliques(g, x, y)
-        if not all(cliques):  # some d in D has no neighbour in R
+        if cliques is None:
             continue
-        row = _diff_row(n, iter_bits(x), iter_bits(y))
-        col = _insert(echelon, row)
-        if col is None:
-            continue
-        if meets_all_cliques(g, cliques):
-            rows.append(row)
-            tags.append(f"generating {kind}")
+        if kind == "edge":
+            u, v = find(x.bit_length() - 1), find(y.bit_length() - 1)
+            if u == v or not meets_all_cliques(g, cliques):
+                continue
+            parent[max(u, v)] = min(u, v)
+            merges += 1
         else:
-            del echelon[col]
+            sums: dict[int, int] = {}
+            for side, sign in ((x, 1), (y, -1)):
+                for v in iter_bits(side):
+                    r = find(v)
+                    sums[r] = sums.get(r, 0) + sign
+            residual = _reduce(echelon, {c: k for c, k in sums.items() if k})
+            if residual is None or not meets_all_cliques(g, cliques):
+                continue
+            _store(echelon, residual)
+        rows.append(_diff_row(n, iter_bits(x), iter_bits(y)))
+        tags.append(f"generating {kind}")
     return _trusted_system(n, tuple(rows), tuple(tags))
 
 

@@ -462,6 +462,25 @@ class TestCheckWeightingVerb:
         )
         assert code == 1 and "5 vertices" in err
 
+    def test_huge_exponent_refused(self, capsys, bull_file, tmp_path):
+        # 10**exp is never built: the first line took seconds to parse
+        w = tmp_path / "w.txt"
+        for big in ("1e10000000", "1e-10000000", "1E+4301", "2.5e-0_4301"):
+            w.write_text(f"1\n\n{big}\n0\n0\n0\n")
+            code, out, err = run(
+                capsys, ["check-weighting", bull_file, "--weights", str(w)]
+            )
+            assert code == 1 and out == ""
+            assert err == (
+                "error: weights line 3: decimal exponent beyond 4300 in "
+                "magnitude\n"
+            )
+        w.write_text("1e4300\n1e-4300\n0\n0\n0\n")
+        code, out, _ = run(
+            capsys, ["check-weighting", bull_file, "--weights", str(w)]
+        )
+        assert code == 0 and out.strip() == "no"
+
     def test_undecodable_weights_file(self, capsys, bull_file, tmp_path):
         w = tmp_path / "w.bin"
         w.write_bytes(b"\xff\xfe1\n")

@@ -12,6 +12,7 @@ from wellcovered.linalg import (
     LinearSystem,
     WeightVector,
     _insert,
+    _reduce,
     basis_from_json,
     basis_to_json,
     empty_system,
@@ -361,6 +362,35 @@ class TestIncrementalInsert:
             assert len(clawfree_system(gu.rook(m))) == m * m - (2 * m - 1)
             assert calls[0] > 0
             assert reads[0] <= 8 * calls[0]
+
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_long_primes_cancel_linearly(self, monkeypatch, n):
+        # the edge equalities of P_n and C_n go to a union-find, so no
+        # later span test chases their chain of pivots, which would cost
+        # about n^2 / 2 cancellations on P_n
+        real = linalg._cancel
+        calls = [0]
+
+        def counting(row, er, col):
+            calls[0] += 1
+            return real(row, er, col)
+
+        monkeypatch.setattr(linalg, "_cancel", counting)
+        for g, dimension in ((gu.path(n), 2), (gu.cycle(n), 0)):
+            calls[0] = 0
+            assert n - len(clawfree_system(g)) == dimension
+            assert calls[0] <= 2 * n
+
+    def test_reduce(self):
+        echelon = {}
+        assert _insert(echelon, (1, -1, 0)) == 0
+        assert _insert(echelon, (0, 2, -2)) == 1
+        before = {c: dict(r) for c, r in echelon.items()}
+        assert _reduce(echelon, {0: 3, 2: -3}) is None  # in the span
+        assert _reduce(echelon, {0: 2, 1: 1, 2: 3}) == {2: 6}
+        assert _reduce(echelon, {2: 5}) == {2: 5}  # no pivot to cancel
+        assert _reduce(echelon, {}) is None
+        assert echelon == before  # nothing stored
 
     def test_span_and_removal(self):
         echelon = {}

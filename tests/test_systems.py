@@ -485,10 +485,15 @@ class TestClawfreeSystem:
 
     def test_rows_as_in_search_order(self):
         # skipping candidates with an empty clique before the span test,
-        # and refuting by the packing bound, accept the same rows as span
-        # tests first and a brute-force test of every new row
+        # testing edges on a union-find and later rows on class sums, and
+        # refuting by the packing bound, accept the same rows as forward
+        # span tests first and a brute-force test of every new row
         rng = gu.seeded(83)
-        graphs = [gu.rook(m) for m in range(4, 8)]
+        graphs = [gu.rook(m) for m in range(2, 8)]
+        graphs += [gu.rook(m, m + 3) for m in range(2, 5)]
+        graphs += [f(n) for f in (gu.path, gu.cycle) for n in range(3, 41)]
+        graphs += [gu.line_graph(gu.random_tree(rng, rng.randint(2, 40)))
+                   for _ in range(60)]
         for family in sorted(CLAWFREE_FAMILIES):
             graphs += [CLAWFREE_FAMILIES[family](rng) for _ in range(40)]
         for g in graphs:
