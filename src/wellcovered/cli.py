@@ -12,21 +12,22 @@ program, a reader that closes stdout early (``wellcovered mdtree g.txt |
 head -n 1``) ends it with exit 0 and nothing on stderr.
 
 ``system`` builds with ``well_covering_system``, whose rows keep their
-bytes; under ``auto`` its fold tests each prime node for forks before
-solving it, and scans no whole graph, so a cograph is decomposed once.
+bytes; under ``auto`` it decomposes the graph once and reads the fork
+flag off the tree before solving anything, scanning no whole graph.
 ``dimension``, ``basis``, ``check-weighting`` and, except under
 ``bruteforce``, ``is-well-covered`` print what the solution space fixes,
-so they take the query route (``systems._query_system``): one
-decomposition fold that picks a solver at each prime quotient.
-``is-well-covered`` under ``auto`` folds as under ``forkfree``, refusing
-forks, because a graph with a fork prints a brute-force witness.
-``dimension`` ranks the system only under ``bruteforce``: every other
-system is independent by construction.
+so they take the query route (``systems._query_system``): one fold of
+the decomposition that picks a solver at each prime quotient.
+``is-well-covered`` under ``auto`` takes that route as under
+``forkfree``, refusing forks first, because a graph with a fork prints a
+brute-force witness. ``dimension`` ranks the system only under
+``bruteforce``: every other system is independent by construction.
 
 JSON is written in pieces as ``json.dumps(obj, indent=2)`` would render
 it, from an explicit stack, so a decomposition tree of any depth prints.
-``recognize`` reads its six flags off one decomposition fold, whose claw
-and fork scans see at most three vertices per child of a prime node.
+``recognize`` reads its six flags off one fold of the decomposition, whose
+claw scans see at most three vertices per child of a prime node and fork
+scans two. The empty graph has no tree: ``mdtree`` refuses it (exit 2).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .linalg import (
     system_to_json,
     system_to_text,
 )
-from .modular import MDNode, _tree_flags, md_tree
+from .modular import MDNode, _md_nodes, _tree_flags, md_tree
 from .systems import (
     STRATEGIES,
     SolverConfig,
@@ -202,9 +203,9 @@ def _run_is_well_covered(args, g: Graph) -> None:
     if cfg.strategy == "bruteforce":
         covered, witness = _enumerated_witness(g, cfg.mis_cap)
     elif cfg.strategy == "auto":
-        # the forkfree query route: its fold tests each prime node for
-        # forks before solving it, and a graph with a fork prints the
-        # brute-force witness
+        # the forkfree query route reads the fork flag off the decomposition
+        # before solving, and a graph with a fork prints the brute-force
+        # witness
         try:
             covered = is_well_covered(g, SolverConfig("forkfree", cfg.mis_cap))
         except _ForkFound:
@@ -270,12 +271,14 @@ def _mdtree_text(tree: MDNode) -> str:
 
 
 def _run_mdtree(args, g: Graph) -> None:
+    if g.n == 0:
+        raise StrategyError("modular decomposition requires at least one vertex")
     tree = md_tree(g)
     _emit(args, lambda: _mdtree_json(tree), lambda: _mdtree_text(tree))
 
 
 def _run_recognize(args, g: Graph) -> None:
-    flags = _tree_flags(g)
+    flags = _tree_flags(g, _md_nodes(g))
     _emit(
         args,
         lambda: flags,

@@ -12,7 +12,7 @@ of their walk reads the rows of the frontier or of the unreached rest,
 whichever is smaller, so a level of a deep caterpillar tree reads about
 half of its rows, not all of them, and a step over more than a few dozen
 vertices reads them in C (``graph._block_masks``). A child of a parallel
-node is connected and a child of a series node co-connected, so ``md_fold``
+node is connected and a child of a series node co-connected, so the walk
 passes each node's kind down and its children skip the walk that cannot
 split them: below the root, one walk per level, except under a prime
 node, whose children run both. A prime node
@@ -25,10 +25,11 @@ the same paper tells apart at one mask operation per vertex forced. A
 split costs O(n^2) mask operations; it is still not one of the
 linear-time algorithms known for the problem.
 
-``md_fold`` is the one walk over the tree. It is iterative, so ``md_tree``,
-the system builders and ``recognize``'s flags (``_tree_flags``) handle
-trees of any depth. ``md_tree`` makes an internal node's vertex set as the
-union of its children's sets.
+``_md_nodes`` is the one walk: it decomposes a graph once, on an explicit
+stack, into its tree's nodes in post-order. ``md_fold`` folds that list,
+and several folds may read one decomposition: ``md_tree``, the fork, claw
+and P4 flags (``_tree_flags``), and the system builders. So trees of any
+depth are handled, and the flags are read before anything is solved.
 """
 
 from __future__ import annotations
@@ -210,42 +211,49 @@ def is_prime(g: Graph) -> bool:
     return kind == PRIME and all(b.bit_count() == 1 for b in blocks)
 
 
-def md_fold(
-    g: Graph,
-    leaf: Callable[[int], T],
-    node: Callable[[str, int, tuple[int, ...], list[T]], T],
-) -> T:
-    """Fold the modular decomposition tree of ``g`` (n >= 1) bottom-up,
-    on an explicit stack rather than by recursion.
-
-    A vertex mask splits into its components (parallel), else its
-    co-components (series), else its maximal proper modules (prime). Values
-    come in post-order: ``leaf(v)`` per vertex, ``node(kind, mask, reps,
-    values)`` per internal node, with each child's lowest vertex and value
-    in child order, which is by lowest vertex.
+def _md_nodes(g: Graph) -> list[tuple]:
+    """The modular decomposition tree of ``g`` in post-order, walked on an
+    explicit stack: ``(LEAF, v, None)`` per vertex, ``(kind, mask,
+    blocks)`` per internal node with its children's masks by lowest
+    vertex. A vertex mask splits into its components (parallel), else its
+    co-components (series), else its maximal proper modules (prime).
     """
-    if g.n < 1:
-        raise ValueError("modular decomposition requires at least one vertex")
-    values: list[T] = []
-    # (mask, kind of its parent, None) expands a mask;
-    # (mask, kind, blocks) folds its children
-    work: list[tuple[int, str | None, list[int] | None]] = [
-        (g.full_mask, None, None)
-    ]
+    nodes: list[tuple] = []
+    # (mask, parent's kind, None) expands a mask; (mask, kind, blocks) emits
+    work: list[tuple] = [(g.full_mask, None, None)] if g.n else []
     while work:
         mask, kind, blocks = work.pop()
-        if blocks is None:
-            if mask & (mask - 1) == 0:
-                values.append(leaf(mask.bit_length() - 1))
-                continue
+        if blocks is not None:
+            nodes.append((kind, mask, blocks))
+        elif mask & (mask - 1) == 0:
+            nodes.append((LEAF, mask.bit_length() - 1, None))
+        else:
             kind, blocks = _partition_masks(g, mask, kind)
             work.append((mask, kind, blocks))
             work.extend((b, kind, None) for b in reversed(blocks))
-        else:
-            children = values[-len(blocks):]
-            del values[-len(blocks):]
-            reps = tuple((b & -b).bit_length() - 1 for b in blocks)
-            values.append(node(kind, mask, reps, children))
+    return nodes
+
+
+def md_fold(
+    nodes: list[tuple],
+    leaf: Callable[[int], T],
+    node: Callable[[str, int, tuple[int, ...], list[T]], T],
+) -> T:
+    """Fold the post-order ``nodes`` of ``_md_nodes`` bottom-up: ``leaf(v)``
+    per vertex, ``node(kind, mask, reps, values)`` per internal node, with
+    each child's lowest vertex and value in child order.
+    """
+    if not nodes:
+        raise ValueError("modular decomposition requires at least one vertex")
+    values: list[T] = []
+    for kind, x, blocks in nodes:
+        if blocks is None:
+            values.append(leaf(x))
+            continue
+        children = values[-len(blocks):]
+        del values[-len(blocks):]
+        reps = tuple((b & -b).bit_length() - 1 for b in blocks)
+        values.append(node(kind, x, reps, children))
     return values[0]
 
 
@@ -265,7 +273,7 @@ def md_tree(g: Graph) -> MDNode:
         vset = frozenset().union(*(c.vertex_set for c in children))
         return MDNode(kind, None, tuple(children), vset, quot, reps)
 
-    return md_fold(g, leaf, node)
+    return md_fold(_md_nodes(g), leaf, node)
 
 
 def _lowest(mask: int, k: int) -> int:
@@ -278,13 +286,13 @@ def _lowest(mask: int, k: int) -> int:
     return out
 
 
-def _sample(kind: str, samples: Sequence[int], k: int) -> int:
-    """An independent set of min(alpha, k) vertices of a parallel or series
-    node, from such sets of its children: the k lowest of their union
+def _sample(kind: str, samples: Sequence[int]) -> int:
+    """An independent set of min(alpha, 3) vertices of a parallel or series
+    node, from such sets of its children: the three lowest of their union
     (components add their independence numbers), or the first largest
     (co-components do not combine)."""
     if kind == PARALLEL:
-        return _lowest(reduce(or_, samples), k)
+        return _lowest(reduce(or_, samples), 3)
     return max(samples, key=int.bit_count)
 
 
@@ -300,9 +308,10 @@ def _independent_triple(h: Graph) -> int:
     return found
 
 
-def _tree_flags(g: Graph) -> dict[str, bool]:
+def _tree_flags(g: Graph, nodes: list[tuple]) -> dict[str, bool]:
     """Whether ``g`` is claw-free, fork-free, P4-free, prime, connected and
-    co-connected, read off one fold of its decomposition tree.
+    co-connected, read off one fold of ``nodes``, its decomposition tree
+    (``_md_nodes``).
 
     P4-free means no prime node; the root's kind and arity give the last
     three flags. A claw or a fork that no child of a node holds spans the
@@ -312,9 +321,12 @@ def _tree_flags(g: Graph) -> dict[str, bool]:
     in for it. A claw spans a series node iff a child samples three
     vertices, and a fork, being co-connected, spans none. At a prime
     node, the graph on its children's samples (at most three times the
-    quotient) holds a claw or a fork iff one spans the node, and is
-    scanned for each flag not yet known. A graph on at most one vertex
-    gets the flags of a vertex.
+    quotient) holds a claw iff one spans the node, and is scanned for
+    claws while none is known. A fork meets each child in at most two
+    vertices, so the graph on the two lowest vertices of each sample (at
+    most twice the quotient) is scanned for forks once a claw is known;
+    a claw-free graph has no fork. A graph on at most one vertex gets the
+    flags of a vertex.
     """
     flags = {"claw_free": True, "fork_free": True, "p4_free": True,
              "prime": False, "connected": True, "co_connected": True}
@@ -328,24 +340,27 @@ def _tree_flags(g: Graph) -> dict[str, bool]:
         if not flags["fork_free"]:
             return 0  # a fork holds a claw: no flag that samples feed is open
         if kind != PRIME:
-            sample = _sample(kind, samples, 3)
+            sample = _sample(kind, samples)
             if kind == SERIES and sample.bit_count() == 3:
                 flags["claw_free"] = False
             return sample
         flags["p4_free"] = False
         union = reduce(or_, samples)
-        h = g
+        h, vmap = g, ()  # the whole graph is not copied
         if union != g.full_mask:
             h, vmap = induced_subgraph(g, iter_bits(union))
         if flags["claw_free"]:
             flags["claw_free"] = is_claw_free(h)
-        # a claw-free graph has no fork
-        if flags["fork_free"] and not flags["claw_free"]:
-            flags["fork_free"] = not _finds_fork(h)
+        if not flags["claw_free"]:
+            pairs = reduce(or_, (_lowest(s, 2) for s in samples))
+            pair_graph = h
+            if pairs != union:
+                pair_graph, _ = induced_subgraph(g, iter_bits(pairs))
+            flags["fork_free"] = not _finds_fork(pair_graph)
         if root:
             return 0
         return mask_of(vmap[i] for i in iter_bits(_independent_triple(h)))
 
-    if g.n:
-        md_fold(g, (1).__lshift__, node)
+    if nodes:
+        md_fold(nodes, (1).__lshift__, node)
     return flags

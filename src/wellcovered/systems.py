@@ -20,9 +20,9 @@ weight. This module builds such systems along several routes:
   node below it, keeps the system at most n equations. A join with no
   prime node below needs none: every node of a cotree has a well-covered
   weighting that gives its chosen set a nonzero weight, so the chained
-  equations are independent of the co-components' rows. The walk is
-  iterative (``modular.md_fold``) and writes each row once, over all n
-  variables.
+  equations are independent of the co-components' rows. The fold reads
+  one decomposition (``modular._md_nodes``) and writes each row once,
+  over all n variables.
 * ``cograph_system``: the modular walk with a prime solver that refuses.
   On graphs without induced 4-vertex paths only parallel and series nodes
   occur, so no row is reduced, and a counting argument bounds the size by
@@ -44,15 +44,13 @@ weight. This module builds such systems along several routes:
   solved through the anti-neighborhood reduction, whose subproblems have
   claw-free prime quotients and bottom out at the capped brute force.
 
-``well_covering_system`` (the ``system`` verb) under ``auto`` and
-``forkfree`` runs the fork-refusing fold: before solving a prime node it
-scans for forks the graph induced on a pair of vertices from each child
-(``_fold_system``), at most twice the quotient's size, and no whole-graph
-scan runs. On a fork, ``auto`` drops the fold for the capped brute force
-and ``forkfree`` raises StrategyError. A tree with no prime node is
-P4-free, hence fork-free, so a cograph is decomposed once and the fold is
-the cograph walk. The routes and the brute-force base on prime quotients
-are as before, so the rows keep their bytes.
+Under ``auto`` and ``forkfree``, ``well_covering_system`` (the ``system``
+verb) decomposes the graph once and decides forks before solving: a tree
+with no prime node is P4-free, hence fork-free, and is folded at once;
+otherwise ``modular._tree_flags`` reads the fork flag off the same tree,
+scanning no whole graph. A fork-free graph is folded; on a fork ``auto``
+takes the capped brute force and ``forkfree`` raises StrategyError, with
+no prime quotient solved. The rows keep their bytes.
 
 Queries whose answer the solution space fixes (dimension, basis,
 w-well-coveredness) need any well-covering system, so under ``auto`` and
@@ -61,6 +59,7 @@ prime quotient Q: ``clawfree_system`` if Q is claw-free, else the
 anti-neighborhood reduction if Q is fork-free, else the capped brute force
 on Q. No recognizer runs on the whole graph, and a fork somewhere in it
 costs an enumeration of the quotients that hold a fork, not of the graph.
+``forkfree`` reads the fork flag first, as ``system`` does.
 
 All constructions preserve unit coefficients (-1, 0, 1) when their inputs
 are unit, and every produced system is a well-covering system of its graph.
@@ -100,7 +99,7 @@ from .linalg import (
     extract_independent_subsystem,
     rank,
 )
-from .modular import PARALLEL, SERIES, _lowest, _sample, _tree_flags, md_fold
+from .modular import PARALLEL, PRIME, SERIES, _md_nodes, _tree_flags, md_fold
 
 STRATEGIES = ("auto", "bruteforce", "cograph", "modular", "forkfree")
 
@@ -110,7 +109,7 @@ class StrategyError(RuntimeError):
 
 
 class _ForkFound(StrategyError):
-    """Raised by the fork-refusing fold on a graph with an induced fork."""
+    """Raised under ``forkfree`` on a graph with an induced fork."""
 
     def __init__(self) -> None:
         super().__init__(
@@ -165,6 +164,20 @@ def bruteforce_system(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
     return _trusted_system(g.n, tuple(rows), tuple(tags))
 
 
+def _spread(system: LinearSystem, sets, host_n: int, tags) -> LinearSystem:
+    """The rows with the coefficient of variable j on every host variable
+    in sets[j]; the one loop of both lifts."""
+    rows = []
+    for row in system.rows:
+        out: list[Coeff] = [0] * host_n
+        for j, c in enumerate(row):
+            if c != 0:
+                for v in sets[j]:
+                    out[v] = c
+        rows.append(tuple(out))
+    return _trusted_system(host_n, tuple(rows), tuple(tags))
+
+
 def lift_subgraph_system(
     sub: LinearSystem, vertex_map: Sequence[int], host_n: int
 ) -> LinearSystem:
@@ -183,13 +196,7 @@ def lift_subgraph_system(
         raise ValueError("vertex map entries must be distinct")
     if any(not 0 <= v < host_n for v in vmap):
         raise ValueError(f"vertex map entry out of range for host_n={host_n}")
-    rows = []
-    for row in sub.rows:
-        out: list[Coeff] = [0] * host_n
-        for i, c in enumerate(row):
-            out[vmap[i]] = c
-        rows.append(tuple(out))
-    return _trusted_system(host_n, tuple(rows), sub.tags)
+    return _spread(sub, [(v,) for v in vmap], host_n, sub.tags)
 
 
 def lift_quotient_system(
@@ -221,17 +228,8 @@ def lift_quotient_system(
             if v in seen:
                 raise ValueError(f"vertex {v} appears in two module sets")
             seen.add(v)
-    rows = []
-    tags = []
-    for row, tag in zip(quotient_sys.rows, quotient_sys.tags):
-        out: list[Coeff] = [0] * host_n
-        for j, c in enumerate(row):
-            if c != 0:
-                for v in sets[j]:
-                    out[v] = c
-        rows.append(tuple(out))
-        tags.append(f"subst[{tag}]" if tag else "subst")
-    return _trusted_system(host_n, tuple(rows), tuple(tags))
+    tags = (f"subst[{tag}]" if tag else "subst" for tag in quotient_sys.tags)
+    return _spread(quotient_sys, sets, host_n, tags)
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +254,20 @@ def modular_system(
     if prime_solver is None:
         cap = (cfg or SolverConfig()).mis_cap
         prime_solver = partial(bruteforce_system, cap=cap)
-    return _fold_system(g, prime_solver)
+    return _fold_system(g, _md_nodes(g), prime_solver)
 
 
 def _fold_system(
     g: Graph,
+    nodes: list[tuple],
     prime_solver: Callable[[Graph], LinearSystem],
-    refuse_forks: bool = False,
 ) -> LinearSystem:
-    """``modular_system``'s fold. With ``refuse_forks`` it raises
-    ``_ForkFound`` on a graph with an induced fork, before solving the
-    prime node that holds one. A fork in no single child of a node is at a
-    prime node, as it is connected and co-connected; it meets each child
-    in one vertex, except that its two leaves may share a child that is
-    not a clique, where any non-adjacent pair can stand in for them. So
-    each subtree also yields a pair, an independent set of two of its
-    vertices, or of one if its module is a clique (``modular._sample`` with
-    k = 2, as ``_tree_flags`` samples three), and a prime node is scanned
-    on the union of its children's pairs: at most 2|quotient|."""
+    """``modular_system``'s fold over ``nodes``, from ``_md_nodes(g)``."""
     if g.n == 0:
         return empty_system(0)
-    # a subtree folds to (start, mis, prime_below, pair): its rows, over all
-    # n host variables, are rows[start:], mis and pair are bitmasks of one
-    # of its maximal independent sets and of its pair, and prime_below says
-    # if it has a prime node
+    # a subtree folds to (start, mis, prime_below): its rows, over all n
+    # host variables, are rows[start:], mis is a bitmask of one of its
+    # maximal independent sets, and prime_below says if it has a prime node
     rows: list[tuple[Coeff, ...]] = []
     tags: list[str] = []
 
@@ -290,25 +278,21 @@ def _fold_system(
         rows[start:] = kept.rows
         tags[start:] = kept.tags
 
-    def leaf(v: int) -> tuple[int, int, bool, int]:
-        return len(rows), 1 << v, False, 1 << v
+    def leaf(v: int) -> tuple[int, int, bool]:
+        return len(rows), 1 << v, False
 
-    def node(kind, mask, reps, children) -> tuple[int, int, bool, int]:
-        starts, mis, below, pairs = zip(*children)
+    def node(kind, mask, reps, children) -> tuple[int, int, bool]:
+        starts, mis, below = zip(*children)
         start, prime_below = starts[0], any(below)
         if kind == PARALLEL:
-            return start, reduce(or_, mis), prime_below, _sample(kind, pairs, 2)
+            return start, reduce(or_, mis), prime_below
         if kind == SERIES:
             for j, (a, b) in enumerate(zip(mis, mis[1:]), start=1):
                 rows.append(_diff_row(g.n, iter_bits(a), iter_bits(b)))
                 tags.append(f"join-eq j={j}")
             if prime_below:
                 reduce_from(start)
-            return start, mis[0], prime_below, _sample(kind, pairs, 2)
-        if refuse_forks:
-            scanned, _ = induced_subgraph(g, iter_bits(reduce(or_, pairs)))
-            if _finds_fork(scanned):
-                raise _ForkFound()
+            return start, mis[0], prime_below
         quot, _ = induced_subgraph(g, reps)
         children_rows = len(rows) > start
         substituted = lift_quotient_system(
@@ -323,9 +307,9 @@ def _fold_system(
         if children_rows:
             reduce_from(start)
         chosen = reduce(or_, (mis[j] for j in greedy_mis(quot, range(quot.n))))
-        return start, chosen, True, _lowest(chosen, 2)
+        return start, chosen, True
 
-    md_fold(g, leaf, node)
+    md_fold(nodes, leaf, node)
     assert len(rows) <= g.n
     return _trusted_system(g.n, tuple(rows), tuple(tags))
 
@@ -546,12 +530,18 @@ def forkfree_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
 # strategy dispatch and derived queries
 
 
+def _fork_free(g: Graph, nodes: list[tuple]) -> bool:
+    """Whether ``g`` has no induced fork, read off its decomposition
+    ``nodes``; a tree with no prime node is P4-free and needs no scan."""
+    prime = any(kind == PRIME for kind, _, _ in nodes)
+    return not prime or _tree_flags(g, nodes)["fork_free"]
+
+
 def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
     """Build a well-covering system along the route ``cfg`` names.
-    ``auto`` and ``forkfree`` run the fork-refusing fold, with the capped
-    brute force at prime quotients reached through the anti-neighborhood
-    reduction; on a fork ``auto`` drops the fold for the capped brute force
-    while ``forkfree`` raises StrategyError."""
+    ``auto`` and ``forkfree`` fold a fork-free graph with the
+    anti-neighborhood reduction at prime quotients; on a fork, found before
+    any solving, ``auto`` takes the brute force and ``forkfree`` raises."""
     cfg = cfg or SolverConfig()
     if cfg.strategy == "bruteforce":
         return bruteforce_system(g, cfg.mis_cap)
@@ -560,19 +550,12 @@ def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSys
     prime_solver = partial(bruteforce_system, cap=cfg.mis_cap)
     if cfg.strategy == "modular":
         return modular_system(g, prime_solver=prime_solver)
-    prime_solver = _anti_neighborhood_solver(prime_solver)
-    try:
-        return _fold_system(g, prime_solver, refuse_forks=True)
-    except _ForkFound:
-        if cfg.strategy == "forkfree":
-            raise
-    except CapExceededError:
-        # the fold may hit the cap before it meets a fork; auto's brute force
-        # would hit it too, as no induced subgraph has more maximal sets
-        if cfg.strategy == "forkfree" and not _tree_flags(g)["fork_free"]:
-            raise _ForkFound() from None
-        raise
-    return bruteforce_system(g, cfg.mis_cap)
+    nodes = _md_nodes(g)
+    if _fork_free(g, nodes):
+        return _fold_system(g, nodes, _anti_neighborhood_solver(prime_solver))
+    if cfg.strategy == "forkfree":
+        raise _ForkFound()
+    return prime_solver(g)
 
 
 def _query_prime_solver(cap: int) -> Callable[[Graph], LinearSystem]:
@@ -601,17 +584,20 @@ def _query_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
 
     ``auto`` and ``modular`` fold the decomposition tree with
     ``_query_prime_solver``, so no recognizer runs on the whole graph.
-    ``forkfree`` runs the same fold refusing forks. ``cograph`` and
-    ``bruteforce`` build their own systems. Every system but the
-    brute-force chain is independent by construction.
+    ``forkfree`` first reads the fork flag off the same tree and refuses a
+    graph with a fork. ``cograph`` and ``bruteforce`` build their own
+    systems. Every system but the brute-force chain is independent by
+    construction.
     """
     cfg = cfg or SolverConfig()
     if cfg.strategy == "bruteforce":
         return bruteforce_system(g, cfg.mis_cap)
     if cfg.strategy == "cograph":
         return cograph_system(g)
-    prime_solver = _query_prime_solver(cfg.mis_cap)
-    return _fold_system(g, prime_solver, refuse_forks=cfg.strategy == "forkfree")
+    nodes = _md_nodes(g)
+    if cfg.strategy == "forkfree" and not _fork_free(g, nodes):
+        raise _ForkFound()
+    return _fold_system(g, nodes, _query_prime_solver(cfg.mis_cap))
 
 
 def well_covered_dimension(g: Graph, cfg: SolverConfig | None = None) -> int:

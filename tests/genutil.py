@@ -1042,6 +1042,21 @@ class CountingAdj(tuple):
         return tuple.__getitem__(self, i)
 
 
+def record_scans(monkeypatch, module):
+    """Wrap ``module``'s claw and fork scans (``is_claw_free``,
+    ``_finds_fork``); the returned list gets a (name, scanned graph) pair
+    per call."""
+    scans = []
+    for name in ("is_claw_free", "_finds_fork"):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module,
+            name,
+            lambda h, real=real, name=name: scans.append((name, h)) or real(h),
+        )
+    return scans
+
+
 def graph6_encode(g):
     """Independent graph6 encoder for round-trip tests (n <= 258047): the
     order is one byte up to n = 62, else "~" and three 6-bit bytes."""

@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genutil as gu
+import wellcovered.cli as cli
+import wellcovered.modular as modular
+import wellcovered.systems as systems
 from wellcovered.cli import _json_pieces, _mdtree_json, _mdtree_text, _vset, main
 from wellcovered.graph import Graph
 from wellcovered.linalg import (
@@ -52,6 +55,15 @@ def record_calls(monkeypatch, targets):
         )
     return calls
 
+
+# the decomposition, the folds and the fork decisions of the system and
+# query routes, for record_calls
+DECISIONS = [
+    (systems, "_md_nodes"),
+    (systems, "md_fold"),
+    (systems, "_tree_flags"),
+    (systems, "_finds_fork"),
+]
 
 DEEP_N = 1500
 
@@ -113,20 +125,15 @@ class TestSystemVerb:
 
     @pytest.mark.parametrize("strategy", ["auto", "forkfree"])
     def test_cograph_decomposed_once(self, capsys, monkeypatch, strategy):
-        # a cograph's tree has no prime node, so the fork-free fold is the
-        # cograph walk: no fork scan and no separate recognizing fold
-        import wellcovered.systems as systems
-
+        # a cograph's tree has no prime node, so it is fork-free with no
+        # flags fold, and the one fold is the cograph walk
         g = gu.random_cograph(gu.seeded(9), 60)
         text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
-        calls = record_calls(
-            monkeypatch,
-            [(systems, "_finds_fork"), (systems, "md_fold"), (systems, "_tree_flags")],
-        )
+        calls = record_calls(monkeypatch, DECISIONS)
         argv = ["system", "--strategy", strategy]
         code, out, _ = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
         assert code == 0 and out
-        assert calls == ["md_fold"]
+        assert calls == ["_md_nodes", "md_fold"]
 
     def test_deterministic(self, capsys, bull_file):
         _, out1, _ = run(capsys, ["system", bull_file, "--output", "json"])
@@ -159,23 +166,23 @@ class TestDimensionVerb:
 
     @pytest.mark.parametrize("verb", ["dimension", "is-well-covered", "system"])
     def test_auto_tests_forks_once(self, capsys, monkeypatch, verb):
-        # the bull is fork-free but not a cograph. dimension folds it with
-        # no fork test, and its one prime quotient, the bull, is claw-free.
-        # is-well-covered (which prints a brute-force witness on a fork) and
-        # system run the fork-refusing fold, which scans the bull's one
-        # prime node, here the whole graph, once
-        import wellcovered.systems as systems
-
-        calls = []
-        real = systems._finds_fork
-        monkeypatch.setattr(
-            systems, "_finds_fork", lambda h: calls.append(h) or real(h)
-        )
+        # the bull is prime and fork-free but not a cograph. dimension folds
+        # its one decomposition with no fork test, and its one prime
+        # quotient, the bull, is claw-free. is-well-covered (which prints a
+        # brute-force witness on a fork) and system read the fork flag off
+        # that decomposition once before folding it: one claw scan of the
+        # bull, the quotient, and no fork scan, as it is claw-free. system's
+        # anti-neighborhood subproblems then fold their own graphs
+        calls = record_calls(monkeypatch, DECISIONS)
+        scans = gu.record_scans(monkeypatch, modular)
         code, out, _ = run(capsys, [verb], stdin=BULL, monkeypatch=monkeypatch)
-        expected = {"dimension": (1, 0), "is-well-covered": (1, 1), "system": (2, 1)}
-        lines, fork_tests = expected[verb]
+        flags = ["_tree_flags"] if verb != "dimension" else []
+        lines = 2 if verb == "system" else 1
         assert code == 0 and len(out.splitlines()) == lines
-        assert len(calls) == fork_tests
+        assert calls[:3] == ["_md_nodes", *flags, "md_fold"][:3]
+        assert calls.count("_tree_flags") == len(flags)
+        assert "_finds_fork" not in calls
+        assert [(name, h.n) for name, h in scans] == [("is_claw_free", 5)] * len(flags)
 
     @pytest.mark.parametrize("verb", ["dimension", "basis", "check-weighting"])
     def test_auto_runs_no_whole_graph_recognizer(
@@ -216,29 +223,50 @@ class TestDimensionVerb:
     def test_auto_fork_scans_see_at_most_twice_a_quotient(
         self, capsys, monkeypatch, tmp_path, verb
     ):
-        # cliques substituted into a prime line graph: fork-free, with one
-        # prime node. system and is-well-covered scan it for forks on a
-        # vertex of each clique; the queries see a claw-free quotient
-        import wellcovered.systems as systems
-
-        g = gu.line_graph_clique_substitution(gu.seeded(3))
-        primes = [x.quotient.n for x in md_tree(g).iter_nodes() if x.kind == "prime"]
-        text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
-        weights = tmp_path / "w.txt"
-        weights.write_text("0\n" * g.n)
-        calls = []
-        real = systems._finds_fork
-        monkeypatch.setattr(
-            systems, "_finds_fork", lambda h: calls.append(h) or real(h)
-        )
-        extra = ["--weights", str(weights)] if verb == "check-weighting" else []
-        code, _, err = run(
-            capsys, [verb, *extra], stdin=text, monkeypatch=monkeypatch
-        )
-        assert code == 0, err
-        assert g.n == 157 and len(primes) == 1
-        assert len(calls) == (verb in ("system", "is-well-covered"))
-        assert all(h.n <= 2 * max(primes) for h in calls)
+        # cliques substituted into a prime skeleton: fork-free, with one
+        # prime node, decomposed once per call. system and is-well-covered
+        # read the fork flag off the decomposition: claw scans of at most
+        # three vertices per child, fork scans of at most two, never the
+        # whole graph. The query route scans only the quotient, to pick its
+        # solver. The clique substitution of a prime line graph is
+        # claw-free, so it has no fork scan; the P4 with its second vertex
+        # doubled holds a claw, so its clique substitution has one
+        doubled = gu.substitute(gu.path(4), [gu.edgeless(k) for k in (1, 2, 1, 1)])
+        graphs = [
+            gu.line_graph_clique_substitution(gu.seeded(3)),
+            gu.substitute(doubled, [gu.complete(3)] * 5),
+        ]
+        flags = verb in ("system", "is-well-covered")
+        for g, claw_free in zip(graphs, (True, False)):
+            nodes = md_tree(g).iter_nodes()
+            primes = [x.quotient.n for x in nodes if x.kind == "prime"]
+            text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+            weights = tmp_path / "w.txt"
+            weights.write_text("0\n" * g.n)
+            with monkeypatch.context() as m:
+                # sizes of the decomposed graphs: system's anti-neighborhood
+                # subproblems decompose their own, smaller graphs
+                decomposed = []
+                m.setattr(
+                    systems,
+                    "_md_nodes",
+                    lambda h, real=systems._md_nodes: decomposed.append(h.n) or real(h),
+                )
+                scans = gu.record_scans(m, modular)
+                solver_scans = gu.record_scans(m, systems)
+                extra = ["--weights", str(weights)] if verb == "check-weighting" else []
+                code, _, err = run(capsys, [verb, *extra], stdin=text, monkeypatch=m)
+            assert code == 0, err
+            assert len(primes) == 1 and decomposed.count(g.n) == 1
+            (q,) = primes
+            expected = ["is_claw_free"] + ["_finds_fork"] * (not claw_free)
+            assert [name for name, _ in scans] == expected * flags
+            bound = {"is_claw_free": 3 * q, "_finds_fork": 2 * q}
+            assert all(h.n <= bound[name] and h.n < g.n for name, h in scans)
+            # the query route's solver choice: the quotient is claw-free
+            solver = [("is_claw_free", q)] * (verb != "system")
+            assert [(name, h.n) for name, h in solver_scans] == solver
+        assert graphs[0].n == 157 and graphs[1].n == 15
 
     def test_fork_substitution(self, capsys, monkeypatch):
         # whole-graph brute force at k = 8 exits 3 at the default cap
@@ -330,21 +358,16 @@ class TestIsWellCoveredVerb:
         assert code == 0 and out.strip() == "yes"
 
     def test_auto_recognizes_once(self, capsys, monkeypatch):
-        # a cograph's tree has no prime node: one fold recognizes it, with
-        # no fork scan and no separate recognizing fold
-        import wellcovered.systems as systems
-
+        # a cograph's tree has no prime node: one decomposition recognizes
+        # it, with no fork scan and no flags fold before the one fold
         g = gu.random_cograph(gu.seeded(8), 12)
         text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
-        calls = record_calls(
-            monkeypatch,
-            [(systems, "_finds_fork"), (systems, "md_fold"), (systems, "_tree_flags")],
-        )
+        calls = record_calls(monkeypatch, DECISIONS)
         code, out, _ = run(
             capsys, ["is-well-covered"], stdin=text, monkeypatch=monkeypatch
         )
         assert code == 0 and out.strip() in ("yes", "no")
-        assert calls == ["md_fold"]
+        assert calls == ["_md_nodes", "md_fold"]
 
     def test_bull_no(self, capsys, bull_file):
         code, out, _ = run(capsys, ["is-well-covered", bull_file])
@@ -409,28 +432,27 @@ class TestIsWellCoveredVerb:
 
     @pytest.mark.parametrize("verb", ["dimension", "is-well-covered", "system"])
     def test_forkfree_tests_forks_once(self, capsys, monkeypatch, verb):
-        # the fold scans the one prime node of the bull and of the fork
-        import wellcovered.systems as systems
-
-        calls = []
-        real = systems._finds_fork
-        monkeypatch.setattr(
-            systems, "_finds_fork", lambda h: calls.append(h) or real(h)
-        )
+        # one decomposition and one flags fold before any solving. The
+        # bull is prime and claw-free, so it needs no fork scan and is
+        # folded; the fork's one prime node holds a claw and is scanned
+        # once for forks, and the graph is refused unfolded
+        calls = record_calls(monkeypatch, DECISIONS + [(modular, "_finds_fork")])
         code, _, _ = run(
             capsys,
             [verb, "--strategy", "forkfree"],
             stdin=BULL,
             monkeypatch=monkeypatch,
         )
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and calls[:3] == ["_md_nodes", "_tree_flags", "md_fold"]
+        assert calls.count("_tree_flags") == 1 and "_finds_fork" not in calls
+        calls.clear()
         code, _, err = run(
             capsys,
             [verb, "--strategy", "forkfree"],
             stdin=FORK,
             monkeypatch=monkeypatch,
         )
-        assert code == 2 and len(calls) == 2
+        assert code == 2 and calls == ["_md_nodes", "_tree_flags", "_finds_fork"]
         assert err == (
             "error: graph contains an induced fork; the fork-free strategy "
             "does not apply\n"
@@ -491,6 +513,20 @@ class TestCheckWeightingVerb:
 
 
 class TestMdtreeVerb:
+    @pytest.mark.parametrize(
+        "fmt, stdin",
+        [("edge-list", "0\n"), ("graph6", "?\n")],
+        ids=["edge-list", "graph6"],
+    )
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_empty_graph_refused(self, capsys, monkeypatch, fmt, stdin, output):
+        # the empty graph has no decomposition tree: exit 2 with one error
+        # line, as for an inapplicable strategy, and not an exception
+        argv = ["mdtree", "--format", fmt, "--output", output]
+        code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == "error: modular decomposition requires at least one vertex\n"
+
     def test_deep_tree_text(self, capsys, deep_file):
         code, out, err = run(capsys, ["mdtree", deep_file])
         assert code == 0 and err == ""
@@ -649,13 +685,17 @@ class TestRecognizeVerb:
         assert flags["co-connected"] == "yes"
 
     def test_splits_the_cotree_once(self, capsys, monkeypatch):
-        # the bull is prime: one decomposition fold, one claw scan of the
-        # bull itself, and no fork scan, as a claw-free graph has no fork
-        import wellcovered.modular as modular
-
+        # the bull is prime: one decomposition, one fold of it, one claw
+        # scan of the bull itself, and no fork scan, as a claw-free graph
+        # has no fork
         calls = record_calls(
             monkeypatch,
-            [(modular, "md_fold"), (modular, "is_claw_free"), (modular, "_finds_fork")],
+            [
+                (cli, "_md_nodes"),
+                (modular, "md_fold"),
+                (modular, "is_claw_free"),
+                (modular, "_finds_fork"),
+            ],
         )
         code, out, _ = run(
             capsys, ["recognize"], stdin=BULL, monkeypatch=monkeypatch
@@ -663,12 +703,11 @@ class TestRecognizeVerb:
         flags = dict(l.split(": ") for l in out.splitlines())
         assert code == 0 and flags["fork-free"] == "yes"
         assert flags["p4-free"] == "no"
-        assert calls == ["md_fold", "is_claw_free"]
+        assert calls == ["_md_nodes", "md_fold", "is_claw_free"]
 
     def test_root_flags_from_one_split(self, capsys, monkeypatch):
         # prime, connected and co-connected come from the root of the one
-        # fold, and agree with the whole-graph tests they replace
-        import wellcovered.modular as modular
+        # decomposition, and agree with the whole-graph tests they replace
         from wellcovered.modular import is_prime
 
         rng = gu.seeded(73)
@@ -677,7 +716,7 @@ class TestRecognizeVerb:
             g = gu.random_graph(rng, i % 11, rng.random())
             text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
             with monkeypatch.context() as m:
-                calls = record_calls(m, [(modular, "md_fold")])
+                calls = record_calls(m, [(cli, "_md_nodes")])
                 code, out, _ = run(
                     capsys, ["recognize", "--output", "json"], stdin=text, monkeypatch=m
                 )
@@ -689,7 +728,7 @@ class TestRecognizeVerb:
             )
             got = (flags["prime"], flags["connected"], flags["co_connected"])
             assert code == 0 and got == expected
-            assert len(calls) == (g.n >= 1)
+            assert calls == ["_md_nodes"]
             seen.add(expected)
         assert len(seen) == 4
 
@@ -741,14 +780,13 @@ class TestRecognizeVerb:
             assert tallies.get((name, False), 0) >= 5, name
 
     def test_scans_see_at_most_thrice_a_quotient(self, capsys, monkeypatch):
-        # cliques substituted into a prime line graph: one fold, and each
-        # scan sees at most three vertices of each child of the prime node
-        import wellcovered.modular as modular
-
+        # cliques substituted into a prime line graph: one decomposition,
+        # one fold of it, and each scan sees at most three vertices of each
+        # child of the prime node
         g = gu.line_graph_clique_substitution(gu.seeded(3))
         primes = [x.quotient.n for x in md_tree(g).iter_nodes() if x.kind == "prime"]
         text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
-        folds = record_calls(monkeypatch, [(modular, "md_fold")])
+        folds = record_calls(monkeypatch, [(cli, "_md_nodes"), (modular, "md_fold")])
         scanned = []
         for name in ("is_claw_free", "_finds_fork"):
             real = getattr(modular, name)
@@ -763,7 +801,7 @@ class TestRecognizeVerb:
             "connected: yes\nco-connected: yes\n"
         )
         assert g.n == 157 and len(primes) == 1
-        assert folds == ["md_fold"]
+        assert folds == ["_md_nodes", "md_fold"]
         assert scanned and all(h.n <= 3 * max(primes) for h in scanned)
 
 

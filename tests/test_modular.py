@@ -4,6 +4,7 @@ import genutil as gu
 import wellcovered.modular as modular
 from wellcovered.graph import Graph, iter_bits
 from wellcovered.modular import (
+    _md_nodes,
     is_module,
     is_prime,
     maximal_strong_modules,
@@ -111,7 +112,7 @@ class TestPrimeSplit:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(modular, "_strong_module_masks", split)
-            md_fold(g, lambda v: None, lambda *args: None)
+            _md_nodes(g)
         return found
 
     def test_matches_closure_on_substitutions(self):
@@ -295,8 +296,7 @@ class TestMDTree:
             internal = [x for x in t.iter_nodes() if not x.is_leaf]
             assert all(x.vertex_set == below[id(x)] for x in internal)
             # distinct internal nodes have distinct sets
-            masks = []
-            md_fold(g, lambda v: None, lambda *node: masks.append(node[1]))
+            masks = [mask for _, mask, blocks in _md_nodes(g) if blocks]
             assert len(masks) == len(internal)
             assert {frozenset(iter_bits(m)) for m in masks} == {
                 x.vertex_set for x in internal
@@ -317,7 +317,7 @@ class TestMDTree:
         kinds = set()
         for g in graphs:
             order = []
-            md_fold(g, lambda v: None, lambda *node: order.append(node[:3]))
+            md_fold(_md_nodes(g), lambda v: None, lambda *node: order.append(node[:3]))
             assert order == gu.two_walk_post_order(g)
             kinds.update(kind for kind, _, _ in order)
         assert kinds == {"parallel", "series", "prime"}

@@ -19,7 +19,7 @@ from wellcovered.linalg import (
     rank,
     same_solution_space,
 )
-from wellcovered.modular import md_fold, md_tree
+from wellcovered.modular import md_tree
 from wellcovered.systems import (
     STRATEGIES,
     SolverConfig,
@@ -390,8 +390,8 @@ class TestAntiNeighborhoodSystem:
 
 class TestForkfreeSystem:
     def test_large_cograph_equals_cograph_system(self):
-        # a cograph has no induced P4, so no fork: the fork-refusing fold
-        # meets no prime node and is the cograph walk
+        # a cograph has no induced P4, so no fork: its tree has no prime
+        # node, no flags are read, and the fold is the cograph walk
         g = gu.random_cograph(gu.seeded(52), 200)
         assert forkfree_system(g) == cograph_system(g)
 
@@ -837,45 +837,92 @@ def test_auto_matches_three_way_dispatch(family):
 
 @pytest.mark.parametrize("strategy", ["auto", "forkfree"])
 def test_fork_scans_see_at_most_twice_the_quotient(monkeypatch, strategy):
-    # the fork-refusing fold scans, before each prime node, the graph on a
-    # pair from each child: one scan per prime node, in fold order, of at
-    # most twice its quotient's vertices, and no whole-graph scan. The
-    # rows are those of the three-way dispatch; with a fork, auto takes
-    # the brute force and forkfree refuses
+    # the fork flag is read off the one decomposition before any solving:
+    # at each prime node, in fold order, a claw scan of at most three
+    # vertices per child while no claw is known, then a fork scan of at
+    # most two per child, and no whole-graph scan. The rows are those of
+    # the three-way dispatch; with a fork, auto takes the brute force and
+    # forkfree refuses
+    import wellcovered.modular as modular
     import wellcovered.systems as systems
 
-    calls = []
-    real = systems._finds_fork
-    monkeypatch.setattr(systems, "_finds_fork", lambda h: calls.append(h) or real(h))
+    scans = gu.record_scans(monkeypatch, modular)
+    decompositions = []
+    real_nodes = systems._md_nodes
+    monkeypatch.setattr(
+        systems, "_md_nodes", lambda g: decompositions.append(g) or real_nodes(g)
+    )
     # the P4 with its second vertex doubled: a prime node with a child that
-    # is not a clique, so its scan is larger than its quotient
+    # is not a clique, so its scans are larger than its quotient, and it
+    # holds a claw but no fork
     doubled = gu.substitute(gu.path(4), [gu.edgeless(k) for k in (1, 2, 1, 1)])
     g = gu.join(gu.disjoint_union(gu.bull(), doubled), gu.bull())
     cfg = SolverConfig(strategy)
-    s, expected = well_covering_system(g, cfg), gu.three_way_auto_system(g)
+    expected = gu.three_way_auto_system(g)
+    scans.clear()
+    decompositions.clear()
+    s = well_covering_system(g, cfg)
     assert (s.rows, s.tags) == (expected.rows, expected.tags)
-    quotients = []
-    md_fold(
-        g,
-        lambda v: None,
-        lambda kind, mask, reps, _: kind == "prime" and quotients.append(len(reps)),
-    )
-    assert [h.n for h in calls] == [5, 5, 5] and quotients == [5, 4, 5]
-    calls.clear()
+    # the anti-neighborhood subproblems decompose their own graphs
+    assert [h for h in decompositions if h.n == g.n] == [g]
+    quotients = [len(x.reps) for x in md_tree(g).iter_nodes() if x.kind == "prime"]
+    assert quotients == [5, 4, 5]
+    assert [(name, h.n) for name, h in scans] == [
+        ("is_claw_free", 5),  # the bull
+        ("is_claw_free", 5),  # the doubled P4: a claw
+        ("_finds_fork", 5),  # the doubled P4: no fork
+        ("_finds_fork", 5),  # the second bull, as a claw is known
+    ]
+    scans.clear()
+    decompositions.clear()
     g = gu.disjoint_union(gu.bull(), gu.fork())
     if strategy == "forkfree":
         with pytest.raises(StrategyError, match="induced fork"):
             well_covering_system(g, cfg)
     else:
         assert well_covering_system(g, cfg) == bruteforce_system(g)
-    assert [h.n for h in calls] == [5, 5]
+    assert decompositions == [g]
+    assert [(name, h.n) for name, h in scans] == [
+        ("is_claw_free", 5),
+        ("is_claw_free", 5),
+        ("_finds_fork", 5),
+    ]
+
+
+@pytest.mark.parametrize("strategy", ["auto", "forkfree"])
+def test_fork_decided_before_any_prime_solver(monkeypatch, strategy):
+    # a fork-free prime component numbered before a fork: the fork flag is
+    # read off the decomposition first, so no prime quotient is solved.
+    # auto's system is the brute force on the whole graph, and forkfree
+    # refuses both system and the queries
+    import wellcovered.systems as systems
+
+    g = gu.disjoint_union(gu.path(6), gu.fork())
+    solved = []
+    for name in ("bruteforce_system", "clawfree_system", "anti_neighborhood_system"):
+        real = getattr(systems, name)
+        monkeypatch.setattr(
+            systems,
+            name,
+            lambda h, *a, real=real, name=name, **k: solved.append((name, h.n))
+            or real(h, *a, **k),
+        )
+    cfg = SolverConfig(strategy)
+    if strategy == "forkfree":
+        for build in (well_covering_system, _query_system):
+            with pytest.raises(StrategyError, match="induced fork"):
+                build(g, cfg)
+        assert solved == []
+    else:
+        assert len(well_covering_system(g, cfg)) > 0
+        assert solved == [("bruteforce_system", g.n)]
 
 
 FORK_FAMILIES = {
     "gnp": lambda rng: gu.random_graph(rng, rng.randint(1, 13), rng.random()),
     # a series module whose first child is one vertex and whose later
-    # child is not a clique has a one-vertex chosen set, so a pair read off
-    # that set alone would miss the forks whose two leaves lie in it
+    # child is not a clique: a sample read off its first child alone would
+    # miss the forks whose two leaves lie in the later one
     "cograph_substitution": lambda rng: gu.shuffled_substitution(
         rng, (4, 6), (1, 3), gu.random_cograph
     ),
@@ -884,9 +931,10 @@ FORK_FAMILIES = {
 
 @pytest.mark.parametrize("family", FORK_FAMILIES)
 def test_forkfree_refuses_exactly_the_graphs_with_a_fork(family):
-    # the fork-refusing folds of system and of the queries scan no whole
-    # graph, yet must refuse a graph iff it has an induced fork, and on a
-    # fork-free graph system prints the rows of the three-way dispatch
+    # the fork flag that system and the queries read off the decomposition
+    # scans no whole graph, yet must refuse a graph iff it has an induced
+    # fork, and on a fork-free graph system prints the rows of the
+    # three-way dispatch
     rng = gu.seeded(139)
     cfg = SolverConfig("forkfree")
     forks = 0
