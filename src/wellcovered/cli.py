@@ -37,10 +37,11 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterator
 
-from .graph import Graph, GraphParseError, parse_graph
-from .independent_sets import DEFAULT_MIS_CAP, CapExceededError, enumerate_mis
+from .graph import Graph, GraphParseError, iter_bits, parse_graph
+from .independent_sets import DEFAULT_MIS_CAP, CapExceededError, _mis_masks
 from .linalg import (
     WeightVector,
     basis_to_json,
@@ -187,12 +188,15 @@ def _run_basis(args, g: Graph) -> None:
 def _enumerated_witness(g: Graph, cap: int) -> tuple[bool, tuple | None]:
     """Well-coveredness by enumeration, and when it fails the first
     smallest and the last largest maximal independent set in canonical
-    order."""
-    mis = enumerate_mis(g, cap)
-    if not mis.complete:
+    order, read off the bitmasks. Of two maximal independent sets neither
+    holds the other, so the one that holds the lowest vertex where they
+    differ comes first: canonical order is the descending order of the
+    masks with their n bits reversed."""
+    masks = list(islice(_mis_masks(g), cap + 1))
+    if len(masks) > cap:
         raise CapExceededError(f"maximal independent set cap {cap} exceeded")
-    small = min(mis.sets, key=len)
-    large = max(reversed(mis.sets), key=len)
+    keyed = [(m.bit_count(), -int(f"{m:0{g.n}b}"[::-1], 2), m) for m in masks]
+    small, large = (frozenset(iter_bits(k[2])) for k in (min(keyed), max(keyed)))
     covered = len(small) == len(large)
     return covered, None if covered else (small, large)
 

@@ -1,8 +1,10 @@
 """Maximal independent sets: greedy construction and exact enumeration.
 
 Enumeration works by listing maximal cliques of the complement with a
-pivoting branch-and-bound, capped so that graphs with exponentially many
-maximal independent sets cannot blow up silently. ``meets_all_cliques`` asks
+pivoting branch-and-bound. It is one generator of bitmasks, read by every
+brute-force consumer, and each of them caps it so that graphs with
+exponentially many maximal independent sets cannot blow up silently;
+``enumerate_mis`` sorts its capped prefix. ``meets_all_cliques`` asks
 whether one independent set can meet each of a family of cliques; it is the
 test behind the claw-free base of ``systems``.
 """
@@ -11,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from operator import or_
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graph import Graph, iter_bits
 
@@ -50,21 +53,18 @@ def greedy_mis(g: Graph, order: Sequence[int]) -> frozenset[int]:
     return frozenset(iter_bits(chosen))
 
 
-def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MISList:
-    """Enumerate maximal independent sets, at most ``cap`` of them.
+def _mis_masks(g: Graph) -> Iterator[int]:
+    """Every maximal independent set of ``g`` as a bitmask, depth first.
 
-    If the graph has at most ``cap`` maximal independent sets, all of them
-    are returned with complete=True; otherwise exactly ``cap`` of them with
-    complete=False. Sets are listed in canonical order (lexicographic by
-    sorted member list).
+    The one enumeration: ``enumerate_mis`` sorts a capped prefix of it, and
+    the brute-force consumers of ``systems`` and ``cli`` read it as it
+    runs, so a caller stops it where its cap says.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     if g.n == 0:
-        return MISList((frozenset(),), True)
+        yield 0
+        return
     full = g.full_mask
     nonadj = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
-    found: list[int] = []
 
     # Tomita-style pivoting on the complement: maximal independent sets of g
     # are exactly the maximal cliques of its complement. A frame is
@@ -81,7 +81,7 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MISList:
         return [r, p, x, p & ~nonadj[pivot]]
 
     stack = [frame(0, full, 0)]
-    while stack and len(found) <= cap:
+    while stack:
         top = stack[-1]
         r, p, x, todo = top
         if not todo:
@@ -93,7 +93,20 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MISList:
         if p & outside or x & outside:
             stack.append(frame(r | bit, p & outside, x & outside))
         else:
-            found.append(r | bit)
+            yield r | bit
+
+
+def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MISList:
+    """Enumerate maximal independent sets, at most ``cap`` of them.
+
+    If the graph has at most ``cap`` maximal independent sets, all of them
+    are returned with complete=True; otherwise exactly ``cap`` of them with
+    complete=False. Sets are listed in canonical order (lexicographic by
+    sorted member list).
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    found = list(islice(_mis_masks(g), cap + 1))
     ordered = sorted(tuple(iter_bits(m)) for m in found[:cap])
     return MISList(tuple(map(frozenset, ordered)), len(found) <= cap)
 

@@ -57,9 +57,18 @@ w-well-coveredness) need any well-covering system, so under ``auto`` and
 ``modular`` they fold the decomposition tree once and pick a solver at each
 prime quotient Q: ``clawfree_system`` if Q is claw-free, else the
 anti-neighborhood reduction if Q is fork-free, else the capped brute force
-on Q. No recognizer runs on the whole graph, and a fork somewhere in it
-costs an enumeration of the quotients that hold a fork, not of the graph.
-``forkfree`` reads the fork flag first, as ``system`` does.
+on Q, streamed (``_mis_span``). No recognizer runs on the whole graph,
+and a fork somewhere in it costs an enumeration of the quotients that
+hold a fork, not of the graph. ``forkfree`` reads the fork flag first,
+as ``system`` does.
+
+The streamed brute force builds no sorted list of sets and at most |Q|
+rows: a difference of consecutive sets is kept when it is new mod 2, and
+the rest are tested against the null space of the kept rows once the
+enumeration ends. The fold reduces no prime solver's rows: the claw-free
+base and the span are independent by construction, and the
+anti-neighborhood reduction and the brute-force chain of ``system``
+reduce their own.
 
 All constructions preserve unit coefficients (-1, 0, 1) when their inputs
 are unit, and every produced system is a well-covering system of its graph.
@@ -83,6 +92,7 @@ from .graph import (
 from .independent_sets import (
     DEFAULT_MIS_CAP,
     CapExceededError,
+    _mis_masks,
     enumerate_mis,
     greedy_mis,
     meets_all_cliques,
@@ -97,6 +107,7 @@ from .linalg import (
     empty_system,
     evaluate,
     extract_independent_subsystem,
+    null_space_basis,
     rank,
 )
 from .modular import PARALLEL, PRIME, SERIES, _md_nodes, _tree_flags, md_fold
@@ -162,6 +173,68 @@ def bruteforce_system(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
         rows.append(_diff_row(g.n, mis.sets[i], mis.sets[i + 1]))
         tags.append(f"mis-diff i={i + 1}")
     return _trusted_system(g.n, tuple(rows), tuple(tags))
+
+
+def _mis_span(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
+    """Independent rows spanning those of ``bruteforce_system(g, cap)``,
+    read off the enumeration as it runs; raises CapExceededError as it does.
+
+    Consecutive sets m, m' give the row m - m', and such rows span the
+    differences of all pairs in any enumeration order. A row whose image
+    mod 2, m ^ m', is new over GF(2) is new over Q, as a rational relation
+    scaled to coprime integers holds mod 2: it is kept with no rational
+    work, until n rows are. The others wait as mask pairs, and after the
+    enumeration each is kept iff it is not orthogonal to the null space of
+    the rows kept so far. Only kept rows are built.
+    """
+    n = g.n
+    kept: list[tuple[int, int, int]] = []  # (i, m, m') for the row m - m'
+    waiting: list[tuple[int, int, int]] = []
+    # the kept images, reduced over GF(2): images[v] is the one that holds
+    # bit v of pivots, and no other image holds it
+    images: dict[int, int] = {}
+    pivots = 0
+    prev = None
+    for i, m in enumerate(_mis_masks(g)):
+        if i == cap:
+            raise CapExceededError(
+                f"maximal independent set cap {cap} exceeded; "
+                f"brute-force system unavailable"
+            )
+        if prev is not None and len(kept) < n:
+            image = prev ^ m
+            for v in iter_bits(image & pivots):
+                image ^= images[v]
+            if image:
+                low = image & -image
+                for v, other in images.items():
+                    if other & low:
+                        images[v] = other ^ image
+                images[low.bit_length() - 1] = image
+                pivots |= low
+                kept.append((i, prev, m))
+            else:
+                waiting.append((i, prev, m))
+        prev = m
+    rows = [_diff_row(n, iter_bits(a), iter_bits(b)) for _, a, b in kept]
+    null = _null_vectors(n, rows) if waiting and len(rows) < n else []
+    for i, a, b in waiting:
+        if not null:
+            break
+        plus, minus = list(iter_bits(a & ~b)), list(iter_bits(b & ~a))
+        if any(sum(map(v.__getitem__, plus)) != sum(map(v.__getitem__, minus))
+               for v in null):
+            kept.append((i, a, b))
+            rows.append(_diff_row(n, plus, minus))
+            null = _null_vectors(n, rows)
+    tags = tuple(f"mis-diff i={i}" for i, _, _ in kept)
+    return _trusted_system(n, tuple(rows), tags)
+
+
+def _null_vectors(n: int, rows: list[tuple[Coeff, ...]]) -> list[tuple[Coeff, ...]]:
+    """A basis of the null space of ``rows``."""
+    s = _trusted_system(n, tuple(rows), ("",) * len(rows))
+    return [v.values for v in null_space_basis(s).vectors]
 
 
 def _spread(system: LinearSystem, sets, host_n: int, tags) -> LinearSystem:
@@ -254,7 +327,14 @@ def modular_system(
     if prime_solver is None:
         cap = (cfg or SolverConfig()).mis_cap
         prime_solver = partial(bruteforce_system, cap=cap)
-    return _fold_system(g, _md_nodes(g), prime_solver)
+    return _fold_system(g, _md_nodes(g), _reduced(prime_solver))
+
+
+def _reduced(
+    solver: Callable[[Graph], LinearSystem]
+) -> Callable[[Graph], LinearSystem]:
+    """``solver`` with its rows reduced to an independent subset."""
+    return lambda q: extract_independent_subsystem(solver(q))
 
 
 def _fold_system(
@@ -262,7 +342,8 @@ def _fold_system(
     nodes: list[tuple],
     prime_solver: Callable[[Graph], LinearSystem],
 ) -> LinearSystem:
-    """``modular_system``'s fold over ``nodes``, from ``_md_nodes(g)``."""
+    """``modular_system``'s fold over ``nodes``, from ``_md_nodes(g)``.
+    ``prime_solver``'s rows must be independent; they are not reduced."""
     if g.n == 0:
         return empty_system(0)
     # a subtree folds to (start, mis, prime_below): its rows, over all n
@@ -296,7 +377,7 @@ def _fold_system(
         quot, _ = induced_subgraph(g, reps)
         children_rows = len(rows) > start
         substituted = lift_quotient_system(
-            extract_independent_subsystem(prime_solver(quot)),
+            prime_solver(quot),
             [iter_bits(m) for m in mis],
             g.n,
         )
@@ -506,10 +587,14 @@ def anti_neighborhood_system(
 def _anti_neighborhood_solver(
     prime_solver: Callable[[Graph], LinearSystem]
 ) -> Callable[[Graph], LinearSystem]:
-    """The anti-neighborhood reduction as a prime solver: each G - N[v]
-    runs the modular walk with ``prime_solver`` at its prime quotients."""
-    sub = partial(modular_system, prime_solver=prime_solver)
-    return lambda q: anti_neighborhood_system(q, sub)
+    """The anti-neighborhood reduction as a prime solver, its rows reduced:
+    each G - N[v] runs the modular walk with ``prime_solver``, whose rows
+    must be independent, at its prime quotients."""
+
+    def sub(h: Graph) -> LinearSystem:
+        return _fold_system(h, _md_nodes(h), prime_solver)
+
+    return _reduced(lambda q: anti_neighborhood_system(q, sub))
 
 
 def forkfree_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
@@ -552,7 +637,8 @@ def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSys
         return modular_system(g, prime_solver=prime_solver)
     nodes = _md_nodes(g)
     if _fork_free(g, nodes):
-        return _fold_system(g, nodes, _anti_neighborhood_solver(prime_solver))
+        anti_neighborhoods = _anti_neighborhood_solver(_reduced(prime_solver))
+        return _fold_system(g, nodes, anti_neighborhoods)
     if cfg.strategy == "forkfree":
         raise _ForkFound()
     return prime_solver(g)
@@ -563,8 +649,9 @@ def _query_prime_solver(cap: int) -> Callable[[Graph], LinearSystem]:
     ``clawfree_system`` if Q is claw-free; else, if Q is fork-free, the
     anti-neighborhood reduction, whose subproblems fold with this same
     solver and have claw-free prime quotients; else the capped brute force
-    on Q. Every branch is sound on any Q; the claw and fork tests only
-    pick the cheapest one."""
+    on Q, streamed by ``_mis_span``. Every branch is sound on any Q; the
+    claw and fork tests only pick the cheapest one. Every branch returns
+    independent rows."""
 
     def solve(q: Graph) -> LinearSystem:
         if is_claw_free(q):
@@ -572,7 +659,7 @@ def _query_prime_solver(cap: int) -> Callable[[Graph], LinearSystem]:
         # a prime graph has an induced P4, so no P4 test first
         if not _finds_fork(q):
             return anti_neighborhoods(q)
-        return bruteforce_system(q, cap)
+        return _mis_span(q, cap)
 
     anti_neighborhoods = _anti_neighborhood_solver(solve)
     return solve

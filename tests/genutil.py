@@ -15,15 +15,16 @@ meets a family of sets is decided by trying every independent subset of
 their union, and the claw-free base's rows are rebuilt in the order of
 tests it first used, span test before search. A copy of the edge-list
 line parser as it stood before the canonical fast path is the reference
-that every edge-list parse is compared with. Two earlier choices of the
+that every edge-list parse is compared with. Three earlier choices of the
 front end are kept as oracles too: the three-way ``auto`` dispatch of
-``well_covering_system``, which tested for induced P4s before forks, and
-the key that picked the ``is-well-covered`` witness pair. The component
-and co-component walks as they were before each step chose a direction
-(every step ORs the rows of its whole frontier) are kept as oracles for the
-direction-optimizing walk, with the cotree split they drove. The
-whole-graph fork test the library ran before it read recognition off the
-decomposition tree is kept as ``is_fork_free``.
+``well_covering_system``, which tested for induced P4s before forks, the
+key that picked the ``is-well-covered`` witness pair, and that witness
+read off the sorted enumeration, before it was read off the bitmasks.
+The component and co-component walks as they were before each step
+chose a direction (every step ORs the rows of its whole frontier) are
+kept as oracles for the direction-optimizing walk, with the cotree split
+they drove. The whole-graph fork test the library ran before it read
+recognition off the decomposition tree is kept as ``is_fork_free``.
 """
 
 import random
@@ -43,7 +44,12 @@ from wellcovered.graph import (
     iter_bits,
     mask_of,
 )
-from wellcovered.independent_sets import DEFAULT_MIS_CAP, MISList
+from wellcovered.independent_sets import (
+    DEFAULT_MIS_CAP,
+    CapExceededError,
+    MISList,
+    enumerate_mis,
+)
 from wellcovered.linalg import Basis, LinearSystem, WeightVector
 from wellcovered.modular import _strong_module_masks, is_module, is_prime
 from wellcovered.systems import (
@@ -685,6 +691,19 @@ def three_way_auto_system(g, cap=DEFAULT_MIS_CAP):
     return modular_system(
         g, prime_solver=lambda q: anti_neighborhood_system(q, sub)
     )
+
+
+def enumerated_witness(g, cap):
+    """``cli._enumerated_witness`` as it stood before it read the bitmask
+    stream: the canonically sorted enumeration, then its first smallest
+    and its last largest set."""
+    mis = enumerate_mis(g, cap)
+    if not mis.complete:
+        raise CapExceededError(f"maximal independent set cap {cap} exceeded")
+    small = min(mis.sets, key=len)
+    large = max(reversed(mis.sets), key=len)
+    covered = len(small) == len(large)
+    return covered, None if covered else (small, large)
 
 
 def witness_reference(sets):

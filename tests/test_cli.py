@@ -18,6 +18,7 @@ import wellcovered.modular as modular
 import wellcovered.systems as systems
 from wellcovered.cli import _json_pieces, _mdtree_json, _mdtree_text, _vset, main
 from wellcovered.graph import Graph
+from wellcovered.independent_sets import CapExceededError
 from wellcovered.linalg import (
     basis_from_json,
     make_system,
@@ -429,6 +430,26 @@ class TestIsWellCoveredVerb:
             )
             ties += sizes.count(len(large)) > 1
         assert ties >= 20
+
+    def test_witness_matches_sorted_enumeration(self):
+        # read off the bitmasks, the witness is the pair the canonically
+        # sorted enumeration gives, and a cap fails as it did
+        rng = gu.seeded(149)
+
+        def outcome(find, g, cap):
+            try:
+                return find(g, cap)
+            except CapExceededError as exc:
+                return str(exc)
+
+        capped = 0
+        for _ in range(300):
+            g = gu.random_graph(rng, rng.randint(0, 16), rng.random())
+            cap = rng.choice((1, 8, 40, 10**6))
+            expected = outcome(gu.enumerated_witness, g, cap)
+            capped += isinstance(expected, str)
+            assert outcome(cli._enumerated_witness, g, cap) == expected
+        assert 30 <= capped <= 200
 
     @pytest.mark.parametrize("verb", ["dimension", "is-well-covered", "system"])
     def test_forkfree_tests_forks_once(self, capsys, monkeypatch, verb):
@@ -881,6 +902,37 @@ class TestExitCodes:
         code, out, err = run(capsys, ["dimension", bull_file])
         assert code == 4 and out == ""
         assert err == "error: resource limit reached: MemoryError()\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dimension"],
+            ["basis", "--output", "json"],
+            ["is-well-covered", "--strategy", "modular"],
+            ["check-weighting", "--weights", "ONES"],
+        ],
+    )
+    def test_cap_hit_on_a_quotient_of_full_rank(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        # the prime quotient is the Petersen graph, which has a fork: its 15
+        # maximal independent sets are over the cap of 14, although its
+        # rank of 10 is full after 12 of them
+        g = gu.substitute(gu.petersen(), [gu.edgeless(2)] + [gu.complete(1)] * 9)
+        ones = tmp_path / "ones.txt"
+        ones.write_text("1\n" * g.n)
+        argv = [str(ones) if a == "ONES" else a for a in argv]
+        code, out, err = run(
+            capsys,
+            argv + ["--mis-cap", "14"],
+            stdin=f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()),
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: maximal independent set cap 14 exceeded; "
+            "brute-force system unavailable\n"
+        )
 
     def test_cap_exceeded(self, capsys, monkeypatch):
         edges = "\n".join(f"{2 * i} {2 * i + 1}" for i in range(5))

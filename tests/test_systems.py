@@ -24,6 +24,7 @@ from wellcovered.systems import (
     STRATEGIES,
     SolverConfig,
     StrategyError,
+    _mis_span,
     _query_system,
     anti_neighborhood_system,
     bruteforce_system,
@@ -77,6 +78,56 @@ class TestBruteforceSystem:
             g = gu.random_graph(rng, rng.randint(0, 8), rng.random())
             s = brute(g)
             assert all(c in (-1, 0, 1) for row in s.rows for c in row)
+
+
+class TestMisSpan:
+    def test_matches_bruteforce_system(self, monkeypatch):
+        # the span certified over GF(2), with the null-space test after the
+        # enumeration, spans the rows of the canonical chain and keeps only
+        # independent ones; both cases of the null-space test are met: rows
+        # it keeps (dependent mod 2, independent over Q) and rows it drops
+        import wellcovered.systems as systems
+
+        rng = gu.seeded(2)
+        spans = []
+        real = systems._null_vectors
+
+        def counting(n, rows):
+            spans[-1] += 1
+            return real(n, rows)
+
+        monkeypatch.setattr(systems, "_null_vectors", counting)
+        for _ in range(600):
+            g = gu.random_graph(rng, rng.randint(8, 16), rng.random())
+            spans.append(0)
+            s = _mis_span(g)
+            assert len(s) == rank(s) <= g.n
+            assert same_solution_space(s, bruteforce_system(g))
+        fallbacks = sum(1 for k in spans if k)
+        kept_over_q = sum(k - 1 for k in spans if k)
+        assert fallbacks >= 100 and kept_over_q >= 3
+
+    def test_small_graphs(self):
+        for g in (gu.edgeless(0), gu.edgeless(3), gu.complete(4), gu.bull()):
+            s = _mis_span(g)
+            assert len(s) == rank(s)
+            assert same_solution_space(s, bruteforce_system(g))
+
+    def test_cap_counts_past_full_rank(self):
+        # the Petersen graph has 15 maximal independent sets, and its rank
+        # of 10 is full before the last of them: the enumeration still
+        # counts to the cap, and fails with the canonical chain's message
+        g = gu.petersen()
+        s = _mis_span(g, cap=15)
+        assert len(s) == 10
+        assert max(int(t.removeprefix("mis-diff i=")) for t in s.tags) < 14
+        for build in (_mis_span, bruteforce_system):
+            with pytest.raises(CapExceededError) as exc:
+                build(g, cap=14)
+            assert str(exc.value) == (
+                "maximal independent set cap 14 exceeded; "
+                "brute-force system unavailable"
+            )
 
 
 class TestLiftSubgraphSystem:
@@ -520,20 +571,21 @@ class TestClawfreeSystem:
 
         calls = []
         for mod in (systems, independent_sets):
-            real = mod.enumerate_mis
+            real = mod._mis_masks
 
             def counting(h, *args, real=real):
                 calls.append(h)
                 return real(h, *args)
 
-            monkeypatch.setattr(mod, "enumerate_mis", counting)
+            monkeypatch.setattr(mod, "_mis_masks", counting)
         assert well_covered_dimension(gu.rook(7)) == 13
         assert calls == []
 
     def test_claw_free_test_routes_every_quotient(self, monkeypatch):
         # on the query route, claw-free prime quotients go to
         # clawfree_system, those with a fork (Petersen's, for one) to the
-        # enumeration, and the rest through the anti-neighbourhoods
+        # streamed span of the enumeration, and the rest through the
+        # anti-neighbourhoods
         import wellcovered.systems as systems
 
         rng = gu.seeded(71)
@@ -550,7 +602,7 @@ class TestClawfreeSystem:
             sizes = [1 + (rng.random() < 0.2) for _ in range(skeleton.n)]
             g = gu.substitute(skeleton, [gu.complete(k) for k in sizes])
             graphs.append((g, brute(g)))
-        logs = {"clawfree_system": [], "bruteforce_system": [],
+        logs = {"clawfree_system": [], "_mis_span": [],
                 "anti_neighborhood_system": []}
         for name, log in logs.items():
             real = getattr(systems, name)
@@ -570,7 +622,7 @@ class TestClawfreeSystem:
                 assert len(s) == rank(s)
         seen = logs["clawfree_system"]
         assert seen and all(is_claw_free(h) for h in seen)
-        enumerated = logs["bruteforce_system"]
+        enumerated = logs["_mis_span"]
         assert enumerated and not any(gu.is_fork_free(h) for h in enumerated)
         reduced = logs["anti_neighborhood_system"]
         assert reduced and all(gu.is_fork_free(h) for h in reduced)
@@ -624,13 +676,13 @@ class TestQueryRoute:
 
         sizes = []
         for mod in (systems, independent_sets):
-            real = mod.enumerate_mis
+            real = mod._mis_masks
 
             def counting(h, *args, real=real):
                 sizes.append(h.n)
                 return real(h, *args)
 
-            monkeypatch.setattr(mod, "enumerate_mis", counting)
+            monkeypatch.setattr(mod, "_mis_masks", counting)
         for strategy in ("auto", "modular"):
             for k in range(1, 9):
                 well_covered_dimension(
