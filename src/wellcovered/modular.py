@@ -16,14 +16,14 @@ node is connected and a child of a series node co-connected, so the walk
 passes each node's kind down and its children skip the walk that cannot
 split them: below the root, one walk per level, except under a prime
 node, whose children run both. A prime node
-(connected and co-connected) is split by partition refinement from its
-lowest vertex v: refining the other vertices by every vertex that splits a
-part leaves the maximal modules that avoid v (Ehrenfeucht, Gabow, McConnell
-and Sullivan 1994; Habib and Paul 2010). Each of them is a maximal strong
-module or lies inside the one that holds v, which the forcing relation of
-the same paper tells apart at one mask operation per vertex forced. A
-split costs O(n^2) mask operations; it is still not one of the
-linear-time algorithms known for the problem.
+(connected and co-connected) is split by vertex partitioning from its
+lowest vertex v: refining the other vertices until no vertex splits a part
+leaves the maximal modules that avoid v (Ehrenfeucht, Gabow, McConnell and
+Sullivan 1994; Habib and Paul 2010). A part that splits refines the rest
+through its smaller side only, so each vertex's row is read O(log n)
+times. Each of those modules is a maximal strong module or lies inside
+the one that holds v, which the forcing relation of the same paper tells
+apart at one mask operation per vertex forced.
 
 ``_md_nodes`` is the one walk: it decomposes a graph once, on an explicit
 stack, into its tree's nodes in post-order. ``md_fold`` folds that list,
@@ -41,6 +41,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .graph import (
     Graph,
+    _bit_list,
     _finds_fork,
     co_component_masks,
     component_masks,
@@ -127,31 +128,59 @@ def _strong_module_masks(g: Graph, within: int) -> list[int]:
     co-connected; they are pairwise disjoint and partition the vertex set.
 
     Refining ``within`` minus its lowest vertex v, from the neighbours and
-    non-neighbours of v, by every vertex that splits a part yields the
-    maximal modules that avoid v. Each is either a maximal proper module
-    or lies inside M(v), the one that holds v; a part X lies inside M(v)
-    exactly when the smallest module that holds X and the part of M(v)
-    found so far is proper. Forcing grows that module: with v and u it
-    holds each vertex that sees exactly one of them. The growth stops at
-    a part already found outside M(v), as it can then only end at ``within``.
+    non-neighbours of v, until no vertex splits a part yields the maximal
+    modules that avoid v. This is vertex partitioning (Ehrenfeucht, Gabow,
+    McConnell and Sullivan, J. Algorithms 1994): the two sides of a split
+    refine each other at the cost of the smaller side's degrees. Its
+    vertices split the larger side's parts by their neighbours, and its
+    parts are regrouped by their vertices' neighbours in the larger side.
+    A vertex is on the smaller side at most log2(n) times. Each maximal
+    module that avoids v is either a maximal proper module or lies inside
+    M(v), the one that holds v; a part X lies inside M(v) exactly when the
+    smallest module that holds X and the part of M(v) found so far is
+    proper. Forcing grows that module: with v and u it holds each vertex
+    that sees exactly one of them. The growth stops at a part already
+    found outside M(v), as it can then only end at ``within``.
     """
+    adj = g.adj
     v = within & -within
-    adj_v = g.adj[v.bit_length() - 1]
-    nbrs = adj_v & within
-    # both parts are nonempty: g[within] is connected and co-connected
-    parts = [nbrs, within & ~nbrs & ~v]
-    final: list[int] = []
-    while parts:
-        x = parts.pop()
-        for u in iter_bits(within & ~x):
-            seen = g.adj[u] & x
-            if seen and seen != x:
-                parts += (seen, x & ~seen)
-                break
-        else:
-            final.append(x)
+    adj_v = adj[v.bit_length() - 1]
+    parts = [within & ~v]
+    owner = dict.fromkeys(_bit_list(parts[0]), 0)
+    pending: list[tuple[int, int]] = []
+
+    def split(i: int, out: int) -> None:
+        # the smaller side takes a new part; the two sides must refine each other
+        rest = parts[i] & ~out
+        if out.bit_count() > rest.bit_count():
+            out, rest = rest, out
+        parts[i] = rest
+        owner.update(dict.fromkeys(iter_bits(out), len(parts)))
+        parts.append(out)
+        pending.append((out, rest))
+
+    # both sides are nonempty: g[within] is connected and co-connected
+    split(0, adj_v & within)
+    while pending:
+        small, large = pending.pop()
+        groups: dict[int, dict[int, int]] = {}
+        for a in iter_bits(small):
+            seen = todo = adj[a] & large
+            while todo:  # a splits each part of the large side it sees in part
+                i = owner[(todo & -todo).bit_length() - 1]
+                x = parts[i]
+                todo &= ~x
+                if x & ~seen:
+                    split(i, x & seen)
+            i = owner[a]
+            if parts[i] & (parts[i] - 1):
+                by_row = groups.setdefault(i, {})
+                by_row[seen] = by_row.get(seen, 0) | 1 << a
+        for i, by_row in groups.items():  # regroup the small side's parts
+            for x in sorted(by_row.values(), key=int.bit_count)[:-1]:
+                split(i, x)
     block, outside = v, 0
-    for x in final:
+    for x in parts:
         # x is a module, so its other vertices force nothing outside x
         m, todo = block | x, x & -x
         while todo and not m & outside:
@@ -164,7 +193,7 @@ def _strong_module_masks(g: Graph, within: int) -> list[int]:
             outside |= x
         else:
             block = m
-    blocks = [block] + [x for x in final if not x & block]
+    blocks = [block] + [x for x in parts if not x & block]
     return sorted(blocks, key=lambda b: b & -b)
 
 

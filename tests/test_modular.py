@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
 import genutil as gu
 import wellcovered.modular as modular
-from wellcovered.graph import Graph, iter_bits
+from wellcovered.graph import Graph, induced_subgraph, iter_bits, mask_of
 from wellcovered.modular import (
     _md_nodes,
     is_module,
@@ -98,16 +100,17 @@ class TestMaximalStrongModules:
 
 
 class TestPrimeSplit:
-    """The refinement split against the closure search it replaced."""
+    """The vertex-partitioning split against the closure search and the
+    definition."""
 
     def prime_splits(self, g):
-        """(refinement, closure) block masks at every prime node of g."""
+        """(split, closure, within) at every prime node of g."""
         found = []
         real = modular._strong_module_masks
 
         def split(h, within):
             got = real(h, within)
-            found.append((got, gu.closure_strong_module_masks(h, within)))
+            found.append((got, gu.closure_strong_module_masks(h, within), within))
             return got
 
         with pytest.MonkeyPatch.context() as mp:
@@ -120,7 +123,7 @@ class TestPrimeSplit:
         nodes = lowest_in_module = 0
         for _ in range(150):
             g = gu.shuffled_substitution(rng, (4, 9), (1, 6))
-            for got, expected in self.prime_splits(g):
+            for got, expected, _ in self.prime_splits(g):
                 assert got == expected
                 nodes += 1
                 lowest_in_module += got[0].bit_count() > 1
@@ -130,21 +133,55 @@ class TestPrimeSplit:
         rng = gu.seeded(43)
         for _ in range(400):
             g = gu.random_graph(rng, rng.randint(4, 14), rng.random())
-            for got, expected in self.prime_splits(g):
+            for got, expected, _ in self.prime_splits(g):
                 assert got == expected
 
-    def test_adjacency_reads_quadratic(self):
-        # a prime line graph on 40 vertices: every refined part is a single
-        # vertex, and growing the module of the lowest vertex by forcing
-        # stops at the first part found outside it, so the split reads
-        # fewer than 2n^2 adjacency masks; a splitter closure per part
-        # reads about 2.6n^2
-        g = gu.line_graph(gu.random_graph(gu.seeded(11), 12, 0.6))
-        assert g.n == 40 and is_prime(g)
+    def test_sweep_matches_oracles(self):
+        # prime nodes of G(n <= 16, p), shuffled substitutions and line
+        # graphs, at the root and below it; each split is checked against
+        # the closure search, and against the definition on g[within]
+        # when that has at most 10 vertices
+        rng = gu.seeded(61)
+        nodes = below_root = lowest_in_module = by_definition = 0
+        for i in range(2700):
+            if i % 3 == 0:
+                g = gu.random_graph(rng, rng.randint(4, 16), rng.random())
+            elif i % 3 == 1:
+                g = gu.shuffled_substitution(rng, (4, 8), (1, 4))
+            else:
+                g = gu.line_graph(gu.random_graph(rng, rng.randint(4, 7), rng.random()))
+            for got, expected, within in self.prime_splits(g):
+                assert got == expected
+                nodes += 1
+                below_root += within != g.full_mask
+                lowest_in_module += got[0].bit_count() > 1
+                if within.bit_count() <= 10:
+                    h, vmap = induced_subgraph(g, iter_bits(within))
+                    brute = [mask_of(vmap[u] for u in b)
+                             for b in gu.brute_maximal_strong_modules(h)]
+                    assert got == brute
+                    by_definition += 1
+        assert nodes >= 2000 and by_definition >= 700
+        assert below_root >= 300 and lowest_in_module >= 500
+
+    @pytest.mark.parametrize("family, n", [
+        ("path", 500), ("path", 2000), ("cycle", 500), ("cycle", 2000),
+        ("line", 40),
+    ])
+    def test_adjacency_reads_near_linear(self, family, n):
+        # each vertex reads its row once per split that puts it on the
+        # smaller side, at most log2(n) times, and forcing the module of
+        # the lowest vertex stops at the first part found outside it
+        if family == "line":
+            g = gu.line_graph(gu.random_graph(gu.seeded(11), 12, 0.6))
+        else:
+            g = getattr(gu, family)(n)
+        assert g.n == n and is_prime(g)
         counted = Graph(g.n, gu.CountingAdj(g.adj))
         blocks = modular._strong_module_masks(counted, counted.full_mask)
         assert blocks == [1 << v for v in range(g.n)]
-        assert counted.adj.reads <= 2 * g.n**2
+        m = sum(map(int.bit_count, g.adj)) // 2
+        assert counted.adj.reads <= 2 * (n + m) * math.ceil(math.log2(n))
 
 
 class TestQuotient:
