@@ -28,7 +28,8 @@ weight. This module builds such systems along several routes:
   occur, so no row is reduced, and a counting argument bounds the size by
   n - 1.
 * ``anti_neighborhood_system``: combine systems of the graphs G - N[v], one
-  per vertex v, with chained equations relating the sets I_v + {v}.
+  per vertex v, with chained equations relating the sets I_v + {v}. As a
+  prime solver it reduces its rows as they are produced.
 * ``clawfree_system``: for claw-free graphs, one equation per generating
   subgraph (an edge, an induced P3 or an induced C4; Levit and Tankus
   2015) that is not implied by those before it. A candidate is skipped at
@@ -70,6 +71,13 @@ base and the span are independent by construction, and the
 anti-neighborhood reduction and the brute-force chain of ``system``
 reduce their own.
 
+The span and the anti-neighborhood reduction stop at full rank, |Q| rows
+kept, except for work that could pass the MIS cap: no graph on m
+vertices has more than ``_moon_moser(m)`` maximal independent sets
+(Moon and Moser 1965), so only where that bound passes the cap does the
+span count on, or the reduction solve a remaining G - N[v]. Rows, tags
+and exceptions are those of the eager construction.
+
 All constructions preserve unit coefficients (-1, 0, 1) when their inputs
 are unit, and every produced system is a well-covering system of its graph.
 """
@@ -79,7 +87,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import or_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import (
     Graph,
@@ -101,6 +109,7 @@ from .linalg import (
     Coeff,
     LinearSystem,
     WeightVector,
+    _insert,
     _reduce,
     _store,
     _trusted_system,
@@ -175,6 +184,16 @@ def bruteforce_system(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
     return _trusted_system(g.n, tuple(rows), tuple(tags))
 
 
+def _moon_moser(m: int) -> int:
+    """The largest number of maximal independent sets of a graph on m
+    vertices (Moon and Moser 1965): 3^(m/3), 4 * 3^((m - 4)/3) or
+    2 * 3^((m - 2)/3) by m mod 3."""
+    q, r = divmod(m, 3)
+    if r == 1 and q:
+        return 4 * 3 ** (q - 1)
+    return 2 * 3**q if r == 2 else 3**q
+
+
 def _mis_span(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
     """Independent rows spanning those of ``bruteforce_system(g, cap)``,
     read off the enumeration as it runs; raises CapExceededError as it does.
@@ -183,11 +202,13 @@ def _mis_span(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
     differences of all pairs in any enumeration order. A row whose image
     mod 2, m ^ m', is new over GF(2) is new over Q, as a rational relation
     scaled to coprime integers holds mod 2: it is kept with no rational
-    work, until n rows are. The others wait as mask pairs, and after the
-    enumeration each is kept iff it is not orthogonal to the null space of
-    the rows kept so far. Only kept rows are built.
+    work, until n rows are; the enumeration then ends unless it could pass
+    the cap. The others wait as mask pairs, and after the enumeration
+    each is kept iff it is not orthogonal to the null space of the rows
+    kept so far. Only kept rows are built.
     """
     n = g.n
+    may_pass_cap = _moon_moser(n) > cap
     kept: list[tuple[int, int, int]] = []  # (i, m, m') for the row m - m'
     waiting: list[tuple[int, int, int]] = []
     # the kept images, reduced over GF(2): images[v] is the one that holds
@@ -213,6 +234,8 @@ def _mis_span(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
                 images[low.bit_length() - 1] = image
                 pivots |= low
                 kept.append((i, prev, m))
+                if len(kept) == n and not may_pass_cap:
+                    break
             else:
                 waiting.append((i, prev, m))
         prev = m
@@ -239,7 +262,12 @@ def _null_vectors(n: int, rows: list[tuple[Coeff, ...]]) -> list[tuple[Coeff, ..
 
 def _spread(system: LinearSystem, sets, host_n: int, tags) -> LinearSystem:
     """The rows with the coefficient of variable j on every host variable
-    in sets[j]; the one loop of both lifts."""
+    in sets[j]; the one loop of both lifts. The identity map keeps the
+    rows as they are."""
+    if host_n == system.num_vars and all(
+        len(s) == 1 and j in s for j, s in enumerate(sets)
+    ):
+        return _trusted_system(host_n, system.rows, tuple(tags))
     rows = []
     for row in system.rows:
         out: list[Coeff] = [0] * host_n
@@ -551,6 +579,27 @@ def clawfree_system(g: Graph) -> LinearSystem:
 # anti-neighborhood reduction
 
 
+def _anti_neighborhood_rows(
+    g: Graph,
+    sub_solver: Callable[[Graph], LinearSystem],
+    wanted: Callable[[int], bool] = lambda m: True,
+) -> Iterator[tuple[tuple[Coeff, ...], str]]:
+    """The (row, tag) pairs of ``anti_neighborhood_system(g, sub_solver)``,
+    lazily: each G - N[j]'s rows, then the chained equations. G - N[j] on
+    m vertices is solved only if ``wanted(m)``, asked once the rows
+    before it are consumed."""
+    anchored: list[frozenset[int]] = []
+    for j in range(g.n):
+        gj, vmap = delete_closed_neighborhood(g, j)
+        if wanted(gj.n):
+            lifted = lift_subgraph_system(sub_solver(gj), vmap, g.n)
+            yield from zip(lifted.rows, lifted.tags)
+        ij = greedy_mis(gj, range(gj.n))
+        anchored.append(frozenset(vmap[i] for i in ij) | {j})
+    for j in range(g.n - 1):
+        yield _diff_row(g.n, anchored[j], anchored[j + 1]), f"anti-eq j={j + 1}"
+
+
 def anti_neighborhood_system(
     g: Graph, sub_solver: Callable[[Graph], LinearSystem]
 ) -> LinearSystem:
@@ -562,22 +611,10 @@ def anti_neighborhood_system(
     well-covering system of G. Size is the sum of the subsystem sizes plus
     n - 1.
     """
-    if g.n == 0:
-        return empty_system(0)
-    rows: list[tuple[Coeff, ...]] = []
-    tags: list[str] = []
-    anchored: list[frozenset[int]] = []
-    for j in range(g.n):
-        gj, vmap = delete_closed_neighborhood(g, j)
-        lifted = lift_subgraph_system(sub_solver(gj), vmap, g.n)
-        rows.extend(lifted.rows)
-        tags.extend(lifted.tags)
-        ij = greedy_mis(gj, range(gj.n))
-        anchored.append(frozenset(vmap[i] for i in ij) | {j})
-    for j in range(g.n - 1):
-        rows.append(_diff_row(g.n, anchored[j], anchored[j + 1]))
-        tags.append(f"anti-eq j={j + 1}")
-    return _trusted_system(g.n, tuple(rows), tuple(tags))
+    pairs = list(_anti_neighborhood_rows(g, sub_solver))
+    return _trusted_system(
+        g.n, tuple(row for row, _ in pairs), tuple(tag for _, tag in pairs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -585,16 +622,31 @@ def anti_neighborhood_system(
 
 
 def _anti_neighborhood_solver(
-    prime_solver: Callable[[Graph], LinearSystem]
+    prime_solver: Callable[[Graph], LinearSystem], cap: int
 ) -> Callable[[Graph], LinearSystem]:
     """The anti-neighborhood reduction as a prime solver, its rows reduced:
     each G - N[v] runs the modular walk with ``prime_solver``, whose rows
-    must be independent, at its prime quotients."""
+    must be independent, at its prime quotients. The result is
+    ``extract_independent_subsystem(anti_neighborhood_system(q, sub))``;
+    once |Q| rows are kept, a G - N[j] left is solved only if its
+    enumerations could pass ``cap``, which keeps the exceptions."""
 
     def sub(h: Graph) -> LinearSystem:
         return _fold_system(h, _md_nodes(h), prime_solver)
 
-    return _reduced(lambda q: anti_neighborhood_system(q, sub))
+    def solve(q: Graph) -> LinearSystem:
+        echelon: dict[int, dict[int, int]] = {}
+        rows: list[tuple[Coeff, ...]] = []
+        tags: list[str] = []
+        for row, tag in _anti_neighborhood_rows(
+            q, sub, lambda m: len(echelon) < q.n or _moon_moser(m) > cap
+        ):
+            if len(echelon) < q.n and _insert(echelon, row) is not None:
+                rows.append(row)
+                tags.append(tag)
+        return _trusted_system(q.n, tuple(rows), tuple(tags))
+
+    return solve
 
 
 def forkfree_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
@@ -637,7 +689,9 @@ def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSys
         return modular_system(g, prime_solver=prime_solver)
     nodes = _md_nodes(g)
     if _fork_free(g, nodes):
-        anti_neighborhoods = _anti_neighborhood_solver(_reduced(prime_solver))
+        anti_neighborhoods = _anti_neighborhood_solver(
+            _reduced(prime_solver), cfg.mis_cap
+        )
         return _fold_system(g, nodes, anti_neighborhoods)
     if cfg.strategy == "forkfree":
         raise _ForkFound()
@@ -661,7 +715,7 @@ def _query_prime_solver(cap: int) -> Callable[[Graph], LinearSystem]:
             return anti_neighborhoods(q)
         return _mis_span(q, cap)
 
-    anti_neighborhoods = _anti_neighborhood_solver(solve)
+    anti_neighborhoods = _anti_neighborhood_solver(solve, cap)
     return solve
 
 

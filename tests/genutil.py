@@ -365,6 +365,15 @@ def line_graph(h):
     return Graph.from_edges(len(es), adj_edges)
 
 
+def prism(k):
+    """The k-prism C_k x K_2: cycles 0..k-1 and k..2k-1, joined by the
+    rungs (i, k + i). Its line graph, on 3k vertices, is prime and
+    claw-free, and of dimension 0 for the k used in the tests."""
+    cycles = [(i, (i + 1) % k) for i in range(k)]
+    rungs = [(i, k + i) for i in range(k)]
+    return Graph.from_edges(2 * k, cycles + [(k + a, k + b) for a, b in cycles] + rungs)
+
+
 def random_clawfree(rng, max_n):
     from wellcovered.graph import is_claw_free
 

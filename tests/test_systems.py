@@ -1,4 +1,5 @@
 from dataclasses import fields
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -10,7 +11,11 @@ from wellcovered.graph import (
     induced_subgraph,
     is_claw_free,
 )
-from wellcovered.independent_sets import CapExceededError, enumerate_mis
+from wellcovered.independent_sets import (
+    DEFAULT_MIS_CAP,
+    CapExceededError,
+    enumerate_mis,
+)
 from wellcovered.linalg import (
     empty_system,
     evaluate,
@@ -25,6 +30,7 @@ from wellcovered.systems import (
     SolverConfig,
     StrategyError,
     _mis_span,
+    _moon_moser,
     _query_system,
     anti_neighborhood_system,
     bruteforce_system,
@@ -128,6 +134,57 @@ class TestMisSpan:
                 "maximal independent set cap 14 exceeded; "
                 "brute-force system unavailable"
             )
+
+
+    def test_stops_at_full_rank_within_the_moon_moser_bound(self, monkeypatch):
+        # a G(34, 0.3) of dimension 0: its rank is full
+        # after 258 of its 772 maximal independent sets, and as no graph
+        # on 34 vertices has more than _moon_moser(34) of them, no cap at
+        # least that can be passed. Under a smaller cap the enumeration
+        # counts on, and fails past the cap
+        import random
+
+        import wellcovered.systems as systems
+
+        r = random.Random(106)
+        g = Graph.from_edges(
+            34, [(u, v) for u in range(34) for v in range(u + 1, 34) if r.random() < 0.3]
+        )
+        drawn = []
+        real = systems._mis_masks
+
+        def counting(h):
+            drawn.append(0)
+            for m in real(h):
+                drawn[-1] += 1
+                yield m
+
+        monkeypatch.setattr(systems, "_mis_masks", counting)
+        assert _moon_moser(34) <= DEFAULT_MIS_CAP
+        s = _mis_span(g)
+        assert len(s) == 34 and drawn == [258]
+        assert same_solution_space(s, bruteforce_system(g))
+        assert _moon_moser(34) > 772
+        assert _mis_span(g, cap=772) == s and drawn[-1] == 772
+        with pytest.raises(CapExceededError, match="cap 771 exceeded"):
+            _mis_span(g, cap=771)
+
+
+def test_moon_moser_bounds_every_mis_count():
+    # Moon and Moser (1965): no graph on m vertices has more maximal
+    # independent sets, and disjoint triangles, with one K4 or one K2 for
+    # the other residues mod 3, have exactly that many
+    rng = gu.seeded(157)
+    for _ in range(300):
+        g = gu.random_graph(rng, rng.randint(0, 12), rng.random())
+        assert len(enumerate_mis(g).sets) <= _moon_moser(g.n)
+    for m in range(1, 16):
+        q, r = divmod(m, 3)
+        sizes = {0: [3] * q, 1: [3] * (q - 1) + [4] if q else [1], 2: [3] * q + [2]}[r]
+        g = gu.disjoint_union(*[gu.complete(k) for k in sizes])
+        assert g.n == m
+        assert len(enumerate_mis(g).sets) == _moon_moser(m)
+    assert _moon_moser(0) == 1
 
 
 class TestLiftSubgraphSystem:
@@ -301,6 +358,18 @@ class TestLiftQuotientSystem:
         ]
         via_join = gu.combine_join(parts, g)
         assert same_solution_space(via_quotient, via_join)
+
+    def test_identity_keeps_the_rows(self):
+        # one vertex per module, module j holding vertex j: the rows are
+        # kept as they are, with the new tags; any other map spreads them
+        qsys = make_system(3, [(1, -1, 0), (0, Fraction(1, 2), -1)], ["a", ""])
+        out = lift_quotient_system(qsys, [{0}, {1}, {2}], 3)
+        assert out.rows is qsys.rows
+        assert out.tags == ("subst[a]", "subst")
+        swapped = lift_quotient_system(qsys, [{1}, {0}, {2}], 3)
+        assert swapped.rows == ((-1, 1, 0), (Fraction(1, 2), 0, -1))
+        wider = lift_quotient_system(qsys, [{0}, {1}, {2}], 4)
+        assert wider.rows == ((1, -1, 0, 0), (0, Fraction(1, 2), -1, 0))
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
@@ -602,14 +671,16 @@ class TestClawfreeSystem:
             sizes = [1 + (rng.random() < 0.2) for _ in range(skeleton.n)]
             g = gu.substitute(skeleton, [gu.complete(k) for k in sizes])
             graphs.append((g, brute(g)))
+        # the anti-neighborhood reduction reads its rows from
+        # _anti_neighborhood_rows, one call per fork-free quotient
         logs = {"clawfree_system": [], "_mis_span": [],
-                "anti_neighborhood_system": []}
+                "_anti_neighborhood_rows": []}
         for name, log in logs.items():
             real = getattr(systems, name)
 
-            def logging(h, *args, real=real, log=log):
+            def logging(h, *args, real=real, log=log, **kwargs):
                 log.append(h)
-                return real(h, *args)
+                return real(h, *args, **kwargs)
 
             monkeypatch.setattr(systems, name, logging)
         for strategy in ("modular", "forkfree"):
@@ -624,7 +695,7 @@ class TestClawfreeSystem:
         assert seen and all(is_claw_free(h) for h in seen)
         enumerated = logs["_mis_span"]
         assert enumerated and not any(gu.is_fork_free(h) for h in enumerated)
-        reduced = logs["anti_neighborhood_system"]
+        reduced = logs["_anti_neighborhood_rows"]
         assert reduced and all(gu.is_fork_free(h) for h in reduced)
         assert not any(is_claw_free(h) for h in reduced)
 
@@ -951,7 +1022,7 @@ def test_fork_decided_before_any_prime_solver(monkeypatch, strategy):
 
     g = gu.disjoint_union(gu.path(6), gu.fork())
     solved = []
-    for name in ("bruteforce_system", "clawfree_system", "anti_neighborhood_system"):
+    for name in ("bruteforce_system", "clawfree_system", "_anti_neighborhood_rows"):
         real = getattr(systems, name)
         monkeypatch.setattr(
             systems,
@@ -1003,3 +1074,83 @@ def test_forkfree_refuses_exactly_the_graphs_with_a_fork(family):
         assert (s.rows, s.tags) == (expected.rows, expected.tags)
         assert same_solution_space(_query_system(g, cfg), s)
     assert 20 <= forks <= 110
+
+
+def _outcome(build):
+    """The rows and tags ``build()`` returns, or the message it raises."""
+    try:
+        s = build()
+    except CapExceededError as exc:
+        return str(exc)
+    return s.rows, s.tags
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 50, 120, DEFAULT_MIS_CAP])
+def test_early_stop_matches_eager_oracle(cap):
+    # the anti-neighborhood reduction stops solving once |Q| rows are kept,
+    # and after that solves only the subproblems that might pass the cap:
+    # rows, tags and exceptions are those of the eager three-way dispatch
+    rng = gu.seeded(163)
+    graphs = [gu.random_forkfree(rng, 14) for _ in range(40)]
+    graphs += [
+        gu.substitute(s, [gu.complete(rng.randint(1, 3)) for _ in range(s.n)])
+        for s in gu.clawfree_prime_seeds()
+        for _ in range(2)
+    ]
+    graphs += [gu.line_graph(gu.prism(k)) for k in (8, 10, 12)]
+    # the 8-prism's line graph with its rungs numbered first: the rank is
+    # full after three of their subproblems, whose prime quotients have at
+    # most 109 maximal independent sets, while the later ones have 142, so
+    # under a cap of 120 only a later subproblem raises
+    es = gu.prism(8).edges()
+    rungs_first = sorted(range(len(es)), key=lambda i: es[i][1] - es[i][0] != 8)
+    order = [0] * len(es)
+    for new, old in enumerate(rungs_first):
+        order[old] = new
+    graphs.append(gu.relabel(gu.line_graph(gu.prism(8)), order))
+    cfg = SolverConfig(mis_cap=cap)
+    raised = 0
+    for g in graphs:
+        got = _outcome(lambda: well_covering_system(g, cfg))
+        assert got == _outcome(lambda: gu.three_way_auto_system(g, cap))
+        raised += isinstance(got, str)
+    assert raised < len(graphs) and (raised > 0) == (cap < DEFAULT_MIS_CAP)
+
+
+@pytest.mark.parametrize("cap, solved", [(DEFAULT_MIS_CAP, range(1, 7)), (50000, [36])])
+def test_prism_line_graph_solves_few_subproblems(monkeypatch, cap, solved):
+    # the line graph of the 12-prism has dimension 0 and 36 vertices, and
+    # each G - N[v] has 31: the rank is full after a few of them, and the
+    # rest are skipped unless _moon_moser(31) passes the cap
+    import wellcovered.systems as systems
+
+    g = gu.line_graph(gu.prism(12))
+    folds = []
+    real = systems._fold_system
+    monkeypatch.setattr(
+        systems, "_fold_system", lambda h, *a: folds.append(h.n) or real(h, *a)
+    )
+    s = well_covering_system(g, SolverConfig(mis_cap=cap))
+    assert len(s) == 36
+    assert folds[0] == 36 and set(folds[1:]) == {31}
+    assert len(folds) - 1 in solved
+    assert _moon_moser(31) > 50000
+
+
+def test_query_route_matches_bruteforce_at_dimension_zero():
+    # at dimension 0 the streamed span and the anti-neighborhood reduction
+    # both stop at full rank; dimension and basis are the brute force's
+    rng = gu.seeded(167)
+    brute_cfg = SolverConfig("bruteforce")
+    seen = 0
+    for _ in range(300):
+        g = gu.random_graph(rng, rng.randint(8, 14), rng.uniform(0.4, 0.7))
+        if well_covered_dimension(g, brute_cfg) != 0:
+            continue
+        seen += 1
+        assert well_covered_dimension(g) == 0
+        assert len(_query_system(g)) == g.n
+        assert null_space_basis(_query_system(g)) == null_space_basis(
+            bruteforce_system(g)
+        )
+    assert seen >= 40
