@@ -21,7 +21,8 @@ the decomposition that picks a solver at each prime quotient.
 ``is-well-covered`` under ``auto`` takes that route as under
 ``forkfree``, refusing forks first, because a graph with a fork prints a
 brute-force witness. ``dimension`` ranks the system only under
-``bruteforce``: every other system is independent by construction.
+``bruteforce``: every other system is independent by construction, so
+``basis`` prints the empty basis of one with n rows without elimination.
 
 JSON is written in pieces as ``json.dumps(obj, indent=2)`` would render
 it, from an explicit stack, so a decomposition tree of any depth prints.
@@ -37,12 +38,12 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, Iterator
 
 from .graph import Graph, GraphParseError, iter_bits, parse_graph
 from .independent_sets import DEFAULT_MIS_CAP, CapExceededError, _mis_masks
 from .linalg import (
+    Basis,
     WeightVector,
     basis_to_json,
     null_space_basis,
@@ -177,7 +178,12 @@ def _run_dimension(args, g: Graph) -> None:
 
 
 def _run_basis(args, g: Graph) -> None:
-    basis = null_space_basis(_query_system(g, _config(args)))
+    cfg = _config(args)
+    system = _query_system(g, cfg)
+    # the query route's rows are independent, but for the brute-force
+    # chain: n of them leave no weighting but zero
+    full_rank = cfg.strategy != "bruteforce" and len(system) == g.n
+    basis = Basis(()) if full_rank else null_space_basis(system)
     _emit(
         args,
         lambda: basis_to_json(basis, g.n),
@@ -188,16 +194,27 @@ def _run_basis(args, g: Graph) -> None:
 def _enumerated_witness(g: Graph, cap: int) -> tuple[bool, tuple | None]:
     """Well-coveredness by enumeration, and when it fails the first
     smallest and the last largest maximal independent set in canonical
-    order, read off the bitmasks. Of two maximal independent sets neither
-    holds the other, so the one that holds the lowest vertex where they
-    differ comes first: canonical order is the descending order of the
-    masks with their n bits reversed."""
-    masks = list(islice(_mis_masks(g), cap + 1))
-    if len(masks) > cap:
-        raise CapExceededError(f"maximal independent set cap {cap} exceeded")
-    keyed = [(m.bit_count(), -int(f"{m:0{g.n}b}"[::-1], 2), m) for m in masks]
-    small, large = (frozenset(iter_bits(k[2])) for k in (min(keyed), max(keyed)))
-    covered = len(small) == len(large)
+    order, read off the bitmasks as they come. Of two maximal independent
+    sets neither holds the other, so the one that holds the lowest vertex
+    where they differ comes first: b before a iff ``b & d & -d``, with
+    ``d = a ^ b``."""
+    masks = _mis_masks(g)
+    small = large = next(masks)  # every graph has one, and cap >= 1
+    small_size = large_size = small.bit_count()
+    for i, m in enumerate(masks, start=1):
+        if i == cap:
+            raise CapExceededError(f"maximal independent set cap {cap} exceeded")
+        size = m.bit_count()
+        if size < small_size or (
+            size == small_size and m & (d := small ^ m) & -d
+        ):
+            small, small_size = m, size
+        if size > large_size or (
+            size == large_size and not m & (d := large ^ m) & -d
+        ):
+            large, large_size = m, size
+    covered = small_size == large_size
+    small, large = frozenset(iter_bits(small)), frozenset(iter_bits(large))
     return covered, None if covered else (small, large)
 
 

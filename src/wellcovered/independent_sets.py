@@ -69,16 +69,20 @@ def _mis_masks(g: Graph) -> Iterator[int]:
     # Tomita-style pivoting on the complement: maximal independent sets of g
     # are exactly the maximal cliques of its complement. A frame is
     # [r, p, x, branches left]; branches run in increasing vertex order,
-    # each child's p and x taken before its vertex moves from p to x.
+    # each child's p and x taken before its vertex moves from p to x. A
+    # child with p empty and x not holds no set and gets no frame.
     def frame(r: int, p: int, x: int) -> list[int]:
-        pivot = -1
         best = -1
-        for u in iter_bits(p | x):
-            size = (p & nonadj[u]).bit_count()
+        rest = p | x
+        while rest:  # iter_bits, inlined: this loop is the enumeration's cost
+            low = rest & -rest
+            rest ^= low
+            out = nonadj[low.bit_length() - 1]
+            size = (p & out).bit_count()
             if size > best:
                 best = size
-                pivot = u
-        return [r, p, x, p & ~nonadj[pivot]]
+                pivot_out = out
+        return [r, p, x, p & ~pivot_out]
 
     stack = [frame(0, full, 0)]
     while stack:
@@ -90,9 +94,9 @@ def _mis_masks(g: Graph) -> Iterator[int]:
         bit = todo & -todo
         top[1:] = p & ~bit, x | bit, todo & ~bit
         outside = nonadj[bit.bit_length() - 1]
-        if p & outside or x & outside:
+        if p & outside:
             stack.append(frame(r | bit, p & outside, x & outside))
-        else:
+        elif not x & outside:
             yield r | bit
 
 

@@ -7,7 +7,9 @@ fraction-free (Bareiss) elimination, and pattern containment from explicit
 injective embeddings. The Fraction elimination loops the library used before
 its integer kernel, and the dense integer kernel it used before its sparse
 one, are kept here, unchanged, as differential oracles for it, and so are
-its recursive maximal independent set enumeration, its closure search for
+its recursive maximal independent set enumeration and its stack
+enumeration before it dropped the frames that hold no set
+(``frame_per_branch_mis_masks``), its closure search for
 the maximal strong modules of a prime node, and the quotient and
 system-combining helpers that no solver path used: ``quotient``,
 ``combine_disjoint_union`` and ``combine_join``. Whether an independent set
@@ -233,6 +235,15 @@ def random_graph(rng, n, p):
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+def seeded_gnp(seed, n=34, p=0.3):
+    """G(n, p) drawn as the command-line checks draw it: one
+    ``random.Random(seed)`` draw per vertex pair, in order."""
+    r = random.Random(seed)
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if r.random() < p]
+    )
 
 
 def random_tree(rng, n):
@@ -508,6 +519,42 @@ def recursive_enumerate_mis(g, cap):
         found = found[:cap]
     sets = sorted((frozenset(iter_bits(m)) for m in found), key=sorted)
     return MISList(tuple(sets), complete)
+
+
+def frame_per_branch_mis_masks(g):
+    """``independent_sets._mis_masks`` as it stood before it dropped the
+    frames that hold no set: every branch with a nonempty p or x pushes a
+    frame, and the pivot is found with ``iter_bits``."""
+    if g.n == 0:
+        yield 0
+        return
+    full = g.full_mask
+    nonadj = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
+
+    def frame(r, p, x):
+        pivot = -1
+        best = -1
+        for u in iter_bits(p | x):
+            size = (p & nonadj[u]).bit_count()
+            if size > best:
+                best = size
+                pivot = u
+        return [r, p, x, p & ~nonadj[pivot]]
+
+    stack = [frame(0, full, 0)]
+    while stack:
+        top = stack[-1]
+        r, p, x, todo = top
+        if not todo:
+            stack.pop()
+            continue
+        bit = todo & -todo
+        top[1:] = p & ~bit, x | bit, todo & ~bit
+        outside = nonadj[bit.bit_length() - 1]
+        if p & outside or x & outside:
+            stack.append(frame(r | bit, p & outside, x & outside))
+        else:
+            yield r | bit
 
 
 def brute_meets_all(g, sets):

@@ -22,6 +22,7 @@ from wellcovered.independent_sets import CapExceededError
 from wellcovered.linalg import (
     basis_from_json,
     make_system,
+    null_space_basis,
     same_solution_space,
     system_from_json,
 )
@@ -348,6 +349,60 @@ class TestBasisVerb:
 
         for vec in basis.vectors:
             assert evaluate(published, vec)
+
+    def test_matches_bruteforce_at_and_near_full_rank(self, capsys, monkeypatch):
+        # at dimension 0 the query route's n independent rows leave an
+        # empty basis, printed as the brute-force chain's null space is:
+        # the seed-106 G(34, 0.3), certified by the span's probe, and
+        # small random graphs of dimension 0 and 1. The last graph's
+        # brute-force chain has n rows of rank n - 1, so its count of rows
+        # says nothing
+        rng = gu.seeded(191)
+        graphs = [gu.seeded_gnp(106)]
+        dims = []
+        while len(graphs) < 16:
+            g = gu.random_graph(rng, rng.randint(6, 12), rng.uniform(0.4, 0.7))
+            dim = systems.well_covered_dimension(g)
+            if dim <= 1 and dims.count(dim) < 8:
+                graphs.append(g)
+                dims.append(dim)
+        chain = Graph.from_edges(9, [
+            (0, 1), (0, 2), (0, 4), (0, 7), (0, 8), (1, 2), (1, 3), (1, 6),
+            (1, 8), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 4),
+            (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 8), (5, 6), (6, 8),
+            (5, 7),
+        ])
+        assert len(bruteforce_system(chain)) == 9
+        assert systems.well_covered_dimension(chain) == 1
+        for g in graphs + [chain]:
+            text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+            for output in ("text", "json"):
+                outs = [
+                    run(capsys, ["basis", "--output", output, *extra],
+                        stdin=text, monkeypatch=monkeypatch)
+                    for extra in ([], ["--strategy", "bruteforce"])
+                ]
+                assert outs[0] == outs[1]
+                assert outs[0][0] == 0
+            assert basis_from_json(json.loads(outs[0][1])) == null_space_basis(
+                bruteforce_system(g)
+            )
+
+    def test_caps_below_the_moon_moser_bound_exit_3(self, capsys, monkeypatch):
+        # the seed-106 G(34, 0.3) has 772 maximal independent sets: below
+        # that cap the query route fails as the brute force does, with no
+        # probe cutting the enumeration short
+        g = gu.seeded_gnp(106)
+        text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+        for cap, code in ((771, 3), (772, 0)):
+            for verb in ("dimension", "basis"):
+                outs = [
+                    run(capsys, [verb, "--mis-cap", str(cap), *extra],
+                        stdin=text, monkeypatch=monkeypatch)
+                    for extra in ([], ["--strategy", "bruteforce"])
+                ]
+                assert outs[0] == outs[1]
+                assert outs[0][0] == code
 
 
 class TestIsWellCoveredVerb:

@@ -5,6 +5,7 @@ from wellcovered.graph import Graph
 from wellcovered.independent_sets import (
     CapExceededError,
     _cover_refutes,
+    _mis_masks,
     enumerate_mis,
     greedy_mis,
     is_well_covered_bruteforce,
@@ -104,6 +105,17 @@ class TestEnumerate:
             g = gu.random_graph(rng, rng.randint(0, 14), rng.random())
             for cap in (1, 2, 3, 7, 10**6):
                 assert enumerate_mis(g, cap) == gu.recursive_enumerate_mis(g, cap)
+
+    def test_same_sequence_as_frame_per_branch_version(self):
+        # dropping the frames that hold no set changes neither the sets
+        # nor their order, which the streamed consumers and caps rely on
+        rng = gu.seeded(167)
+        graphs = [gu.random_graph(rng, rng.randint(0, 16), rng.random())
+                  for _ in range(400)]
+        graphs += [gu.random_graph(rng, 34, 0.3) for _ in range(3)]
+        graphs += [gu.petersen(), gu.fork_substitution(2), gu.edgeless(5)]
+        for g in graphs:
+            assert list(_mis_masks(g)) == list(gu.frame_per_branch_mis_masks(g))
 
     def test_canonical_order(self):
         rng = gu.seeded(6)

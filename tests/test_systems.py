@@ -137,19 +137,17 @@ class TestMisSpan:
 
 
     def test_stops_at_full_rank_within_the_moon_moser_bound(self, monkeypatch):
-        # a G(34, 0.3) of dimension 0: its rank is full
-        # after 258 of its 772 maximal independent sets, and as no graph
-        # on 34 vertices has more than _moon_moser(34) of them, no cap at
-        # least that can be passed. Under a smaller cap the enumeration
-        # counts on, and fails past the cap
-        import random
-
+        # a G(34, 0.3) of dimension 0 with 772 maximal independent sets:
+        # the enumeration is short of full rank after 2|Q| = 68 of them
+        # (it reaches it at the 258th), and the probe certifies it there,
+        # so the 69th set is the last drawn. As no graph on 34 vertices has
+        # more than _moon_moser(34) maximal independent sets, no cap at
+        # least that can be passed. Under a smaller cap no probe runs: the
+        # enumeration keeps the rows of its first 258 sets, counts on, and
+        # fails past the cap
         import wellcovered.systems as systems
 
-        r = random.Random(106)
-        g = Graph.from_edges(
-            34, [(u, v) for u in range(34) for v in range(u + 1, 34) if r.random() < 0.3]
-        )
+        g = gu.seeded_gnp(106)
         drawn = []
         real = systems._mis_masks
 
@@ -162,12 +160,77 @@ class TestMisSpan:
         monkeypatch.setattr(systems, "_mis_masks", counting)
         assert _moon_moser(34) <= DEFAULT_MIS_CAP
         s = _mis_span(g)
-        assert len(s) == 34 and drawn == [258]
+        assert len(s) == 34 and drawn == [69]
+        assert any(t.startswith("mis-probe") for t in s.tags)
         assert same_solution_space(s, bruteforce_system(g))
         assert _moon_moser(34) > 772
-        assert _mis_span(g, cap=772) == s and drawn[-1] == 772
+        counted = _mis_span(g, cap=772)
+        assert drawn[-1] == 772 and len(counted) == 34
+        assert counted.tags[-1] == "mis-diff i=257"
+        assert same_solution_space(counted, s)
         with pytest.raises(CapExceededError, match="cap 771 exceeded"):
             _mis_span(g, cap=771)
+
+    def test_probe_certifies_full_rank(self):
+        # on G(n <= 34, p) of dimension 0 with more than 2n maximal
+        # independent sets, the probe mostly certifies rank n before the
+        # enumeration does; its rows span those of the canonical chain
+        rng = gu.seeded(173)
+        probed = 0
+        for _ in range(40):
+            g = gu.random_graph(rng, rng.randint(18, 34), rng.uniform(0.2, 0.45))
+            s = _mis_span(g)
+            if len(s) < g.n:
+                continue
+            probed += any(t.startswith("mis-probe") for t in s.tags)
+            assert rank(s) == g.n
+            assert same_solution_space(s, bruteforce_system(g))
+        assert probed >= 20
+
+    def test_no_probe_where_the_cap_may_be_passed(self, monkeypatch):
+        # below the Moon-Moser bound the enumeration must count to the cap,
+        # so no probe may end it early
+        import wellcovered.systems as systems
+
+        def refuse(g, count):
+            raise AssertionError("probe under a cap the enumeration may pass")
+
+        monkeypatch.setattr(systems, "_probe_masks", refuse)
+        g = gu.seeded_gnp(106)
+        assert len(_mis_span(g, cap=772)) == 34
+        for cap in (1, 69, 771):
+            with pytest.raises(CapExceededError, match=f"cap {cap} exceeded"):
+                _mis_span(g, cap=cap)
+        rng = gu.seeded(179)
+        for _ in range(20):
+            g = gu.random_graph(rng, rng.randint(12, 30), rng.uniform(0.2, 0.45))
+            s = _mis_span(g, cap=_moon_moser(g.n) - 1)
+            assert same_solution_space(s, bruteforce_system(g))
+
+    def test_rows_as_before_when_the_probe_falls_short(self, monkeypatch):
+        # a probe that falls short leaves the enumeration's rows and tags,
+        # which are those of a run under a cap below the Moon-Moser bound,
+        # where no probe runs
+        import wellcovered.systems as systems
+
+        g = gu.seeded_gnp(107)  # dimension 1: the probe falls short
+        calls = []
+        real = systems._probe
+        monkeypatch.setattr(
+            systems, "_probe", lambda *a: calls.append(0) or real(*a)
+        )
+        assert _mis_span(g) == _mis_span(g, cap=774) and calls == [0]
+        monkeypatch.setattr(systems, "_probe_masks", lambda g, count: iter(()))
+        rng = gu.seeded(181)
+        fired = 0
+        for _ in range(40):
+            g = gu.random_graph(rng, rng.randint(12, 34), rng.uniform(0.2, 0.45))
+            count = sum(1 for _ in systems._mis_masks(g))
+            assert count < _moon_moser(g.n)
+            del calls[:]
+            assert _mis_span(g) == _mis_span(g, cap=count)
+            fired += bool(calls)
+        assert fired >= 20
 
 
 def test_moon_moser_bounds_every_mis_count():
