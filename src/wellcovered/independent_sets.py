@@ -155,7 +155,8 @@ def meets_all_cliques(g: Graph, cliques: Sequence[int]) -> bool:
     the columns). An independent set holds at most one vertex of each cover
     clique, so if fewer than |P| of them cover U, no independent set meets
     all of ``cliques``. The bound is sound for any family of sets, cliques
-    or not.
+    or not. Then the lowest vertex of each clique: if these are
+    independent, they meet every clique (on a long path, every edge's).
 
     Otherwise depth-first: branch on the unmet clique with the fewest
     available vertices, where choosing a vertex makes its closed
@@ -171,6 +172,10 @@ def meets_all_cliques(g: Graph, cliques: Sequence[int]) -> bool:
         return False
     if _cover_refutes(g, cliques):
         return False
+    # the lowest vertices of the cliques, if independent, meet them all
+    lows = reduce(or_, [c & -c for c in cliques])
+    if not any(g.adj[v] & lows for v in iter_bits(lows)):
+        return True
     hit: dict[int, int] = {}  # vertex -> bitmask of the cliques holding it
     for i, c in enumerate(cliques):
         for v in iter_bits(c):

@@ -6,8 +6,19 @@ positive denominator, and ints are the integral case). Floats are rejected
 at the public boundary (``LinearSystem(...)``, ``make_system``,
 ``system_from_json``, ``WeightVector`` and ``evaluate``) so no rounding can
 corrupt a solution space. Systems derived inside the package from checked
-systems or from ints are built by ``_trusted_system``, which checks nothing
-again. Systems are immutable; elimination always works on copies.
+systems or from ints are built by ``_trusted_system``, and the basis
+vectors of ``null_space_basis`` by ``_trusted_vector``; neither checks
+anything again. Systems are immutable; elimination always works on copies.
+
+A row is stored by its terms: a tuple of ``(col, coeff)`` pairs, one per
+nonzero coefficient, in increasing column order (``LinearSystem.terms``).
+The rows of well-covering systems are unit rows with a handful of
+nonzeros each, so every layer that builds, lifts, reduces, evaluates or
+prints a row costs its nonzeros, not ``num_vars``. ``_diff_row`` builds
+a unit row from two column bitmasks. Only the dense contract densifies:
+``LinearSystem(...)`` takes dense rows, ``LinearSystem.rows`` is a dense
+view built on first use and cached, ``system_to_json`` writes every
+entry, and basis vectors are dense.
 
 rank, extract_independent_subsystem, null_space_basis and
 same_solution_space share one elimination kernel that sees Python ints only.
@@ -17,22 +28,26 @@ over it, and so is the claw-free base of ``systems``, which skips candidate
 rows already in the span and stores a new row only once it is accepted.
 The kernel is sparse: a row is a dict of its nonzero entries,
 ``{col: int}``, so a cancellation costs the nonzeros of the echelon row, not
-``num_vars``; the rows of well-covering systems have a handful each. Each
-row is scaled by the lcm of its denominators and reduced by fraction-free
-cross-multiplication, in the manner of Bareiss (1968), always on its
-leftmost nonzero column. Inputs and outputs stay exact int and Fraction
-values; null_space_basis returns the canonical basis read off the reduced
-row echelon form, built with one Fraction per nonzero entry.
+``num_vars``. Each row is scaled by the lcm of its denominators and reduced
+by fraction-free cross-multiplication, in the manner of Bareiss (1968),
+always on its leftmost nonzero column. Inputs and outputs stay exact int
+and Fraction values; null_space_basis returns the canonical basis read off
+the reduced row echelon form, built with one Fraction per nonzero entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from .graph import _C_STEP, _bit_list
+
 Coeff = int | Fraction
+# the nonzero (col, coeff) pairs of a row, in increasing column order
+Row = tuple[tuple[int, Coeff], ...]
 
 
 def _check_entries(values: Iterable) -> None:
@@ -48,41 +63,83 @@ def _canon(x: Coeff) -> Coeff:
     return x
 
 
-@dataclass(frozen=True)
+def _diff_row(plus: int, minus: int) -> Row:
+    """The indicator row of the column bitmask ``plus`` minus that of
+    ``minus``, whose terms are 1 and -1. A few columns are found one at a
+    time, many are listed in C."""
+    diff = plus ^ minus
+    if diff.bit_count() <= _C_STEP:
+        row = []
+        while diff:  # iter_bits, inlined: most rows have a handful of terms
+            low = diff & -diff
+            diff ^= low
+            row.append((low.bit_length() - 1, 1 if plus & low else -1))
+        return tuple(row)
+    row = [(c, 1) for c in _bit_list(plus & ~minus)]
+    row += [(c, -1) for c in _bit_list(minus & ~plus)]
+    row.sort()
+    return tuple(row)
+
+
+@dataclass(frozen=True, init=False)
 class LinearSystem:
     """A homogeneous linear system with one variable per vertex.
 
-    Rows are coefficient vectors; right-hand sides are implicitly zero and
-    never stored. Each row carries a free-text provenance tag.
+    Right-hand sides are implicitly zero and never stored. Each row is held
+    as its terms, the nonzero ``(col, coeff)`` pairs in increasing column
+    order, and carries a free-text provenance tag. ``LinearSystem(num_vars,
+    rows, tags)`` takes dense coefficient vectors and checks them; ``rows``
+    gives them back, and on a system built inside the package it is a
+    dense view built on first use and cached. ``len`` counts the rows
+    without building it, and ``==`` compares the variable count, the terms
+    and the tags, as dense rows would compare.
     """
 
     num_vars: int
-    rows: tuple[tuple[Coeff, ...], ...]
+    terms: tuple[Row, ...]
     tags: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(self.rows) != len(self.tags):
+    def __init__(
+        self,
+        num_vars: int,
+        rows: tuple[tuple[Coeff, ...], ...],
+        tags: tuple[str, ...],
+    ):
+        if len(rows) != len(tags):
             raise ValueError("one tag per row required")
-        for row in self.rows:
-            if len(row) != self.num_vars:
+        for row in rows:
+            if len(row) != num_vars:
                 raise ValueError(
                     f"row of length {len(row)} in a system over "
-                    f"{self.num_vars} variables"
+                    f"{num_vars} variables"
                 )
             _check_entries(row)
+        terms = tuple(tuple((c, x) for c, x in enumerate(row) if x) for row in rows)
+        self.__dict__.update(num_vars=num_vars, terms=terms, tags=tags, rows=rows)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Coeff, ...], ...]:
+        """The dense coefficient vectors of the rows."""
+        dense = []
+        for row in self.terms:
+            out: list[Coeff] = [0] * self.num_vars
+            for c, x in row:
+                out[c] = x
+            dense.append(tuple(out))
+        return tuple(dense)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.terms)
 
 
 def _trusted_system(
-    num_vars: int, rows: tuple[tuple[Coeff, ...], ...], tags: tuple[str, ...]
+    num_vars: int, terms: tuple[Row, ...], tags: tuple[str, ...]
 ) -> LinearSystem:
-    """A LinearSystem built without the checks of ``__post_init__``, for
-    rows taken from checked systems or made of ints, one tag per row, each
-    of length ``num_vars``."""
+    """A LinearSystem built from rows given by their terms, without the
+    checks of ``__init__``, for rows taken from checked systems or made of
+    ints, one tag per row, each with columns below ``num_vars``."""
     s = object.__new__(LinearSystem)
-    s.__dict__.update(num_vars=num_vars, rows=rows, tags=tags)
+    s.__dict__.update(num_vars=num_vars, terms=terms, tags=tags)
     return s
 
 
@@ -125,6 +182,14 @@ class WeightVector:
         return _canon(sum((self.values[v] for v in vertices), start=Fraction(0)))
 
 
+def _trusted_vector(values: tuple[Coeff, ...]) -> WeightVector:
+    """A WeightVector built without the check of ``__post_init__``, for
+    values the elimination kernel made itself."""
+    w = object.__new__(WeightVector)
+    w.__dict__["values"] = values
+    return w
+
+
 @dataclass(frozen=True)
 class Basis:
     """A list of linearly independent weightings spanning a solution space."""
@@ -151,13 +216,12 @@ class Basis:
 # only once the candidate is accepted.
 
 
-def _integer_row(row: Sequence[Coeff]) -> dict[int, int]:
-    """The nonzero entries of the row times the lcm of their denominators."""
-    nz = {c: x for c, x in enumerate(row) if x}
-    d = lcm(*[x.denominator for x in nz.values()])
+def _integer_row(row: Row) -> dict[int, int]:
+    """The terms of the row times the lcm of their denominators."""
+    d = lcm(*[x.denominator for _, x in row])
     if d == 1:
-        return {c: x.numerator for c, x in nz.items()}
-    return {c: x.numerator * (d // x.denominator) for c, x in nz.items()}
+        return {c: x.numerator for c, x in row}
+    return {c: x.numerator * (d // x.denominator) for c, x in row}
 
 
 def _primitive(row: dict[int, int], pivot: int) -> dict[int, int]:
@@ -219,7 +283,7 @@ def _store(echelon: dict[int, dict[int, int]], residual: dict[int, int]) -> int:
     return lead
 
 
-def _insert(echelon: dict[int, dict[int, int]], row: Sequence[Coeff]) -> int | None:
+def _insert(echelon: dict[int, dict[int, int]], row: Row) -> int | None:
     """Reduce ``row`` against ``echelon`` and, if anything is left, store it.
 
     Returns the pivot column of the stored row, or None when ``row`` lies
@@ -237,7 +301,7 @@ def _echelon(s: LinearSystem) -> tuple[list[int], dict[int, dict[int, int]]]:
     """
     echelon: dict[int, dict[int, int]] = {}
     kept: list[int] = []
-    for idx, row in enumerate(s.rows):
+    for idx, row in enumerate(s.terms):
         if len(echelon) == s.num_vars:
             break
         if _insert(echelon, row) is not None:
@@ -260,7 +324,7 @@ def extract_independent_subsystem(s: LinearSystem) -> LinearSystem:
     kept, _ = _echelon(s)
     return _trusted_system(
         s.num_vars,
-        tuple(s.rows[i] for i in kept),
+        tuple(s.terms[i] for i in kept),
         tuple(s.tags[i] for i in kept),
     )
 
@@ -292,7 +356,7 @@ def null_space_basis(s: LinearSystem) -> Basis:
         for c, x in row.items():
             if c != pc:  # every other column of a reduced row is free
                 free_vals[c][pc] = -x if p == 1 else _canon(Fraction(-x, p))
-    return Basis(tuple(WeightVector(tuple(v)) for v in free_vals.values()))
+    return Basis(tuple(_trusted_vector(tuple(v)) for v in free_vals.values()))
 
 
 def same_solution_space(a: LinearSystem, b: LinearSystem) -> bool:
@@ -306,7 +370,7 @@ def same_solution_space(a: LinearSystem, b: LinearSystem) -> bool:
             f"variable count mismatch: {a.num_vars} vs {b.num_vars}"
         )
     _, echelon = _echelon(a)
-    if any(_insert(echelon, row) is not None for row in b.rows):
+    if any(_insert(echelon, row) is not None for row in b.terms):
         return False
     return rank(b) == len(echelon)
 
@@ -320,8 +384,8 @@ def evaluate(s: LinearSystem, w: WeightVector | Sequence[Coeff]) -> bool:
             f"weight vector of length {len(values)} for a system over "
             f"{s.num_vars} variables"
         )
-    for row in s.rows:
-        if sum(c * x for c, x in zip(row, values)) != 0:
+    for row in s.terms:
+        if sum(x * values[c] for c, x in row) != 0:
             return False
     return True
 
@@ -331,12 +395,15 @@ def evaluate(s: LinearSystem, w: WeightVector | Sequence[Coeff]) -> bool:
 
 
 def system_to_json(s: LinearSystem) -> dict:
-    """JSON-friendly dict with rows as [numerator, denominator] pairs."""
-    return {
-        "num_vars": s.num_vars,
-        "rows": [[[x.numerator, x.denominator] for x in row] for row in s.rows],
-        "tags": list(s.tags),
-    }
+    """JSON-friendly dict with rows as [numerator, denominator] pairs, one
+    per variable."""
+    rows = []
+    for row in s.terms:
+        out = [[0, 1] for _ in range(s.num_vars)]
+        for c, x in row:
+            out[c] = [x.numerator, x.denominator]
+        rows.append(out)
+    return {"num_vars": s.num_vars, "rows": rows, "tags": list(s.tags)}
 
 
 def system_from_json(data: dict) -> LinearSystem:
@@ -364,6 +431,22 @@ def basis_from_json(data: dict) -> Basis:
     )
 
 
+def _equation(row: Row, names: Sequence[str]) -> str:
+    """``format_equation`` on the terms of a row; names[i] is "x_{i + 1}"."""
+    text = " ".join([
+        f"{'-' if x < 0 else '+'} {'' if abs(x) == 1 else f'{abs(x)}*'}{names[c]}"
+        for c, x in row
+    ])
+    if not text:
+        return "0 = 0"
+    # the first term carries no "+" and no space after its sign
+    return (text[2:] if text[0] == "+" else "-" + text[2:]) + " = 0"
+
+
+def _names(num_vars: int) -> list[str]:
+    return [f"x_{i + 1}" for i in range(num_vars)]
+
+
 def format_equation(row: Sequence[Coeff]) -> str:
     """Render a row as a signed equation, e.g. "-x_3 + x_4 - x_5 = 0".
 
@@ -372,22 +455,15 @@ def format_equation(row: Sequence[Coeff]) -> str:
     prints it. Variables are 1-indexed. Unit coefficients print as bare
     signed terms; other rationals print as "p/q*x_i".
     """
-    text = " ".join(
-        f"{'-' if c < 0 else '+'} {'' if abs(c) == 1 else f'{abs(c)}*'}x_{i + 1}"
-        for i, c in enumerate(row)
-        if c
-    )
-    if not text:
-        return "0 = 0"
-    # the first term carries no "+" and no space after its sign
-    return (text[2:] if text[0] == "+" else "-" + text[2:]) + " = 0"
+    return _equation(tuple((c, x) for c, x in enumerate(row) if x), _names(len(row)))
 
 
 def system_to_text(s: LinearSystem) -> str:
     """Human-readable rendering, one equation per line, tagged."""
+    names = _names(s.num_vars)
     lines = []
-    for row, tag in zip(s.rows, s.tags):
-        line = format_equation(row)
+    for row, tag in zip(s.terms, s.tags):
+        line = _equation(row, names)
         if tag:
             line += f"  # {tag}"
         lines.append(line)

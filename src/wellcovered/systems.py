@@ -21,8 +21,10 @@ weight. This module builds such systems along several routes:
   prime node below needs none: every node of a cotree has a well-covered
   weighting that gives its chosen set a nonzero weight, so the chained
   equations are independent of the co-components' rows. The fold reads
-  one decomposition (``modular._md_nodes``) and writes each row once,
-  over all n variables.
+  one decomposition (``modular._md_nodes``) and writes each row once, by
+  its terms over the n variables (see ``linalg``): a difference of two
+  vertex sets costs the vertices in one and not the other, and a lifted
+  quotient row the vertices it is spread onto, never n entries.
 * ``cograph_system``: the modular walk with a prime solver that refuses.
   On graphs without induced 4-vertex paths only parallel and series nodes
   occur, so no row is reduced, and a counting argument bounds the size by
@@ -108,6 +110,7 @@ from .graph import (
     induced_subgraph,
     is_claw_free,
     iter_bits,
+    mask_of,
 )
 from .independent_sets import (
     DEFAULT_MIS_CAP,
@@ -120,7 +123,9 @@ from .independent_sets import (
 from .linalg import (
     Coeff,
     LinearSystem,
+    Row,
     WeightVector,
+    _diff_row,
     _insert,
     _reduce,
     _store,
@@ -165,16 +170,6 @@ class SolverConfig:
             raise ValueError("mis_cap must be >= 1")
 
 
-def _diff_row(n: int, plus: Iterable[int], minus: Iterable[int]) -> tuple[int, ...]:
-    """Indicator difference row; coefficients stay in {-1, 0, 1}."""
-    row = [0] * n
-    for v in plus:
-        row[v] += 1
-    for v in minus:
-        row[v] -= 1
-    return tuple(row)
-
-
 def bruteforce_system(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
     """Chain equations between consecutive maximal independent sets.
 
@@ -188,12 +183,10 @@ def bruteforce_system(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
             f"maximal independent set cap {cap} exceeded; "
             f"brute-force system unavailable"
         )
-    rows = []
-    tags = []
-    for i in range(len(mis.sets) - 1):
-        rows.append(_diff_row(g.n, mis.sets[i], mis.sets[i + 1]))
-        tags.append(f"mis-diff i={i + 1}")
-    return _trusted_system(g.n, tuple(rows), tuple(tags))
+    masks = [mask_of(m) for m in mis.sets]
+    rows = tuple(map(_diff_row, masks, masks[1:]))
+    tags = tuple(f"mis-diff i={i}" for i in range(1, len(masks)))
+    return _trusted_system(g.n, rows, tags)
 
 
 def _moon_moser(m: int) -> int:
@@ -307,7 +300,7 @@ def _mis_span(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
             else:
                 waiting.append((i, prev, m))
         prev = m
-    rows = [_diff_row(n, iter_bits(a), iter_bits(b)) for _, a, b in kept]
+    rows = [_diff_row(a, b) for _, a, b in kept]
     null = _null_vectors(n, rows) if waiting and len(rows) < n else []
     for i, a, b in waiting:
         if not null:
@@ -316,12 +309,12 @@ def _mis_span(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
         if any(sum(map(v.__getitem__, plus)) != sum(map(v.__getitem__, minus))
                for v in null):
             kept.append((f"mis-diff i={i}", a, b))
-            rows.append(_diff_row(n, plus, minus))
+            rows.append(_diff_row(a, b))
             null = _null_vectors(n, rows)
     return _trusted_system(n, tuple(rows), tuple(tag for tag, _, _ in kept))
 
 
-def _null_vectors(n: int, rows: list[tuple[Coeff, ...]]) -> list[tuple[Coeff, ...]]:
+def _null_vectors(n: int, rows: list[Row]) -> list[tuple[Coeff, ...]]:
     """A basis of the null space of ``rows``."""
     s = _trusted_system(n, tuple(rows), ("",) * len(rows))
     return [v.values for v in null_space_basis(s).vectors]
@@ -329,21 +322,18 @@ def _null_vectors(n: int, rows: list[tuple[Coeff, ...]]) -> list[tuple[Coeff, ..
 
 def _spread(system: LinearSystem, sets, host_n: int, tags) -> LinearSystem:
     """The rows with the coefficient of variable j on every host variable
-    in sets[j]; the one loop of both lifts. The identity map keeps the
-    rows as they are."""
-    if host_n == system.num_vars and all(
-        len(s) == 1 and j in s for j, s in enumerate(sets)
-    ):
-        return _trusted_system(host_n, system.rows, tuple(tags))
-    rows = []
-    for row in system.rows:
-        out: list[Coeff] = [0] * host_n
-        for j, c in enumerate(row):
-            if c != 0:
-                for v in sets[j]:
-                    out[v] = c
-        rows.append(tuple(out))
-    return _trusted_system(host_n, tuple(rows), tuple(tags))
+    in sets[j]; the one loop of both lifts. It costs the nonzeros it puts
+    down. A lift that moves no term shares the system's dense rows, if
+    they are built."""
+    rows = tuple(
+        tuple(sorted([(v, c) for j, c in row for v in sets[j]]))
+        for row in system.terms
+    )
+    lifted = _trusted_system(host_n, rows, tuple(tags))
+    dense = system.__dict__.get("rows")  # the cached dense view
+    if dense is not None and host_n == system.num_vars and rows == system.terms:
+        lifted.__dict__["rows"] = dense
+    return lifted
 
 
 def lift_subgraph_system(
@@ -444,14 +434,14 @@ def _fold_system(
     # a subtree folds to (start, mis, prime_below): its rows, over all n
     # host variables, are rows[start:], mis is a bitmask of one of its
     # maximal independent sets, and prime_below says if it has a prime node
-    rows: list[tuple[Coeff, ...]] = []
+    rows: list[Row] = []
     tags: list[str] = []
 
     def reduce_from(start: int) -> None:
         kept = extract_independent_subsystem(
             _trusted_system(g.n, tuple(rows[start:]), tuple(tags[start:]))
         )
-        rows[start:] = kept.rows
+        rows[start:] = kept.terms
         tags[start:] = kept.tags
 
     def leaf(v: int) -> tuple[int, int, bool]:
@@ -464,7 +454,7 @@ def _fold_system(
             return start, reduce(or_, mis), prime_below
         if kind == SERIES:
             for j, (a, b) in enumerate(zip(mis, mis[1:]), start=1):
-                rows.append(_diff_row(g.n, iter_bits(a), iter_bits(b)))
+                rows.append(_diff_row(a, b))
                 tags.append(f"join-eq j={j}")
             if prime_below:
                 reduce_from(start)
@@ -472,11 +462,9 @@ def _fold_system(
         quot, _ = induced_subgraph(g, reps)
         children_rows = len(rows) > start
         substituted = lift_quotient_system(
-            prime_solver(quot),
-            [iter_bits(m) for m in mis],
-            g.n,
+            prime_solver(quot), [iter_bits(m) for m in mis], g.n
         )
-        rows.extend(substituted.rows)
+        rows.extend(substituted.terms)
         tags.extend(substituted.tags)
         # lifting onto disjoint sets keeps the quotient rows independent,
         # but not of the children's rows
@@ -533,8 +521,9 @@ def _generating_candidates(g: Graph) -> Iterable[tuple[str, int, int]]:
         for a in iter_bits(adj[c]):
             for b in iter_bits(adj[c] & ~adj[a] & ~((2 << a) - 1)):
                 yield "p3", 1 << c, 1 << a | 1 << b
+    full = g.full_mask
     for x1 in range(g.n):
-        later = g.full_mask & ~((2 << x1) - 1)
+        later = full & -(2 << x1)  # the vertices after x1
         common_to = adj[x1] & later
         partners = 0
         for y in iter_bits(common_to):
@@ -564,7 +553,7 @@ def _generating_cliques(g: Graph, x: int, y: int) -> list[int] | None:
     nx = adj[x.bit_length() - 1] | adj[(x & -x).bit_length() - 1]
     ny = adj[y.bit_length() - 1] | adj[(y & -y).bit_length() - 1]
     xy = x | y
-    rest = g.full_mask & ~(nx | ny | xy)
+    rest = ~(nx | ny | xy)  # R: every row of adj lies within V
     cliques = []
     undominated = (nx ^ ny) & ~xy
     while undominated:  # iter_bits, inlined: most candidates stop early
@@ -613,7 +602,7 @@ def clawfree_system(g: Graph) -> LinearSystem:
 
     merges = 0
     echelon: dict[int, dict[int, int]] = {}
-    rows: list[tuple[Coeff, ...]] = []
+    rows: list[Row] = []
     tags: list[str] = []
     for kind, x, y in _generating_candidates(g):
         if merges + len(echelon) == n:
@@ -637,7 +626,7 @@ def clawfree_system(g: Graph) -> LinearSystem:
             if residual is None or not meets_all_cliques(g, cliques):
                 continue
             _store(echelon, residual)
-        rows.append(_diff_row(n, iter_bits(x), iter_bits(y)))
+        rows.append(_diff_row(x, y))
         tags.append(f"generating {kind}")
     return _trusted_system(n, tuple(rows), tuple(tags))
 
@@ -650,21 +639,21 @@ def _anti_neighborhood_rows(
     g: Graph,
     sub_solver: Callable[[Graph], LinearSystem],
     wanted: Callable[[int], bool] = lambda m: True,
-) -> Iterator[tuple[tuple[Coeff, ...], str]]:
+) -> Iterator[tuple[Row, str]]:
     """The (row, tag) pairs of ``anti_neighborhood_system(g, sub_solver)``,
     lazily: each G - N[j]'s rows, then the chained equations. G - N[j] on
     m vertices is solved only if ``wanted(m)``, asked once the rows
     before it are consumed."""
-    anchored: list[frozenset[int]] = []
+    anchored: list[int] = []  # bitmasks
     for j in range(g.n):
         gj, vmap = delete_closed_neighborhood(g, j)
         if wanted(gj.n):
             lifted = lift_subgraph_system(sub_solver(gj), vmap, g.n)
-            yield from zip(lifted.rows, lifted.tags)
+            yield from zip(lifted.terms, lifted.tags)
         ij = greedy_mis(gj, range(gj.n))
-        anchored.append(frozenset(vmap[i] for i in ij) | {j})
+        anchored.append(mask_of(vmap[i] for i in ij) | 1 << j)
     for j in range(g.n - 1):
-        yield _diff_row(g.n, anchored[j], anchored[j + 1]), f"anti-eq j={j + 1}"
+        yield _diff_row(anchored[j], anchored[j + 1]), f"anti-eq j={j + 1}"
 
 
 def anti_neighborhood_system(
@@ -703,7 +692,7 @@ def _anti_neighborhood_solver(
 
     def solve(q: Graph) -> LinearSystem:
         echelon: dict[int, dict[int, int]] = {}
-        rows: list[tuple[Coeff, ...]] = []
+        rows: list[Row] = []
         tags: list[str] = []
         for row, tag in _anti_neighborhood_rows(
             q, sub, lambda m: len(echelon) < q.n or _moon_moser(m) > cap

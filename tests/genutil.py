@@ -27,6 +27,11 @@ chose a direction (every step ORs the rows of its whole frontier) are
 kept as oracles for the direction-optimizing walk, with the cotree split
 they drove. The whole-graph fork test the library ran before it read
 recognition off the decomposition tree is kept as ``is_fork_free``.
+The dense row layer the library had before it stored rows by their terms
+(``dense_diff_row``, ``dense_spread``, ``dense_format_equation`` with
+its ``system_to_text`` and ``system_to_json``, and ``dense_evaluate``) is
+kept verbatim as the oracle of the sparse one; ``dense_rows_patched``
+runs the library on it.
 """
 
 import random
@@ -52,7 +57,7 @@ from wellcovered.independent_sets import (
     MISList,
     enumerate_mis,
 )
-from wellcovered.linalg import Basis, LinearSystem, WeightVector
+from wellcovered.linalg import Basis, LinearSystem, WeightVector, _check_entries
 from wellcovered.modular import _strong_module_masks, is_module, is_prime
 from wellcovered.systems import (
     anti_neighborhood_system,
@@ -593,7 +598,7 @@ def clawfree_rows_in_search_order(g):
         ny = {u for v in ys for u in iter_bits(g.adj[v])}
         rest = set(range(g.n)) - nx - ny - xs - ys
         row = tuple((v in xs) - (v in ys) for v in range(g.n))
-        col = _insert(echelon, row)
+        col = _insert(echelon, terms(row))
         if col is None:
             continue
         cliques = [mask_of(rest & set(iter_bits(g.adj[d])))
@@ -1235,3 +1240,101 @@ def threshold(n):
         higher = full & ~((2 << v) - 1) if v % 2 else 0
         adj.append(higher | odd & ((1 << v) - 1))
     return Graph(n, tuple(adj))
+
+
+# ---------------------------------------------------------------------------
+# the dense row layer, as the library had it before rows were stored by
+# their terms: every row an n-tuple
+
+
+def terms(row):
+    """The (col, coeff) pairs of the nonzero entries of a dense row, as
+    ``LinearSystem.terms`` holds a row."""
+    return tuple((c, x) for c, x in enumerate(row) if x)
+
+
+def dense_diff_row(n, plus, minus):
+    """Indicator difference row; coefficients stay in {-1, 0, 1}."""
+    row = [0] * n
+    for v in plus:
+        row[v] += 1
+    for v in minus:
+        row[v] -= 1
+    return tuple(row)
+
+
+def dense_spread(system, sets, host_n, tags):
+    """The rows with the coefficient of variable j on every host variable
+    in sets[j]; the one loop of both lifts."""
+    rows = []
+    for row in system.rows:
+        out = [0] * host_n
+        for j, c in enumerate(row):
+            if c != 0:
+                for v in sets[j]:
+                    out[v] = c
+        rows.append(tuple(out))
+    return LinearSystem(host_n, tuple(rows), tuple(tags))
+
+
+def dense_evaluate(s, w):
+    """True iff ``w`` satisfies every equation of ``s``."""
+    values = tuple(w)
+    _check_entries(values)
+    if len(values) != s.num_vars:
+        raise ValueError(
+            f"weight vector of length {len(values)} for a system over "
+            f"{s.num_vars} variables"
+        )
+    for row in s.rows:
+        if sum(c * x for c, x in zip(row, values)) != 0:
+            return False
+    return True
+
+
+def dense_format_equation(row):
+    text = " ".join(
+        f"{'-' if c < 0 else '+'} {'' if abs(c) == 1 else f'{abs(c)}*'}x_{i + 1}"
+        for i, c in enumerate(row)
+        if c
+    )
+    if not text:
+        return "0 = 0"
+    # the first term carries no "+" and no space after its sign
+    return (text[2:] if text[0] == "+" else "-" + text[2:]) + " = 0"
+
+
+def dense_system_to_text(s):
+    lines = []
+    for row, tag in zip(s.rows, s.tags):
+        line = dense_format_equation(row)
+        if tag:
+            line += f"  # {tag}"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def dense_system_to_json(s):
+    return {
+        "num_vars": s.num_vars,
+        "rows": [[[x.numerator, x.denominator] for x in row] for row in s.rows],
+        "tags": list(s.tags),
+    }
+
+
+def dense_rows_patched(monkeypatch):
+    """Make the library build, lift, evaluate and print its rows with the
+    dense row layer: each row is built as an n-tuple and handed on as its
+    terms."""
+    import wellcovered.cli as cli
+    import wellcovered.systems as systems
+
+    def diff_row(plus, minus):
+        n = (plus | minus).bit_length()
+        return terms(dense_diff_row(n, iter_bits(plus), iter_bits(minus)))
+
+    monkeypatch.setattr(systems, "_diff_row", diff_row)
+    monkeypatch.setattr(systems, "_spread", dense_spread)
+    monkeypatch.setattr(systems, "evaluate", dense_evaluate)
+    monkeypatch.setattr(cli, "system_to_text", dense_system_to_text)
+    monkeypatch.setattr(cli, "system_to_json", dense_system_to_json)

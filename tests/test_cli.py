@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -1146,3 +1147,63 @@ class TestBrokenPipe:
             os.close(write_end)
         assert proc.returncode == 0
         assert proc.stderr == b""
+
+
+class TestSparseRowsMatchDenseOracles:
+    """Every byte of ``system``, ``basis``, ``dimension``,
+    ``is-well-covered`` and ``check-weighting`` is what the dense row layer
+    the library had before (``gu.dense_rows_patched``) prints, with the
+    same exit codes and diagnostics."""
+
+    @staticmethod
+    def _graphs():
+        rng = gu.seeded(53)
+        graphs = [
+            gu.random_graph(rng, n, p)
+            for n in range(0, 15)
+            for p in (0.2, 0.5)
+        ]
+        graphs += [gu.shuffled_substitution(rng, (4, 6), (1, 4)) for _ in range(6)]
+        graphs += [gu.line_graph(gu.random_graph(rng, 6, 0.6)) for _ in range(4)]
+        graphs += [
+            gu.disjoint_union(
+                *[gu.random_tree(rng, rng.randint(1, 6)) for _ in range(3)]
+            )
+            for _ in range(4)
+        ]
+        graphs += [gu.disjoint_union(*[gu.complete(3)] * 5), gu.bull(), gu.fork()]
+        return graphs
+
+    def _outputs(self, capsys, tmp_path, graphs):
+        out = []
+        for i, g in enumerate(graphs):
+            path = tmp_path / f"g{i}.txt"
+            path.write_text(f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges()))
+            weights = []
+            for k, w in enumerate(([1] * g.n, [(v % 3) - 1 for v in range(g.n)])):
+                wp = tmp_path / f"w{i}_{k}.txt"
+                wp.write_text("".join(f"{x}\n" for x in w))
+                weights.append(["--weights", str(wp)])
+            verbs = [("system", []), ("basis", []), ("dimension", []),
+                     ("is-well-covered", []), ("check-weighting", weights[0]),
+                     ("check-weighting", weights[1])]
+            for cap, output, strategy, (verb, extra) in product(
+                ([], ["--mis-cap", "1"], ["--mis-cap", "5"]),
+                ("text", "json"),
+                ("auto", "modular", "bruteforce"),
+                verbs,
+            ):
+                argv = [verb, str(path), "--output", output,
+                        "--strategy", strategy, *cap, *extra]
+                out.append((argv, *run(capsys, argv)))
+        return out
+
+    def test_byte_identical(self, capsys, tmp_path, monkeypatch):
+        graphs = self._graphs()
+        sparse = self._outputs(capsys, tmp_path, graphs)
+        with monkeypatch.context() as m:
+            gu.dense_rows_patched(m)
+            dense = self._outputs(capsys, tmp_path, graphs)
+        assert sparse == dense
+        codes = {code for _, code, _, _ in sparse}
+        assert codes == {0, 3}

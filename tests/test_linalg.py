@@ -13,6 +13,7 @@ from wellcovered.linalg import (
     WeightVector,
     _insert,
     _reduce,
+    _trusted_system,
     basis_from_json,
     basis_to_json,
     empty_system,
@@ -27,7 +28,12 @@ from wellcovered.linalg import (
     system_to_json,
     system_to_text,
 )
-from wellcovered.systems import bruteforce_system, clawfree_system
+from wellcovered.systems import (
+    _query_system,
+    bruteforce_system,
+    clawfree_system,
+    well_covering_system,
+)
 
 BULL_ROWS = [(0, 0, -1, 1, -1), (-1, 1, -1, 0, 0)]
 BULL_BASIS = [(1, 1, 0, 0, 0), (0, 1, 1, 1, 0), (0, 0, 0, 1, 1)]
@@ -88,6 +94,93 @@ class TestConstruction:
     def test_len_is_equation_count(self):
         assert len(make_system(3, [(1, 0, 0), (0, 1, 0)])) == 2
         assert len(empty_system(5)) == 0
+
+
+class TestSparseStorage:
+    """A row is stored as its terms; ``rows`` is the dense view."""
+
+    def test_public_rows_are_kept_and_read_as_terms(self):
+        rows = ((0, Fraction(1, 2), 0, -1), (0, 0, 0, 0))
+        s = LinearSystem(4, rows, ("a", ""))
+        assert s.rows is rows
+        assert s.terms == (((1, Fraction(1, 2)), (3, -1)), ())
+
+    def test_rows_is_a_dense_view_built_once(self):
+        s = _trusted_system(
+            4, (((0, 1), (2, -1)), (), ((3, Fraction(2, 3)),)), ("a", "b", "c")
+        )
+        assert "rows" not in vars(s)
+        assert s.rows == ((1, 0, -1, 0), (0, 0, 0, 0), (0, 0, 0, Fraction(2, 3)))
+        assert all(type(row) is tuple for row in s.rows)
+        assert s.rows is s.rows
+
+    def test_len_builds_no_dense_view(self):
+        s = _trusted_system(5, (((0, 1), (4, -1)), ((1, 1), (2, -1))), ("", ""))
+        assert len(s) == 2
+        assert "rows" not in vars(s)
+        # nor does building, reducing, evaluating or printing a system
+        for g in (gu.bull(), gu.path(9), gu.random_cograph(gu.seeded(5), 30)):
+            for system in (well_covering_system(g), _query_system(g)):
+                assert len(system) == len(system.tags)
+                rank(system)
+                extract_independent_subsystem(system)
+                evaluate(system, (1,) * g.n)
+                system_to_text(system)
+                system_to_json(system)
+                assert "rows" not in vars(system)
+
+    def test_equality_as_of_dense_rows(self):
+        dense = make_system(
+            3, [(1, -1, 0), (0, Fraction(1), Fraction(-1, 2))], ["a", "b"]
+        )
+        sparse = _trusted_system(
+            3, (((0, 1), (1, -1)), ((1, 1), (2, Fraction(-1, 2)))), ("a", "b")
+        )
+        assert dense == sparse and sparse == dense
+        assert hash(dense) == hash(sparse)
+        assert dense.rows == sparse.rows
+        assert sparse != make_system(3, [(1, -1, 0), (0, 1, 0)], ["a", "b"])
+        assert sparse != _trusted_system(3, sparse.terms, ("a", "c"))
+        assert sparse != _trusted_system(4, sparse.terms, sparse.tags)
+        assert make_system(2, [(0, 0)]) == _trusted_system(2, ((),), ("",))
+
+    def test_immutable(self):
+        s = make_system(2, [(1, -1)])
+        with pytest.raises(AttributeError):
+            s.terms = ()
+        with pytest.raises(AttributeError):
+            s.num_vars = 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_terms_match_dense_rows(self, data):
+        s = data.draw(st.one_of(rational_systems(), wide_sparse_systems()))
+        assert s.terms == tuple(gu.terms(row) for row in s.rows)
+        copy = _trusted_system(s.num_vars, s.terms, s.tags)
+        assert copy.rows == s.rows and copy == s
+
+
+class TestWeightVector:
+    def test_floats_and_bools_rejected(self):
+        for values in ((1.0, 2), (0, 0.5), (True, 0), (0, False)):
+            with pytest.raises(TypeError):
+                WeightVector(values)
+        assert WeightVector((1, Fraction(1, 2))).values == (1, Fraction(1, 2))
+
+    def test_basis_vectors_built_unchecked(self, monkeypatch):
+        # the kernel's own entries are not checked again; the vectors are
+        # those the public constructor makes
+        s = make_system(4, [(2, -1, 0, Fraction(1, 3)), (0, 0, 1, -1)])
+        checked = []
+        real = linalg._check_entries
+        monkeypatch.setattr(
+            linalg, "_check_entries", lambda v: checked.append(v) or real(v)
+        )
+        basis = null_space_basis(s)
+        assert checked == []
+        expected = gu.fraction_rref_basis(s)
+        assert basis == expected
+        assert _basis_repr(basis) == _basis_repr(expected)
 
 
 class TestRank:
@@ -383,8 +476,8 @@ class TestIncrementalInsert:
 
     def test_reduce(self):
         echelon = {}
-        assert _insert(echelon, (1, -1, 0)) == 0
-        assert _insert(echelon, (0, 2, -2)) == 1
+        assert _insert(echelon, gu.terms((1, -1, 0))) == 0
+        assert _insert(echelon, gu.terms((0, 2, -2))) == 1
         before = {c: dict(r) for c, r in echelon.items()}
         assert _reduce(echelon, {0: 3, 2: -3}) is None  # in the span
         assert _reduce(echelon, {0: 2, 1: 1, 2: 3}) == {2: 6}
@@ -394,15 +487,15 @@ class TestIncrementalInsert:
 
     def test_span_and_removal(self):
         echelon = {}
-        assert _insert(echelon, (1, -1, 0)) == 0
-        assert _insert(echelon, (0, 1, -1)) == 1
-        assert _insert(echelon, (2, 0, -2)) is None  # in the span
-        assert _insert(echelon, (Fraction(1, 2), 0, Fraction(-1, 2))) is None
-        col = _insert(echelon, (0, 0, 3))
+        assert _insert(echelon, gu.terms((1, -1, 0))) == 0
+        assert _insert(echelon, gu.terms((0, 1, -1))) == 1
+        assert _insert(echelon, gu.terms((2, 0, -2))) is None  # in the span
+        assert _insert(echelon, gu.terms((Fraction(1, 2), 0, Fraction(-1, 2)))) is None
+        col = _insert(echelon, gu.terms((0, 0, 3)))
         assert col == 2 and echelon[2] == {2: 1}
         del echelon[col]  # the caller turned the row down
         assert sorted(echelon) == [0, 1]
-        assert _insert(echelon, (0, 0, 1)) == 2
+        assert _insert(echelon, gu.terms((0, 0, 1))) == 2
 
 
 class TestSameSolutionSpace:

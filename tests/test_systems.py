@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from itertools import product
@@ -10,6 +11,7 @@ from wellcovered.graph import (
     complement,
     induced_subgraph,
     is_claw_free,
+    iter_bits,
 )
 from wellcovered.independent_sets import (
     DEFAULT_MIS_CAP,
@@ -17,6 +19,8 @@ from wellcovered.independent_sets import (
     enumerate_mis,
 )
 from wellcovered.linalg import (
+    LinearSystem,
+    _diff_row,
     empty_system,
     evaluate,
     make_system,
@@ -24,7 +28,7 @@ from wellcovered.linalg import (
     rank,
     same_solution_space,
 )
-from wellcovered.modular import md_tree
+from wellcovered.modular import _md_nodes, md_tree
 from wellcovered.systems import (
     STRATEGIES,
     SolverConfig,
@@ -1217,3 +1221,128 @@ def test_query_route_matches_bruteforce_at_dimension_zero():
             bruteforce_system(g)
         )
     assert seen >= 40
+
+
+class TestSparseRowsAgainstDenseOracles:
+    """The row builders and lifts against the dense ones they replaced."""
+
+    def test_diff_row(self):
+        rng = gu.seeded(41)
+        for _ in range(400):
+            n = rng.choice([1, 5, 40, 200])
+            plus, minus = rng.getrandbits(n), rng.getrandbits(n)
+            if rng.random() < 0.3:
+                minus &= ~plus  # disjoint, as in joins and generating rows
+            for a, b in ((plus, minus), (plus, 0), (0, minus), (plus, plus)):
+                row = _diff_row(a, b)
+                assert row == gu.terms(
+                    gu.dense_diff_row(n, iter_bits(a), iter_bits(b))
+                )
+                assert [c for c, _ in row] == sorted({c for c, _ in row})
+
+    def test_diff_row_examples(self):
+        assert _diff_row(0, 0) == ()
+        assert _diff_row(0b1001111, 0b1001111) == ()
+        assert _diff_row(0b1000010000, 0b0010100001) == (
+            (0, -1), (4, 1), (5, -1), (7, -1), (9, 1)
+        )
+        # past _C_STEP columns, listed in C
+        evens, odds = int("01" * 40, 2), int("10" * 40, 2)
+        assert _diff_row(evens | 1 << 100, odds | 1 << 100) == tuple(
+            (c, 1 if c % 2 == 0 else -1) for c in range(80)
+        )
+
+    def test_lifts(self):
+        rng = gu.seeded(43)
+        for _ in range(200):
+            k = rng.randint(0, 6)
+            rows = [
+                tuple(rng.choice([0, 0, 1, -1, 2, Fraction(-1, 3)]) for _ in range(k))
+                for _ in range(rng.randint(0, 4))
+            ]
+            qsys = make_system(k, rows, [rng.choice(["", "t"]) for _ in rows])
+            host_n = k + rng.randint(0, 8)
+            order = rng.sample(range(host_n), host_n)
+            cuts = sorted(rng.sample(range(1, host_n + 1), k)) if k else []
+            sets = [order[a:b] for a, b in zip([0] + cuts, cuts)]
+            lifted = lift_quotient_system(qsys, sets, host_n)
+            tags = [f"subst[{t}]" if t else "subst" for t in qsys.tags]
+            assert lifted == gu.dense_spread(qsys, sets, host_n, tags)
+            vmap = rng.sample(range(host_n), k)
+            moved = lift_subgraph_system(qsys, vmap, host_n)
+            singletons = [(v,) for v in vmap]
+            assert moved == gu.dense_spread(qsys, singletons, host_n, qsys.tags)
+            for s in (lifted, moved):
+                for row in s.terms:
+                    assert [c for c, _ in row] == sorted({c for c, _ in row})
+
+    def test_systems_on_the_dense_row_layer(self, monkeypatch):
+        # every route builds the same rows and tags when its rows are built
+        # dense, one n-tuple at a time
+        rng = gu.seeded(47)
+        graphs = [
+            gu.random_graph(rng, rng.randint(1, 12), rng.random()) for _ in range(25)
+        ]
+        graphs += [gu.shuffled_substitution(rng, (4, 6), (1, 4)) for _ in range(5)]
+        graphs += [gu.line_graph(gu.random_graph(rng, 6, 0.6)) for _ in range(5)]
+        graphs += [gu.bull(), gu.fork(), gu.petersen(), gu.prism(4)]
+
+        def outcomes():
+            out = []
+            for g in graphs:
+                for build in (well_covering_system, _query_system):
+                    for strategy in STRATEGIES:
+                        for cap in (1, 5, DEFAULT_MIS_CAP):
+                            try:
+                                s = build(g, SolverConfig(strategy, cap))
+                            except (StrategyError, CapExceededError) as exc:
+                                out.append(type(exc))
+                                continue
+                            out.append((s.num_vars, s.rows, s.tags))
+            return out
+
+        sparse = outcomes()
+        with monkeypatch.context() as m:
+            gu.dense_rows_patched(m)
+            dense = outcomes()
+        assert sparse == dense
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def sparse_graphs():
+    """name -> (graph, traced peak of its decomposition)"""
+    graphs = {
+        "forest30000": gu.disjoint_union(*[gu.complete(3)] * 10_000),
+        "path8000": gu.path(8000),
+    }
+    return {name: (g, _traced_peak(_md_nodes, g)[0]) for name, g in graphs.items()}
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("forest30000", well_covered_dimension),
+        ("forest30000", well_covering_system),
+        ("path8000", well_covered_dimension),
+    ],
+)
+def test_memory_linear_over_the_decomposition(sparse_graphs, name, build):
+    # vertex sets are bitmasks of up to n bits, so the decomposition alone
+    # takes Theta(n^2) bits here (about 86 MB on the forest); the rows must
+    # add a constant per vertex and per nonzero on top of that, counting a
+    # copy of it for the prime root's quotient. Dense rows took
+    # 8 * n * rows bytes: 4.8 GB on the forest
+    g, decomposition = sparse_graphs[name]
+    peak, result = _traced_peak(build, g)
+    system = result if isinstance(result, LinearSystem) else _query_system(g)
+    nnz = sum(map(len, system.terms))
+    assert peak <= 2 * decomposition + 1000 * (g.n + nnz)
