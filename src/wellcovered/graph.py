@@ -10,7 +10,10 @@ operation returns a new graph.
 Edge lists in the canonical layout the generators write (a header of digits,
 then "u v" lines) are read by a fast path that checks and tokenizes the text
 with bytes operations; any other text, and every error, is left to the line
-parser, which reads anything the format allows.
+parser, which reads anything the format allows. The fast path stores the
+edges of a dense text (an n x n byte matrix no larger than the text) as one
+byte each in such a matrix, and those of a sparse text as neighbour lists,
+so its memory is bounded by the text either way.
 """
 
 from __future__ import annotations
@@ -149,8 +152,10 @@ def parse_edge_list(text: str) -> Graph:
     Canonical text (a header of digits, then lines that are exactly "u v"
     with each index spelled as ``str`` spells it, as the README and the
     generators write it) takes a fast path that tokenizes with bytes
-    operations and builds each mask once. Any other text goes to the line
-    parser, which reads it as before; every error comes from there.
+    operations and builds each mask once: from an n x n byte matrix, one
+    store per line, when the matrix is no larger than the text, else from
+    per-vertex neighbour lists. Any other text goes to the line parser,
+    which reads it as before; every error comes from there.
     """
     g = _parse_canonical(text)
     return g if g is not None else _parse_lines(text)
@@ -170,6 +175,14 @@ def _parse_canonical(text: str) -> Graph | None:
     padded and split tokens. An index missing from the table of canonical
     spellings (out of range, "007", "+3") or a self-loop also returns None.
     Never raises.
+
+    Edges land in one of two layouts. If an n x n matrix of bytes is no
+    larger than the text (``n * n <= len(data)``), each line "u v" is one
+    store, at byte ``u * n + v``; its ``n * n`` bytes are then bounded by
+    the input, as the text's own tokens are. Otherwise, on texts with few
+    edges for their vertex count (a long path, a star on
+    ``MAX_VERTICES``), each vertex gets a list of its neighbours, which
+    costs memory in the number of edges only.
     """
     if not text.isascii():
         return None
@@ -185,7 +198,13 @@ def _parse_canonical(text: str) -> Graph | None:
     if n > MAX_VERTICES:
         return None
     index = {str(i).encode(): i for i in range(n)}
-    nbrs: list[list[int]] = [[] for _ in range(n)]
+    dense = n * n <= len(data)
+    if dense:
+        cells = bytearray(n * n)
+        # a line "u v" sets byte rows[u] + index[v]
+        rows = {key: u * n for key, u in index.items()}
+    else:
+        nbrs: list[list[int]] = [[] for _ in range(n)]
     while start < len(data):
         end = data.find(b"\n", start + _CHUNK) + 1 or len(data)
         chunk = data[start:end]
@@ -194,37 +213,59 @@ def _parse_canonical(text: str) -> Graph | None:
         shape = chunk.translate(None, _DIGITS)
         if len(tokens) != 2 * lines or shape != b" \n" * lines:
             return None
-        ends = map(index.__getitem__, tokens)
+        pairs = iter(tokens)
         try:
-            for u, v in zip(ends, ends):
-                nbrs[u].append(v)
-                nbrs[v].append(u)
+            if dense:
+                for a, b in zip(pairs, pairs):
+                    cells[rows[a] + index[b]] = 1
+            else:
+                ends = map(index.__getitem__, pairs)
+                for u, v in zip(ends, ends):
+                    nbrs[u].append(v)
+                    nbrs[v].append(u)
         except KeyError:
             return None
         start = end
-    row = bytearray(n)
+    return _matrix_graph(n, cells) if dense else _list_graph(n, nbrs)
+
+
+def _matrix_graph(n: int, cells: bytearray) -> Graph | None:
+    """The graph of the n x n matrix ``cells``, whose byte ``u * n + v`` is
+    1 for each line "u v", or None if a line is a self-loop. The mask of u
+    reads its row and its column, so an edge written once in either
+    direction, twice or reversed sets the same bits."""
+    if any(cells[::n + 1]):
+        return None
+    bits = cells.translate(_BITS)
+    return Graph(n, tuple(
+        int(bits[u * n:u * n + n][::-1], 2) | int(bits[u::n][::-1], 2)
+        for u in range(n)
+    ))
+
+
+def _list_graph(n: int, nbrs: list[list[int]]) -> Graph | None:
+    """The graph whose vertex u has the neighbours ``nbrs[u]``, or None if a
+    list holds its own vertex."""
     masks = []
     for u, vs in enumerate(nbrs):
         # few neighbours: OR in one shifted int each; many: one O(n) row read
         if len(vs) < 64 or len(vs) * 64 < n:
             mask = mask_of(vs)
         else:
-            mask = _row_mask(row, vs)
+            mask = _row_mask(n, vs)
         if mask >> u & 1:
             return None
         masks.append(mask)
     return Graph(n, tuple(masks))
 
 
-def _row_mask(row: bytearray, vs: list[int]) -> int:
-    """The mask of ``vs``: marked in the all-zero ``row``, read as bits, and
-    unmarked again."""
+def _row_mask(n: int, vs: list[int]) -> int:
+    """The mask of ``vs``, marked in a fresh row of n bytes and read as
+    bits."""
+    row = bytearray(n)
     for v in vs:
         row[v] = 1
-    mask = int(row[::-1].translate(_BITS), 2)
-    for v in vs:
-        row[v] = 0
-    return mask
+    return int(row[::-1].translate(_BITS), 2)
 
 
 def _parse_lines(text: str) -> Graph:

@@ -386,6 +386,12 @@ def lift_quotient_system(
             if v in seen:
                 raise ValueError(f"vertex {v} appears in two module sets")
             seen.add(v)
+    return _substitute(quotient_sys, sets, host_n)
+
+
+def _substitute(quotient_sys: LinearSystem, sets, host_n: int) -> LinearSystem:
+    """``lift_quotient_system`` on ``sets`` already known to be non-empty,
+    disjoint and in range."""
     tags = (f"subst[{tag}]" if tag else "subst" for tag in quotient_sys.tags)
     return _spread(quotient_sys, sets, host_n, tags)
 
@@ -459,11 +465,15 @@ def _fold_system(
             if prime_below:
                 reduce_from(start)
             return start, mis[0], prime_below
-        quot, _ = induced_subgraph(g, reps)
+        if len(reps) == g.n:
+            # every child is a single vertex: g is its own quotient
+            quot, sets = g, [(v,) for v in reps]
+        else:
+            quot, _ = induced_subgraph(g, reps)
+            sets = [list(iter_bits(m)) for m in mis]
         children_rows = len(rows) > start
-        substituted = lift_quotient_system(
-            prime_solver(quot), [iter_bits(m) for m in mis], g.n
-        )
+        # the children's vertex sets are disjoint, so their mis are too
+        substituted = _substitute(prime_solver(quot), sets, g.n)
         rows.extend(substituted.terms)
         tags.extend(substituted.tags)
         # lifting onto disjoint sets keeps the quotient rows independent,

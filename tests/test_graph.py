@@ -221,12 +221,93 @@ class TestCanonicalFastPath:
         calls = []
         row_mask = graph_module._row_mask
 
-        def spy(row, vs):
+        def spy(n, vs):
             calls.append(len(vs))
-            return row_mask(row, vs)
+            return row_mask(n, vs)
 
         monkeypatch.setattr(graph_module, "_row_mask", spy)
         return calls
+
+    @pytest.fixture
+    def allocations(self, monkeypatch):
+        """The size of each bytearray the graph module allocates."""
+        sizes = []
+
+        def spy(size):
+            sizes.append(size)
+            return bytearray(size)
+
+        monkeypatch.setattr(graph_module, "bytearray", spy, raising=False)
+        return sizes
+
+    @pytest.mark.parametrize("slack", [-1, 0, 1])
+    def test_matrix_gate(self, allocations, slack):
+        # n * n == len(data) + slack: the matrix is taken up to equality
+        n = 11
+        size = n * n - slack
+        two_digit = (size - 3) % 4  # lines "u 10\n" of 5 bytes, the rest 4
+        edges = [(u, 10) for u in range(two_digit)]
+        edges += [(u, v) for u in range(10) for v in range(u + 1, 10)]
+        text = edge_list_text(n, edges[:two_digit + (size - 3 - 5 * two_digit) // 4])
+        assert len(text) == size
+        self.assert_same(text)
+        assert (n * n in allocations) == (slack <= 0)
+
+    @pytest.mark.parametrize("text,fast", [
+        ("3\n0 1\n1 2\n2 2\n", False),  # self-loop
+        ("3\n1 1\n0 1\n", False),
+        ("3\n0 1\n1 2\n0 1\n", True),  # duplicate edge
+        ("3\n0 1\n1 0\n2 1\n", True),  # reversed edges
+        ("3\n2 0\n2 1\n", True),
+        ("3\n0 1\n0 3\n", False),  # out of range
+        ("3\n0 1\n007 1\n", False),  # not canonical
+        ("0\n0 1\n", False),
+        ("1\n0 0\n", False),
+        ("1\n0 1\n", False),
+        ("0\n", True),
+        ("1\n", True),
+    ])
+    def test_matrix_path_cases(self, allocations, text, fast):
+        n = int(text.split()[0])
+        assert n * n <= len(text)
+        self.assert_same(text)
+        assert set(allocations) == {n * n}
+        assert (graph_module._parse_canonical(text) is not None) == fast
+
+    def test_matrix_path_taken_by_dense_texts(self, fallbacks, allocations):
+        k70 = gu.complete(70)
+        assert parse_graph(edge_list_text(70, k70.edges())) == k70
+        assert parse_graph(threshold2000_text()).num_edges() == 1000 * 1000
+        assert allocations == [70 * 70, 2000 * 2000]
+        assert fallbacks == []
+
+    def test_no_matrix_for_sparse_texts(self, fallbacks, allocations):
+        n = MAX_VERTICES
+        star = edge_list_text(n, [(u, n - 1) for u in range(n - 1)])
+        for text in (star, f"{n}\n"):
+            del allocations[:]
+            assert parse_graph(text).n == n
+            assert max(allocations, default=0) <= n
+        assert fallbacks == []
+
+    def test_mutated_texts_reach_both_layouts(self, monkeypatch):
+        built = set()
+        for name in ("_matrix_graph", "_list_graph"):
+            layout = getattr(graph_module, name)
+
+            def spy(*args, name=name, layout=layout):
+                built.add(name)
+                return layout(*args)
+
+            monkeypatch.setattr(graph_module, name, spy)
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(mutated_canonical_texts())
+        def check(text):
+            self.assert_same(text)
+
+        check()
+        assert built == {"_matrix_graph", "_list_graph"}
 
     def test_bench_shaped_texts_take_fast_path(self, fallbacks):
         rng = gu.seeded(12)
