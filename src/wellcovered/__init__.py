@@ -23,14 +23,7 @@ from .graph import (
     is_claw_free,
     parse_graph,
 )
-from .independent_sets import (
-    DEFAULT_MIS_CAP,
-    CapExceededError,
-    MISList,
-    enumerate_mis,
-    greedy_mis,
-    is_well_covered_bruteforce,
-)
+from .independent_sets import DEFAULT_MIS_CAP, CapExceededError, greedy_mis
 from .linalg import (
     Basis,
     LinearSystem,
@@ -49,13 +42,7 @@ from .linalg import (
     system_to_json,
     system_to_text,
 )
-from .modular import (
-    MDNode,
-    is_module,
-    is_prime,
-    maximal_strong_modules,
-    md_tree,
-)
+from .modular import MDNode, md_tree
 from .systems import (
     SolverConfig,
     StrategyError,
@@ -66,7 +53,6 @@ from .systems import (
     forkfree_system,
     is_w_well_covered,
     is_well_covered,
-    lift_quotient_system,
     lift_subgraph_system,
     modular_system,
     well_covered_dimension,
@@ -81,7 +67,6 @@ __all__ = [
     "GraphParseError",
     "LinearSystem",
     "MDNode",
-    "MISList",
     "SolverConfig",
     "StrategyError",
     "WeightVector",
@@ -94,7 +79,6 @@ __all__ = [
     "complement",
     "delete_closed_neighborhood",
     "empty_system",
-    "enumerate_mis",
     "evaluate",
     "extract_independent_subsystem",
     "forkfree_system",
@@ -102,15 +86,10 @@ __all__ = [
     "greedy_mis",
     "induced_subgraph",
     "is_claw_free",
-    "is_module",
-    "is_prime",
     "is_w_well_covered",
     "is_well_covered",
-    "is_well_covered_bruteforce",
-    "lift_quotient_system",
     "lift_subgraph_system",
     "make_system",
-    "maximal_strong_modules",
     "md_tree",
     "modular_system",
     "null_space_basis",

@@ -3,17 +3,14 @@
 Enumeration works by listing maximal cliques of the complement with a
 pivoting branch-and-bound. It is one generator of bitmasks, read by every
 brute-force consumer, and each of them caps it so that graphs with
-exponentially many maximal independent sets cannot blow up silently;
-``enumerate_mis`` sorts its capped prefix. ``meets_all_cliques`` asks
-whether one independent set can meet each of a family of cliques; it is the
-test behind the claw-free base of ``systems``.
+exponentially many maximal independent sets cannot blow up silently.
+``meets_all_cliques`` asks whether one independent set can meet each of a
+family of cliques; it is the test behind the claw-free base of ``systems``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
 from operator import or_
 from typing import Iterator, Sequence
 
@@ -24,18 +21,6 @@ DEFAULT_MIS_CAP = 1_000_000
 
 class CapExceededError(RuntimeError):
     """Raised when an enumeration or decision exceeds the configured cap."""
-
-
-@dataclass(frozen=True)
-class MISList:
-    """An enumeration result: maximal independent sets plus a completeness flag.
-
-    ``complete`` is False when the enumeration was cut off at the cap, in
-    which case ``sets`` holds exactly ``cap`` of the maximal independent sets.
-    """
-
-    sets: tuple[frozenset[int], ...] = ()
-    complete: bool = True
 
 
 def greedy_mis(g: Graph, order: Sequence[int]) -> frozenset[int]:
@@ -56,9 +41,8 @@ def greedy_mis(g: Graph, order: Sequence[int]) -> frozenset[int]:
 def _mis_masks(g: Graph) -> Iterator[int]:
     """Every maximal independent set of ``g`` as a bitmask, depth first.
 
-    The one enumeration: ``enumerate_mis`` sorts a capped prefix of it, and
-    the brute-force consumers of ``systems`` and ``cli`` read it as it
-    runs, so a caller stops it where its cap says.
+    The one enumeration: the brute-force consumers of ``systems`` and
+    ``cli`` read it as it runs, so a caller stops it where its cap says.
     """
     if g.n == 0:
         yield 0
@@ -98,21 +82,6 @@ def _mis_masks(g: Graph) -> Iterator[int]:
             stack.append(frame(r | bit, p & outside, x & outside))
         elif not x & outside:
             yield r | bit
-
-
-def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MISList:
-    """Enumerate maximal independent sets, at most ``cap`` of them.
-
-    If the graph has at most ``cap`` maximal independent sets, all of them
-    are returned with complete=True; otherwise exactly ``cap`` of them with
-    complete=False. Sets are listed in canonical order (lexicographic by
-    sorted member list).
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    found = list(islice(_mis_masks(g), cap + 1))
-    ordered = sorted(tuple(iter_bits(m)) for m in found[:cap])
-    return MISList(tuple(map(frozenset, ordered)), len(found) <= cap)
 
 
 def _cover_refutes(g: Graph, sets: list[int]) -> bool:
@@ -218,18 +187,3 @@ def meets_all_cliques(g: Graph, cliques: Sequence[int]) -> bool:
         if child is not None:
             stack.append(child)
     return False
-
-
-def is_well_covered_bruteforce(g: Graph, cap: int = DEFAULT_MIS_CAP) -> bool:
-    """True iff all maximal independent sets have equal cardinality.
-
-    Raises CapExceededError when the enumeration is incomplete at ``cap``,
-    since well-coveredness is then undecided.
-    """
-    mis = enumerate_mis(g, cap)
-    if not mis.complete:
-        raise CapExceededError(
-            f"more than {cap} maximal independent sets; "
-            f"well-coveredness undecided at this cap"
-        )
-    return len({len(s) for s in mis.sets}) <= 1

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .graph import (
     Graph,
@@ -107,20 +107,6 @@ class MDNode:
     def __repr__(self) -> str:
         size, arity = len(self.vertex_set), len(self.children)
         return f"MDNode(kind={self.kind!r}, vertices={size}, children={arity})"
-
-
-def is_module(g: Graph, m: Iterable[int]) -> bool:
-    """True iff every outside vertex is complete or anticomplete to ``m``."""
-    mask = mask_of(m)
-    if mask == 0:
-        raise ValueError("a module must be nonempty")
-    if mask & ~g.full_mask:
-        raise ValueError(f"vertex set not within 0..{g.n - 1}")
-    for v in iter_bits(g.full_mask & ~mask):
-        seen = g.adj[v] & mask
-        if seen != 0 and seen != mask:
-            return False
-    return True
 
 
 def _strong_module_masks(g: Graph, within: int) -> list[int]:
@@ -215,29 +201,6 @@ def _partition_masks(
         if len(cocomps) >= 2:
             return SERIES, cocomps
     return PRIME, _strong_module_masks(g, within)
-
-
-def maximal_strong_modules(g: Graph) -> list[frozenset[int]]:
-    """The unique partition of the vertex set into maximal strong modules.
-
-    For a disconnected graph these are the components; for a graph with
-    disconnected complement, the co-components; otherwise the maximal proper
-    modules (pairwise disjoint in that case). Requires n >= 2.
-    """
-    if g.n < 2:
-        raise ValueError("maximal strong modules require at least 2 vertices")
-    _, blocks = _partition_masks(g, g.full_mask)
-    return [frozenset(iter_bits(b)) for b in blocks]
-
-
-def is_prime(g: Graph) -> bool:
-    """True iff g and its complement are connected and every module is
-    trivial (a singleton or the whole vertex set). One-vertex graphs are not
-    prime by convention."""
-    if g.n < 2:
-        return False
-    kind, blocks = _partition_masks(g, g.full_mask)
-    return kind == PRIME and all(b.bit_count() == 1 for b in blocks)
 
 
 def _md_nodes(g: Graph) -> list[tuple]:

@@ -100,6 +100,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import islice
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -116,7 +117,6 @@ from .independent_sets import (
     DEFAULT_MIS_CAP,
     CapExceededError,
     _mis_masks,
-    enumerate_mis,
     greedy_mis,
     meets_all_cliques,
 )
@@ -175,15 +175,19 @@ def bruteforce_system(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
 
     Enumerates all maximal independent sets in canonical order and emits the
     k-1 consecutive weight-difference equations. Raises CapExceededError
-    when the enumeration does not finish under ``cap``.
+    when the enumeration does not finish under ``cap``. Canonical order is
+    lexicographic by sorted members: of two sets, the one holding the lowest
+    vertex where they differ comes first, so the bit-reversed masks descend.
     """
-    mis = enumerate_mis(g, cap)
-    if not mis.complete:
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    masks = list(islice(_mis_masks(g), cap + 1))
+    if len(masks) > cap:
         raise CapExceededError(
             f"maximal independent set cap {cap} exceeded; "
             f"brute-force system unavailable"
         )
-    masks = [mask_of(m) for m in mis.sets]
+    masks.sort(key=lambda m: format(m, f"0{g.n}b")[::-1], reverse=True)
     rows = tuple(map(_diff_row, masks, masks[1:]))
     tags = tuple(f"mis-diff i={i}" for i in range(1, len(masks)))
     return _trusted_system(g.n, rows, tags)
@@ -357,41 +361,15 @@ def lift_subgraph_system(
     return _spread(sub, [(v,) for v in vmap], host_n, sub.tags)
 
 
-def lift_quotient_system(
-    quotient_sys: LinearSystem,
-    module_mis: Sequence[Iterable[int]],
-    host_n: int,
-) -> LinearSystem:
+def _substitute(quotient_sys: LinearSystem, sets, host_n: int) -> LinearSystem:
     """Substitute module independent-set sums for quotient variables.
 
-    Each quotient equation's coefficient a_j spreads onto all host variables
-    in module_mis[j]. Sound because a maximal independent set of the host
+    Each quotient equation's coefficient a_j spreads onto all host
+    variables in ``sets[j]``; the sets must be non-empty, disjoint and
+    within ``host_n``. Sound because a maximal independent set of the host
     graph meets module j either not at all or in a maximal independent set
-    of the module, and the met modules form a maximal independent set of the
-    quotient.
-    """
-    sets = [frozenset(s) for s in module_mis]
-    if len(sets) != quotient_sys.num_vars:
-        raise ValueError(
-            f"{len(sets)} module sets for a quotient system over "
-            f"{quotient_sys.num_vars} variables"
-        )
-    seen: set[int] = set()
-    for s in sets:
-        if not s:
-            raise ValueError("empty module independent set")
-        for v in s:
-            if not 0 <= v < host_n:
-                raise ValueError(f"vertex {v} out of range for host_n={host_n}")
-            if v in seen:
-                raise ValueError(f"vertex {v} appears in two module sets")
-            seen.add(v)
-    return _substitute(quotient_sys, sets, host_n)
-
-
-def _substitute(quotient_sys: LinearSystem, sets, host_n: int) -> LinearSystem:
-    """``lift_quotient_system`` on ``sets`` already known to be non-empty,
-    disjoint and in range."""
+    of the module, and the met modules form a maximal independent set of
+    the quotient."""
     tags = (f"subst[{tag}]" if tag else "subst" for tag in quotient_sys.tags)
     return _spread(quotient_sys, sets, host_n, tags)
 

@@ -31,14 +31,21 @@ The dense row layer the library had before it stored rows by their terms
 (``dense_diff_row``, ``dense_spread``, ``dense_format_equation`` with
 its ``system_to_text`` and ``system_to_json``, and ``dense_evaluate``) is
 kept verbatim as the oracle of the sparse one; ``dense_rows_patched``
-runs the library on it.
+runs the library on it. Seven helpers that the library once exported but
+no solver path ran live here unchanged: ``enumerate_mis`` with its
+``MISList``, ``is_well_covered_bruteforce``, ``is_module``, ``is_prime``,
+``maximal_strong_modules`` and the checked ``lift_quotient_system``; with
+them, ``enumerated_bruteforce_system`` is the brute-force chain as it was
+read off the sorted enumeration, before it sorted the bitmasks.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import gcd, lcm
+from typing import Iterable, Sequence
 
 from wellcovered.graph import (
     Graph,
@@ -51,15 +58,18 @@ from wellcovered.graph import (
     iter_bits,
     mask_of,
 )
-from wellcovered.independent_sets import (
-    DEFAULT_MIS_CAP,
-    CapExceededError,
-    MISList,
-    enumerate_mis,
+from wellcovered.independent_sets import DEFAULT_MIS_CAP, CapExceededError, _mis_masks
+from wellcovered.linalg import (
+    Basis,
+    LinearSystem,
+    WeightVector,
+    _check_entries,
+    _diff_row,
+    _trusted_system,
 )
-from wellcovered.linalg import Basis, LinearSystem, WeightVector, _check_entries
-from wellcovered.modular import _strong_module_masks, is_module, is_prime
+from wellcovered.modular import PRIME, _partition_masks, _strong_module_masks
 from wellcovered.systems import (
+    _substitute,
     anti_neighborhood_system,
     bruteforce_system,
     cograph_system,
@@ -421,7 +431,6 @@ def clawfree_prime_seeds():
     global _CLAWFREE_PRIME_SEEDS
     if _CLAWFREE_PRIME_SEEDS is None:
         from wellcovered.graph import complement, is_claw_free
-        from wellcovered.modular import is_prime
 
         candidates = [
             path(4), path(5), path(6), path(7),
@@ -467,6 +476,140 @@ def random_forkfree(rng, max_n):
             g = substitute(seed, modules)
         if g.n <= max_n and is_fork_free(g):
             return g
+
+
+# ---------------------------------------------------------------------------
+# former public helpers that no solver path ran, kept unchanged as oracles:
+# the sorted enumeration and the brute-force chain read off it, the
+# well-coveredness test on it, the module and primality tests, and the
+# checked quotient lift
+
+
+@dataclass(frozen=True)
+class MISList:
+    """An enumeration result: maximal independent sets plus a completeness flag.
+
+    ``complete`` is False when the enumeration was cut off at the cap, in
+    which case ``sets`` holds exactly ``cap`` of the maximal independent sets.
+    """
+
+    sets: tuple[frozenset[int], ...] = ()
+    complete: bool = True
+
+
+def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MISList:
+    """Enumerate maximal independent sets, at most ``cap`` of them.
+
+    If the graph has at most ``cap`` maximal independent sets, all of them
+    are returned with complete=True; otherwise exactly ``cap`` of them with
+    complete=False. Sets are listed in canonical order (lexicographic by
+    sorted member list).
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    found = list(islice(_mis_masks(g), cap + 1))
+    ordered = sorted(tuple(iter_bits(m)) for m in found[:cap])
+    return MISList(tuple(map(frozenset, ordered)), len(found) <= cap)
+
+
+def enumerated_bruteforce_system(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
+    """``systems.bruteforce_system`` as it stood before it sorted the
+    bitmasks: the chain over the sets of ``enumerate_mis``, each turned
+    back into a mask."""
+    mis = enumerate_mis(g, cap)
+    if not mis.complete:
+        raise CapExceededError(
+            f"maximal independent set cap {cap} exceeded; "
+            f"brute-force system unavailable"
+        )
+    masks = [mask_of(m) for m in mis.sets]
+    rows = tuple(map(_diff_row, masks, masks[1:]))
+    tags = tuple(f"mis-diff i={i}" for i in range(1, len(masks)))
+    return _trusted_system(g.n, rows, tags)
+
+
+def is_well_covered_bruteforce(g: Graph, cap: int = DEFAULT_MIS_CAP) -> bool:
+    """True iff all maximal independent sets have equal cardinality.
+
+    Raises CapExceededError when the enumeration is incomplete at ``cap``,
+    since well-coveredness is then undecided.
+    """
+    mis = enumerate_mis(g, cap)
+    if not mis.complete:
+        raise CapExceededError(
+            f"more than {cap} maximal independent sets; "
+            f"well-coveredness undecided at this cap"
+        )
+    return len({len(s) for s in mis.sets}) <= 1
+
+
+def is_module(g: Graph, m: Iterable[int]) -> bool:
+    """True iff every outside vertex is complete or anticomplete to ``m``."""
+    mask = mask_of(m)
+    if mask == 0:
+        raise ValueError("a module must be nonempty")
+    if mask & ~g.full_mask:
+        raise ValueError(f"vertex set not within 0..{g.n - 1}")
+    for v in iter_bits(g.full_mask & ~mask):
+        seen = g.adj[v] & mask
+        if seen != 0 and seen != mask:
+            return False
+    return True
+
+
+def maximal_strong_modules(g: Graph) -> list[frozenset[int]]:
+    """The unique partition of the vertex set into maximal strong modules.
+
+    For a disconnected graph these are the components; for a graph with
+    disconnected complement, the co-components; otherwise the maximal proper
+    modules (pairwise disjoint in that case). Requires n >= 2.
+    """
+    if g.n < 2:
+        raise ValueError("maximal strong modules require at least 2 vertices")
+    _, blocks = _partition_masks(g, g.full_mask)
+    return [frozenset(iter_bits(b)) for b in blocks]
+
+
+def is_prime(g: Graph) -> bool:
+    """True iff g and its complement are connected and every module is
+    trivial (a singleton or the whole vertex set). One-vertex graphs are not
+    prime by convention."""
+    if g.n < 2:
+        return False
+    kind, blocks = _partition_masks(g, g.full_mask)
+    return kind == PRIME and all(b.bit_count() == 1 for b in blocks)
+
+
+def lift_quotient_system(
+    quotient_sys: LinearSystem,
+    module_mis: Sequence[Iterable[int]],
+    host_n: int,
+) -> LinearSystem:
+    """Substitute module independent-set sums for quotient variables.
+
+    Each quotient equation's coefficient a_j spreads onto all host variables
+    in module_mis[j]. Sound because a maximal independent set of the host
+    graph meets module j either not at all or in a maximal independent set
+    of the module, and the met modules form a maximal independent set of the
+    quotient.
+    """
+    sets = [frozenset(s) for s in module_mis]
+    if len(sets) != quotient_sys.num_vars:
+        raise ValueError(
+            f"{len(sets)} module sets for a quotient system over "
+            f"{quotient_sys.num_vars} variables"
+        )
+    seen: set[int] = set()
+    for s in sets:
+        if not s:
+            raise ValueError("empty module independent set")
+        for v in s:
+            if not 0 <= v < host_n:
+                raise ValueError(f"vertex {v} out of range for host_n={host_n}")
+            if v in seen:
+                raise ValueError(f"vertex {v} appears in two module sets")
+            seen.add(v)
+    return _substitute(quotient_sys, sets, host_n)
 
 
 # ---------------------------------------------------------------------------

@@ -785,8 +785,6 @@ class TestRecognizeVerb:
     def test_root_flags_from_one_split(self, capsys, monkeypatch):
         # prime, connected and co-connected come from the root of the one
         # decomposition, and agree with the whole-graph tests they replace
-        from wellcovered.modular import is_prime
-
         rng = gu.seeded(73)
         seen = set()
         for i in range(200):
@@ -799,7 +797,7 @@ class TestRecognizeVerb:
                 )
             flags = json.loads(out)
             expected = (
-                is_prime(g),
+                gu.is_prime(g),
                 len(gu.top_down_component_masks(g)) <= 1,
                 len(gu.top_down_co_component_masks(g)) <= 1,
             )
@@ -815,8 +813,6 @@ class TestRecognizeVerb:
         # root's walks and, on graphs of at most seven vertices, a search
         # of every vertex tuple
         from wellcovered.graph import is_claw_free
-        from wellcovered.modular import is_prime
-
         make = {
             "gnp": lambda rng: gu.random_graph(rng, rng.randint(0, 13), rng.random()),
             "cograph_substitution": lambda rng: gu.shuffled_substitution(
@@ -836,7 +832,7 @@ class TestRecognizeVerb:
                 "claw_free": is_claw_free(g),
                 "fork_free": gu.is_fork_free(g),
                 "p4_free": gu.top_down_p4_free(g),
-                "prime": is_prime(g),
+                "prime": gu.is_prime(g),
                 "connected": len(gu.top_down_component_masks(g)) <= 1,
                 "co_connected": len(gu.top_down_co_component_masks(g)) <= 1,
             }

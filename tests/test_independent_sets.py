@@ -6,9 +6,7 @@ from wellcovered.independent_sets import (
     CapExceededError,
     _cover_refutes,
     _mis_masks,
-    enumerate_mis,
     greedy_mis,
-    is_well_covered_bruteforce,
     meets_all_cliques,
 )
 from wellcovered.systems import _generating_candidates, _generating_cliques
@@ -40,14 +38,14 @@ class TestGreedy:
             g = gu.random_graph(rng, rng.randint(1, 8), rng.random())
             order = list(range(g.n))
             rng.shuffle(order)
-            mis = enumerate_mis(g)
+            mis = gu.enumerate_mis(g)
             assert mis.complete
             assert greedy_mis(g, order) in set(mis.sets)
 
 
 class TestEnumerate:
     def test_bull_golden(self):
-        mis = enumerate_mis(gu.bull())
+        mis = gu.enumerate_mis(gu.bull())
         assert mis.complete
         assert mis.sets == (
             frozenset({0, 2, 4}),
@@ -59,25 +57,25 @@ class TestEnumerate:
         # n disjoint edges: every choice of one endpoint per edge is maximal
         for n in (1, 2, 3, 4):
             g = gu.disjoint_union(*[gu.complete(2)] * n)
-            mis = enumerate_mis(g, cap=2**n)
+            mis = gu.enumerate_mis(g, cap=2**n)
             assert mis.complete and len(mis.sets) == 2**n
 
     def test_cap_cuts_off(self):
         g = gu.disjoint_union(*[gu.complete(2)] * 4)
-        mis = enumerate_mis(g, cap=7)
+        mis = gu.enumerate_mis(g, cap=7)
         assert not mis.complete and len(mis.sets) == 7
 
     def test_k1(self):
-        mis = enumerate_mis(Graph.from_edges(1, []))
+        mis = gu.enumerate_mis(Graph.from_edges(1, []))
         assert mis.complete and mis.sets == (frozenset({0}),)
 
     def test_zero_vertices(self):
-        mis = enumerate_mis(Graph.from_edges(0, []))
+        mis = gu.enumerate_mis(Graph.from_edges(0, []))
         assert mis.complete and mis.sets == (frozenset(),)
 
     def test_bad_cap(self):
         with pytest.raises(ValueError):
-            enumerate_mis(gu.bull(), cap=0)
+            gu.enumerate_mis(gu.bull(), cap=0)
 
     def test_all_graphs_up_to_3_vertices(self):
         # exhaustive subset filtering agrees on every labeled graph
@@ -87,13 +85,13 @@ class TestEnumerate:
                 g = Graph.from_edges(
                     n, [e for i, e in enumerate(pairs) if picks >> i & 1]
                 )
-                assert set(enumerate_mis(g).sets) == gu.brute_mis(g)
+                assert set(gu.enumerate_mis(g).sets) == gu.brute_mis(g)
 
     def test_random_against_subset_filter(self):
         rng = gu.seeded(5)
         for _ in range(120):
             g = gu.random_graph(rng, rng.randint(0, 8), rng.random())
-            mis = enumerate_mis(g)
+            mis = gu.enumerate_mis(g)
             assert mis.complete
             assert set(mis.sets) == gu.brute_mis(g)
 
@@ -104,7 +102,7 @@ class TestEnumerate:
         for _ in range(150):
             g = gu.random_graph(rng, rng.randint(0, 14), rng.random())
             for cap in (1, 2, 3, 7, 10**6):
-                assert enumerate_mis(g, cap) == gu.recursive_enumerate_mis(g, cap)
+                assert gu.enumerate_mis(g, cap) == gu.recursive_enumerate_mis(g, cap)
 
     def test_same_sequence_as_frame_per_branch_version(self):
         # dropping the frames that hold no set changes neither the sets
@@ -121,7 +119,7 @@ class TestEnumerate:
         rng = gu.seeded(6)
         for _ in range(40):
             g = gu.random_graph(rng, rng.randint(1, 8), rng.random())
-            sets = enumerate_mis(g).sets
+            sets = gu.enumerate_mis(g).sets
             assert list(sets) == sorted(sets, key=sorted)
             assert len(set(sets)) == len(sets)
 
@@ -129,7 +127,7 @@ class TestEnumerate:
         rng = gu.seeded(8)
         for _ in range(80):
             g = gu.random_graph(rng, rng.randint(1, 9), rng.random())
-            for s in enumerate_mis(g).sets:
+            for s in gu.enumerate_mis(g).sets:
                 members = sorted(s)
                 for i, u in enumerate(members):
                     for v in members[i + 1:]:
@@ -141,19 +139,19 @@ class TestEnumerate:
 
 class TestWellCoveredBruteforce:
     def test_c4(self):
-        assert is_well_covered_bruteforce(gu.cycle(4))
+        assert gu.is_well_covered_bruteforce(gu.cycle(4))
 
     def test_bull(self):
-        assert not is_well_covered_bruteforce(gu.bull())
+        assert not gu.is_well_covered_bruteforce(gu.bull())
 
     def test_complete(self):
         for n in (1, 2, 5):
-            assert is_well_covered_bruteforce(gu.complete(n))
+            assert gu.is_well_covered_bruteforce(gu.complete(n))
 
     def test_cap_undecided(self):
         g = gu.disjoint_union(*[gu.complete(2)] * 5)
         with pytest.raises(CapExceededError, match="undecided"):
-            is_well_covered_bruteforce(g, cap=10)
+            gu.is_well_covered_bruteforce(g, cap=10)
 
 
 def row_cliques(rows, cols):

@@ -5,42 +5,35 @@ import pytest
 import genutil as gu
 import wellcovered.modular as modular
 from wellcovered.graph import Graph, induced_subgraph, iter_bits, mask_of
-from wellcovered.modular import (
-    _md_nodes,
-    is_module,
-    is_prime,
-    maximal_strong_modules,
-    md_fold,
-    md_tree,
-)
+from wellcovered.modular import _md_nodes, md_fold, md_tree
 
 
 class TestIsModule:
     def test_whole_vertex_set(self):
         g = gu.bull()
-        assert is_module(g, range(g.n))
+        assert gu.is_module(g, range(g.n))
 
     def test_singletons(self):
         g = gu.bull()
         for v in range(g.n):
-            assert is_module(g, {v})
+            assert gu.is_module(g, {v})
 
     def test_p4_middle_pair(self):
-        assert not is_module(gu.path(4), {1, 2})
+        assert not gu.is_module(gu.path(4), {1, 2})
 
     def test_k23_sides(self):
         g = gu.complete_bipartite(2, 3)
-        assert is_module(g, {0, 1})
-        assert is_module(g, {2, 3, 4})
-        assert not is_module(g, {0, 2})
+        assert gu.is_module(g, {0, 1})
+        assert gu.is_module(g, {2, 3, 4})
+        assert not gu.is_module(g, {0, 2})
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            is_module(gu.bull(), set())
+            gu.is_module(gu.bull(), set())
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            is_module(gu.bull(), {0, 9})
+            gu.is_module(gu.bull(), {0, 9})
 
     def test_against_definition(self):
         rng = gu.seeded(31)
@@ -51,48 +44,48 @@ class TestIsModule:
 
             for r in range(1, g.n + 1):
                 for combo in combinations(range(g.n), r):
-                    assert is_module(g, combo) == (frozenset(combo) in mods)
+                    assert gu.is_module(g, combo) == (frozenset(combo) in mods)
 
 
 class TestMaximalStrongModules:
     def test_edgeless(self):
-        assert maximal_strong_modules(gu.edgeless(3)) == [
+        assert gu.maximal_strong_modules(gu.edgeless(3)) == [
             frozenset({0}),
             frozenset({1}),
             frozenset({2}),
         ]
 
     def test_p4_prime(self):
-        assert maximal_strong_modules(gu.path(4)) == [
+        assert gu.maximal_strong_modules(gu.path(4)) == [
             frozenset({v}) for v in range(4)
         ]
 
     def test_bull_prime(self):
-        assert maximal_strong_modules(gu.bull()) == [
+        assert gu.maximal_strong_modules(gu.bull()) == [
             frozenset({v}) for v in range(5)
         ]
 
     def test_k23(self):
-        assert maximal_strong_modules(gu.complete_bipartite(2, 3)) == [
+        assert gu.maximal_strong_modules(gu.complete_bipartite(2, 3)) == [
             frozenset({0, 1}),
             frozenset({2, 3, 4}),
         ]
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            maximal_strong_modules(gu.edgeless(1))
+            gu.maximal_strong_modules(gu.edgeless(1))
 
     def test_matches_bruteforce(self):
         rng = gu.seeded(33)
         for _ in range(120):
             g = gu.random_graph(rng, rng.randint(2, 7), rng.random())
-            assert maximal_strong_modules(g) == gu.brute_maximal_strong_modules(g)
+            assert gu.maximal_strong_modules(g) == gu.brute_maximal_strong_modules(g)
         # prime roots whose lowest vertex often sits in a larger module
         checked = lowest_in_module = 0
         while checked < 100:
             g = gu.shuffled_substitution(rng, (4, 5), (1, 2))
             if g.n <= 9:
-                blocks = maximal_strong_modules(g)
+                blocks = gu.maximal_strong_modules(g)
                 assert blocks == gu.brute_maximal_strong_modules(g)
                 checked += 1
                 lowest_in_module += len(blocks[0]) > 1
@@ -176,7 +169,7 @@ class TestPrimeSplit:
             g = gu.line_graph(gu.random_graph(gu.seeded(11), 12, 0.6))
         else:
             g = getattr(gu, family)(n)
-        assert g.n == n and is_prime(g)
+        assert g.n == n and gu.is_prime(g)
         counted = Graph(g.n, gu.CountingAdj(g.adj))
         blocks = modular._strong_module_masks(counted, counted.full_mask)
         assert blocks == [1 << v for v in range(g.n)]
@@ -216,12 +209,12 @@ class TestQuotient:
 
 class TestIsPrime:
     def test_examples(self):
-        assert is_prime(gu.path(4))
-        assert not is_prime(gu.cycle(4))  # complement disconnected
-        assert not is_prime(Graph.from_edges(1, []))
-        assert not is_prime(gu.complete(2))
-        assert is_prime(gu.bull())
-        assert is_prime(gu.cycle(5))
+        assert gu.is_prime(gu.path(4))
+        assert not gu.is_prime(gu.cycle(4))  # complement disconnected
+        assert not gu.is_prime(Graph.from_edges(1, []))
+        assert not gu.is_prime(gu.complete(2))
+        assert gu.is_prime(gu.bull())
+        assert gu.is_prime(gu.cycle(5))
 
     def test_matches_definition(self):
         def reachable(g, adjacent):
@@ -248,7 +241,7 @@ class TestIsPrime:
                         len(m) in (1, g.n) for m in gu.brute_modules(g)
                     )
                 )
-            assert is_prime(g) == expected
+            assert gu.is_prime(g) == expected
 
 
 class TestMDTree:
@@ -433,7 +426,7 @@ def check_md_tree_invariants(g, t):
             assert x.quotient.num_edges() == k * (k - 1) // 2
             assert "series" not in kinds
         else:
-            assert is_prime(x.quotient)
+            assert gu.is_prime(x.quotient)
 
         # children are exactly the maximal strong modules of the subgraph
         from wellcovered.graph import induced_subgraph
@@ -442,7 +435,7 @@ def check_md_tree_invariants(g, t):
         local = [
             frozenset(vmap.index(v) for v in c.vertex_set) for c in x.children
         ]
-        assert sorted(local, key=min) == maximal_strong_modules(sub)
+        assert sorted(local, key=min) == gu.maximal_strong_modules(sub)
 
         # representatives are the lowest vertex of each child block
         assert x.reps == tuple(min(c.vertex_set) for c in x.children)

@@ -13,11 +13,7 @@ from wellcovered.graph import (
     is_claw_free,
     iter_bits,
 )
-from wellcovered.independent_sets import (
-    DEFAULT_MIS_CAP,
-    CapExceededError,
-    enumerate_mis,
-)
+from wellcovered.independent_sets import DEFAULT_MIS_CAP, CapExceededError
 from wellcovered.linalg import (
     LinearSystem,
     _diff_row,
@@ -43,7 +39,6 @@ from wellcovered.systems import (
     forkfree_system,
     is_w_well_covered,
     is_well_covered,
-    lift_quotient_system,
     lift_subgraph_system,
     modular_system,
     well_covered_dimension,
@@ -88,6 +83,84 @@ class TestBruteforceSystem:
             g = gu.random_graph(rng, rng.randint(0, 8), rng.random())
             s = brute(g)
             assert all(c in (-1, 0, 1) for row in s.rows for c in row)
+
+    def test_cap_below_one(self):
+        expected = (ValueError, "cap must be >= 1")
+        for g in (gu.bull(), gu.edgeless(0)):
+            for cap in (0, -3):
+                for build in (bruteforce_system, gu.enumerated_bruteforce_system):
+                    assert _terms_or_error(lambda: build(g, cap)) == expected
+
+    def test_memory_per_enumerated_set(self):
+        # one bitmask per set is kept until the cap is passed; the sorted
+        # member tuples and frozensets the chain once built took about
+        # 2.5 KB per set on P_60, against about 40 B
+        cap = 4000
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                bruteforce_system(gu.path(60), cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 250 * cap
+
+
+def _terms_or_error(build):
+    """The variable count, terms and tags of the system ``build()``
+    returns, or the type and message of the error it raises."""
+    try:
+        s = build()
+    except (ValueError, StrategyError, CapExceededError) as exc:
+        return type(exc), str(exc)
+    return s.num_vars, s.terms, s.tags
+
+
+def _chain_graphs():
+    rng = gu.seeded(173)
+    graphs = [gu.random_graph(rng, rng.randint(0, 14), rng.random()) for _ in range(80)]
+    return graphs + [gu.petersen(), gu.bull(), gu.path(30)]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 50, DEFAULT_MIS_CAP])
+def test_bruteforce_matches_sorted_sets_chain(cap):
+    # the chain sorts the bitmasks, where it once sorted member tuples and
+    # turned each back into a mask: the same terms, tags and errors
+    raised = 0
+    for g in _chain_graphs():
+        got = _terms_or_error(lambda: bruteforce_system(g, cap))
+        assert got == _terms_or_error(lambda: gu.enumerated_bruteforce_system(g, cap))
+        raised += got[0] is CapExceededError
+    assert (raised > 0) == (cap < DEFAULT_MIS_CAP)
+
+
+def test_strategies_match_on_the_sorted_sets_chain(monkeypatch):
+    # every strategy that reaches the brute force builds the same system,
+    # or raises the same error, when the chain is read off sorted sets
+    import wellcovered.systems as systems
+
+    strategies = ("auto", "modular", "forkfree", "bruteforce")
+    cfgs = [SolverConfig(strategy, 50) for strategy in strategies]
+    graphs = _chain_graphs()
+
+    def outcomes():
+        return [
+            _terms_or_error(lambda: well_covering_system(g, cfg))
+            for g in graphs
+            for cfg in cfgs
+        ]
+
+    got = outcomes()
+    calls = []
+
+    def oracle(g, cap=DEFAULT_MIS_CAP):
+        calls.append(g.n)
+        return gu.enumerated_bruteforce_system(g, cap)
+
+    monkeypatch.setattr(systems, "bruteforce_system", oracle)
+    assert got == outcomes()
+    assert len(calls) >= len(graphs)
+    assert sum(o[0] is CapExceededError for o in got) > 0
 
 
 class TestMisSpan:
@@ -244,13 +317,13 @@ def test_moon_moser_bounds_every_mis_count():
     rng = gu.seeded(157)
     for _ in range(300):
         g = gu.random_graph(rng, rng.randint(0, 12), rng.random())
-        assert len(enumerate_mis(g).sets) <= _moon_moser(g.n)
+        assert len(gu.enumerate_mis(g).sets) <= _moon_moser(g.n)
     for m in range(1, 16):
         q, r = divmod(m, 3)
         sizes = {0: [3] * q, 1: [3] * (q - 1) + [4] if q else [1], 2: [3] * q + [2]}[r]
         g = gu.disjoint_union(*[gu.complete(k) for k in sizes])
         assert g.n == m
-        assert len(enumerate_mis(g).sets) == _moon_moser(m)
+        assert len(gu.enumerate_mis(g).sets) == _moon_moser(m)
     assert _moon_moser(0) == 1
 
 
@@ -369,7 +442,7 @@ class TestCombineJoin:
             parts = []
             off = 0
             for h in gs:
-                mis_local = enumerate_mis(h).sets[0]
+                mis_local = gu.enumerate_mis(h).sets[0]
                 parts.append(
                     (
                         brute(h),
@@ -406,19 +479,19 @@ class TestCombineJoin:
 class TestLiftQuotientSystem:
     def test_direct_substitution(self):
         qsys = make_system(2, [(1, -1)], ["pair"])
-        out = lift_quotient_system(qsys, [{0}, {1, 2}], 4)
+        out = gu.lift_quotient_system(qsys, [{0}, {1, 2}], 4)
         assert out.rows == ((1, -1, -1, 0),)
         assert out.tags == ("subst[pair]",)
 
     def test_empty_quotient_system(self):
-        out = lift_quotient_system(empty_system(3), [{0}, {1}, {2}], 3)
+        out = gu.lift_quotient_system(empty_system(3), [{0}, {1}, {2}], 3)
         assert out == empty_system(3)
 
     def test_k23_matches_join_route(self):
         g = gu.complete_bipartite(2, 3)
         # quotient of the two sides is a single edge
         qsys = brute(gu.complete(2))
-        via_quotient = lift_quotient_system(qsys, [{0, 1}, {2, 3, 4}], 5)
+        via_quotient = gu.lift_quotient_system(qsys, [{0, 1}, {2, 3, 4}], 5)
         parts = [
             (empty_system(2), (0, 1), {0, 1}),
             (empty_system(3), (2, 3, 4), {2, 3, 4}),
@@ -430,21 +503,21 @@ class TestLiftQuotientSystem:
         # one vertex per module, module j holding vertex j: the rows are
         # kept as they are, with the new tags; any other map spreads them
         qsys = make_system(3, [(1, -1, 0), (0, Fraction(1, 2), -1)], ["a", ""])
-        out = lift_quotient_system(qsys, [{0}, {1}, {2}], 3)
+        out = gu.lift_quotient_system(qsys, [{0}, {1}, {2}], 3)
         assert out.rows is qsys.rows
         assert out.tags == ("subst[a]", "subst")
-        swapped = lift_quotient_system(qsys, [{1}, {0}, {2}], 3)
+        swapped = gu.lift_quotient_system(qsys, [{1}, {0}, {2}], 3)
         assert swapped.rows == ((-1, 1, 0), (Fraction(1, 2), 0, -1))
-        wider = lift_quotient_system(qsys, [{0}, {1}, {2}], 4)
+        wider = gu.lift_quotient_system(qsys, [{0}, {1}, {2}], 4)
         assert wider.rows == ((1, -1, 0, 0), (0, Fraction(1, 2), -1, 0))
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError):
-            lift_quotient_system(make_system(2, [(1, -1)]), [{0}], 3)
+            gu.lift_quotient_system(make_system(2, [(1, -1)]), [{0}], 3)
 
     def test_overlapping_sets(self):
         with pytest.raises(ValueError):
-            lift_quotient_system(make_system(2, [(1, -1)]), [{0}, {0, 1}], 3)
+            gu.lift_quotient_system(make_system(2, [(1, -1)]), [{0}, {0, 1}], 3)
 
 
 class TestModularSystem:
@@ -855,7 +928,7 @@ class TestWeightingSoundness:
         for _ in range(40):
             g = gu.random_graph(rng, rng.randint(1, 8), rng.random())
             s = well_covering_system(g)
-            mis = enumerate_mis(g).sets
+            mis = gu.enumerate_mis(g).sets
             for vec in null_space_basis(s).vectors:
                 weights = {vec.weight(m) for m in mis}
                 assert len(weights) == 1
@@ -892,15 +965,15 @@ class TestModuleMISAssembly:
                 per_block.append(
                     [
                         frozenset(vmap[i] for i in m)
-                        for m in enumerate_mis(sub).sets
+                        for m in gu.enumerate_mis(sub).sets
                     ]
                 )
             assembled = set()
-            for qmis in enumerate_mis(quot).sets:
+            for qmis in gu.enumerate_mis(quot).sets:
                 selected = sorted(qmis)
                 for choice in product(*(per_block[j] for j in selected)):
                     assembled.add(frozenset().union(*choice))
-            assert assembled == set(enumerate_mis(g).sets)
+            assert assembled == set(gu.enumerate_mis(g).sets)
 
 
 # Rows and tags of modular_system and forkfree_system as recorded from the
@@ -1265,7 +1338,7 @@ class TestSparseRowsAgainstDenseOracles:
             order = rng.sample(range(host_n), host_n)
             cuts = sorted(rng.sample(range(1, host_n + 1), k)) if k else []
             sets = [order[a:b] for a, b in zip([0] + cuts, cuts)]
-            lifted = lift_quotient_system(qsys, sets, host_n)
+            lifted = gu.lift_quotient_system(qsys, sets, host_n)
             tags = [f"subst[{t}]" if t else "subst" for t in qsys.tags]
             assert lifted == gu.dense_spread(qsys, sets, host_n, tags)
             vmap = rng.sample(range(host_n), k)
