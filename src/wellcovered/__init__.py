@@ -42,7 +42,7 @@ from .linalg import (
     system_to_json,
     system_to_text,
 )
-from .modular import MDNode, md_tree
+from .modular import MDNode, md_tree, recognize
 from .systems import (
     SolverConfig,
     StrategyError,
@@ -55,7 +55,9 @@ from .systems import (
     is_well_covered,
     lift_subgraph_system,
     modular_system,
+    well_covered_basis,
     well_covered_dimension,
+    well_covered_witness,
     well_covering_system,
 )
 
@@ -95,11 +97,14 @@ __all__ = [
     "null_space_basis",
     "parse_graph",
     "rank",
+    "recognize",
     "same_solution_space",
     "system_from_json",
     "system_to_json",
     "system_to_text",
+    "well_covered_basis",
     "well_covered_dimension",
+    "well_covered_witness",
     "well_covering_system",
 ]
 

@@ -11,24 +11,20 @@ exceeded, 4 resource limit reached (recursion depth or memory). Run as a
 program, a reader that closes stdout early (``wellcovered mdtree g.txt |
 head -n 1``) ends it with exit 0 and nothing on stderr.
 
-``system`` builds with ``well_covering_system``, whose rows keep their
-bytes; under ``auto`` it decomposes the graph once and reads the fork
-flag off the tree before solving anything, scanning no whole graph.
-``dimension``, ``basis``, ``check-weighting`` and, except under
-``bruteforce``, ``is-well-covered`` print what the solution space fixes,
-so they take the query route (``systems._query_system``): one fold of
-the decomposition that picks a solver at each prime quotient.
-``is-well-covered`` under ``auto`` takes that route as under
-``forkfree``, refusing forks first, because a graph with a fork prints a
-brute-force witness. ``dimension`` ranks the system only under
-``bruteforce``: every other system is independent by construction, so
-``basis`` prints the empty basis of one with n rows without elimination.
+Each verb is one library call, and this module only parses, dispatches,
+renders and maps exceptions to exit codes:
+
+    system           systems.well_covering_system
+    dimension        systems.well_covered_dimension
+    basis            systems.well_covered_basis
+    is-well-covered  systems.well_covered_witness
+    check-weighting  systems.is_w_well_covered
+    mdtree           modular.md_tree
+    recognize        modular.recognize
 
 JSON is written in pieces as ``json.dumps(obj, indent=2)`` would render
 it, from an explicit stack, so a decomposition tree of any depth prints.
-``recognize`` reads its six flags off one fold of the decomposition, whose
-claw scans see at most three vertices per child of a prime node and fork
-scans two. The empty graph has no tree: ``mdtree`` refuses it (exit 2).
+The empty graph has no tree: ``mdtree`` refuses it (exit 2).
 """
 
 from __future__ import annotations
@@ -40,26 +36,18 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .graph import Graph, GraphParseError, iter_bits, parse_graph
-from .independent_sets import DEFAULT_MIS_CAP, CapExceededError, _mis_masks
-from .linalg import (
-    Basis,
-    WeightVector,
-    basis_to_json,
-    null_space_basis,
-    system_to_json,
-    system_to_text,
-)
-from .modular import MDNode, _md_nodes, _tree_flags, md_tree
+from .graph import Graph, GraphParseError, parse_graph
+from .independent_sets import DEFAULT_MIS_CAP, CapExceededError
+from .linalg import WeightVector, basis_to_json, system_to_json, system_to_text
+from .modular import MDNode, md_tree, recognize
 from .systems import (
     STRATEGIES,
     SolverConfig,
     StrategyError,
-    _ForkFound,
-    _query_system,
     is_w_well_covered,
-    is_well_covered,
+    well_covered_basis,
     well_covered_dimension,
+    well_covered_witness,
     well_covering_system,
 )
 
@@ -178,12 +166,7 @@ def _run_dimension(args, g: Graph) -> None:
 
 
 def _run_basis(args, g: Graph) -> None:
-    cfg = _config(args)
-    system = _query_system(g, cfg)
-    # the query route's rows are independent, but for the brute-force
-    # chain: n of them leave no weighting but zero
-    full_rank = cfg.strategy != "bruteforce" and len(system) == g.n
-    basis = Basis(()) if full_rank else null_space_basis(system)
+    basis = well_covered_basis(g, _config(args))
     _emit(
         args,
         lambda: basis_to_json(basis, g.n),
@@ -191,48 +174,8 @@ def _run_basis(args, g: Graph) -> None:
     )
 
 
-def _enumerated_witness(g: Graph, cap: int) -> tuple[bool, tuple | None]:
-    """Well-coveredness by enumeration, and when it fails the first
-    smallest and the last largest maximal independent set in canonical
-    order, read off the bitmasks as they come. Of two maximal independent
-    sets neither holds the other, so the one that holds the lowest vertex
-    where they differ comes first: b before a iff ``b & d & -d``, with
-    ``d = a ^ b``."""
-    masks = _mis_masks(g)
-    small = large = next(masks)  # every graph has one, and cap >= 1
-    small_size = large_size = small.bit_count()
-    for i, m in enumerate(masks, start=1):
-        if i == cap:
-            raise CapExceededError(f"maximal independent set cap {cap} exceeded")
-        size = m.bit_count()
-        if size < small_size or (
-            size == small_size and m & (d := small ^ m) & -d
-        ):
-            small, small_size = m, size
-        if size > large_size or (
-            size == large_size and not m & (d := large ^ m) & -d
-        ):
-            large, large_size = m, size
-    covered = small_size == large_size
-    small, large = frozenset(iter_bits(small)), frozenset(iter_bits(large))
-    return covered, None if covered else (small, large)
-
-
 def _run_is_well_covered(args, g: Graph) -> None:
-    cfg = _config(args)
-    witness = None
-    if cfg.strategy == "bruteforce":
-        covered, witness = _enumerated_witness(g, cfg.mis_cap)
-    elif cfg.strategy == "auto":
-        # the forkfree query route reads the fork flag off the decomposition
-        # before solving, and a graph with a fork prints the brute-force
-        # witness
-        try:
-            covered = is_well_covered(g, SolverConfig("forkfree", cfg.mis_cap))
-        except _ForkFound:
-            covered, witness = _enumerated_witness(g, cfg.mis_cap)
-    else:
-        covered = is_well_covered(g, cfg)
+    covered, witness = well_covered_witness(g, _config(args))
     obj: dict = {"well_covered": covered, "witness": None}
     text = "yes" if covered else "no"
     if witness is not None:
@@ -299,7 +242,7 @@ def _run_mdtree(args, g: Graph) -> None:
 
 
 def _run_recognize(args, g: Graph) -> None:
-    flags = _tree_flags(g, _md_nodes(g))
+    flags = recognize(g)
     _emit(
         args,
         lambda: flags,

@@ -104,17 +104,11 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self.adj[v]))
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, in lexicographic order."""

@@ -28,8 +28,9 @@ apart at one mask operation per vertex forced.
 ``_md_nodes`` is the one walk: it decomposes a graph once, on an explicit
 stack, into its tree's nodes in post-order. ``md_fold`` folds that list,
 and several folds may read one decomposition: ``md_tree``, the fork, claw
-and P4 flags (``_tree_flags``), and the system builders. So trees of any
-depth are handled, and the flags are read before anything is solved.
+and P4 flags (``_tree_flags``, which ``recognize`` reads), and the system
+builders. So trees of any depth are handled, and the flags are read before
+anything is solved.
 """
 
 from __future__ import annotations
@@ -356,3 +357,9 @@ def _tree_flags(g: Graph, nodes: list[tuple]) -> dict[str, bool]:
     if nodes:
         md_fold(nodes, (1).__lshift__, node)
     return flags
+
+
+def recognize(g: Graph) -> dict[str, bool]:
+    """Whether ``g`` is claw-free, fork-free, P4-free, prime, connected and
+    co-connected, read off one fold of one decomposition (``_tree_flags``)."""
+    return _tree_flags(g, _md_nodes(g))

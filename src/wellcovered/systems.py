@@ -63,7 +63,11 @@ anti-neighborhood reduction if Q is fork-free, else the capped brute force
 on Q, streamed (``_mis_span``). No recognizer runs on the whole graph,
 and a fork somewhere in it costs an enumeration of the quotients that
 hold a fork, not of the graph. ``forkfree`` reads the fork flag first,
-as ``system`` does.
+as ``system`` does, and then scans no quotient for forks again, as
+every induced subgraph of a fork-free graph is fork-free. So does
+``well_covered_witness`` (the ``is-well-covered`` verb) under ``auto``,
+which enumerates a graph with a fork to name a witness. Either way a
+call scans for forks once: in the flags fold or in the query fold.
 
 The streamed brute force builds no sorted list of sets and at most |Q|
 rows: a difference of consecutive sets is kept when it is new mod 2, and
@@ -121,6 +125,7 @@ from .independent_sets import (
     meets_all_cliques,
 )
 from .linalg import (
+    Basis,
     Coeff,
     LinearSystem,
     Row,
@@ -145,14 +150,10 @@ class StrategyError(RuntimeError):
     """Raised when a solving strategy's preconditions do not hold."""
 
 
-class _ForkFound(StrategyError):
-    """Raised under ``forkfree`` on a graph with an induced fork."""
-
-    def __init__(self) -> None:
-        super().__init__(
-            "graph contains an induced fork; the fork-free strategy "
-            "does not apply"
-        )
+# raised under ``forkfree`` on a graph with an induced fork
+_FORK_FOUND = (
+    "graph contains an induced fork; the fork-free strategy does not apply"
+)
 
 
 @dataclass
@@ -327,17 +328,12 @@ def _null_vectors(n: int, rows: list[Row]) -> list[tuple[Coeff, ...]]:
 def _spread(system: LinearSystem, sets, host_n: int, tags) -> LinearSystem:
     """The rows with the coefficient of variable j on every host variable
     in sets[j]; the one loop of both lifts. It costs the nonzeros it puts
-    down. A lift that moves no term shares the system's dense rows, if
-    they are built."""
+    down."""
     rows = tuple(
         tuple(sorted([(v, c) for j, c in row for v in sets[j]]))
         for row in system.terms
     )
-    lifted = _trusted_system(host_n, rows, tuple(tags))
-    dense = system.__dict__.get("rows")  # the cached dense view
-    if dense is not None and host_n == system.num_vars and rows == system.terms:
-        lifted.__dict__["rows"] = dense
-    return lifted
+    return _trusted_system(host_n, rows, tuple(tags))
 
 
 def lift_subgraph_system(
@@ -738,24 +734,28 @@ def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSys
         )
         return _fold_system(g, nodes, anti_neighborhoods)
     if cfg.strategy == "forkfree":
-        raise _ForkFound()
+        raise StrategyError(_FORK_FOUND)
     return prime_solver(g)
 
 
-def _query_prime_solver(cap: int) -> Callable[[Graph], LinearSystem]:
+def _query_prime_solver(
+    cap: int, fork_free: bool
+) -> Callable[[Graph], LinearSystem]:
     """The prime solver of the query fold, chosen per prime quotient Q:
     ``clawfree_system`` if Q is claw-free; else, if Q is fork-free, the
     anti-neighborhood reduction, whose subproblems fold with this same
     solver and have claw-free prime quotients; else the capped brute force
     on Q, streamed by ``_mis_span``. Every branch is sound on any Q; the
-    claw and fork tests only pick the cheapest one. Every branch returns
-    independent rows."""
+    claw and fork tests only pick the cheapest one. ``fork_free`` says the
+    graph is known to be fork-free, and so is every induced subgraph of
+    it: Q is then not scanned for forks. Every branch returns independent
+    rows."""
 
     def solve(q: Graph) -> LinearSystem:
         if is_claw_free(q):
             return clawfree_system(q)
         # a prime graph has an induced P4, so no P4 test first
-        if not _finds_fork(q):
+        if fork_free or not _finds_fork(q):
             return anti_neighborhoods(q)
         return _mis_span(q, cap)
 
@@ -769,10 +769,10 @@ def _query_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
 
     ``auto`` and ``modular`` fold the decomposition tree with
     ``_query_prime_solver``, so no recognizer runs on the whole graph.
-    ``forkfree`` first reads the fork flag off the same tree and refuses a
-    graph with a fork. ``cograph`` and ``bruteforce`` build their own
-    systems. Every system but the brute-force chain is independent by
-    construction.
+    ``forkfree`` first reads the fork flag off the same tree, refuses a
+    graph with a fork, and scans no quotient for forks again. ``cograph``
+    and ``bruteforce`` build their own systems. Every system but the
+    brute-force chain is independent by construction.
     """
     cfg = cfg or SolverConfig()
     if cfg.strategy == "bruteforce":
@@ -780,9 +780,10 @@ def _query_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
     if cfg.strategy == "cograph":
         return cograph_system(g)
     nodes = _md_nodes(g)
-    if cfg.strategy == "forkfree" and not _fork_free(g, nodes):
-        raise _ForkFound()
-    return _fold_system(g, nodes, _query_prime_solver(cfg.mis_cap))
+    fork_free = cfg.strategy == "forkfree"
+    if fork_free and not _fork_free(g, nodes):
+        raise StrategyError(_FORK_FOUND)
+    return _fold_system(g, nodes, _query_prime_solver(cfg.mis_cap, fork_free))
 
 
 def well_covered_dimension(g: Graph, cfg: SolverConfig | None = None) -> int:
@@ -795,6 +796,66 @@ def well_covered_dimension(g: Graph, cfg: SolverConfig | None = None) -> int:
     cfg = cfg or SolverConfig()
     system = _query_system(g, cfg)
     return g.n - (rank(system) if cfg.strategy == "bruteforce" else len(system))
+
+
+def well_covered_basis(g: Graph, cfg: SolverConfig | None = None) -> Basis:
+    """The canonical basis (``null_space_basis``) of the well-covered
+    weightings, from the query route's system. As in
+    ``well_covered_dimension``, every system but the brute-force chain is
+    independent, so n rows of one leave only zero, with no elimination."""
+    cfg = cfg or SolverConfig()
+    system = _query_system(g, cfg)
+    if cfg.strategy != "bruteforce" and len(system) == g.n:
+        return Basis(())
+    return null_space_basis(system)
+
+
+def _enumerated_witness(g: Graph, cap: int) -> tuple[bool, tuple | None]:
+    """Well-coveredness by enumeration, and when it fails the first
+    smallest and the last largest maximal independent set in canonical
+    order, read off the bitmasks as they come. Of two maximal independent
+    sets neither holds the other, so the one that holds the lowest vertex
+    where they differ comes first: b before a iff ``b & d & -d``, with
+    ``d = a ^ b``."""
+    masks = _mis_masks(g)
+    small = large = next(masks)  # every graph has one, and cap >= 1
+    small_size = large_size = small.bit_count()
+    for i, m in enumerate(masks, start=1):
+        if i == cap:
+            raise CapExceededError(f"maximal independent set cap {cap} exceeded")
+        size = m.bit_count()
+        if size < small_size or (
+            size == small_size and m & (d := small ^ m) & -d
+        ):
+            small, small_size = m, size
+        if size > large_size or (
+            size == large_size and not m & (d := large ^ m) & -d
+        ):
+            large, large_size = m, size
+    covered = small_size == large_size
+    small, large = frozenset(iter_bits(small)), frozenset(iter_bits(large))
+    return covered, None if covered else (small, large)
+
+
+def well_covered_witness(
+    g: Graph, cfg: SolverConfig | None = None
+) -> tuple[bool, tuple[frozenset[int], frozenset[int]] | None]:
+    """Whether ``g`` is well-covered, with the first smallest and the last
+    largest maximal independent set in canonical order as the witness where
+    enumeration answers no. ``bruteforce`` enumerates; ``auto`` reads the
+    fork flag off one decomposition and enumerates a graph with a fork,
+    else folds it as ``forkfree`` does; every other strategy answers as
+    ``is_well_covered`` does."""
+    cfg = cfg or SolverConfig()
+    if cfg.strategy == "bruteforce":
+        return _enumerated_witness(g, cfg.mis_cap)
+    if cfg.strategy != "auto":
+        return is_well_covered(g, cfg), None
+    nodes = _md_nodes(g)
+    if not _fork_free(g, nodes):
+        return _enumerated_witness(g, cfg.mis_cap)
+    system = _fold_system(g, nodes, _query_prime_solver(cfg.mis_cap, True))
+    return evaluate(system, (1,) * g.n), None
 
 
 def is_well_covered(g: Graph, cfg: SolverConfig | None = None) -> bool:

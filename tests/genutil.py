@@ -478,6 +478,34 @@ def random_forkfree(rng, max_n):
             return g
 
 
+def diamond_free_complement(n, seed):
+    """The complement of a greedy random diamond-free graph H on n
+    vertices, built from 6n seeded edge tries; the paper's fork-free class
+    beyond the claw-free graphs. A diamond is two triangles on a common
+    edge, so H keeps every edge in at most one triangle: a tried edge is
+    rejected if its ends have two common neighbours, or if its one common
+    neighbour already closes a triangle on one of the two other edges. The
+    complement of a fork holds a diamond, so the result is fork-free, and
+    a triangle of H with a vertex outside it is a claw in the result."""
+    rng = random.Random(seed)
+    adj = [0] * n
+    for _ in range(6 * n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u == v or adj[u] >> v & 1:
+            continue
+        common = adj[u] & adj[v]
+        if common & (common - 1):
+            continue
+        if common:
+            w = common.bit_length() - 1
+            if adj[w] & (adj[u] | adj[v]):
+                continue
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << n) - 1
+    return Graph(n, tuple(full & ~a & ~(1 << v) for v, a in enumerate(adj)))
+
+
 # ---------------------------------------------------------------------------
 # former public helpers that no solver path ran, kept unchanged as oracles:
 # the sorted enumeration and the brute-force chain read off it, the
@@ -898,7 +926,7 @@ def three_way_auto_system(g, cap=DEFAULT_MIS_CAP):
 
 
 def enumerated_witness(g, cap):
-    """``cli._enumerated_witness`` as it stood before it read the bitmask
+    """``systems._enumerated_witness`` as it stood before it read the bitmask
     stream: the canonically sorted enumeration, then its first smallest
     and its last largest set."""
     mis = enumerate_mis(g, cap)

@@ -35,6 +35,8 @@ C8 = "8\n" + "\n".join(f"{i} {(i + 1) % 8}" for i in range(8)) + "\n"
 P4 = "4\n0 1\n1 2\n2 3\n"
 FORK = "5\n0 1\n1 2\n2 3\n2 4\n"
 K23 = "5\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n"
+# prime and fork-free, with a claw at vertex 2 (its neighbours 0, 1, 3)
+CLAW_PRIME = "6\n0 2\n0 5\n1 2\n1 4\n1 5\n2 3\n3 4\n"
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -504,10 +506,12 @@ class TestIsWellCoveredVerb:
             cap = rng.choice((1, 8, 40, 10**6))
             expected = outcome(gu.enumerated_witness, g, cap)
             capped += isinstance(expected, str)
-            assert outcome(cli._enumerated_witness, g, cap) == expected
+            assert outcome(systems._enumerated_witness, g, cap) == expected
         assert 30 <= capped <= 200
 
-    @pytest.mark.parametrize("verb", ["dimension", "is-well-covered", "system"])
+    @pytest.mark.parametrize(
+        "verb", ["dimension", "basis", "is-well-covered", "system"]
+    )
     def test_forkfree_tests_forks_once(self, capsys, monkeypatch, verb):
         # one decomposition and one flags fold before any solving. The
         # bull is prime and claw-free, so it needs no fork scan and is
@@ -522,6 +526,18 @@ class TestIsWellCoveredVerb:
         )
         assert code == 0 and calls[:3] == ["_md_nodes", "_tree_flags", "md_fold"]
         assert calls.count("_tree_flags") == 1 and "_finds_fork" not in calls
+        # a prime fork-free graph with a claw: the flags fold scans it for
+        # forks, and the fold does not scan its quotient, the graph, again.
+        # is-well-covered reads the same flags under auto
+        auto = [[]] if verb == "is-well-covered" else []
+        for extra in [["--strategy", "forkfree"], *auto]:
+            calls.clear()
+            code, _, err = run(
+                capsys, [verb, *extra], stdin=CLAW_PRIME, monkeypatch=monkeypatch
+            )
+            assert code == 0, err
+            assert calls[:4] == ["_md_nodes", "_tree_flags", "_finds_fork", "md_fold"]
+            assert calls.count("_finds_fork") == 1
         calls.clear()
         code, _, err = run(
             capsys,
@@ -579,6 +595,16 @@ class TestCheckWeightingVerb:
             capsys, ["check-weighting", bull_file, "--weights", str(w)]
         )
         assert code == 0 and out.strip() == "no"
+
+    def test_not_a_rational(self, capsys, bull_file, tmp_path):
+        w = tmp_path / "w.txt"
+        for bad in ("1/0", "x", "1.5.2"):
+            w.write_text(f"1\n{bad}\n0\n0\n0\n")
+            code, out, err = run(
+                capsys, ["check-weighting", bull_file, "--weights", str(w)]
+            )
+            assert (code, out) == (1, "")
+            assert err == f"error: weights line 2: not a rational: {bad!r}\n"
 
     def test_undecodable_weights_file(self, capsys, bull_file, tmp_path):
         w = tmp_path / "w.bin"
@@ -768,7 +794,7 @@ class TestRecognizeVerb:
         calls = record_calls(
             monkeypatch,
             [
-                (cli, "_md_nodes"),
+                (modular, "_md_nodes"),
                 (modular, "md_fold"),
                 (modular, "is_claw_free"),
                 (modular, "_finds_fork"),
@@ -791,7 +817,7 @@ class TestRecognizeVerb:
             g = gu.random_graph(rng, i % 11, rng.random())
             text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
             with monkeypatch.context() as m:
-                calls = record_calls(m, [(cli, "_md_nodes")])
+                calls = record_calls(m, [(modular, "_md_nodes")])
                 code, out, _ = run(
                     capsys, ["recognize", "--output", "json"], stdin=text, monkeypatch=m
                 )
@@ -859,7 +885,7 @@ class TestRecognizeVerb:
         g = gu.line_graph_clique_substitution(gu.seeded(3))
         primes = [x.quotient.n for x in md_tree(g).iter_nodes() if x.kind == "prime"]
         text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
-        folds = record_calls(monkeypatch, [(cli, "_md_nodes"), (modular, "md_fold")])
+        folds = record_calls(monkeypatch, [(modular, "_md_nodes"), (modular, "md_fold")])
         scanned = []
         for name in ("is_claw_free", "_finds_fork"):
             real = getattr(modular, name)

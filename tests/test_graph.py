@@ -23,12 +23,7 @@ from wellcovered.graph import (
     iter_bits,
     parse_graph,
 )
-from wellcovered.modular import _md_nodes, _tree_flags
-
-
-def tree_flags(g):
-    """The flags ``recognize`` reads off the decomposition of ``g``."""
-    return _tree_flags(g, _md_nodes(g))
+from wellcovered.modular import recognize
 
 
 def small_graph(draw):
@@ -39,6 +34,21 @@ def small_graph(draw):
 
 
 graphs = st.composite(small_graph)()
+
+
+class TestFromEdges:
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (-1, [], "vertex count must be non-negative"),
+            (3, [(0, 3)], r"edge \(0, 3\) out of range for n=3"),
+            (3, [(-1, 2)], r"edge \(-1, 2\) out of range for n=3"),
+            (3, [(0, 1), (2, 2)], "self-loop at vertex 2"),
+        ],
+    )
+    def test_errors(self, n, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph.from_edges(n, edges)
 
 
 class TestParseEdgeList:
@@ -415,6 +425,14 @@ class TestParseGraph6:
             parse_graph("A", "graph6")  # missing data byte
         with pytest.raises(GraphParseError):
             parse_graph("A_~", "graph6")  # trailing junk
+        for text, message in (
+            ("A!", "byte out of printable range"),  # '!' is below '?'
+            (">>graph6<<", "missing order"),
+            ("~?@", "truncated 3-byte order"),
+            ("~~???", "truncated 6-byte order"),
+        ):
+            with pytest.raises(GraphParseError, match=f"^graph6: {message}$"):
+                parse_graph(text, "graph6")
 
     def test_vertex_count_bound(self):
         n = MAX_VERTICES + 1
@@ -551,7 +569,7 @@ class TestDirectionOptimizingWalk:
         graphs += [gu.shuffled_substitution(rng, (4, 7), (1, 4)) for _ in range(30)]
         found = 0
         for g in graphs:
-            p4_free = tree_flags(g)["p4_free"]
+            p4_free = recognize(g)["p4_free"]
             assert p4_free == gu.top_down_p4_free(g)
             found += not p4_free
         assert 40 <= found <= len(graphs) - 100
@@ -575,7 +593,7 @@ class TestDirectionOptimizingWalk:
             got = graph_module.co_component_masks(g, within)
             assert got == gu.top_down_co_component_masks(g, within)
         for g in {g for g, _ in cases}:
-            assert tree_flags(g)["p4_free"] == gu.top_down_p4_free(g)
+            assert recognize(g)["p4_free"] == gu.top_down_p4_free(g)
 
     def test_only_large_steps_run_in_c(self, monkeypatch):
         g = gu.random_threshold(gu.seeded(43), 300)
@@ -597,7 +615,7 @@ class TestDirectionOptimizingWalk:
         # to those of the two-walk split was 0.669-0.671
         g = gu.random_threshold(gu.seeded(59), 1200)
         counted = Graph(g.n, gu.CountingAdj(g.adj))
-        assert tree_flags(counted)["p4_free"]
+        assert recognize(counted)["p4_free"]
         reads = counted.adj.reads
         counted = Graph(g.n, gu.CountingAdj(g.adj))
         assert gu.two_walk_p4_free(counted)
@@ -646,27 +664,27 @@ class TestRecognition:
     def test_claw(self):
         g = gu.claw()
         assert not is_claw_free(g) and not _finds_fork(g)
-        flags = tree_flags(g)
+        flags = recognize(g)
         assert not flags["claw_free"] and flags["fork_free"]
 
     def test_fork(self):
         g = gu.fork()
         assert _finds_fork(g)
         assert not is_claw_free(g)  # a fork contains a claw
-        flags = tree_flags(g)
+        flags = recognize(g)
         assert not flags["fork_free"] and not flags["claw_free"]
 
     def test_bull(self):
         g = gu.bull()
         assert is_claw_free(g) and not _finds_fork(g)
-        flags = tree_flags(g)
+        flags = recognize(g)
         assert flags["claw_free"] and flags["fork_free"]
         assert not flags["p4_free"] and flags["prime"]
 
     def test_p4(self):
         g = gu.path(4)
         assert is_claw_free(g) and not _finds_fork(g)
-        flags = tree_flags(g)
+        flags = recognize(g)
         assert flags["claw_free"] and flags["fork_free"]
         assert not flags["p4_free"] and flags["prime"]
 
@@ -678,7 +696,7 @@ class TestRecognition:
             fork = gu.has_induced(g, gu.fork())
             p4 = gu.has_induced(g, gu.path(4))
             assert (is_claw_free(g), _finds_fork(g)) == (not claw, fork)
-            flags = tree_flags(g)
+            flags = recognize(g)
             got = (flags["claw_free"], flags["fork_free"], flags["p4_free"])
             assert got == (not claw, not fork, not p4)
 
@@ -686,7 +704,7 @@ class TestRecognition:
         rng = gu.seeded(13)
         for _ in range(150):
             g = gu.random_graph(rng, rng.randint(0, 8), rng.random())
-            flags = tree_flags(g)
+            flags = recognize(g)
             if flags["p4_free"] or flags["claw_free"]:
                 assert flags["fork_free"]
             if flags["prime"]:

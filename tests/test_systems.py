@@ -24,7 +24,7 @@ from wellcovered.linalg import (
     rank,
     same_solution_space,
 )
-from wellcovered.modular import _md_nodes, md_tree
+from wellcovered.modular import _md_nodes, md_tree, recognize
 from wellcovered.systems import (
     STRATEGIES,
     SolverConfig,
@@ -41,7 +41,9 @@ from wellcovered.systems import (
     is_well_covered,
     lift_subgraph_system,
     modular_system,
+    well_covered_basis,
     well_covered_dimension,
+    well_covered_witness,
     well_covering_system,
 )
 
@@ -504,7 +506,7 @@ class TestLiftQuotientSystem:
         # kept as they are, with the new tags; any other map spreads them
         qsys = make_system(3, [(1, -1, 0), (0, Fraction(1, 2), -1)], ["a", ""])
         out = gu.lift_quotient_system(qsys, [{0}, {1}, {2}], 3)
-        assert out.rows is qsys.rows
+        assert out.rows == qsys.rows
         assert out.tags == ("subst[a]", "subst")
         swapped = gu.lift_quotient_system(qsys, [{1}, {0}, {2}], 3)
         assert swapped.rows == ((-1, 1, 0), (Fraction(1, 2), 0, -1))
@@ -920,6 +922,88 @@ class TestQueryRoute:
                 dims.add(well_covered_dimension(g, SolverConfig(strategy=strategy)))
             assert dims == {g.n - rank(s)}
         assert with_fork >= 30
+
+
+@pytest.fixture(scope="module")
+def verb_graphs():
+    """Complements of diamond-free graphs, the paper's fork-free class
+    beyond the claw-free graphs, and G(n, p), on at most 12 vertices."""
+    rng = gu.seeded(211)
+    graphs = [gu.diamond_free_complement(n, seed) for n in range(13) for seed in range(4)]
+    graphs += [gu.random_graph(rng, rng.randint(0, 12), rng.random()) for _ in range(60)]
+    return graphs
+
+
+def _result(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except (StrategyError, CapExceededError) as exc:
+        return type(exc), str(exc)
+
+
+class TestVerbs:
+    # the library calls behind the basis, is-well-covered and recognize
+    # verbs, against the brute-force and whole-graph oracles
+
+    def test_diamond_free_complements(self):
+        diamond = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+        claws = 0
+        for n in range(13):
+            for seed in range(4):
+                g = gu.diamond_free_complement(n, seed)
+                assert g.n == n and not gu.has_induced(complement(g), diamond)
+                assert gu.is_fork_free(g)
+                claws += gu.has_induced(g, gu.claw())
+        assert claws >= 10
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_basis_is_the_bruteforce_null_space(self, verb_graphs, strategy):
+        cfg = SolverConfig(strategy)
+        refused = 0
+        for g in verb_graphs:
+            applies = {
+                "cograph": gu.top_down_p4_free(g), "forkfree": gu.is_fork_free(g)
+            }.get(strategy, True)
+            if applies:
+                assert well_covered_basis(g, cfg) == null_space_basis(
+                    bruteforce_system(g)
+                )
+            else:
+                refused += 1
+                with pytest.raises(StrategyError):
+                    well_covered_basis(g, cfg)
+        assert (refused >= 10) == (strategy in ("cograph", "forkfree"))
+
+    @pytest.mark.parametrize("cap", [DEFAULT_MIS_CAP, 6])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_witness(self, verb_graphs, strategy, cap):
+        # enumerated under bruteforce, and under auto on a graph with a
+        # fork; elsewhere the answer of is_well_covered, with no witness
+        cfg = SolverConfig(strategy, cap)
+        witnesses = 0
+        for g in verb_graphs:
+            got = _result(lambda: well_covered_witness(g, cfg))
+            if strategy == "bruteforce" or (
+                strategy == "auto" and not gu.is_fork_free(g)
+            ):
+                assert got == _result(lambda: gu.enumerated_witness(g, cap))
+                witnesses += type(got) is tuple and got[1] is not None
+            else:
+                assert got == _result(lambda: (is_well_covered(g, cfg), None))
+        assert (witnesses >= 10) == (strategy in ("auto", "bruteforce"))
+
+    def test_recognize_matches_oracles(self, verb_graphs):
+        for g in verb_graphs:
+            flags = recognize(g)
+            fork_free = (
+                not gu.has_induced(g, gu.fork()) if g.n <= 8 else gu.is_fork_free(g)
+            )
+            assert (flags["claw_free"], flags["fork_free"], flags["p4_free"]) == (
+                not gu.has_induced(g, gu.claw()),
+                fork_free,
+                not gu.has_induced(g, gu.path(4)),
+            )
 
 
 class TestWeightingSoundness:
