@@ -18,7 +18,6 @@ from .graph import (
     Graph,
     GraphParseError,
     complement,
-    delete_closed_neighborhood,
     induced_subgraph,
     is_claw_free,
     parse_graph,
@@ -79,7 +78,6 @@ __all__ = [
     "clawfree_system",
     "cograph_system",
     "complement",
-    "delete_closed_neighborhood",
     "empty_system",
     "evaluate",
     "extract_independent_subsystem",

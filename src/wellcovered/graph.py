@@ -1,11 +1,11 @@
 """Simple undirected graphs on vertex set {0..n-1} with bitset adjacency.
 
-Vertices are dense integers so that induced subgraphs can carry an explicit
-old-index map and equations over subgraphs can be re-indexed into the parent
-graph. Adjacency is stored as one Python integer bitmask per vertex, which
-keeps neighborhood algebra (intersections, complements within a vertex
-subset) cheap even for a few thousand vertices. Graphs are immutable; every
-operation returns a new graph.
+Vertices are dense integers, and adjacency is one Python integer bitmask
+per vertex, which keeps neighborhood algebra (intersections, complements
+within a vertex subset) cheap even for a few thousand vertices. So walks and
+scans of an induced subgraph take its vertex mask (``within``) and copy
+nothing; ``induced_subgraph`` copies one, with its old-index map, where a
+graph is handed on. Graphs are immutable.
 
 Edge lists in the canonical layout the generators write (a header of digits,
 then "u v" lines) are read by a fast path that checks and tokenizes the text
@@ -458,26 +458,19 @@ def co_component_masks(g: Graph, within: int | None = None) -> list[int]:
     return _block_masks(g, within, -1)
 
 
-def delete_closed_neighborhood(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
-    """The subgraph induced by the vertices outside N[v], with its vertex map."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    keep = g.full_mask & ~g.adj[v] & ~(1 << v)
-    return induced_subgraph(g, iter_bits(keep))
-
-
 # ---------------------------------------------------------------------------
 # induced-subgraph recognition
 #
 # The claw and fork predicates perform exhaustive search over vertex tuples;
 # their loops are pruned orderings of the naive O(n^4)/O(n^5) scans. The
-# decomposition folds run them on small graphs, not on whole graphs.
+# decomposition folds run them on small vertex sets, not on whole graphs.
 
 
-def is_claw_free(g: Graph) -> bool:
-    """True iff g has no induced K_{1,3}."""
-    for c in range(g.n):
-        nbrs = g.adj[c]
+def is_claw_free(g: Graph, within: int | None = None) -> bool:
+    """True iff g[within], by default g, has no induced K_{1,3}."""
+    inside = g.full_mask if within is None else within
+    for c in iter_bits(inside):
+        nbrs = g.adj[c] & inside
         for d in iter_bits(nbrs):
             rest = nbrs & ~g.adj[d] & ~((1 << (d + 1)) - 1)
             for e in iter_bits(rest):
@@ -486,14 +479,15 @@ def is_claw_free(g: Graph) -> bool:
     return True
 
 
-def _finds_fork(g: Graph) -> bool:
-    """True iff an exhaustive scan of centers finds an induced fork in g: a
-    center c adjacent to pairwise non-adjacent b, d, e, and a fifth vertex
-    adjacent to b only (a claw with one edge subdivided once)."""
-    for c in range(g.n):
-        nbrs = g.adj[c]
+def _finds_fork(g: Graph, within: int | None = None) -> bool:
+    """True iff an exhaustive scan of centers finds an induced fork in
+    g[within], by default g: a center c adjacent to pairwise non-adjacent
+    b, d, e, and a fifth vertex adjacent to b only (a subdivided claw)."""
+    inside = g.full_mask if within is None else within
+    for c in iter_bits(inside):
+        nbrs = g.adj[c] & inside
         for b in iter_bits(nbrs):
-            tails = g.adj[b] & ~nbrs & ~(1 << c)
+            tails = g.adj[b] & inside & ~nbrs & ~(1 << c)
             if not tails:
                 continue
             others = nbrs & ~g.adj[b] & ~(1 << b)

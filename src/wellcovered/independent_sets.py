@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, iter_bits
 
@@ -23,6 +23,16 @@ class CapExceededError(RuntimeError):
     """Raised when an enumeration or decision exceeds the configured cap."""
 
 
+def _greedy(g: Graph, order: Iterable[int]) -> int:
+    """Scan the vertices in ``order`` and keep each one with no kept
+    neighbor: the bitmask of a maximal independent set of g[order]."""
+    chosen = 0
+    for v in order:
+        if not g.adj[v] & chosen:
+            chosen |= 1 << v
+    return chosen
+
+
 def greedy_mis(g: Graph, order: Sequence[int]) -> frozenset[int]:
     """Scan vertices in ``order`` and keep each one with no kept neighbor.
 
@@ -31,11 +41,7 @@ def greedy_mis(g: Graph, order: Sequence[int]) -> frozenset[int]:
     """
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
-    chosen = 0
-    for v in order:
-        if g.adj[v] & chosen == 0:
-            chosen |= 1 << v
-    return frozenset(iter_bits(chosen))
+    return frozenset(iter_bits(_greedy(g, order)))
 
 
 def _mis_masks(g: Graph) -> Iterator[int]:

@@ -25,12 +25,12 @@ times. Each of those modules is a maximal strong module or lies inside
 the one that holds v, which the forcing relation of the same paper tells
 apart at one mask operation per vertex forced.
 
-``_md_nodes`` is the one walk: it decomposes a graph once, on an explicit
-stack, into its tree's nodes in post-order. ``md_fold`` folds that list,
-and several folds may read one decomposition: ``md_tree``, the fork, claw
-and P4 flags (``_tree_flags``, which ``recognize`` reads), and the system
-builders. So trees of any depth are handled, and the flags are read before
-anything is solved.
+``_md_nodes`` is the one walk: it decomposes a graph, or the subgraph on a
+vertex mask of it, once, on an explicit stack, into its tree's nodes in
+post-order. ``md_fold`` folds that list, and several folds may read one
+decomposition: ``md_tree``, the fork, claw and P4 flags (``_tree_flags``,
+which ``recognize`` reads), and the system builders. So trees of any depth
+are handled, and the flags are read before anything is solved.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .graph import (
     induced_subgraph,
     is_claw_free,
     iter_bits,
-    mask_of,
 )
 
 LEAF = "leaf"
@@ -204,16 +203,17 @@ def _partition_masks(
     return PRIME, _strong_module_masks(g, within)
 
 
-def _md_nodes(g: Graph) -> list[tuple]:
-    """The modular decomposition tree of ``g`` in post-order, walked on an
-    explicit stack: ``(LEAF, v, None)`` per vertex, ``(kind, mask,
-    blocks)`` per internal node with its children's masks by lowest
-    vertex. A vertex mask splits into its components (parallel), else its
-    co-components (series), else its maximal proper modules (prime).
-    """
+def _md_nodes(g: Graph, within: int | None = None) -> list[tuple]:
+    """The modular decomposition tree of g[within] (default g) in
+    post-order, walked on an explicit stack: ``(LEAF, v, None)`` per vertex,
+    ``(kind, mask, blocks)`` per internal node with its children's masks by
+    lowest vertex; none for an empty ``within``. A vertex mask splits into
+    its components (parallel), else co-components (series), else its
+    maximal proper modules (prime)."""
     nodes: list[tuple] = []
+    root = g.full_mask if within is None else within
     # (mask, parent's kind, None) expands a mask; (mask, kind, blocks) emits
-    work: list[tuple] = [(g.full_mask, None, None)] if g.n else []
+    work: list[tuple] = [(root, None, None)] if root else []
     while work:
         mask, kind, blocks = work.pop()
         if blocks is not None:
@@ -289,13 +289,13 @@ def _sample(kind: str, samples: Sequence[int]) -> int:
     return max(samples, key=int.bit_count)
 
 
-def _independent_triple(h: Graph) -> int:
-    """Three independent vertices of ``h``, else two, else one."""
-    found = 1
-    for a in range(h.n):
-        for b in iter_bits(h.full_mask & ~h.adj[a] & ~((2 << a) - 1)):
+def _independent_triple(g: Graph, within: int) -> int:
+    """A mask of three independent vertices of g[within], else two, else one."""
+    found = within & -within
+    for a in iter_bits(within):
+        for b in iter_bits(within & ~g.adj[a] & ~((2 << a) - 1)):
             found = 1 << a | 1 << b
-            rest = h.full_mask & ~h.adj[a] & ~h.adj[b] & ~((2 << b) - 1)
+            rest = within & ~g.adj[a] & ~g.adj[b] & ~((2 << b) - 1)
             if rest:
                 return found | rest & -rest
     return found
@@ -318,8 +318,8 @@ def _tree_flags(g: Graph, nodes: list[tuple]) -> dict[str, bool]:
     claws while none is known. A fork meets each child in at most two
     vertices, so the graph on the two lowest vertices of each sample (at
     most twice the quotient) is scanned for forks once a claw is known;
-    a claw-free graph has no fork. A graph on at most one vertex gets the
-    flags of a vertex.
+    a claw-free graph has no fork; the scans read g on these masks. A
+    graph on at most one vertex gets the flags of a vertex.
     """
     flags = {"claw_free": True, "fork_free": True, "p4_free": True,
              "prime": False, "connected": True, "co_connected": True}
@@ -339,20 +339,12 @@ def _tree_flags(g: Graph, nodes: list[tuple]) -> dict[str, bool]:
             return sample
         flags["p4_free"] = False
         union = reduce(or_, samples)
-        h, vmap = g, ()  # the whole graph is not copied
-        if union != g.full_mask:
-            h, vmap = induced_subgraph(g, iter_bits(union))
         if flags["claw_free"]:
-            flags["claw_free"] = is_claw_free(h)
+            flags["claw_free"] = is_claw_free(g, union)
         if not flags["claw_free"]:
             pairs = reduce(or_, (_lowest(s, 2) for s in samples))
-            pair_graph = h
-            if pairs != union:
-                pair_graph, _ = induced_subgraph(g, iter_bits(pairs))
-            flags["fork_free"] = not _finds_fork(pair_graph)
-        if root:
-            return 0
-        return mask_of(vmap[i] for i in iter_bits(_independent_triple(h)))
+            flags["fork_free"] = not _finds_fork(g, pairs)
+        return 0 if root else _independent_triple(g, union)
 
     if nodes:
         md_fold(nodes, (1).__lshift__, node)

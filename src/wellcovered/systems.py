@@ -31,7 +31,8 @@ weight. This module builds such systems along several routes:
   n - 1.
 * ``anti_neighborhood_system``: combine systems of the graphs G - N[v], one
   per vertex v, with chained equations relating the sets I_v + {v}. As a
-  prime solver it reduces its rows as they are produced.
+  prime solver it reduces its rows as they are produced and folds each
+  G - N[v] in place, as a vertex mask of G.
 * ``clawfree_system``: for claw-free graphs, one equation per generating
   subgraph (an edge, an induced P3 or an induced C4; Levit and Tankus
   2015) that is not implied by those before it. A candidate is skipped at
@@ -111,17 +112,15 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .graph import (
     Graph,
     _finds_fork,
-    delete_closed_neighborhood,
     induced_subgraph,
     is_claw_free,
     iter_bits,
-    mask_of,
 )
 from .independent_sets import (
     DEFAULT_MIS_CAP,
     CapExceededError,
+    _greedy,
     _mis_masks,
-    greedy_mis,
     meets_all_cliques,
 )
 from .linalg import (
@@ -225,13 +224,8 @@ def _probe_masks(g: Graph, count: int) -> Iterator[int]:
     greedy in a vertex order drawn from a fixed seed, so that a call
     repeats."""
     rng = random.Random(0)
-    n, adj = g.n, g.adj
     for _ in range(count):
-        chosen = 0
-        for v in sorted(range(n), key=rng.randbytes(n).__getitem__):
-            if not adj[v] & chosen:
-                chosen |= 1 << v
-        yield chosen
+        yield _greedy(g, sorted(range(g.n), key=rng.randbytes(g.n).__getitem__))
 
 
 def _probe(
@@ -407,10 +401,12 @@ def _fold_system(
     nodes: list[tuple],
     prime_solver: Callable[[Graph], LinearSystem],
 ) -> LinearSystem:
-    """``modular_system``'s fold over ``nodes``, from ``_md_nodes(g)``.
-    ``prime_solver``'s rows must be independent; they are not reduced."""
-    if g.n == 0:
-        return empty_system(0)
+    """``modular_system``'s fold over ``nodes``, from ``_md_nodes(g,
+    within)``: a system of g[within] over g's n variables, with no rows for
+    no nodes; only prime quotients are copied out of g. ``prime_solver``'s
+    rows must be independent; they are not reduced."""
+    if not nodes:
+        return empty_system(g.n)
     # a subtree folds to (start, mis, prime_below): its rows, over all n
     # host variables, are rows[start:], mis is a bitmask of one of its
     # maximal independent sets, and prime_below says if it has a prime node
@@ -454,7 +450,8 @@ def _fold_system(
         # but not of the children's rows
         if children_rows:
             reduce_from(start)
-        chosen = reduce(or_, (mis[j] for j in greedy_mis(quot, range(quot.n))))
+        picked = _greedy(quot, range(quot.n))
+        chosen = reduce(or_, (mis[j] for j in iter_bits(picked)))
         return start, chosen, True
 
     md_fold(nodes, leaf, node)
@@ -621,21 +618,21 @@ def clawfree_system(g: Graph) -> LinearSystem:
 
 def _anti_neighborhood_rows(
     g: Graph,
-    sub_solver: Callable[[Graph], LinearSystem],
+    sub_rows: Callable[[int], LinearSystem],
     wanted: Callable[[int], bool] = lambda m: True,
 ) -> Iterator[tuple[Row, str]]:
-    """The (row, tag) pairs of ``anti_neighborhood_system(g, sub_solver)``,
-    lazily: each G - N[j]'s rows, then the chained equations. G - N[j] on
-    m vertices is solved only if ``wanted(m)``, asked once the rows
-    before it are consumed."""
+    """The (row, tag) pairs of the anti-neighborhood system of ``g``,
+    lazily: each ``sub_rows(keep)``, a system of G - N[j] = g[keep] over
+    g's variables, then the chained equations. G - N[j] on m vertices is
+    solved only if ``wanted(m)``, asked once the rows before it are
+    consumed."""
     anchored: list[int] = []  # bitmasks
     for j in range(g.n):
-        gj, vmap = delete_closed_neighborhood(g, j)
-        if wanted(gj.n):
-            lifted = lift_subgraph_system(sub_solver(gj), vmap, g.n)
-            yield from zip(lifted.terms, lifted.tags)
-        ij = greedy_mis(gj, range(gj.n))
-        anchored.append(mask_of(vmap[i] for i in ij) | 1 << j)
+        keep = g.full_mask & ~g.adj[j] & ~(1 << j)
+        if wanted(keep.bit_count()):
+            sub = sub_rows(keep)
+            yield from zip(sub.terms, sub.tags)
+        anchored.append(_greedy(g, iter_bits(keep)) | 1 << j)
     for j in range(g.n - 1):
         yield _diff_row(anchored[j], anchored[j + 1]), f"anti-eq j={j + 1}"
 
@@ -649,9 +646,15 @@ def anti_neighborhood_system(
     independent set of G - N[v]; the chained equations between the sets
     I_j + {v_j} therefore tie the per-vertex subsystems together into a
     well-covering system of G. Size is the sum of the subsystem sizes plus
-    n - 1.
+    n - 1. Each G - N[v] is copied for ``sub_solver``, and its system is
+    lifted back with the checks of ``lift_subgraph_system``.
     """
-    pairs = list(_anti_neighborhood_rows(g, sub_solver))
+
+    def sub_rows(keep: int) -> LinearSystem:
+        h, vmap = induced_subgraph(g, iter_bits(keep))
+        return lift_subgraph_system(sub_solver(h), vmap, g.n)
+
+    pairs = list(_anti_neighborhood_rows(g, sub_rows))
     return _trusted_system(
         g.n, tuple(row for row, _ in pairs), tuple(tag for _, tag in pairs)
     )
@@ -665,21 +668,19 @@ def _anti_neighborhood_solver(
     prime_solver: Callable[[Graph], LinearSystem], cap: int
 ) -> Callable[[Graph], LinearSystem]:
     """The anti-neighborhood reduction as a prime solver, its rows reduced:
-    each G - N[v] runs the modular walk with ``prime_solver``, whose rows
-    must be independent, at its prime quotients. The result is
-    ``extract_independent_subsystem(anti_neighborhood_system(q, sub))``;
-    once |Q| rows are kept, a G - N[j] left is solved only if its
-    enumerations could pass ``cap``, which keeps the exceptions."""
-
-    def sub(h: Graph) -> LinearSystem:
-        return _fold_system(h, _md_nodes(h), prime_solver)
+    each G - N[v], a vertex mask of Q, is decomposed and folded in place
+    with ``prime_solver``, whose rows must be independent, at its prime
+    quotients. Once |Q| rows are kept, a G - N[j] left is solved only if
+    its enumerations could pass ``cap``, which keeps the exceptions."""
 
     def solve(q: Graph) -> LinearSystem:
         echelon: dict[int, dict[int, int]] = {}
         rows: list[Row] = []
         tags: list[str] = []
         for row, tag in _anti_neighborhood_rows(
-            q, sub, lambda m: len(echelon) < q.n or _moon_moser(m) > cap
+            q,
+            lambda keep: _fold_system(q, _md_nodes(q, keep), prime_solver),
+            lambda m: len(echelon) < q.n or _moon_moser(m) > cap,
         ):
             if len(echelon) < q.n and _insert(echelon, row) is not None:
                 rows.append(row)

@@ -31,12 +31,14 @@ The dense row layer the library had before it stored rows by their terms
 (``dense_diff_row``, ``dense_spread``, ``dense_format_equation`` with
 its ``system_to_text`` and ``system_to_json``, and ``dense_evaluate``) is
 kept verbatim as the oracle of the sparse one; ``dense_rows_patched``
-runs the library on it. Seven helpers that the library once exported but
+runs the library on it. Eight helpers that the library once exported but
 no solver path ran live here unchanged: ``enumerate_mis`` with its
 ``MISList``, ``is_well_covered_bruteforce``, ``is_module``, ``is_prime``,
-``maximal_strong_modules`` and the checked ``lift_quotient_system``; with
-them, ``enumerated_bruteforce_system`` is the brute-force chain as it was
-read off the sorted enumeration, before it sorted the bitmasks.
+``maximal_strong_modules``, the checked ``lift_quotient_system`` and
+``delete_closed_neighborhood``, whose copy of G - N[v] the
+anti-neighborhood solver no longer makes; with them,
+``enumerated_bruteforce_system`` is the brute-force chain as it was read
+off the sorted enumeration, before it sorted the bitmasks.
 """
 
 import random
@@ -509,8 +511,8 @@ def diamond_free_complement(n, seed):
 # ---------------------------------------------------------------------------
 # former public helpers that no solver path ran, kept unchanged as oracles:
 # the sorted enumeration and the brute-force chain read off it, the
-# well-coveredness test on it, the module and primality tests, and the
-# checked quotient lift
+# well-coveredness test on it, the module and primality tests, the
+# checked quotient lift, and the copy of G - N[v]
 
 
 @dataclass(frozen=True)
@@ -638,6 +640,14 @@ def lift_quotient_system(
                 raise ValueError(f"vertex {v} appears in two module sets")
             seen.add(v)
     return _substitute(quotient_sys, sets, host_n)
+
+
+def delete_closed_neighborhood(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
+    """The subgraph induced by the vertices outside N[v], with its vertex map."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
+    keep = g.full_mask & ~g.adj[v] & ~(1 << v)
+    return induced_subgraph(g, iter_bits(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -1293,18 +1303,24 @@ class CountingAdj(tuple):
         return tuple.__getitem__(self, i)
 
 
+def scanned_mask(g, within=None):
+    """The vertex mask that a call on g with ``within`` reads."""
+    return g.full_mask if within is None else within
+
+
 def record_scans(monkeypatch, module):
     """Wrap ``module``'s claw and fork scans (``is_claw_free``,
-    ``_finds_fork``); the returned list gets a (name, scanned graph) pair
-    per call."""
+    ``_finds_fork``), passing ``within`` through; the returned list gets a
+    (name, scanned vertex mask) pair per call."""
     scans = []
     for name in ("is_claw_free", "_finds_fork"):
         real = getattr(module, name)
-        monkeypatch.setattr(
-            module,
-            name,
-            lambda h, real=real, name=name: scans.append((name, h)) or real(h),
-        )
+
+        def scan(h, within=None, real=real, name=name):
+            scans.append((name, scanned_mask(h, within)))
+            return real(h, within)
+
+        monkeypatch.setattr(module, name, scan)
     return scans
 
 

@@ -187,7 +187,9 @@ class TestDimensionVerb:
         assert calls[:3] == ["_md_nodes", *flags, "md_fold"][:3]
         assert calls.count("_tree_flags") == len(flags)
         assert "_finds_fork" not in calls
-        assert [(name, h.n) for name, h in scans] == [("is_claw_free", 5)] * len(flags)
+        assert [(name, m.bit_count()) for name, m in scans] == [
+            ("is_claw_free", 5)
+        ] * len(flags)
 
     @pytest.mark.parametrize("verb", ["dimension", "basis", "check-weighting"])
     def test_auto_runs_no_whole_graph_recognizer(
@@ -249,13 +251,15 @@ class TestDimensionVerb:
             weights = tmp_path / "w.txt"
             weights.write_text("0\n" * g.n)
             with monkeypatch.context() as m:
-                # sizes of the decomposed graphs: system's anti-neighborhood
-                # subproblems decompose their own, smaller graphs
+                # sizes of the decomposed vertex sets: system's
+                # anti-neighborhood subproblems decompose smaller ones
                 decomposed = []
                 m.setattr(
                     systems,
                     "_md_nodes",
-                    lambda h, real=systems._md_nodes: decomposed.append(h.n) or real(h),
+                    lambda h, within=None, real=systems._md_nodes: decomposed.append(
+                        gu.scanned_mask(h, within).bit_count()
+                    ) or real(h, within),
                 )
                 scans = gu.record_scans(m, modular)
                 solver_scans = gu.record_scans(m, systems)
@@ -267,10 +271,11 @@ class TestDimensionVerb:
             expected = ["is_claw_free"] + ["_finds_fork"] * (not claw_free)
             assert [name for name, _ in scans] == expected * flags
             bound = {"is_claw_free": 3 * q, "_finds_fork": 2 * q}
-            assert all(h.n <= bound[name] and h.n < g.n for name, h in scans)
+            sizes = [(name, s.bit_count()) for name, s in scans]
+            assert all(k <= bound[name] and k < g.n for name, k in sizes)
             # the query route's solver choice: the quotient is claw-free
             solver = [("is_claw_free", q)] * (verb != "system")
-            assert [(name, h.n) for name, h in solver_scans] == solver
+            assert [(name, s.bit_count()) for name, s in solver_scans] == solver
         assert graphs[0].n == 157 and graphs[1].n == 15
 
     def test_fork_substitution(self, capsys, monkeypatch):
@@ -890,7 +895,11 @@ class TestRecognizeVerb:
         for name in ("is_claw_free", "_finds_fork"):
             real = getattr(modular, name)
             monkeypatch.setattr(
-                modular, name, lambda h, real=real: scanned.append(h) or real(h)
+                modular,
+                name,
+                lambda h, within=None, real=real: scanned.append(
+                    gu.scanned_mask(h, within)
+                ) or real(h, within),
             )
         code, out, _ = run(
             capsys, ["recognize"], stdin=text, monkeypatch=monkeypatch
@@ -901,7 +910,7 @@ class TestRecognizeVerb:
         )
         assert g.n == 157 and len(primes) == 1
         assert folds == ["_md_nodes", "md_fold"]
-        assert scanned and all(h.n <= 3 * max(primes) for h in scanned)
+        assert scanned and all(s.bit_count() <= 3 * max(primes) for s in scanned)
 
 
 class TestInputFormats:

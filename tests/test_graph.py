@@ -17,7 +17,6 @@ from wellcovered.graph import (
     co_component_masks,
     complement,
     component_masks,
-    delete_closed_neighborhood,
     induced_subgraph,
     is_claw_free,
     iter_bits,
@@ -640,21 +639,21 @@ class TestDirectionOptimizingWalk:
 
 class TestDeleteClosedNeighborhood:
     def test_bull_center(self):
-        sub, vmap = delete_closed_neighborhood(gu.bull(), 2)
+        sub, vmap = gu.delete_closed_neighborhood(gu.bull(), 2)
         assert vmap == (0, 4)
         assert sub == gu.edgeless(2)
 
     def test_complete(self):
-        sub, vmap = delete_closed_neighborhood(gu.complete(4), 1)
+        sub, vmap = gu.delete_closed_neighborhood(gu.complete(4), 1)
         assert sub.n == 0 and vmap == ()
 
     def test_edgeless(self):
-        sub, vmap = delete_closed_neighborhood(gu.edgeless(4), 0)
+        sub, vmap = gu.delete_closed_neighborhood(gu.edgeless(4), 0)
         assert sub == gu.edgeless(3) and vmap == (1, 2, 3)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            delete_closed_neighborhood(gu.bull(), 5)
+            gu.delete_closed_neighborhood(gu.bull(), 5)
 
 
 class TestRecognition:

@@ -1,6 +1,7 @@
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -8,12 +9,18 @@ import pytest
 import genutil as gu
 from wellcovered.graph import (
     Graph,
+    _finds_fork,
     complement,
     induced_subgraph,
     is_claw_free,
     iter_bits,
+    mask_of,
 )
-from wellcovered.independent_sets import DEFAULT_MIS_CAP, CapExceededError
+from wellcovered.independent_sets import (
+    DEFAULT_MIS_CAP,
+    CapExceededError,
+    _greedy,
+)
 from wellcovered.linalg import (
     LinearSystem,
     _diff_row,
@@ -24,14 +31,17 @@ from wellcovered.linalg import (
     rank,
     same_solution_space,
 )
-from wellcovered.modular import _md_nodes, md_tree, recognize
+from wellcovered.modular import _independent_triple, _md_nodes, md_tree, recognize
 from wellcovered.systems import (
     STRATEGIES,
     SolverConfig,
     StrategyError,
+    _fold_system,
     _mis_span,
     _moon_moser,
+    _query_prime_solver,
     _query_system,
+    _reduced,
     anti_neighborhood_system,
     bruteforce_system,
     clawfree_system,
@@ -631,10 +641,8 @@ class TestAntiNeighborhoodSystem:
         g = gu.cycle(5)
         s = anti_neighborhood_system(g, brute)
         subsizes = 0
-        from wellcovered.graph import delete_closed_neighborhood
-
         for v in range(g.n):
-            gj, _ = delete_closed_neighborhood(g, v)
+            gj, _ = gu.delete_closed_neighborhood(g, v)
             subsizes += len(brute(gj))
         assert len(s) == subsizes + g.n - 1
 
@@ -648,6 +656,86 @@ class TestAntiNeighborhoodSystem:
     def test_sub_solver_variable_count_checked(self):
         with pytest.raises(ValueError, match="variables"):
             anti_neighborhood_system(gu.bull(), lambda h: empty_system(h.n + 1))
+
+
+def _masked_cases(seed, count):
+    """(g, mask, h, vmap): G(n <= 14, p) with a random vertex mask, and the
+    copy ``induced_subgraph(g, mask)`` with its sorted vertex map."""
+    rng = gu.seeded(seed)
+    for _ in range(count):
+        n = rng.randint(1, 14)
+        g = gu.random_graph(rng, n, rng.random())
+        mask = rng.getrandbits(n)
+        yield (g, mask, *induced_subgraph(g, iter_bits(mask)))
+
+
+def _back(vmap, mask):
+    """A mask over the copy's vertices, mapped back to the host's."""
+    return mask_of(vmap[i] for i in iter_bits(mask))
+
+
+class TestVertexMaskCalls:
+    # each call on g[mask] reads g in place; it must equal the same call on
+    # the copy induced_subgraph(g, mask), mapped back by its vertex map
+
+    def test_md_nodes(self):
+        def back(vmap, node):
+            kind, x, blocks = node
+            if blocks is None:
+                return kind, vmap[x], None
+            return kind, _back(vmap, x), [_back(vmap, b) for b in blocks]
+
+        internal = 0
+        for g, mask, h, vmap in _masked_cases(71, 1000):
+            got = [(k, x, b if b is None else list(b))
+                   for k, x, b in _md_nodes(g, mask)]
+            assert got == [back(vmap, node) for node in _md_nodes(h)]
+            internal += any(b is not None for _, _, b in got)
+        assert internal >= 500
+
+    def test_claw_and_fork_scans(self):
+        seen = set()
+        for g, mask, h, _ in _masked_cases(72, 1500):
+            claw_free, fork = is_claw_free(g, mask), _finds_fork(g, mask)
+            assert (claw_free, fork) == (is_claw_free(h), _finds_fork(h))
+            seen.add((claw_free, fork))
+        assert seen == {(True, False), (False, False), (False, True)}
+
+    def test_independent_triple(self):
+        sizes = set()
+        for g, mask, h, vmap in _masked_cases(73, 1000):
+            if mask:
+                got = _independent_triple(g, mask)
+                assert got == _back(vmap, _independent_triple(h, h.full_mask))
+                sizes.add(got.bit_count())
+        assert sizes == {1, 2, 3}
+
+    def test_greedy(self):
+        for g, mask, h, vmap in _masked_cases(74, 1000):
+            got = _greedy(g, iter_bits(mask))
+            assert got == _back(vmap, _greedy(h, range(h.n)))
+
+    @pytest.mark.parametrize("route", ["brute", "query"])
+    def test_fold(self, route):
+        # an empty mask has no nodes and a one-vertex mask one leaf: both
+        # fold to no rows over all of g's variables
+        def solver():
+            if route == "brute":
+                return _reduced(partial(bruteforce_system, cap=DEFAULT_MIS_CAP))
+            return _query_prime_solver(DEFAULT_MIS_CAP, False)
+
+        rows = 0
+        for g, mask, h, vmap in _masked_cases(75, 600):
+            got = _fold_system(g, _md_nodes(g, mask), solver())
+            sub = _fold_system(h, _md_nodes(h), solver())
+            assert got == lift_subgraph_system(sub, vmap, g.n)
+            rows += len(got)
+            for v in (g.n - 1, 0):
+                for within in (0, 1 << v):
+                    assert _fold_system(g, _md_nodes(g, within), solver()) == (
+                        empty_system(g.n)
+                    )
+        assert rows >= 800
 
 
 class TestForkfreeSystem:
@@ -1197,7 +1285,10 @@ def test_fork_scans_see_at_most_twice_the_quotient(monkeypatch, strategy):
     decompositions = []
     real_nodes = systems._md_nodes
     monkeypatch.setattr(
-        systems, "_md_nodes", lambda g: decompositions.append(g) or real_nodes(g)
+        systems,
+        "_md_nodes",
+        lambda h, within=None: decompositions.append((h, within))
+        or real_nodes(h, within),
     )
     # the P4 with its second vertex doubled: a prime node with a child that
     # is not a clique, so its scans are larger than its quotient, and it
@@ -1210,11 +1301,16 @@ def test_fork_scans_see_at_most_twice_the_quotient(monkeypatch, strategy):
     decompositions.clear()
     s = well_covering_system(g, cfg)
     assert (s.rows, s.tags) == (expected.rows, expected.tags)
-    # the anti-neighborhood subproblems decompose their own graphs
-    assert [h for h in decompositions if h.n == g.n] == [g]
+    # the anti-neighborhood subproblems decompose smaller vertex sets
+    whole = [
+        (h, within)
+        for h, within in decompositions
+        if gu.scanned_mask(h, within).bit_count() == g.n
+    ]
+    assert whole == [(g, None)]
     quotients = [len(x.reps) for x in md_tree(g).iter_nodes() if x.kind == "prime"]
     assert quotients == [5, 4, 5]
-    assert [(name, h.n) for name, h in scans] == [
+    assert [(name, s.bit_count()) for name, s in scans] == [
         ("is_claw_free", 5),  # the bull
         ("is_claw_free", 5),  # the doubled P4: a claw
         ("_finds_fork", 5),  # the doubled P4: no fork
@@ -1228,8 +1324,8 @@ def test_fork_scans_see_at_most_twice_the_quotient(monkeypatch, strategy):
             well_covering_system(g, cfg)
     else:
         assert well_covering_system(g, cfg) == bruteforce_system(g)
-    assert decompositions == [g]
-    assert [(name, h.n) for name, h in scans] == [
+    assert decompositions == [(g, None)]
+    assert [(name, s.bit_count()) for name, s in scans] == [
         ("is_claw_free", 5),
         ("is_claw_free", 5),
         ("_finds_fork", 5),
@@ -1351,14 +1447,60 @@ def test_prism_line_graph_solves_few_subproblems(monkeypatch, cap, solved):
     g = gu.line_graph(gu.prism(12))
     folds = []
     real = systems._fold_system
+    # each fold records the size of the vertex set it folds: its leaves
     monkeypatch.setattr(
-        systems, "_fold_system", lambda h, *a: folds.append(h.n) or real(h, *a)
+        systems,
+        "_fold_system",
+        lambda h, nodes, *a: folds.append(sum(b is None for _, _, b in nodes))
+        or real(h, nodes, *a),
     )
     s = well_covering_system(g, SolverConfig(mis_cap=cap))
     assert len(s) == 36
     assert folds[0] == 36 and set(folds[1:]) == {31}
     assert len(folds) - 1 in solved
     assert _moon_moser(31) > 50000
+
+
+def test_verbs_copy_no_anti_neighborhood(monkeypatch):
+    # each G - N[v] is decomposed and folded as a vertex mask of its graph:
+    # no verb copies one (delete_closed_neighborhood) or lifts its rows
+    # back, and recognize copies no graph of samples. The names are
+    # wrapped as systems and modular bind them
+    import wellcovered.modular as modular
+    import wellcovered.systems as systems
+
+    clique_sub = gu.line_graph_clique_substitution(gu.seeded(3))
+    root = md_tree(clique_sub)
+    # the root is prime and its children are cliques, so the samples, one
+    # vertex of each child, are not the whole graph
+    assert root.kind == "prime" and len(root.children) < clique_sub.n
+    calls = []
+    for module in (systems, modular):
+        for name in (
+            "delete_closed_neighborhood", "lift_subgraph_system", "induced_subgraph"
+        ):
+            real = getattr(module, name, None)
+            if real is not None:
+                monkeypatch.setattr(
+                    module,
+                    name,
+                    lambda *a, real=real, key=(module.__name__, name): (
+                        calls.append(key) or real(*a)
+                    ),
+                )
+    for g in (gu.line_graph(gu.prism(12)), clique_sub):
+        for strategy in ("auto", "forkfree"):
+            cfg = SolverConfig(strategy)
+            well_covering_system(g, cfg)
+            well_covered_dimension(g, cfg)
+            well_covered_basis(g, cfg)
+    names = {name for _, name in calls}
+    assert not names & {"delete_closed_neighborhood", "lift_subgraph_system"}
+    # the subproblems were solved: their prime quotients are copied
+    assert ("wellcovered.systems", "induced_subgraph") in calls
+    calls.clear()
+    assert recognize(clique_sub)["fork_free"]
+    assert calls == []
 
 
 def test_query_route_matches_bruteforce_at_dimension_zero():
