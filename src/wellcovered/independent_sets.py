@@ -33,12 +33,14 @@ def _greedy(g: Graph, order: Iterable[int]) -> int:
     return chosen
 
 
-def greedy_mis(g: Graph, order: Sequence[int]) -> frozenset[int]:
+def greedy_mis(g: Graph, order: Iterable[int]) -> frozenset[int]:
     """Scan vertices in ``order`` and keep each one with no kept neighbor.
 
-    ``order`` must be a permutation of the vertices. The result is a maximal
-    independent set.
+    ``order`` must be a permutation of the vertices; it is read once, so an
+    iterator or a generator serves as well as a list. The result is a
+    maximal independent set.
     """
+    order = list(order)
     if sorted(order) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
     return frozenset(iter_bits(_greedy(g, order)))

@@ -35,10 +35,13 @@ weight. This module builds such systems along several routes:
   G - N[v] in place, as a vertex mask of G.
 * ``clawfree_system``: for claw-free graphs, one equation per generating
   subgraph (an edge, an induced P3 or an induced C4; Levit and Tankus
-  2015) that is not implied by those before it. A candidate is skipped at
-  the first empty one of the cliques it must meet, then without a test
-  when its row is in the span, so the rows are independent by
-  construction; the rest are tested with
+  2015) that is not implied by those before it. An induced P3 a-c-b
+  whose ends have a common neighbour outside N[c] is never generating
+  and is not offered: in a claw-free graph a vertex with two non-adjacent
+  neighbours p, q has all its neighbours in N[p] + N[q]. A candidate is
+  skipped without a test when its row is in the span, so the rows are
+  independent by construction; the rest are skipped at the first empty
+  one of the cliques they must meet, or tested with
   ``independent_sets.meets_all_cliques``, and a row is stored only once
   accepted. The edges come first and their span test is a union-find; a
   later row is reduced by the sparse kernel (``linalg._reduce``) after
@@ -494,14 +497,23 @@ def _generating_candidates(g: Graph) -> Iterable[tuple[str, int, int]]:
     induced C4 split into its diagonals, X the one with the lowest vertex.
     Every edge comes before any P3 or C4; ``clawfree_system`` relies on it.
     A C4's diagonal partner x2 of its lowest vertex x1 lies at distance two
-    from x1 through a later vertex, so only those are tried."""
+    from x1 through a later vertex, so only those are tried.
+
+    A P3 a-c-b is left out when a and b have a common neighbour d outside
+    N[c], one mask test per pair: in a claw-free graph N(d) lies in
+    N[a] + N[b], as a neighbour of d adjacent to neither a nor b would make
+    a claw at d, so d is in D with no neighbour in R, the empty clique of
+    ``_generating_cliques``, and the P3 is not generating. Only such P3s
+    are left out; on the rook's graphs K_m x K_m that is every P3."""
     adj = g.adj
     for u, v in g.edges():
         yield "edge", 1 << u, 1 << v
     for c in range(g.n):
         for a in iter_bits(adj[c]):
+            beyond = adj[a] & ~adj[c] & ~(1 << c)  # N(a) - N[c]
             for b in iter_bits(adj[c] & ~adj[a] & ~((2 << a) - 1)):
-                yield "p3", 1 << c, 1 << a | 1 << b
+                if not adj[b] & beyond:
+                    yield "p3", 1 << c, 1 << a | 1 << b
     full = g.full_mask
     for x1 in range(g.n):
         later = full & -(2 << x1)  # the vertices after x1
@@ -528,7 +540,10 @@ def _generating_cliques(g: Graph, x: int, y: int) -> list[int] | None:
     clique for every d in D, so the question is whether an independent set
     of G[R] meets all these cliques; any such set extends to a maximal one.
     A d with no neighbour in R can be dominated by no such S, so the list
-    stops there: most candidates are dropped at their first cliques.
+    stops there. For a P3 a-c-b, D is N(a) + N(b) - N[c] - {a, b}, as N(c)
+    lies in N[a] + N[b] by claw-freeness; a common neighbour of a and b in
+    D is such a d, and ``_generating_candidates`` leaves those P3s out
+    with one mask.
     """
     adj = g.adj
     nx = adj[x.bit_length() - 1] | adj[(x & -x).bit_length() - 1]
@@ -547,6 +562,14 @@ def _generating_cliques(g: Graph, x: int, y: int) -> list[int] | None:
     return cliques
 
 
+def _is_generating(g: Graph, x: int, y: int) -> bool:
+    """Whether (X, Y) is generating in the claw-free ``g``: no clique of
+    ``_generating_cliques`` is empty and an independent set meets them
+    all."""
+    cliques = _generating_cliques(g, x, y)
+    return cliques is not None and meets_all_cliques(g, cliques)
+
+
 def clawfree_system(g: Graph) -> LinearSystem:
     """Unit, linearly independent well-covering system of a claw-free graph.
 
@@ -554,12 +577,14 @@ def clawfree_system(g: Graph) -> LinearSystem:
     338, 2015): the well-covered weightings of a claw-free graph are those
     with w(X) = w(Y) for every generating subgraph (X, Y), and each such
     subgraph is an edge, an induced P3 or an induced C4. The candidates are
-    taken in a fixed order. A candidate with an empty clique (a vertex of
-    D with no neighbour in R; see ``_generating_cliques``) is never
-    generating and is skipped before its row is tested. A candidate row
-    w(X) - w(Y) already in the span of the rows accepted so far is skipped
-    without a search, so at most n rows are accepted and they are
-    independent. The rest are searched, and a row is stored only once its
+    taken in a fixed order, less the P3s that ``_generating_candidates``
+    refutes by one neighbourhood mask: the ends' common neighbour outside
+    the centre's closed neighbourhood has, by claw-freeness, no neighbour
+    in R. A candidate row w(X) - w(Y) already in the span of the rows
+    accepted so far is skipped before its cliques are listed, so at most n
+    rows are accepted and they are independent. The rest are skipped at
+    an empty clique (a vertex of D with no neighbour in R; see
+    ``_generating_cliques``) or searched, and a row is stored only once its
     candidate is accepted.
 
     Every edge comes first, and while they are tested the accepted rows
@@ -588,12 +613,9 @@ def clawfree_system(g: Graph) -> LinearSystem:
     for kind, x, y in _generating_candidates(g):
         if merges + len(echelon) == n:
             break
-        cliques = _generating_cliques(g, x, y)
-        if cliques is None:
-            continue
         if kind == "edge":
             u, v = find(x.bit_length() - 1), find(y.bit_length() - 1)
-            if u == v or not meets_all_cliques(g, cliques):
+            if u == v or not _is_generating(g, x, y):
                 continue
             parent[max(u, v)] = min(u, v)
             merges += 1
@@ -604,7 +626,7 @@ def clawfree_system(g: Graph) -> LinearSystem:
                     r = find(v)
                     sums[r] = sums.get(r, 0) + sign
             residual = _reduce(echelon, {c: k for c, k in sums.items() if k})
-            if residual is None or not meets_all_cliques(g, cliques):
+            if residual is None or not _is_generating(g, x, y):
                 continue
             _store(echelon, residual)
         rows.append(_diff_row(x, y))

@@ -15,7 +15,8 @@ system-combining helpers that no solver path used: ``quotient``,
 ``combine_disjoint_union`` and ``combine_join``. Whether an independent set
 meets a family of sets is decided by trying every independent subset of
 their union, and the claw-free base's rows are rebuilt in the order of
-tests it first used, span test before search. A copy of the edge-list
+tests it first used, span test before search, over an enumeration of
+its own of every edge, induced P3 and induced C4. A copy of the edge-list
 line parser as it stood before the canonical fast path is the reference
 that every edge-list parse is compared with. Three earlier choices of the
 front end are kept as oracles too: the three-way ``auto`` dispatch of
@@ -762,29 +763,57 @@ def brute_meets_all(g, sets):
     return False
 
 
+def generating_candidates(g):
+    """(kind, X, Y) of every edge, induced P3 and induced C4 of ``g``, as
+    sets, in the order of ``systems._generating_candidates`` but with no
+    candidate left out: the edges u-v (u < v) as ({u}, {v}), the P3s
+    a-c-b (a < b) as ({c}, {a, b}) by centre c, then the C4s as diagonals
+    ({x1, x2}, {y1, y2}), x1 the lowest vertex, x1 < x2 and y1 < y2, in
+    lexicographic order of (x1, x2, y1, y2)."""
+    adjacent = g.has_edge
+    for u, v in combinations(range(g.n), 2):
+        if adjacent(u, v):
+            yield "edge", {u}, {v}
+    for c in range(g.n):
+        for a, b in combinations(range(g.n), 2):
+            if adjacent(c, a) and adjacent(c, b) and not adjacent(a, b):
+                yield "p3", {c}, {a, b}
+    for x1, x2 in combinations(range(g.n), 2):
+        if adjacent(x1, x2):
+            continue
+        for y1, y2 in combinations(range(x1 + 1, g.n), 2):
+            if (not adjacent(y1, y2)
+                    and all(adjacent(x, y) for x in (x1, x2) for y in (y1, y2))):
+                yield "c4", {x1, x2}, {y1, y2}
+
+
+def generating_cliques(g, xs, ys):
+    """The sets N(d) & R, for d in D in increasing order (see
+    ``systems._generating_cliques``), as bitmasks computed vertex by
+    vertex; an empty one means (X, Y) is not generating."""
+    nx = {u for v in xs for u in iter_bits(g.adj[v])}
+    ny = {u for v in ys for u in iter_bits(g.adj[v])}
+    rest = set(range(g.n)) - nx - ny - xs - ys
+    return [mask_of(rest & set(iter_bits(g.adj[d])))
+            for d in sorted((nx ^ ny) - xs - ys)]
+
+
 def clawfree_rows_in_search_order(g):
     """(rows, tags) of ``systems.clawfree_system`` by the order of tests it
-    used first: each candidate's span test, then, if its row is new, the
-    brute-force test of the cliques N(d) & R, computed here vertex by
-    vertex, for d in D (see ``systems._generating_cliques``)."""
+    used first: each candidate of ``generating_candidates``, every edge,
+    induced P3 and induced C4 with none left out, gets a span test, then,
+    if its row is new, the brute-force test of ``generating_cliques``."""
     from wellcovered.linalg import _insert
-    from wellcovered.systems import _generating_candidates
 
     echelon, rows, tags = {}, [], []
-    for kind, x, y in _generating_candidates(g):
+    for kind, xs, ys in generating_candidates(g):
         if len(echelon) == g.n:
             break
-        xs, ys = set(iter_bits(x)), set(iter_bits(y))
-        nx = {u for v in xs for u in iter_bits(g.adj[v])}
-        ny = {u for v in ys for u in iter_bits(g.adj[v])}
-        rest = set(range(g.n)) - nx - ny - xs - ys
         row = tuple((v in xs) - (v in ys) for v in range(g.n))
         col = _insert(echelon, terms(row))
         if col is None:
             continue
-        cliques = [mask_of(rest & set(iter_bits(g.adj[d])))
-                   for d in sorted((nx ^ ny) - xs - ys)]
-        if brute_meets_all(g, cliques):
+        if brute_meets_all(g, generating_cliques(g, xs, ys)):
             rows.append(row)
             tags.append(f"generating {kind}")
         else:

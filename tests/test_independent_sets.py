@@ -31,6 +31,18 @@ class TestGreedy:
             greedy_mis(gu.bull(), [0, 1, 2, 3])
         with pytest.raises(ValueError):
             greedy_mis(gu.bull(), [0, 0, 1, 2, 3])
+        with pytest.raises(ValueError):
+            greedy_mis(gu.bull(), iter([0, 0, 1, 2, 3]))
+
+    def test_order_read_once(self):
+        # the permutation check reads the order once, so an iterator or a
+        # generator is scanned in full, as a list is
+        order = [1, 0, 2, 3, 4]
+        expected = frozenset({1, 4})
+        assert greedy_mis(gu.bull(), order) == expected
+        assert greedy_mis(gu.bull(), iter(order)) == expected
+        assert greedy_mis(gu.bull(), (v for v in order)) == expected
+        assert greedy_mis(gu.path(3), iter([0, 1, 2])) == frozenset({0, 2})
 
     def test_result_always_enumerated(self):
         rng = gu.seeded(3)

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from functools import partial
@@ -37,6 +38,7 @@ from wellcovered.systems import (
     SolverConfig,
     StrategyError,
     _fold_system,
+    _generating_candidates,
     _mis_span,
     _moon_moser,
     _query_prime_solver,
@@ -849,6 +851,58 @@ class TestClawfreeSystem:
         for g in graphs:
             s = clawfree_system(g)
             assert (list(s.rows), list(s.tags)) == gu.clawfree_rows_in_search_order(g)
+
+    def test_left_out_candidates_have_an_empty_clique(self):
+        # _generating_candidates yields the oracle's own enumeration of
+        # every edge, induced P3 and induced C4 in its order, less P3s
+        # only, and each P3 it leaves out has an empty clique N(d) & R
+        # computed vertex by vertex
+        rng = gu.seeded(29)
+        left_out = 0
+        for family in sorted(CLAWFREE_FAMILIES):
+            for _ in range(60):
+                g = CLAWFREE_FAMILIES[family](rng)
+                offered = list(_generating_candidates(g))
+                kept, expected = set(offered), []
+                for kind, xs, ys in gu.generating_candidates(g):
+                    candidate = (kind, mask_of(xs), mask_of(ys))
+                    if candidate in kept:
+                        expected.append(candidate)
+                    else:
+                        assert kind == "p3"
+                        assert not all(gu.generating_cliques(g, xs, ys))
+                        left_out += 1
+                assert offered == expected
+        assert left_out
+
+    @pytest.mark.parametrize("m", range(6, 10))
+    def test_rook_p3s_never_reach_the_cliques(self, m, monkeypatch):
+        # every P3 a-c-b of K_m x K_m has the common neighbour of a and b
+        # off N[c], so none is offered: the clique lists and the clique
+        # test see only the m^2 (m - 1) edges and the new C4s
+        import wellcovered.systems as systems
+
+        calls = Counter()
+        last = [None]  # the kind of the candidate whose cliques were listed
+        real_cliques, real_meets = systems._generating_cliques, systems.meets_all_cliques
+
+        def cliques(g, x, y):
+            last[0] = {(1, 1): "edge", (1, 2): "p3", (2, 2): "c4"}[
+                x.bit_count(), y.bit_count()]
+            calls["cliques", last[0]] += 1
+            return real_cliques(g, x, y)
+
+        def meets(g, family):
+            calls["meets", last[0]] += 1
+            return real_meets(g, family)
+
+        monkeypatch.setattr(systems, "_generating_cliques", cliques)
+        monkeypatch.setattr(systems, "meets_all_cliques", meets)
+        s = clawfree_system(gu.rook(m))
+        assert m * m - len(s) == 2 * m - 1
+        assert calls["cliques", "p3"] == calls["meets", "p3"] == 0
+        assert calls["cliques", "edge"] == calls["meets", "edge"] == m * m * (m - 1)
+        assert calls["cliques", "c4"] and calls["meets", "c4"]
 
     @pytest.mark.parametrize("m", range(4, 9))
     def test_rook_dimension(self, m):
