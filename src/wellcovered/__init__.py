@@ -45,14 +45,12 @@ from .modular import MDNode, md_tree, recognize
 from .systems import (
     SolverConfig,
     StrategyError,
-    anti_neighborhood_system,
     bruteforce_system,
     clawfree_system,
     cograph_system,
     forkfree_system,
     is_w_well_covered,
     is_well_covered,
-    lift_subgraph_system,
     modular_system,
     well_covered_basis,
     well_covered_dimension,
@@ -71,7 +69,6 @@ __all__ = [
     "SolverConfig",
     "StrategyError",
     "WeightVector",
-    "anti_neighborhood_system",
     "basis_from_json",
     "basis_to_json",
     "bruteforce_system",
@@ -88,7 +85,6 @@ __all__ = [
     "is_claw_free",
     "is_w_well_covered",
     "is_well_covered",
-    "lift_subgraph_system",
     "make_system",
     "md_tree",
     "modular_system",

@@ -88,8 +88,9 @@ class LinearSystem:
     Right-hand sides are implicitly zero and never stored. Each row is held
     as its terms, the nonzero ``(col, coeff)`` pairs in increasing column
     order, and carries a free-text provenance tag. ``LinearSystem(num_vars,
-    rows, tags)`` takes dense coefficient vectors and checks them; ``rows``
-    gives them back, and on a system built inside the package it is a
+    rows, tags)`` takes dense coefficient vectors, checks them and stores
+    them and the tags as tuples, so a system is hashable; ``rows`` gives
+    them back, and on a system built inside the package it is a
     dense view built on first use and cached. ``len`` counts the rows
     without building it, and ``==`` compares the variable count, the terms
     and the tags, as dense rows would compare.
@@ -105,6 +106,9 @@ class LinearSystem:
         rows: tuple[tuple[Coeff, ...], ...],
         tags: tuple[str, ...],
     ):
+        if type(rows) is not tuple or any(type(r) is not tuple for r in rows):
+            rows = tuple(map(tuple, rows))
+        tags = tuple(tags)
         if len(rows) != len(tags):
             raise ValueError("one tag per row required")
         for row in rows:
@@ -161,11 +165,12 @@ def empty_system(num_vars: int) -> LinearSystem:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """A vertex-indexed rational weighting."""
+    """A vertex-indexed rational weighting, its values stored as a tuple."""
 
     values: tuple[Coeff, ...]
 
     def __post_init__(self):
+        self.__dict__["values"] = tuple(self.values)
         _check_entries(self.values)
 
     def __len__(self) -> int:

@@ -12,27 +12,28 @@ weight. This module builds such systems along several routes:
   disconnected graph takes the union of its components' systems; a join
   takes the union of the co-components' systems plus chained equations
   between one maximal independent set per co-component; a prime quotient is
-  handed to the prime solver, the one part a caller plugs in (by default
-  the capped brute force), whose equations are reduced and re-expanded by
-  substituting, for each quotient vertex, the sum over a maximal
-  independent set of the corresponding module. Row reduction after every
-  prime step whose children have rows, and after every join with a prime
-  node below it, keeps the system at most n equations. A join with no
-  prime node below needs none: every node of a cotree has a well-covered
-  weighting that gives its chosen set a nonzero weight, so the chained
-  equations are independent of the co-components' rows. The fold reads
-  one decomposition (``modular._md_nodes``) and writes each row once, by
-  its terms over the n variables (see ``linalg``): a difference of two
-  vertex sets costs the vertices in one and not the other, and a lifted
-  quotient row the vertices it is spread onto, never n entries.
-* ``cograph_system``: the modular walk with a prime solver that refuses.
-  On graphs without induced 4-vertex paths only parallel and series nodes
+  solved by the capped brute force, whose equations are reduced and
+  re-expanded by substituting, for each quotient vertex, the sum over a
+  maximal independent set of the corresponding module (``_substitute``,
+  the one lift). Row reduction after every prime step whose children have
+  rows, and after every join with a prime node below it, keeps the system
+  at most n equations. A join with no prime node below needs none: every
+  node of a cotree has a well-covered weighting that gives its chosen set
+  a nonzero weight, so the chained equations are independent of the
+  co-components' rows. The fold (``_fold_system``), which every route
+  below shares with its own solver at prime quotients, reads one
+  decomposition (``modular._md_nodes``) and writes each row once, by its
+  terms over the n variables (see ``linalg``): a difference of two vertex
+  sets costs the vertices in one and not the other, and a lifted quotient
+  row the vertices it is spread onto, never n entries.
+* ``cograph_system``: the fold with a prime solver that refuses. On
+  graphs without induced 4-vertex paths only parallel and series nodes
   occur, so no row is reduced, and a counting argument bounds the size by
   n - 1.
-* ``anti_neighborhood_system``: combine systems of the graphs G - N[v], one
-  per vertex v, with chained equations relating the sets I_v + {v}. As a
-  prime solver it reduces its rows as they are produced and folds each
-  G - N[v] in place, as a vertex mask of G.
+* ``_anti_neighborhoods``: the anti-neighborhood reduction of a prime
+  quotient Q, written once: the systems of the graphs Q - N[v], one per
+  vertex v, each folded in place as a vertex mask of Q, with chained
+  equations relating the sets I_v + {v}, reduced as they are produced.
 * ``clawfree_system``: for claw-free graphs, one equation per generating
   subgraph (an edge, an induced P3 or an induced C4; Levit and Tankus
   2015) that is not implied by those before it. An induced P3 a-c-b
@@ -85,7 +86,7 @@ The span and the anti-neighborhood reduction stop at full rank, |Q| rows
 kept, except for work that could pass the MIS cap: no graph on m
 vertices has more than ``_moon_moser(m)`` maximal independent sets
 (Moon and Moser 1965), so only where that bound passes the cap does the
-span count on, or the reduction solve a remaining G - N[v]. Exceptions
+span count on, or the reduction solve a remaining Q - N[v]. Exceptions
 are those of the eager construction, and so are rows and tags but for
 the span's probe.
 
@@ -108,7 +109,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import islice
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -169,6 +169,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if not isinstance(self.mis_cap, int) or isinstance(self.mis_cap, bool):
+            raise TypeError(f"mis_cap must be an int, got {self.mis_cap!r}")
         if self.mis_cap < 1:
             raise ValueError("mis_cap must be >= 1")
 
@@ -184,12 +186,14 @@ def bruteforce_system(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    masks = list(islice(_mis_masks(g), cap + 1))
-    if len(masks) > cap:
-        raise CapExceededError(
-            f"maximal independent set cap {cap} exceeded; "
-            f"brute-force system unavailable"
-        )
+    masks = []
+    for i, m in enumerate(_mis_masks(g)):
+        if i == cap:
+            raise CapExceededError(
+                f"maximal independent set cap {cap} exceeded; "
+                f"brute-force system unavailable"
+            )
+        masks.append(m)
     masks.sort(key=lambda m: format(m, f"0{g.n}b")[::-1], reverse=True)
     rows = tuple(map(_diff_row, masks, masks[1:]))
     tags = tuple(f"mis-diff i={i}" for i in range(1, len(masks)))
@@ -322,38 +326,6 @@ def _null_vectors(n: int, rows: list[Row]) -> list[tuple[Coeff, ...]]:
     return [v.values for v in null_space_basis(s).vectors]
 
 
-def _spread(system: LinearSystem, sets, host_n: int, tags) -> LinearSystem:
-    """The rows with the coefficient of variable j on every host variable
-    in sets[j]; the one loop of both lifts. It costs the nonzeros it puts
-    down."""
-    rows = tuple(
-        tuple(sorted([(v, c) for j, c in row for v in sets[j]]))
-        for row in system.terms
-    )
-    return _trusted_system(host_n, rows, tuple(tags))
-
-
-def lift_subgraph_system(
-    sub: LinearSystem, vertex_map: Sequence[int], host_n: int
-) -> LinearSystem:
-    """Re-index a subgraph's system into host-graph variables.
-
-    The coefficient at sub-index i moves to host index vertex_map[i]; all
-    other host coefficients are zero. Tags are preserved.
-    """
-    vmap = tuple(vertex_map)
-    if len(vmap) != sub.num_vars:
-        raise ValueError(
-            f"vertex map of length {len(vmap)} for a system over "
-            f"{sub.num_vars} variables"
-        )
-    if len(set(vmap)) != len(vmap):
-        raise ValueError("vertex map entries must be distinct")
-    if any(not 0 <= v < host_n for v in vmap):
-        raise ValueError(f"vertex map entry out of range for host_n={host_n}")
-    return _spread(sub, [(v,) for v in vmap], host_n, sub.tags)
-
-
 def _substitute(quotient_sys: LinearSystem, sets, host_n: int) -> LinearSystem:
     """Substitute module independent-set sums for quotient variables.
 
@@ -362,34 +334,31 @@ def _substitute(quotient_sys: LinearSystem, sets, host_n: int) -> LinearSystem:
     within ``host_n``. Sound because a maximal independent set of the host
     graph meets module j either not at all or in a maximal independent set
     of the module, and the met modules form a maximal independent set of
-    the quotient."""
-    tags = (f"subst[{tag}]" if tag else "subst" for tag in quotient_sys.tags)
-    return _spread(quotient_sys, sets, host_n, tags)
+    the quotient. It costs the nonzeros it puts down."""
+    rows = tuple(
+        tuple(sorted([(v, c) for j, c in row for v in sets[j]]))
+        for row in quotient_sys.terms
+    )
+    tags = tuple(f"subst[{tag}]" if tag else "subst" for tag in quotient_sys.tags)
+    return _trusted_system(host_n, rows, tags)
 
 
 # ---------------------------------------------------------------------------
 # modular decomposition pipeline
 
 
-def modular_system(
-    g: Graph,
-    cfg: SolverConfig | None = None,
-    prime_solver: Callable[[Graph], LinearSystem] | None = None,
-) -> LinearSystem:
+def modular_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
     """Bottom-up system construction over the modular decomposition tree.
 
-    Produces a linearly independent well-covering system with at most n
-    equations; it is unit whenever the prime solver emits unit systems.
-    ``prime_solver`` maps each prime quotient to a well-covering system of
-    it, by default the brute force capped at ``cfg.mis_cap``. Its rows are
-    reduced on the quotient, and again together with the children's rows
-    when there are any; rows are also reduced after series aggregation
-    above a prime node. Elsewhere they are independent by construction.
+    Produces a unit, linearly independent well-covering system with at most
+    n equations. Each prime quotient is solved by the brute force capped at
+    ``cfg.mis_cap``, whose rows are reduced on the quotient, and again
+    together with the children's rows when there are any; rows are also
+    reduced after series aggregation above a prime node. Elsewhere they are
+    independent by construction.
     """
-    if prime_solver is None:
-        cap = (cfg or SolverConfig()).mis_cap
-        prime_solver = partial(bruteforce_system, cap=cap)
-    return _fold_system(g, _md_nodes(g), _reduced(prime_solver))
+    cap = (cfg or SolverConfig()).mis_cap
+    return _fold_system(g, _md_nodes(g), _reduced(partial(bruteforce_system, cap=cap)))
 
 
 def _reduced(
@@ -481,7 +450,7 @@ def cograph_system(g: Graph) -> LinearSystem:
             "strategy does not apply (use modular or forkfree)"
         )
 
-    system = modular_system(g, prime_solver=refuse)
+    system = _fold_system(g, _md_nodes(g), refuse)
     assert len(system) <= max(g.n - 1, 0)
     return system
 
@@ -638,78 +607,49 @@ def clawfree_system(g: Graph) -> LinearSystem:
 # anti-neighborhood reduction
 
 
-def _anti_neighborhood_rows(
-    g: Graph,
-    sub_rows: Callable[[int], LinearSystem],
-    wanted: Callable[[int], bool] = lambda m: True,
-) -> Iterator[tuple[Row, str]]:
-    """The (row, tag) pairs of the anti-neighborhood system of ``g``,
-    lazily: each ``sub_rows(keep)``, a system of G - N[j] = g[keep] over
-    g's variables, then the chained equations. G - N[j] on m vertices is
-    solved only if ``wanted(m)``, asked once the rows before it are
-    consumed."""
-    anchored: list[int] = []  # bitmasks
-    for j in range(g.n):
-        keep = g.full_mask & ~g.adj[j] & ~(1 << j)
-        if wanted(keep.bit_count()):
-            sub = sub_rows(keep)
-            yield from zip(sub.terms, sub.tags)
-        anchored.append(_greedy(g, iter_bits(keep)) | 1 << j)
-    for j in range(g.n - 1):
-        yield _diff_row(anchored[j], anchored[j + 1]), f"anti-eq j={j + 1}"
-
-
-def anti_neighborhood_system(
-    g: Graph, sub_solver: Callable[[Graph], LinearSystem]
+def _anti_neighborhoods(
+    q: Graph, prime_solver: Callable[[Graph], LinearSystem], cap: int
 ) -> LinearSystem:
-    """Combine systems of all G - N[v] with chained equations.
+    """The anti-neighborhood reduction of Q = ``q``, its rows independent.
 
-    Every maximal independent set containing v consists of v plus a maximal
-    independent set of G - N[v]; the chained equations between the sets
-    I_j + {v_j} therefore tie the per-vertex subsystems together into a
-    well-covering system of G. Size is the sum of the subsystem sizes plus
-    n - 1. Each G - N[v] is copied for ``sub_solver``, and its system is
-    lifted back with the checks of ``lift_subgraph_system``.
+    Every maximal independent set containing v_j is v_j plus a maximal
+    independent set of Q - N[v_j], so the systems of all Q - N[v_j] with
+    the chained equations between the sets I_j + {v_j} form a well-covering
+    system of Q. Each Q - N[v_j] is folded in place, as the vertex mask
+    ``keep`` of Q, with ``prime_solver`` at its prime quotients, whose rows
+    must be independent; each row, then each chained equation, is kept iff
+    it is new to one echelon. Once |Q| rows are kept, a Q - N[v_j] left is
+    solved only if its enumerations could pass ``cap``, which keeps the
+    exceptions of solving them all.
     """
+    echelon: dict[int, dict[int, int]] = {}
+    rows: list[Row] = []
+    tags: list[str] = []
 
-    def sub_rows(keep: int) -> LinearSystem:
-        h, vmap = induced_subgraph(g, iter_bits(keep))
-        return lift_subgraph_system(sub_solver(h), vmap, g.n)
+    def offer(terms: Iterable[Row], row_tags: Iterable[str]) -> None:
+        for row, tag in zip(terms, row_tags):
+            if len(echelon) == q.n:
+                return
+            if _insert(echelon, row) is not None:
+                rows.append(row)
+                tags.append(tag)
 
-    pairs = list(_anti_neighborhood_rows(g, sub_rows))
-    return _trusted_system(
-        g.n, tuple(row for row, _ in pairs), tuple(tag for _, tag in pairs)
+    anchored: list[int] = []  # bitmasks of the sets I_j + {v_j}
+    for j in range(q.n):
+        keep = q.full_mask & ~q.adj[j] & ~(1 << j)
+        if len(echelon) < q.n or _moon_moser(keep.bit_count()) > cap:
+            sub = _fold_system(q, _md_nodes(q, keep), prime_solver)
+            offer(sub.terms, sub.tags)
+        anchored.append(_greedy(q, iter_bits(keep)) | 1 << j)
+    offer(
+        map(_diff_row, anchored, anchored[1:]),
+        (f"anti-eq j={j}" for j in range(1, q.n)),
     )
+    return _trusted_system(q.n, tuple(rows), tuple(tags))
 
 
 # ---------------------------------------------------------------------------
 # fork-free pipeline
-
-
-def _anti_neighborhood_solver(
-    prime_solver: Callable[[Graph], LinearSystem], cap: int
-) -> Callable[[Graph], LinearSystem]:
-    """The anti-neighborhood reduction as a prime solver, its rows reduced:
-    each G - N[v], a vertex mask of Q, is decomposed and folded in place
-    with ``prime_solver``, whose rows must be independent, at its prime
-    quotients. Once |Q| rows are kept, a G - N[j] left is solved only if
-    its enumerations could pass ``cap``, which keeps the exceptions."""
-
-    def solve(q: Graph) -> LinearSystem:
-        echelon: dict[int, dict[int, int]] = {}
-        rows: list[Row] = []
-        tags: list[str] = []
-        for row, tag in _anti_neighborhood_rows(
-            q,
-            lambda keep: _fold_system(q, _md_nodes(q, keep), prime_solver),
-            lambda m: len(echelon) < q.n or _moon_moser(m) > cap,
-        ):
-            if len(echelon) < q.n and _insert(echelon, row) is not None:
-                rows.append(row)
-                tags.append(tag)
-        return _trusted_system(q.n, tuple(rows), tuple(tags))
-
-    return solve
 
 
 def forkfree_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
@@ -747,18 +687,17 @@ def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSys
         return bruteforce_system(g, cfg.mis_cap)
     if cfg.strategy == "cograph":
         return cograph_system(g)
-    prime_solver = partial(bruteforce_system, cap=cfg.mis_cap)
     if cfg.strategy == "modular":
-        return modular_system(g, prime_solver=prime_solver)
+        return modular_system(g, cfg)
     nodes = _md_nodes(g)
     if _fork_free(g, nodes):
-        anti_neighborhoods = _anti_neighborhood_solver(
-            _reduced(prime_solver), cfg.mis_cap
+        base = _reduced(partial(bruteforce_system, cap=cfg.mis_cap))
+        return _fold_system(
+            g, nodes, lambda q: _anti_neighborhoods(q, base, cfg.mis_cap)
         )
-        return _fold_system(g, nodes, anti_neighborhoods)
     if cfg.strategy == "forkfree":
         raise StrategyError(_FORK_FOUND)
-    return prime_solver(g)
+    return bruteforce_system(g, cfg.mis_cap)
 
 
 def _query_prime_solver(
@@ -779,10 +718,9 @@ def _query_prime_solver(
             return clawfree_system(q)
         # a prime graph has an induced P4, so no P4 test first
         if fork_free or not _finds_fork(q):
-            return anti_neighborhoods(q)
+            return _anti_neighborhoods(q, solve, cap)
         return _mis_span(q, cap)
 
-    anti_neighborhoods = _anti_neighborhood_solver(solve, cap)
     return solve
 
 

@@ -32,14 +32,18 @@ The dense row layer the library had before it stored rows by their terms
 (``dense_diff_row``, ``dense_spread``, ``dense_format_equation`` with
 its ``system_to_text`` and ``system_to_json``, and ``dense_evaluate``) is
 kept verbatim as the oracle of the sparse one; ``dense_rows_patched``
-runs the library on it. Eight helpers that the library once exported but
+runs the library on it. Ten helpers that the library once exported but
 no solver path ran live here unchanged: ``enumerate_mis`` with its
 ``MISList``, ``is_well_covered_bruteforce``, ``is_module``, ``is_prime``,
 ``maximal_strong_modules``, the checked ``lift_quotient_system`` and
-``delete_closed_neighborhood``, whose copy of G - N[v] the
-anti-neighborhood solver no longer makes; with them,
+``lift_subgraph_system``, ``delete_closed_neighborhood``, whose copy of
+G - N[v] the anti-neighborhood reduction no longer makes, and the
+copy-and-lift ``anti_neighborhood_system``, which solves each such copy
+with any solver and lifts its rows back; with them,
 ``enumerated_bruteforce_system`` is the brute-force chain as it was read
-off the sorted enumeration, before it sorted the bitmasks.
+off the sorted enumeration, before it sorted the bitmasks, and
+``modular_system_with`` is the modular fold with any prime solver, as
+``modular_system`` once took one.
 """
 
 import random
@@ -61,7 +65,12 @@ from wellcovered.graph import (
     iter_bits,
     mask_of,
 )
-from wellcovered.independent_sets import DEFAULT_MIS_CAP, CapExceededError, _mis_masks
+from wellcovered.independent_sets import (
+    DEFAULT_MIS_CAP,
+    CapExceededError,
+    _greedy,
+    _mis_masks,
+)
 from wellcovered.linalg import (
     Basis,
     LinearSystem,
@@ -70,14 +79,13 @@ from wellcovered.linalg import (
     _diff_row,
     _trusted_system,
 )
-from wellcovered.modular import PRIME, _partition_masks, _strong_module_masks
+from wellcovered.modular import PRIME, _md_nodes, _partition_masks, _strong_module_masks
 from wellcovered.systems import (
+    _fold_system,
+    _reduced,
     _substitute,
-    anti_neighborhood_system,
     bruteforce_system,
     cograph_system,
-    lift_subgraph_system,
-    modular_system,
 )
 
 
@@ -651,6 +659,58 @@ def delete_closed_neighborhood(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]
     return induced_subgraph(g, iter_bits(keep))
 
 
+def lift_subgraph_system(
+    sub: LinearSystem, vertex_map: Sequence[int], host_n: int
+) -> LinearSystem:
+    """Re-index a subgraph's system into host-graph variables.
+
+    The coefficient at sub-index i moves to host index vertex_map[i]; all
+    other host coefficients are zero. Tags are preserved.
+    """
+    vmap = tuple(vertex_map)
+    if len(vmap) != sub.num_vars:
+        raise ValueError(
+            f"vertex map of length {len(vmap)} for a system over "
+            f"{sub.num_vars} variables"
+        )
+    if len(set(vmap)) != len(vmap):
+        raise ValueError("vertex map entries must be distinct")
+    if any(not 0 <= v < host_n for v in vmap):
+        raise ValueError(f"vertex map entry out of range for host_n={host_n}")
+    rows = tuple(tuple(sorted((vmap[j], c) for j, c in row)) for row in sub.terms)
+    return _trusted_system(host_n, rows, tuple(sub.tags))
+
+
+def anti_neighborhood_system(g: Graph, sub_solver) -> LinearSystem:
+    """Combine systems of all G - N[v] with chained equations.
+
+    Every maximal independent set containing v consists of v plus a maximal
+    independent set of G - N[v]; the chained equations between the sets
+    I_j + {v_j} therefore tie the per-vertex subsystems together into a
+    well-covering system of G. Size is the sum of the subsystem sizes plus
+    n - 1. Each G - N[v] is copied for ``sub_solver``, and its system is
+    lifted back with the checks of ``lift_subgraph_system``.
+    """
+    rows, tags, anchored = [], [], []
+    for j in range(g.n):
+        keep = g.full_mask & ~g.adj[j] & ~(1 << j)
+        h, vmap = induced_subgraph(g, iter_bits(keep))
+        sub = lift_subgraph_system(sub_solver(h), vmap, g.n)
+        rows.extend(sub.terms)
+        tags.extend(sub.tags)
+        anchored.append(_greedy(g, iter_bits(keep)) | 1 << j)
+    for j in range(g.n - 1):
+        rows.append(_diff_row(anchored[j], anchored[j + 1]))
+        tags.append(f"anti-eq j={j + 1}")
+    return _trusted_system(g.n, tuple(rows), tuple(tags))
+
+
+def modular_system_with(g: Graph, prime_solver) -> LinearSystem:
+    """The modular fold of ``g`` with any ``prime_solver``, whose rows are
+    reduced on each prime quotient."""
+    return _fold_system(g, _md_nodes(g), _reduced(prime_solver))
+
+
 # ---------------------------------------------------------------------------
 # independent oracles
 
@@ -958,10 +1018,8 @@ def three_way_auto_system(g, cap=DEFAULT_MIS_CAP):
     if not is_fork_free(g):
         return bruteforce_system(g, cap)
     base = partial(bruteforce_system, cap=cap)
-    sub = partial(modular_system, prime_solver=base)
-    return modular_system(
-        g, prime_solver=lambda q: anti_neighborhood_system(q, sub)
-    )
+    sub = partial(modular_system_with, prime_solver=base)
+    return modular_system_with(g, lambda q: anti_neighborhood_system(q, sub))
 
 
 def enumerated_witness(g, cap):
@@ -1549,8 +1607,12 @@ def dense_rows_patched(monkeypatch):
         n = (plus | minus).bit_length()
         return terms(dense_diff_row(n, iter_bits(plus), iter_bits(minus)))
 
+    def substitute(quotient_sys, sets, host_n):
+        tags = [f"subst[{t}]" if t else "subst" for t in quotient_sys.tags]
+        return dense_spread(quotient_sys, sets, host_n, tags)
+
     monkeypatch.setattr(systems, "_diff_row", diff_row)
-    monkeypatch.setattr(systems, "_spread", dense_spread)
+    monkeypatch.setattr(systems, "_substitute", substitute)
     monkeypatch.setattr(systems, "evaluate", dense_evaluate)
     monkeypatch.setattr(cli, "system_to_text", dense_system_to_text)
     monkeypatch.setattr(cli, "system_to_json", dense_system_to_json)

@@ -1031,6 +1031,26 @@ class TestExitCodes:
         )
         assert code == 3 and "cap" in err
 
+    @pytest.mark.parametrize("cap", [2**63 - 1, 10**20])
+    def test_caps_past_sys_maxsize(self, capsys, monkeypatch, cap):
+        # a cap of any size bounds the enumeration as the default does:
+        # same bytes and exit 0, on the bull and, under auto, on a fork
+        cases = [
+            (BULL, ["system", "--strategy", "bruteforce"]),
+            (BULL, ["system", "--strategy", "modular"]),
+            (BULL, ["system"]),
+            (BULL, ["dimension", "--strategy", "bruteforce"]),
+            (FORK, ["system"]),
+        ]
+        for text, argv in cases:
+            expected = run(capsys, argv, stdin=text, monkeypatch=monkeypatch)
+            assert expected[0] == 0
+            got = run(
+                capsys, argv + ["--mis-cap", str(cap)], stdin=text,
+                monkeypatch=monkeypatch,
+            )
+            assert got == expected
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 VERBS = (

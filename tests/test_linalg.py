@@ -151,6 +151,21 @@ class TestSparseStorage:
         with pytest.raises(AttributeError):
             s.num_vars = 3
 
+    def test_lists_are_stored_as_tuples(self):
+        # a system and a weighting built from lists are the ones built from
+        # tuples: equal, hashable, and with no list to append a tag to
+        rows, tags = [[1, -1]], ["t"]
+        s = LinearSystem(2, rows, tags)
+        assert s == make_system(2, [(1, -1)], ["t"])
+        assert hash(s) == hash(make_system(2, [(1, -1)], ["t"]))
+        assert s.rows == ((1, -1),) and s.tags == ("t",)
+        rows[0].append(0)
+        tags.append("x")
+        assert s.rows == ((1, -1),) and s.tags == ("t",) and len(s) == 1
+        w = WeightVector([1, 2])
+        assert w == WeightVector((1, 2)) and w.values == (1, 2)
+        assert hash(w) == hash(WeightVector((1, 2)))
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_terms_match_dense_rows(self, data):

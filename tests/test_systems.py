@@ -27,6 +27,7 @@ from wellcovered.linalg import (
     _diff_row,
     empty_system,
     evaluate,
+    extract_independent_subsystem,
     make_system,
     null_space_basis,
     rank,
@@ -37,6 +38,7 @@ from wellcovered.systems import (
     STRATEGIES,
     SolverConfig,
     StrategyError,
+    _anti_neighborhoods,
     _fold_system,
     _generating_candidates,
     _mis_span,
@@ -44,14 +46,12 @@ from wellcovered.systems import (
     _query_prime_solver,
     _query_system,
     _reduced,
-    anti_neighborhood_system,
     bruteforce_system,
     clawfree_system,
     cograph_system,
     forkfree_system,
     is_w_well_covered,
     is_well_covered,
-    lift_subgraph_system,
     modular_system,
     well_covered_basis,
     well_covered_dimension,
@@ -344,28 +344,28 @@ def test_moon_moser_bounds_every_mis_count():
 class TestLiftSubgraphSystem:
     def test_identity(self):
         s = make_system(3, [(1, -1, 0)], ["t"])
-        assert lift_subgraph_system(s, (0, 1, 2), 3) == s
+        assert gu.lift_subgraph_system(s, (0, 1, 2), 3) == s
 
     def test_single_var_into_larger(self):
         s = make_system(1, [(1,)], ["t"])
-        out = lift_subgraph_system(s, (3,), 5)
+        out = gu.lift_subgraph_system(s, (3,), 5)
         assert out.rows == ((0, 0, 0, 1, 0),)
         assert out.tags == ("t",)
 
     def test_sub_support_only(self):
         sub, vmap = induced_subgraph(gu.bull(), {0, 1, 2})
-        lifted = lift_subgraph_system(brute(sub), vmap, 5)
+        lifted = gu.lift_subgraph_system(brute(sub), vmap, 5)
         for row in lifted.rows:
             assert row[3] == 0 and row[4] == 0
 
     def test_map_violations(self):
         s = make_system(2, [(1, 1)])
         with pytest.raises(ValueError):
-            lift_subgraph_system(s, (0,), 4)
+            gu.lift_subgraph_system(s, (0,), 4)
         with pytest.raises(ValueError):
-            lift_subgraph_system(s, (0, 0), 4)
+            gu.lift_subgraph_system(s, (0, 0), 4)
         with pytest.raises(ValueError):
-            lift_subgraph_system(s, (0, 4), 4)
+            gu.lift_subgraph_system(s, (0, 4), 4)
 
 
 class TestCombineDisjointUnion:
@@ -570,7 +570,7 @@ class TestModularSystem:
             calls.append(h.n)
             return bruteforce_system(h)
 
-        s = modular_system(gu.bull(), prime_solver=plugin)
+        s = gu.modular_system_with(gu.bull(), plugin)
         assert calls == [5]  # the bull is prime, handed over whole
         assert same_solution_space(s, brute(gu.bull()))
 
@@ -581,7 +581,7 @@ class TestModularSystem:
                 h.n, base.rows + base.rows, list(base.tags) + list(base.tags)
             )
 
-        s = modular_system(gu.bull(), prime_solver=padded)
+        s = gu.modular_system_with(gu.bull(), padded)
         assert len(s) == rank(s)
         assert same_solution_space(s, brute(gu.bull()))
 
@@ -626,22 +626,22 @@ class TestCographSystem:
 
 class TestAntiNeighborhoodSystem:
     def test_k2(self):
-        s = anti_neighborhood_system(gu.complete(2), brute)
+        s = gu.anti_neighborhood_system(gu.complete(2), brute)
         assert s.rows == ((1, -1),)
         assert s.tags == ("anti-eq j=1",)
 
     def test_bull(self):
-        s = anti_neighborhood_system(gu.bull(), brute)
+        s = gu.anti_neighborhood_system(gu.bull(), brute)
         assert same_solution_space(s, brute(gu.bull()))
 
     def test_c5(self):
-        s = anti_neighborhood_system(gu.cycle(5), brute)
+        s = gu.anti_neighborhood_system(gu.cycle(5), brute)
         assert same_solution_space(s, brute(gu.cycle(5)))
         assert len(s) == sum(1 for _ in s.rows)
 
     def test_size_formula(self):
         g = gu.cycle(5)
-        s = anti_neighborhood_system(g, brute)
+        s = gu.anti_neighborhood_system(g, brute)
         subsizes = 0
         for v in range(g.n):
             gj, _ = gu.delete_closed_neighborhood(g, v)
@@ -652,12 +652,71 @@ class TestAntiNeighborhoodSystem:
         rng = gu.seeded(51)
         for _ in range(60):
             g = gu.random_graph(rng, rng.randint(1, 9), rng.random())
-            s = anti_neighborhood_system(g, brute)
+            s = gu.anti_neighborhood_system(g, brute)
             assert same_solution_space(s, brute(g))
 
     def test_sub_solver_variable_count_checked(self):
         with pytest.raises(ValueError, match="variables"):
-            anti_neighborhood_system(gu.bull(), lambda h: empty_system(h.n + 1))
+            gu.anti_neighborhood_system(gu.bull(), lambda h: empty_system(h.n + 1))
+
+
+def _prime_quotients(g):
+    """The prime quotients of ``g``'s decomposition tree, as copies."""
+    return [
+        induced_subgraph(g, x.reps)[0]
+        for x in md_tree(g).iter_nodes()
+        if x.kind == "prime"
+    ]
+
+
+class TestAntiNeighborhoods:
+    # the one anti-neighborhood loop folds each G - N[v] in place and stops
+    # at |Q| rows; the copy-and-lift oracle copies, solves and lifts every
+    # G - N[v], and its rows are then reduced. Rows, tags and exceptions
+    # must be the same
+
+    @staticmethod
+    def quotients():
+        rng = gu.seeded(181)
+        qs = [gu.line_graph(gu.prism(12))]
+        for _ in range(3):
+            qs += _prime_quotients(gu.line_graph_clique_substitution(rng))
+        while len(qs) < 20:
+            qs += _prime_quotients(gu.random_forkfree(rng, 16))
+        assert all(gu.is_fork_free(q) for q in qs)
+        return qs
+
+    def outcome(self, build):
+        try:
+            s = build()
+        except CapExceededError as e:
+            return str(e)
+        return s.terms, s.tags
+
+    def test_matches_copy_and_lift_oracle(self):
+        # on some quotients a cap of 3 to 11 is passed only by a G - N[v]
+        # left once |Q| rows are kept, which must still be solved to raise
+        quotients, raised = self.quotients(), 0
+        for cap in (DEFAULT_MIS_CAP, 50000, 300, 30, *range(3, 12)):
+            base = partial(bruteforce_system, cap=cap)
+
+            def sub(h):
+                return gu.modular_system_with(h, base)
+
+            for q in quotients:
+                got = self.outcome(
+                    lambda: _anti_neighborhoods(q, _reduced(base), cap)
+                )
+                expected = self.outcome(
+                    lambda: extract_independent_subsystem(
+                        gu.anti_neighborhood_system(q, sub)
+                    )
+                )
+                assert got == expected
+                # the two high caps are passed by no enumeration
+                assert cap < 50000 or not isinstance(got, str)
+                raised += isinstance(got, str)
+        assert raised >= 3
 
 
 def _masked_cases(seed, count):
@@ -730,7 +789,7 @@ class TestVertexMaskCalls:
         for g, mask, h, vmap in _masked_cases(75, 600):
             got = _fold_system(g, _md_nodes(g, mask), solver())
             sub = _fold_system(h, _md_nodes(h), solver())
-            assert got == lift_subgraph_system(sub, vmap, g.n)
+            assert got == gu.lift_subgraph_system(sub, vmap, g.n)
             rows += len(got)
             for v in (g.n - 1, 0):
                 for within in (0, 1 << v):
@@ -955,10 +1014,10 @@ class TestClawfreeSystem:
             sizes = [1 + (rng.random() < 0.2) for _ in range(skeleton.n)]
             g = gu.substitute(skeleton, [gu.complete(k) for k in sizes])
             graphs.append((g, brute(g)))
-        # the anti-neighborhood reduction reads its rows from
-        # _anti_neighborhood_rows, one call per fork-free quotient
+        # the anti-neighborhood reduction is _anti_neighborhoods, one call
+        # per fork-free quotient
         logs = {"clawfree_system": [], "_mis_span": [],
-                "_anti_neighborhood_rows": []}
+                "_anti_neighborhoods": []}
         for name, log in logs.items():
             real = getattr(systems, name)
 
@@ -979,7 +1038,7 @@ class TestClawfreeSystem:
         assert seen and all(is_claw_free(h) for h in seen)
         enumerated = logs["_mis_span"]
         assert enumerated and not any(gu.is_fork_free(h) for h in enumerated)
-        reduced = logs["_anti_neighborhood_rows"]
+        reduced = logs["_anti_neighborhoods"]
         assert reduced and all(gu.is_fork_free(h) for h in reduced)
         assert not any(is_claw_free(h) for h in reduced)
 
@@ -1012,6 +1071,23 @@ class TestQueries:
         with pytest.raises(ValueError):
             SolverConfig(mis_cap=0)
         assert [f.name for f in fields(SolverConfig)] == ["strategy", "mis_cap"]
+
+    def test_mis_cap_must_be_an_int(self):
+        for cap in (2.5, True, "5", Fraction(5)):
+            with pytest.raises(TypeError):
+                SolverConfig(mis_cap=cap)
+
+    def test_caps_of_any_size(self):
+        # a cap at or past sys.maxsize bounds nothing on the bull or the fork,
+        # and auto takes the brute force on the fork
+        for g in (gu.bull(), gu.fork()):
+            for strategy in ("auto", "bruteforce", "modular"):
+                expected = well_covering_system(g, SolverConfig(strategy))
+                dimension = well_covered_dimension(g, SolverConfig(strategy))
+                for cap in (2**63 - 1, 10**20):
+                    cfg = SolverConfig(strategy, cap)
+                    assert well_covering_system(g, cfg) == expected
+                    assert well_covered_dimension(g, cfg) == dimension
 
 
 class TestQueryRoute:
@@ -1396,7 +1472,7 @@ def test_fork_decided_before_any_prime_solver(monkeypatch, strategy):
 
     g = gu.disjoint_union(gu.path(6), gu.fork())
     solved = []
-    for name in ("bruteforce_system", "clawfree_system", "_anti_neighborhood_rows"):
+    for name in ("bruteforce_system", "clawfree_system", "_anti_neighborhoods"):
         real = getattr(systems, name)
         monkeypatch.setattr(
             systems,
@@ -1622,7 +1698,7 @@ class TestSparseRowsAgainstDenseOracles:
             tags = [f"subst[{t}]" if t else "subst" for t in qsys.tags]
             assert lifted == gu.dense_spread(qsys, sets, host_n, tags)
             vmap = rng.sample(range(host_n), k)
-            moved = lift_subgraph_system(qsys, vmap, host_n)
+            moved = gu.lift_subgraph_system(qsys, vmap, host_n)
             singletons = [(v,) for v in vmap]
             assert moved == gu.dense_spread(qsys, singletons, host_n, qsys.tags)
             for s in (lifted, moved):
