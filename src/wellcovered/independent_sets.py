@@ -121,6 +121,8 @@ def _cover_refutes(g: Graph, sets: list[int]) -> bool:
 def meets_all_cliques(g: Graph, cliques: Sequence[int]) -> bool:
     """True iff some independent set of ``g`` meets every clique in
     ``cliques``, a list of vertex bitmasks. An empty clique is never met.
+    Every step below is sound on sets that are not cliques, such as the
+    sets N(w) - C of ``systems._is_strong``.
 
     First a packing-versus-cover bound, which refutes pigeonhole instances
     (the rows of K_r x K_(r-1), say) without a search. Pack pairwise

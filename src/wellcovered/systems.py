@@ -47,7 +47,16 @@ weight. This module builds such systems along several routes:
   accepted. The edges come first and their span test is a union-find; a
   later row is reduced by the sparse kernel (``linalg._reduce``) after
   summing its coefficients per class, so each candidate costs about its
-  degree.
+  degree. Once 2n candidates in a row are refused, a certificate is drawn
+  once: greedy maximal cliques covering every N[v], each tested for
+  meeting every maximal independent set (a strong clique; Hujdurovic,
+  Milanic and Ries 2018), whose indicators are well-covered weightings.
+  The exactness argument has three steps. A generating (X, Y) has
+  w(X) = w(Y) for every such indicator w, so a candidate that one weighs
+  apart is skipped by a bitmask lookup. The accepted rows are generating,
+  so the indicators, of rank d, lie in their null space. At rank n - d
+  that null space is their span, every later generating row is in the
+  span of the accepted rows, and the loop stops.
 * ``forkfree_system``: for graphs with no induced fork. Prime quotients are
   solved through the anti-neighborhood reduction, whose subproblems have
   claw-free prime quotients and bottom out at the capped brute force.
@@ -169,10 +178,16 @@ class SolverConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if not isinstance(self.mis_cap, int) or isinstance(self.mis_cap, bool):
-            raise TypeError(f"mis_cap must be an int, got {self.mis_cap!r}")
-        if self.mis_cap < 1:
-            raise ValueError("mis_cap must be >= 1")
+        _check_cap(self.mis_cap, "mis_cap")
+
+
+def _check_cap(cap: int, name: str) -> None:
+    """Raise TypeError unless ``cap`` is an int and not a bool, and
+    ValueError if it is below 1: a float cap would never equal a count."""
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise TypeError(f"{name} must be an int, got {cap!r}")
+    if cap < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def bruteforce_system(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
@@ -184,8 +199,7 @@ def bruteforce_system(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
     lexicographic by sorted members: of two sets, the one holding the lowest
     vertex where they differ comes first, so the bit-reversed masks descend.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    _check_cap(cap, "cap")
     masks = []
     for i, m in enumerate(_mis_masks(g)):
         if i == cap:
@@ -259,7 +273,8 @@ def _probe(
 
 def _mis_span(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
     """Independent rows spanning those of ``bruteforce_system(g, cap)``,
-    read off the enumeration as it runs; raises CapExceededError as it does.
+    read off the enumeration as it runs; raises as it does on ``cap`` and
+    CapExceededError as it does.
 
     Consecutive sets m, m' give the row m - m', and such rows span the
     differences of all pairs in any enumeration order. A row whose image
@@ -277,6 +292,7 @@ def _mis_span(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
     independent sets span all n-vectors, the chain's rows among them.
     Otherwise the enumeration goes on as if there had been no probe.
     """
+    _check_cap(cap, "cap")
     n = g.n
     may_pass_cap = _moon_moser(n) > cap
     probe_at = -1 if may_pass_cap else 2 * n
@@ -539,6 +555,63 @@ def _is_generating(g: Graph, x: int, y: int) -> bool:
     return cliques is not None and meets_all_cliques(g, cliques)
 
 
+def _is_strong(g: Graph, clique: int, base: int) -> bool:
+    """Whether the maximal clique ``clique`` of ``g`` meets every maximal
+    independent set of ``g``; ``base`` is a maximal independent set of g.
+
+    One avoids C iff an independent set outside C dominates C, as such a
+    set extends to a maximal independent set of g - C and so of g. First
+    ``base`` less its vertex s in C, if any, is made maximal in g - C
+    again by a greedy pass over N(s), the only vertices it may have left
+    undominated; if that set dominates C, C is not strong. Otherwise
+    ``meets_all_cliques`` decides on the sets N(w) - C, one per w in C, a
+    test that is sound on any family of sets."""
+    adj = g.adj
+    outside = base & ~clique
+    if s := base & clique:  # one vertex at most: base is independent
+        for v in iter_bits(adj[s.bit_length() - 1] & ~clique):
+            if not adj[v] & outside:
+                outside |= 1 << v
+    members = list(iter_bits(clique))
+    if all(adj[w] & outside for w in members):
+        return False
+    return not meets_all_cliques(g, [adj[w] & ~clique for w in members])
+
+
+def _strong_cliques(g: Graph) -> list[int]:
+    """Strong cliques of ``g`` (cliques that meet every maximal independent
+    set) with linearly independent indicator vectors.
+
+    Maximal cliques are grown greedily, from each vertex v and the lowest
+    vertex u of N[v] that no clique grown so far shares with v, until every
+    N[v] is covered; each is new, as no earlier clique holds both v and u.
+    A clique whose indicator is in the span of those kept is not tested;
+    the others are tested once by ``_is_strong``, and a strong one is kept
+    in its own echelon of the one kernel."""
+    adj = g.adj
+    base = _greedy(g, range(g.n))
+    covered = [0] * g.n  # per vertex, the union of the cliques grown on it
+    echelon: dict[int, dict[int, int]] = {}
+    strong = []
+    for v in range(g.n):
+        closed = adj[v] | 1 << v
+        while left := closed & ~covered[v]:
+            u = (left & -left).bit_length() - 1
+            clique, grow = 0, closed & (adj[u] | 1 << u)
+            while grow:
+                low = grow & -grow
+                clique |= low
+                grow &= adj[low.bit_length() - 1]
+            members = list(iter_bits(clique))
+            for w in members:
+                covered[w] |= clique
+            residual = _reduce(echelon, dict.fromkeys(members, 1))
+            if residual is not None and _is_strong(g, clique, base):
+                _store(echelon, residual)
+                strong.append(clique)
+    return strong
+
+
 def clawfree_system(g: Graph) -> LinearSystem:
     """Unit, linearly independent well-covering system of a claw-free graph.
 
@@ -563,8 +636,27 @@ def clawfree_system(g: Graph) -> LinearSystem:
     or C4 row is in the span of all accepted rows iff its class sums are
     in the span of the accepted P3 and C4 rows' class sums. Those sums go
     to the sparse kernel (``linalg._reduce``), one column per class, and
-    the rank is the merges plus the stored rows. The result is meaningless
-    on a graph with a claw; callers test ``is_claw_free`` first.
+    the rank is the merges plus the stored rows.
+
+    Once 2n candidates in a row since the last accepted one have been
+    refused, by the span test or the generating test, a certificate is
+    drawn once: ``_strong_cliques``, whose indicators are well-covered
+    weightings, as a strong clique meets every maximal independent set
+    exactly once. Let d be their rank. Then, with the rows and their order
+    unchanged:
+
+    1. A generating (X, Y) has w(X) = w(Y) for every well-covered w, so a
+       candidate whose sides some strong clique meets in different numbers
+       of vertices is skipped with no test, read off a bitmask of the
+       strong cliques that hold each vertex (X and Y are independent).
+    2. The accepted rows are generating, so the indicators lie in their
+       null space, and the rank of all generating rows is at most n - d.
+    3. At rank n - d that null space is the span of the indicators, which
+       every later generating row is orthogonal to: each is in the span of
+       the accepted rows and would be refused, so the loop stops there.
+
+    The result is meaningless on a graph with a claw; callers test
+    ``is_claw_free`` first.
     """
     n = g.n
     parent = list(range(n))  # union-find over the accepted edges
@@ -579,15 +671,24 @@ def clawfree_system(g: Graph) -> LinearSystem:
     echelon: dict[int, dict[int, int]] = {}
     rows: list[Row] = []
     tags: list[str] = []
+    full_rank = n  # n - d once the certificate is drawn
+    refused = 0  # candidates refused since the last accepted one
+    # per vertex, the strong cliques that hold it; [] if there are none
+    holds: list[int] | None = None
     for kind, x, y in _generating_candidates(g):
-        if merges + len(echelon) == n:
+        if merges + len(echelon) == full_rank:
             break
+        if holds and (
+            holds[x.bit_length() - 1] | holds[(x & -x).bit_length() - 1]
+            != holds[y.bit_length() - 1] | holds[(y & -y).bit_length() - 1]
+        ):
+            continue
         if kind == "edge":
             u, v = find(x.bit_length() - 1), find(y.bit_length() - 1)
-            if u == v or not _is_generating(g, x, y):
-                continue
-            parent[max(u, v)] = min(u, v)
-            merges += 1
+            accepted = u != v and _is_generating(g, x, y)
+            if accepted:
+                parent[max(u, v)] = min(u, v)
+                merges += 1
         else:
             sums: dict[int, int] = {}
             for side, sign in ((x, 1), (y, -1)):
@@ -595,9 +696,20 @@ def clawfree_system(g: Graph) -> LinearSystem:
                     r = find(v)
                     sums[r] = sums.get(r, 0) + sign
             residual = _reduce(echelon, {c: k for c, k in sums.items() if k})
-            if residual is None or not _is_generating(g, x, y):
-                continue
-            _store(echelon, residual)
+            accepted = residual is not None and _is_generating(g, x, y)
+            if accepted:
+                _store(echelon, residual)
+        if not accepted:
+            refused += 1
+            if refused == 2 * n and holds is None:
+                strong = _strong_cliques(g)
+                holds = [0] * n if strong else []
+                for i, clique in enumerate(strong):
+                    for v in iter_bits(clique):
+                        holds[v] |= 1 << i
+                full_rank = n - len(strong)
+            continue
+        refused = 0
         rows.append(_diff_row(x, y))
         tags.append(f"generating {kind}")
     return _trusted_system(n, tuple(rows), tuple(tags))

@@ -806,7 +806,9 @@ def frame_per_branch_mis_masks(g):
 
 def brute_meets_all(g, sets):
     """Whether some independent vertex set meets every set in ``sets`` (a
-    list of bitmasks), by trying every independent subset of their union."""
+    list of bitmasks), by trying each vertex of the first set not yet met
+    that is independent of those chosen: every such independent set holds
+    one of them."""
     if not all(sets):
         return False
     union = 0
@@ -815,11 +817,11 @@ def brute_meets_all(g, sets):
     stack = [(0, union)]  # (chosen, vertices that may still join it)
     while stack:
         chosen, free = stack.pop()
-        if all(s & chosen for s in sets):
+        unmet = next((s for s in sets if not s & chosen), None)
+        if unmet is None:
             return True
-        for v in iter_bits(free):
-            free &= ~(1 << v)
-            stack.append((chosen | 1 << v, free & ~g.adj[v]))
+        for v in iter_bits(unmet & free):
+            stack.append((chosen | 1 << v, free & ~g.adj[v] & ~(1 << v)))
     return False
 
 

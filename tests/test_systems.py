@@ -46,6 +46,7 @@ from wellcovered.systems import (
     _query_prime_solver,
     _query_system,
     _reduced,
+    _strong_cliques,
     bruteforce_system,
     clawfree_system,
     cograph_system,
@@ -894,14 +895,28 @@ class TestClawfreeSystem:
             assert all(c in (-1, 0, 1) for row in s.rows for c in row)
             assert same_solution_space(s, brute(g))
 
-    def test_rows_as_in_search_order(self):
+    def test_rows_as_in_search_order(self, monkeypatch):
         # skipping candidates with an empty clique before the span test,
-        # testing edges on a union-find and later rows on class sums, and
-        # refuting by the packing bound, accept the same rows as forward
-        # span tests first and a brute-force test of every new row
+        # testing edges on a union-find and later rows on class sums,
+        # refuting by the packing bound, and skipping by the strong
+        # cliques' certificate and stopping at rank n - d, accept the same
+        # rows as forward span tests first and a brute-force test of every
+        # new row
+        import wellcovered.systems as systems
+
+        certified = []  # the graphs whose certificate found a strong clique
+        real = systems._strong_cliques
+        monkeypatch.setattr(
+            systems, "_strong_cliques",
+            lambda h: (strong := real(h)) and certified.append(h) or strong,
+        )
         rng = gu.seeded(83)
-        graphs = [gu.rook(m) for m in range(2, 8)]
+        stopped = [gu.rook(m) for m in range(3, 9)]
+        stopped += [gu.rook(m, m + 1) for m in range(4, 7)]
+        stopped += [gu.line_graph(gu.complete(m)) for m in range(4, 11, 2)]
+        graphs = stopped + [gu.rook(2), gu.rook(2, 3), gu.rook(3, 4)]
         graphs += [gu.rook(m, m + 3) for m in range(2, 5)]
+        graphs += [gu.line_graph(gu.complete(m)) for m in range(3, 11, 2)]
         graphs += [f(n) for f in (gu.path, gu.cycle) for n in range(3, 41)]
         graphs += [gu.line_graph(gu.random_tree(rng, rng.randint(2, 40)))
                    for _ in range(60)]
@@ -910,6 +925,9 @@ class TestClawfreeSystem:
         for g in graphs:
             s = clawfree_system(g)
             assert (list(s.rows), list(s.tags)) == gu.clawfree_rows_in_search_order(g)
+        # on these the certificate found strong cliques, and so stopped the
+        # loop at rank n - d
+        assert all(any(h is g for h in certified) for g in stopped)
 
     def test_left_out_candidates_have_an_empty_clique(self):
         # _generating_candidates yields the oracle's own enumeration of
@@ -938,12 +956,16 @@ class TestClawfreeSystem:
     def test_rook_p3s_never_reach_the_cliques(self, m, monkeypatch):
         # every P3 a-c-b of K_m x K_m has the common neighbour of a and b
         # off N[c], so none is offered: the clique lists and the clique
-        # test see only the m^2 (m - 1) edges and the new C4s
+        # test see only edges and the new C4s. No edge is generating, so
+        # after 2n = 2m^2 edges refused in a row the certificate keeps the
+        # m row and m - 1 column cliques, which tell the ends of every other
+        # edge apart: at most 2m^2 of the m^2 (m - 1) edges are tested
         import wellcovered.systems as systems
 
         calls = Counter()
         last = [None]  # the kind of the candidate whose cliques were listed
         real_cliques, real_meets = systems._generating_cliques, systems.meets_all_cliques
+        real_strong = systems._is_strong
 
         def cliques(g, x, y):
             last[0] = {(1, 1): "edge", (1, 2): "p3", (2, 2): "c4"}[
@@ -955,13 +977,62 @@ class TestClawfreeSystem:
             calls["meets", last[0]] += 1
             return real_meets(g, family)
 
+        def strong(g, clique, base):
+            last[0] = "strong"
+            calls["strong"] += 1
+            return real_strong(g, clique, base)
+
         monkeypatch.setattr(systems, "_generating_cliques", cliques)
         monkeypatch.setattr(systems, "meets_all_cliques", meets)
+        monkeypatch.setattr(systems, "_is_strong", strong)
         s = clawfree_system(gu.rook(m))
         assert m * m - len(s) == 2 * m - 1
         assert calls["cliques", "p3"] == calls["meets", "p3"] == 0
-        assert calls["cliques", "edge"] == calls["meets", "edge"] == m * m * (m - 1)
+        assert calls["cliques", "edge"] == calls["meets", "edge"] <= 2 * m * m
+        assert calls["strong"] == calls["meets", "strong"] == 2 * m - 1
         assert calls["cliques", "c4"] and calls["meets", "c4"]
+
+    def test_certificate_cliques_are_strong(self):
+        # each clique the certificate keeps meets every maximal independent
+        # set, and their indicators are independent
+        rng = gu.seeded(61)
+        graphs = [gu.random_clawfree(rng, 14) for _ in range(200)]
+        graphs += [CLAWFREE_FAMILIES[family](rng)
+                   for family in sorted(CLAWFREE_FAMILIES) for _ in range(50)]
+        graphs += [gu.rook(m) for m in range(1, 5)]
+        graphs += [gu.line_graph(gu.complete(m)) for m in range(2, 8)]
+        kept = 0
+        for g in graphs:
+            strong = _strong_cliques(g)
+            sets = [mask_of(s) for s in gu.enumerate_mis(g).sets]
+            assert all(c & m for c in strong for m in sets)
+            indicators = [[int(v in iter_bits(c)) for v in range(g.n)] for c in strong]
+            assert rank(make_system(g.n, indicators)) == len(strong)
+            kept += len(strong)
+        assert kept
+
+    def test_certificate_work_grows_as_the_rows(self, monkeypatch):
+        # on K_m x K_m the edges before the certificate, its strongness
+        # tests and the C4 span tests up to rank (m - 1)^2 grow about as
+        # m^2: doubling m multiplies the meets_all_cliques and _reduce calls
+        # by at most 4.5, where testing every edge and every C4 took about
+        # 8 and 19 times as many
+        import wellcovered.systems as systems
+
+        counts = {}
+        for m in (6, 12):
+            calls = Counter()
+            for name in ("meets_all_cliques", "_reduce"):
+                real = getattr(systems, name)
+                monkeypatch.setattr(
+                    systems, name,
+                    lambda *a, real=real, name=name: calls.update([name]) or real(*a),
+                )
+            assert len(clawfree_system(gu.rook(m))) == (m - 1) ** 2
+            monkeypatch.undo()
+            counts[m] = calls
+        for name in ("meets_all_cliques", "_reduce"):
+            assert counts[12][name] <= 4.5 * counts[6][name]
 
     @pytest.mark.parametrize("m", range(4, 9))
     def test_rook_dimension(self, m):
@@ -1076,6 +1147,14 @@ class TestQueries:
         for cap in (2.5, True, "5", Fraction(5)):
             with pytest.raises(TypeError):
                 SolverConfig(mis_cap=cap)
+        # the library's capped enumerations check it too: a float cap never
+        # equals a count, so P_10's 16 sets gave 15 rows at cap 1.5
+        for build in (bruteforce_system, _mis_span):
+            for cap in (1.5, 16.0, True, "5", Fraction(5)):
+                with pytest.raises(TypeError):
+                    build(gu.path(10), cap)
+            with pytest.raises(CapExceededError):
+                build(gu.path(10), 1)
 
     def test_caps_of_any_size(self):
         # a cap at or past sys.maxsize bounds nothing on the bull or the fork,
@@ -1592,10 +1671,10 @@ def test_prism_line_graph_solves_few_subproblems(monkeypatch, cap, solved):
 
 
 def test_verbs_copy_no_anti_neighborhood(monkeypatch):
-    # each G - N[v] is decomposed and folded as a vertex mask of its graph:
-    # no verb copies one (delete_closed_neighborhood) or lifts its rows
-    # back, and recognize copies no graph of samples. The names are
-    # wrapped as systems and modular bind them
+    # each G - N[v] is decomposed and folded as a vertex mask of its graph,
+    # so the only graphs the verbs copy are prime quotients that reach a
+    # solver, each lifted by one _substitute call; a copy of some G - N[v]
+    # would be one more. recognize copies no graph of samples
     import wellcovered.modular as modular
     import wellcovered.systems as systems
 
@@ -1604,33 +1683,30 @@ def test_verbs_copy_no_anti_neighborhood(monkeypatch):
     # the root is prime and its children are cliques, so the samples, one
     # vertex of each child, are not the whole graph
     assert root.kind == "prime" and len(root.children) < clique_sub.n
-    calls = []
-    for module in (systems, modular):
-        for name in (
-            "delete_closed_neighborhood", "lift_subgraph_system", "induced_subgraph"
-        ):
-            real = getattr(module, name, None)
-            if real is not None:
-                monkeypatch.setattr(
-                    module,
-                    name,
-                    lambda *a, real=real, key=(module.__name__, name): (
-                        calls.append(key) or real(*a)
-                    ),
-                )
+    calls = Counter()
+    for module, name in (
+        (systems, "induced_subgraph"), (modular, "induced_subgraph"),
+        (systems, "_substitute"),
+    ):
+        monkeypatch.setattr(
+            module,
+            name,
+            lambda *a, real=getattr(module, name), key=name: (
+                calls.update([key]) or real(*a)
+            ),
+        )
     for g in (gu.line_graph(gu.prism(12)), clique_sub):
         for strategy in ("auto", "forkfree"):
             cfg = SolverConfig(strategy)
             well_covering_system(g, cfg)
             well_covered_dimension(g, cfg)
             well_covered_basis(g, cfg)
-    names = {name for _, name in calls}
-    assert not names & {"delete_closed_neighborhood", "lift_subgraph_system"}
     # the subproblems were solved: their prime quotients are copied
-    assert ("wellcovered.systems", "induced_subgraph") in calls
+    assert calls["induced_subgraph"]
+    assert calls["induced_subgraph"] <= calls["_substitute"]
     calls.clear()
     assert recognize(clique_sub)["fork_free"]
-    assert calls == []
+    assert not calls
 
 
 def test_query_route_matches_bruteforce_at_dimension_zero():
