@@ -1,9 +1,10 @@
 """Maximal independent sets: greedy construction and exact enumeration.
 
 Enumeration works by listing maximal cliques of the complement with a
-pivoting branch-and-bound. It is one generator of bitmasks, read by every
-brute-force consumer, and each of them caps it so that graphs with
-exponentially many maximal independent sets cannot blow up silently.
+pivoting branch-and-bound. It is one stream of bitmasks, read by every
+brute-force consumer, and it counts the sets it yields against a cap, so
+that graphs with exponentially many maximal independent sets cannot blow
+up silently.
 ``meets_all_cliques`` asks whether one independent set can meet each of a
 family of cliques; it is the test behind the claw-free base of ``systems``.
 """
@@ -46,15 +47,26 @@ def greedy_mis(g: Graph, order: Iterable[int]) -> frozenset[int]:
     return frozenset(iter_bits(_greedy(g, order)))
 
 
-def _mis_masks(g: Graph) -> Iterator[int]:
-    """Every maximal independent set of ``g`` as a bitmask, depth first.
+def _check_cap(cap: int, name: str) -> None:
+    """Raise TypeError unless ``cap`` is an int and not a bool, and
+    ValueError if it is below 1: a float cap would never equal a count."""
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise TypeError(f"{name} must be an int, got {cap!r}")
+    if cap < 1:
+        raise ValueError(f"{name} must be >= 1")
 
-    The one enumeration: the brute-force consumers of ``systems`` and
-    ``cli`` read it as it runs, so a caller stops it where its cap says.
-    """
+
+def _mis_masks(
+    g: Graph, cap: int = DEFAULT_MIS_CAP, suffix: str = ""
+) -> Iterator[int]:
+    """Every maximal independent set of ``g`` as a bitmask, depth first:
+    the one enumeration, which the brute forces of ``systems`` read as it
+    runs. It counts what it yields and raises CapExceededError, its
+    message ending in ``suffix``, in place of set cap + 1; ``cap`` is
+    checked at the call."""
+    _check_cap(cap, "cap")
     if g.n == 0:
-        yield 0
-        return
+        return iter((0,))
     full = g.full_mask
     nonadj = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
 
@@ -76,20 +88,29 @@ def _mis_masks(g: Graph) -> Iterator[int]:
                 pivot_out = out
         return [r, p, x, p & ~pivot_out]
 
-    stack = [frame(0, full, 0)]
-    while stack:
-        top = stack[-1]
-        r, p, x, todo = top
-        if not todo:
-            stack.pop()
-            continue
-        bit = todo & -todo
-        top[1:] = p & ~bit, x | bit, todo & ~bit
-        outside = nonadj[bit.bit_length() - 1]
-        if p & outside:
-            stack.append(frame(r | bit, p & outside, x & outside))
-        elif not x & outside:
-            yield r | bit
+    def sets() -> Iterator[int]:
+        found = 0
+        stack = [frame(0, full, 0)]
+        while stack:
+            top = stack[-1]
+            r, p, x, todo = top
+            if not todo:
+                stack.pop()
+                continue
+            bit = todo & -todo
+            top[1:] = p & ~bit, x | bit, todo & ~bit
+            outside = nonadj[bit.bit_length() - 1]
+            if p & outside:
+                stack.append(frame(r | bit, p & outside, x & outside))
+            elif not x & outside:
+                if found == cap:
+                    raise CapExceededError(
+                        f"maximal independent set cap {cap} exceeded{suffix}"
+                    )
+                found += 1
+                yield r | bit
+
+    return sets()
 
 
 def _cover_refutes(g: Graph, sets: list[int]) -> bool:

@@ -91,23 +91,23 @@ base and the span are independent by construction, and the
 anti-neighborhood reduction and the brute-force chain of ``system``
 reduce their own.
 
-The span and the anti-neighborhood reduction stop at full rank, |Q| rows
-kept, except for work that could pass the MIS cap: no graph on m
-vertices has more than ``_moon_moser(m)`` maximal independent sets
-(Moon and Moser 1965), so only where that bound passes the cap does the
-span count on, or the reduction solve a remaining Q - N[v]. Exceptions
-are those of the eager construction, and so are rows and tags but for
-the span's probe.
+The one enumeration (``independent_sets._mis_masks``) counts its sets
+against the cap; the chain of ``bruteforce_system`` sorts it, and the
+span and the witness read it as it runs. The span and the
+anti-neighborhood reduction stop at full rank, |Q| rows kept, except for
+work that could pass the cap: no graph on m vertices has more than
+``_moon_moser(m)`` maximal independent sets (Moon and Moser 1965), so
+only where that bound passes the cap does the span count on, or the
+reduction solve a remaining Q - N[v]. Exceptions are those of the eager
+construction, and so are the reduction's rows and tags.
 
-Where the span may stop so, and is short of rank |Q| after 2|Q| sets,
-it probes first: differences of greedy maximal independent sets in
-seeded random vertex orders, offered to a copy of its GF(2) echelon,
-often reach rank |Q| where consecutive enumerated sets, which are alike,
-take hundreds more (seven of the eight G(34, 0.3) quotients of the
-bench's ``desk-mixed`` workload, seed 0: ``dimension`` 21 -> 11 ms in
-all by library call). Those rows are then returned; if the probe falls
-short, the enumeration goes on with the rows it had, at about 0.7 ms of
-lost work on such a quotient.
+Where the span may stop so, greedy maximal independent sets in seeded
+random vertex orders join its stream before set 2|Q|: they often reach
+rank |Q| where consecutive enumerated sets, which are alike, take
+hundreds more (seven of the eight G(34, 0.3) quotients of the bench's
+``desk-mixed`` workload, seed 0: ``dimension`` 21 -> 11 ms in all by
+library call). If they fall short, their rows stay and the enumeration
+goes on.
 
 All constructions preserve unit coefficients (-1, 0, 1) when their inputs
 are unit, and every produced system is a well-covering system of its graph.
@@ -130,7 +130,7 @@ from .graph import (
 )
 from .independent_sets import (
     DEFAULT_MIS_CAP,
-    CapExceededError,
+    _check_cap,
     _greedy,
     _mis_masks,
     meets_all_cliques,
@@ -166,6 +166,9 @@ _FORK_FOUND = (
     "graph contains an induced fork; the fork-free strategy does not apply"
 )
 
+# ends the cap error of every brute force that builds rows
+_UNAVAILABLE = "; brute-force system unavailable"
+
 
 @dataclass
 class SolverConfig:
@@ -181,15 +184,6 @@ class SolverConfig:
         _check_cap(self.mis_cap, "mis_cap")
 
 
-def _check_cap(cap: int, name: str) -> None:
-    """Raise TypeError unless ``cap`` is an int and not a bool, and
-    ValueError if it is below 1: a float cap would never equal a count."""
-    if not isinstance(cap, int) or isinstance(cap, bool):
-        raise TypeError(f"{name} must be an int, got {cap!r}")
-    if cap < 1:
-        raise ValueError(f"{name} must be >= 1")
-
-
 def bruteforce_system(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
     """Chain equations between consecutive maximal independent sets.
 
@@ -199,16 +193,11 @@ def bruteforce_system(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
     lexicographic by sorted members: of two sets, the one holding the lowest
     vertex where they differ comes first, so the bit-reversed masks descend.
     """
-    _check_cap(cap, "cap")
-    masks = []
-    for i, m in enumerate(_mis_masks(g)):
-        if i == cap:
-            raise CapExceededError(
-                f"maximal independent set cap {cap} exceeded; "
-                f"brute-force system unavailable"
-            )
-        masks.append(m)
-    masks.sort(key=lambda m: format(m, f"0{g.n}b")[::-1], reverse=True)
+    masks = sorted(
+        _mis_masks(g, cap, _UNAVAILABLE),
+        key=lambda m: format(m, f"0{g.n}b")[::-1],
+        reverse=True,
+    )
     rows = tuple(map(_diff_row, masks, masks[1:]))
     tags = tuple(f"mis-diff i={i}" for i in range(1, len(masks)))
     return _trusted_system(g.n, rows, tags)
@@ -249,97 +238,78 @@ def _probe_masks(g: Graph, count: int) -> Iterator[int]:
         yield _greedy(g, sorted(range(g.n), key=rng.randbytes(g.n).__getitem__))
 
 
-def _probe(
-    g: Graph, images: dict[int, int], pivots: int
-) -> list[tuple[int, int, int]] | None:
-    """Triples (j, m, m'), m and m' the sets j - 1 and j of
-    ``_probe_masks(g, 2n)``, whose rows m - m' complete the GF(2) echelon
-    ``images`` to rank n, or None if they do not; ``images`` is left as
-    it is."""
-    images = dict(images)
-    found = []
-    prev = None
-    for j, m in enumerate(_probe_masks(g, 2 * g.n)):
-        if prev is not None:
-            grown = _gf2_insert(images, pivots, prev ^ m)
-            if grown != pivots:
-                pivots = grown
-                found.append((j, prev, m))
-                if len(images) == g.n:
-                    return found
-        prev = m
-    return None
-
-
 def _mis_span(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
     """Independent rows spanning those of ``bruteforce_system(g, cap)``,
-    read off the enumeration as it runs; raises as it does on ``cap`` and
-    CapExceededError as it does.
+    read off one stream of maximal independent sets as it runs; raises as
+    it does.
 
-    Consecutive sets m, m' give the row m - m', and such rows span the
-    differences of all pairs in any enumeration order. A row whose image
-    mod 2, m ^ m', is new over GF(2) is new over Q, as a rational relation
-    scaled to coprime integers holds mod 2: it is kept with no rational
-    work, until n rows are; the enumeration then ends unless it could pass
-    the cap. The others wait as mask pairs, and after the enumeration
-    each is kept iff it is not orthogonal to the null space of the rows
-    kept so far. Only kept rows are built.
-
-    Where the enumeration may end at rank n and has drawn 2n sets short
-    of it, ``_probe`` offers differences of greedy maximal independent
-    sets to a copy of the GF(2) echelon; if they reach rank n, the kept
-    rows and theirs are returned: n independent differences of maximal
-    independent sets span all n-vectors, the chain's rows among them.
-    Otherwise the enumeration goes on as if there had been no probe.
+    The stream is the capped enumeration, with ``_probe_masks(g, 2n)``
+    spliced in right before set 2n where the enumeration may end at rank
+    n: greedy sets, unlike consecutive enumerated ones, often reach it at
+    once. Each row m - m' of consecutive sets is a difference of maximal
+    independent sets, and the enumerated ones telescope through the probe,
+    so the rows span the chain's. A row whose image mod 2, m ^ m', is new
+    over GF(2) is new over Q, as a rational relation scaled to coprime
+    integers holds mod 2: it is kept with no rational work, until n rows
+    are; the stream then ends unless the enumeration could pass the cap.
+    The others wait as mask pairs, and after the stream each is kept iff
+    some vector of the null space of the rows kept so far weighs m and m'
+    apart. Only kept rows are built, tagged by their place in the stream.
     """
-    _check_cap(cap, "cap")
     n = g.n
-    may_pass_cap = _moon_moser(n) > cap
-    probe_at = -1 if may_pass_cap else 2 * n
-    kept: list[tuple[str, int, int]] = []  # (tag, m, m') for the row m - m'
-    waiting: list[tuple[int, int, int]] = []  # (i, m, m')
+    masks = _mis_masks(g, cap, _UNAVAILABLE)
+    stops = _moon_moser(n) <= cap  # no enumeration on n vertices passes cap
+
+    def stream() -> Iterator[int]:
+        for i, m in enumerate(masks):
+            if i == 2 * n and stops:
+                yield from _probe_masks(g, i)
+            yield m
+
+    kept: list[tuple[int, int, int]] = []  # (i, m, m') for the row m - m'
+    waiting: list[tuple[int, int, int]] = []
     images: dict[int, int] = {}
     pivots = 0
     prev = None
-    for i, m in enumerate(_mis_masks(g)):
-        if i == cap:
-            raise CapExceededError(
-                f"maximal independent set cap {cap} exceeded; "
-                f"brute-force system unavailable"
-            )
-        if i == probe_at and len(kept) < n:
-            probed = _probe(g, images, pivots)
-            if probed is not None:
-                kept += ((f"mis-probe j={j}", a, b) for j, a, b in probed)
-                break
+    for i, m in enumerate(stream()):
         if prev is not None and len(kept) < n:
             grown = _gf2_insert(images, pivots, prev ^ m)
             if grown != pivots:
                 pivots = grown
-                kept.append((f"mis-diff i={i}", prev, m))
-                if len(kept) == n and not may_pass_cap:
+                kept.append((i, prev, m))
+                if len(kept) == n and stops:
                     break
             else:
                 waiting.append((i, prev, m))
         prev = m
     rows = [_diff_row(a, b) for _, a, b in kept]
-    null = _null_vectors(n, rows) if waiting and len(rows) < n else []
+    null = _null_masks(n, rows) if waiting and len(rows) < n else []
     for i, a, b in waiting:
         if not null:
             break
-        plus, minus = list(iter_bits(a & ~b)), list(iter_bits(b & ~a))
-        if any(sum(map(v.__getitem__, plus)) != sum(map(v.__getitem__, minus))
-               for v in null):
-            kept.append((f"mis-diff i={i}", a, b))
+        if any(
+            sum(x * ((a & m).bit_count() - (b & m).bit_count()) for x, m in v)
+            for v in null
+        ):
+            kept.append((i, a, b))
             rows.append(_diff_row(a, b))
-            null = _null_vectors(n, rows)
-    return _trusted_system(n, tuple(rows), tuple(tag for tag, _, _ in kept))
+            null = _null_masks(n, rows)
+    tags = tuple(f"mis-diff i={i}" for i, _, _ in kept)
+    return _trusted_system(n, tuple(rows), tags)
 
 
-def _null_vectors(n: int, rows: list[Row]) -> list[tuple[Coeff, ...]]:
-    """A basis of the null space of ``rows``."""
+def _null_masks(n: int, rows: list[Row]) -> list[list[tuple[Coeff, int]]]:
+    """A basis of the null space of ``rows``, each vector as pairs (x, m)
+    of a nonzero value x and the bitmask m of the columns that hold it."""
     s = _trusted_system(n, tuple(rows), ("",) * len(rows))
-    return [v.values for v in null_space_basis(s).vectors]
+    null = []
+    for v in null_space_basis(s).vectors:
+        columns: dict[Coeff, int] = {}
+        for c, x in enumerate(v.values):
+            if x:
+                columns[x] = columns.get(x, 0) | 1 << c
+        null.append(list(columns.items()))
+    return null
 
 
 def _substitute(quotient_sys: LinearSystem, sets, host_n: int) -> LinearSystem:
@@ -889,13 +859,11 @@ def _enumerated_witness(g: Graph, cap: int) -> tuple[bool, tuple | None]:
     order, read off the bitmasks as they come. Of two maximal independent
     sets neither holds the other, so the one that holds the lowest vertex
     where they differ comes first: b before a iff ``b & d & -d``, with
-    ``d = a ^ b``."""
-    masks = _mis_masks(g)
+    ``d = a ^ b``. Its cap error has no suffix, as it builds no system."""
+    masks = _mis_masks(g, cap)
     small = large = next(masks)  # every graph has one, and cap >= 1
     small_size = large_size = small.bit_count()
-    for i, m in enumerate(masks, start=1):
-        if i == cap:
-            raise CapExceededError(f"maximal independent set cap {cap} exceeded")
+    for m in masks:
         size = m.bit_count()
         if size < small_size or (
             size == small_size and m & (d := small ^ m) & -d

@@ -546,7 +546,7 @@ def enumerate_mis(g: Graph, cap: int = DEFAULT_MIS_CAP) -> MISList:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    found = list(islice(_mis_masks(g), cap + 1))
+    found = list(islice(_mis_masks(g, cap + 1), cap + 1))
     ordered = sorted(tuple(iter_bits(m)) for m in found[:cap])
     return MISList(tuple(map(frozenset, ordered)), len(found) <= cap)
 

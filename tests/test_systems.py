@@ -183,18 +183,35 @@ class TestMisSpan:
         # the span certified over GF(2), with the null-space test after the
         # enumeration, spans the rows of the canonical chain and keeps only
         # independent ones; both cases of the null-space test are met: rows
-        # it keeps (dependent mod 2, independent over Q) and rows it drops
+        # it keeps (dependent mod 2, independent over Q) and rows it drops.
+        # Each null vector is read as (value, column mask) pairs, which
+        # give back the canonical basis, Fraction values among them
         import wellcovered.systems as systems
 
         rng = gu.seeded(2)
         spans = []
-        real = systems._null_vectors
+        fractional = 0
+        real = systems._null_masks
 
         def counting(n, rows):
+            nonlocal fractional
             spans[-1] += 1
-            return real(n, rows)
+            null = real(n, rows)
+            dense = []
+            for pairs in null:
+                values = [0] * n
+                for x, m in pairs:
+                    for c in iter_bits(m):
+                        values[c] = x
+                dense.append(tuple(values))
+            s = make_system(n, [[dict(r).get(c, 0) for c in range(n)] for r in rows])
+            assert dense == [v.values for v in null_space_basis(s).vectors]
+            fractional += any(
+                isinstance(x, Fraction) for pairs in null for x, _ in pairs
+            )
+            return null
 
-        monkeypatch.setattr(systems, "_null_vectors", counting)
+        monkeypatch.setattr(systems, "_null_masks", counting)
         for _ in range(600):
             g = gu.random_graph(rng, rng.randint(8, 16), rng.random())
             spans.append(0)
@@ -203,7 +220,7 @@ class TestMisSpan:
             assert same_solution_space(s, bruteforce_system(g))
         fallbacks = sum(1 for k in spans if k)
         kept_over_q = sum(k - 1 for k in spans if k)
-        assert fallbacks >= 100 and kept_over_q >= 3
+        assert fallbacks >= 100 and kept_over_q >= 3 and fractional >= 1
 
     def test_small_graphs(self):
         for g in (gu.edgeless(0), gu.edgeless(3), gu.complete(4), gu.bull()):
@@ -227,57 +244,72 @@ class TestMisSpan:
                 "brute-force system unavailable"
             )
 
+    @staticmethod
+    def _count_draws(monkeypatch):
+        """Wrap the enumeration and the probe: the returned lists get one
+        entry per call, the number of sets that call yielded."""
+        import wellcovered.systems as systems
+
+        drawn, probed = [], []
+        for name, log in (("_mis_masks", drawn), ("_probe_masks", probed)):
+            real = getattr(systems, name)
+
+            def counting(*args, real=real, log=log):
+                log.append(0)
+                for m in real(*args):
+                    log[-1] += 1
+                    yield m
+
+            monkeypatch.setattr(systems, name, counting)
+        return drawn, probed
 
     def test_stops_at_full_rank_within_the_moon_moser_bound(self, monkeypatch):
         # a G(34, 0.3) of dimension 0 with 772 maximal independent sets:
         # the enumeration is short of full rank after 2|Q| = 68 of them
-        # (it reaches it at the 258th), and the probe certifies it there,
-        # so the 69th set is the last drawn. As no graph on 34 vertices has
-        # more than _moon_moser(34) maximal independent sets, no cap at
-        # least that can be passed. Under a smaller cap no probe runs: the
-        # enumeration keeps the rows of its first 258 sets, counts on, and
-        # fails past the cap
-        import wellcovered.systems as systems
-
+        # (it reaches it at the 258th), and the probe, spliced in before
+        # set 68, certifies it, so set 68 is the last drawn and is not
+        # used. As no graph on 34 vertices has more than _moon_moser(34)
+        # maximal independent sets, no cap at least that can be passed.
+        # Under a smaller cap no probe runs: the enumeration keeps the
+        # rows of its first 258 sets, counts on, and fails past the cap
         g = gu.seeded_gnp(106)
-        drawn = []
-        real = systems._mis_masks
-
-        def counting(h):
-            drawn.append(0)
-            for m in real(h):
-                drawn[-1] += 1
-                yield m
-
-        monkeypatch.setattr(systems, "_mis_masks", counting)
+        drawn, probed = self._count_draws(monkeypatch)
         assert _moon_moser(34) <= DEFAULT_MIS_CAP
         s = _mis_span(g)
-        assert len(s) == 34 and drawn == [69]
-        assert any(t.startswith("mis-probe") for t in s.tags)
+        assert len(s) == 34 and drawn == [69] and 0 < probed[0] <= 68
+        # the row that completes the rank lies inside the probe
+        assert 68 <= int(s.tags[-1].removeprefix("mis-diff i=")) < 68 + 68
         assert same_solution_space(s, bruteforce_system(g))
         assert _moon_moser(34) > 772
+        del drawn[:], probed[:]
         counted = _mis_span(g, cap=772)
-        assert drawn[-1] == 772 and len(counted) == 34
+        assert drawn == [772] and probed == [] and len(counted) == 34
         assert counted.tags[-1] == "mis-diff i=257"
         assert same_solution_space(counted, s)
         with pytest.raises(CapExceededError, match="cap 771 exceeded"):
             _mis_span(g, cap=771)
 
-    def test_probe_certifies_full_rank(self):
+    def test_probe_certifies_full_rank(self, monkeypatch):
         # on G(n <= 34, p) of dimension 0 with more than 2n maximal
         # independent sets, the probe mostly certifies rank n before the
-        # enumeration does; its rows span those of the canonical chain
+        # enumeration does: the enumeration draws set 2n, before which the
+        # probe is spliced, and no later set. Its rows span those of the
+        # canonical chain
+        drawn, probed = self._count_draws(monkeypatch)
         rng = gu.seeded(173)
-        probed = 0
+        certified = 0
         for _ in range(40):
             g = gu.random_graph(rng, rng.randint(18, 34), rng.uniform(0.2, 0.45))
+            del drawn[:], probed[:]
             s = _mis_span(g)
             if len(s) < g.n:
                 continue
-            probed += any(t.startswith("mis-probe") for t in s.tags)
+            if probed:
+                assert drawn[0] >= 2 * g.n + 1
+                certified += drawn[0] == 2 * g.n + 1
             assert rank(s) == g.n
             assert same_solution_space(s, bruteforce_system(g))
-        assert probed >= 20
+        assert certified >= 20
 
     def test_no_probe_where_the_cap_may_be_passed(self, monkeypatch):
         # below the Moon-Moser bound the enumeration must count to the cap,
@@ -299,47 +331,84 @@ class TestMisSpan:
             s = _mis_span(g, cap=_moon_moser(g.n) - 1)
             assert same_solution_space(s, bruteforce_system(g))
 
-    def test_rows_as_before_when_the_probe_falls_short(self, monkeypatch):
-        # a probe that falls short leaves the enumeration's rows and tags,
-        # which are those of a run under a cap below the Moon-Moser bound,
-        # where no probe runs
-        import wellcovered.systems as systems
-
-        g = gu.seeded_gnp(107)  # dimension 1: the probe falls short
-        calls = []
-        real = systems._probe
-        monkeypatch.setattr(
-            systems, "_probe", lambda *a: calls.append(0) or real(*a)
-        )
-        assert _mis_span(g) == _mis_span(g, cap=774) and calls == [0]
-        monkeypatch.setattr(systems, "_probe_masks", lambda g, count: iter(()))
+    def test_probe_rows_stay_when_it_falls_short(self, monkeypatch):
+        # where the probe runs and cannot reach rank n, as the dimension is
+        # positive, its rows and the two at its ends stay in the one
+        # echelon: the span is independent, spans the canonical chain's
+        # rows, and the enumeration still draws every set
+        drawn, probed = self._count_draws(monkeypatch)
+        graphs = [gu.seeded_gnp(107)]  # dimension 1: the probe falls short
         rng = gu.seeded(181)
-        fired = 0
-        for _ in range(40):
-            g = gu.random_graph(rng, rng.randint(12, 34), rng.uniform(0.2, 0.45))
-            count = sum(1 for _ in systems._mis_masks(g))
-            assert count < _moon_moser(g.n)
-            del calls[:]
-            assert _mis_span(g) == _mis_span(g, cap=count)
-            fired += bool(calls)
-        assert fired >= 20
+        graphs += [
+            gu.random_graph(rng, rng.randint(12, 34), rng.uniform(0.2, 0.45))
+            for _ in range(100)
+        ]
+        short = with_probe_rows = 0
+        for g in graphs:
+            del drawn[:], probed[:]
+            s = _mis_span(g)
+            if not probed or len(s) == g.n:
+                continue
+            short += 1
+            assert probed == [2 * g.n]
+            assert drawn == [len(gu.enumerate_mis(g).sets)]
+            assert len(s) == rank(s) < g.n
+            assert same_solution_space(s, bruteforce_system(g))
+            at = [int(t.removeprefix("mis-diff i=")) for t in s.tags]
+            with_probe_rows += any(2 * g.n <= i <= 4 * g.n for i in at)
+            if g is graphs[0]:
+                assert len(s) == 33 and with_probe_rows == 1
+        assert short >= 20 and with_probe_rows >= 10
+
+
+def _moon_moser_graph(m):
+    """Disjoint triangles, with one K4 or one K2 for the other residues
+    of m mod 3: a graph on m vertices with the most maximal independent
+    sets."""
+    q, r = divmod(m, 3)
+    sizes = {0: [3] * q, 1: [3] * (q - 1) + [4] if q else [1], 2: [3] * q + [2]}[r]
+    return gu.disjoint_union(*[gu.complete(k) for k in sizes])
 
 
 def test_moon_moser_bounds_every_mis_count():
     # Moon and Moser (1965): no graph on m vertices has more maximal
-    # independent sets, and disjoint triangles, with one K4 or one K2 for
-    # the other residues mod 3, have exactly that many
+    # independent sets, and _moon_moser_graph(m) has exactly that many
     rng = gu.seeded(157)
     for _ in range(300):
         g = gu.random_graph(rng, rng.randint(0, 12), rng.random())
         assert len(gu.enumerate_mis(g).sets) <= _moon_moser(g.n)
     for m in range(1, 16):
-        q, r = divmod(m, 3)
-        sizes = {0: [3] * q, 1: [3] * (q - 1) + [4] if q else [1], 2: [3] * q + [2]}[r]
-        g = gu.disjoint_union(*[gu.complete(k) for k in sizes])
+        g = _moon_moser_graph(m)
         assert g.n == m
         assert len(gu.enumerate_mis(g).sets) == _moon_moser(m)
     assert _moon_moser(0) == 1
+
+
+def test_one_counter_answers_at_the_count_and_raises_below_it():
+    # the enumeration alone counts the sets against the cap, for every
+    # brute force: a graph with exactly k maximal independent sets answers
+    # at cap k as under the default cap, and raises at cap k - 1. On the
+    # Moon-Moser graphs cap k is the bound, so the span may stop at full
+    # rank; at cap k - 1 it counts to the end
+    import wellcovered.systems as systems
+
+    extremal = [(_moon_moser_graph(m), True) for m in range(2, 14)]
+    others = [gu.petersen(), gu.path(10), gu.bull(), gu.seeded_gnp(106, 16)]
+    for g, at_bound in extremal + [(g, False) for g in others]:
+        k = len(gu.enumerate_mis(g).sets)
+        assert (k == _moon_moser(g.n)) == at_bound
+        answers = [
+            (bruteforce_system, lambda s, t: s == t),
+            (_mis_span, same_solution_space),
+            (systems._enumerated_witness, lambda s, t: s == t),
+        ]
+        for build, same in answers:
+            assert same(build(g, k), build(g, DEFAULT_MIS_CAP))
+            with pytest.raises(CapExceededError) as exc:
+                build(g, k - 1)
+            assert str(exc.value).startswith(
+                f"maximal independent set cap {k - 1} exceeded"
+            )
 
 
 class TestLiftSubgraphSystem:
@@ -1144,12 +1213,14 @@ class TestQueries:
         assert [f.name for f in fields(SolverConfig)] == ["strategy", "mis_cap"]
 
     def test_mis_cap_must_be_an_int(self):
+        import wellcovered.systems as systems
+
         for cap in (2.5, True, "5", Fraction(5)):
             with pytest.raises(TypeError):
                 SolverConfig(mis_cap=cap)
         # the library's capped enumerations check it too: a float cap never
         # equals a count, so P_10's 16 sets gave 15 rows at cap 1.5
-        for build in (bruteforce_system, _mis_span):
+        for build in (bruteforce_system, _mis_span, systems._enumerated_witness):
             for cap in (1.5, 16.0, True, "5", Fraction(5)):
                 with pytest.raises(TypeError):
                     build(gu.path(10), cap)
