@@ -61,35 +61,35 @@ weight. This module builds such systems along several routes:
   solved through the anti-neighborhood reduction, whose subproblems have
   claw-free prime quotients and bottom out at the capped brute force.
 
-Under ``auto`` and ``forkfree``, ``well_covering_system`` (the ``system``
-verb) decomposes the graph once and decides forks before solving: a tree
-with no prime node is P4-free, hence fork-free, and is folded at once;
-otherwise ``modular._tree_flags`` reads the fork flag off the same tree,
-scanning no whole graph. A fork-free graph is folded; on a fork ``auto``
-takes the capped brute force and ``forkfree`` raises StrategyError, with
-no prime quotient solved. The rows keep their bytes.
-
-Queries whose answer the solution space fixes (dimension, basis,
-w-well-coveredness) need any well-covering system, so under ``auto`` and
-``modular`` they fold the decomposition tree once and pick a solver at each
-prime quotient Q: ``clawfree_system`` if Q is claw-free, else the
-anti-neighborhood reduction if Q is fork-free, else the capped brute force
-on Q, streamed (``_mis_span``). No recognizer runs on the whole graph,
-and a fork somewhere in it costs an enumeration of the quotients that
-hold a fork, not of the graph. ``forkfree`` reads the fork flag first,
-as ``system`` does, and then scans no quotient for forks again, as
-every induced subgraph of a fork-free graph is fork-free. So does
-``well_covered_witness`` (the ``is-well-covered`` verb) under ``auto``,
-which enumerates a graph with a fork to name a witness. Either way a
-call scans for forks once: in the flags fold or in the query fold.
+One function, ``_route``, picks what each caller folds under each
+strategy: ``well_covering_system`` (the ``system`` verb), ``_query_system``
+(dimension, basis and w-well-coveredness, which the solution space fixes,
+so any independent well-covering system will do) and
+``well_covered_witness`` (``is-well-covered``). ``bruteforce`` enumerates
+the whole graph: the chain, reduced for the queries, or the witness.
+Every other strategy decomposes the graph once, and ``cograph`` folds
+with a prime solver that refuses. ``forkfree``, and ``auto`` for
+``system`` and the witness, then read the fork flag off the same tree
+(``modular._tree_flags``, no whole-graph scan), unless it has no prime
+node and so is P4-free: on a fork ``forkfree`` raises StrategyError and
+``auto`` enumerates the whole graph, with no prime quotient solved.
+``system`` folds with the reduced brute force at prime quotients under
+``modular``, else with the anti-neighborhood reduction over it; its rows
+keep their bytes. The queries and the witness fold and pick a solver at
+each prime quotient Q: ``clawfree_system`` if Q is claw-free, else the
+anti-neighborhood reduction if Q is fork-free, else the capped brute
+force on Q, streamed (``_mis_span``). A fork then costs an enumeration of
+the quotients that hold one, not of the graph, and a graph whose flag was
+read is not scanned for forks again, as every induced subgraph of a
+fork-free graph is fork-free: a call scans for forks once.
 
 The streamed brute force builds no sorted list of sets and at most |Q|
 rows: a difference of consecutive sets is kept when it is new mod 2, and
 the rest are tested against the null space of the kept rows once the
 enumeration ends. The fold reduces no prime solver's rows: the claw-free
 base and the span are independent by construction, and the
-anti-neighborhood reduction and the brute-force chain of ``system``
-reduce their own.
+anti-neighborhood reduction and the brute-force chain at the primes of
+``system`` reduce their own.
 
 The one enumeration (``independent_sets._mis_masks``) counts its sets
 against the cap; the chain of ``bruteforce_system`` sorts it, and the
@@ -116,7 +116,7 @@ are unit, and every produced system is a well-covering system of its graph.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -150,7 +150,6 @@ from .linalg import (
     evaluate,
     extract_independent_subsystem,
     null_space_basis,
-    rank,
 )
 from .modular import PARALLEL, PRIME, SERIES, _md_nodes, _tree_flags, md_fold
 
@@ -161,19 +160,15 @@ class StrategyError(RuntimeError):
     """Raised when a solving strategy's preconditions do not hold."""
 
 
-# raised under ``forkfree`` on a graph with an induced fork
-_FORK_FOUND = (
-    "graph contains an induced fork; the fork-free strategy does not apply"
-)
-
 # ends the cap error of every brute force that builds rows
 _UNAVAILABLE = "; brute-force system unavailable"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """A strategy, one of ``STRATEGIES``, and the cap on the maximal
-    independent sets that one enumeration may list."""
+    independent sets that one enumeration may list; immutable, so checked
+    once."""
 
     strategy: str = "auto"
     mis_cap: int = DEFAULT_MIS_CAP
@@ -333,20 +328,6 @@ def _substitute(quotient_sys: LinearSystem, sets, host_n: int) -> LinearSystem:
 # modular decomposition pipeline
 
 
-def modular_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
-    """Bottom-up system construction over the modular decomposition tree.
-
-    Produces a unit, linearly independent well-covering system with at most
-    n equations. Each prime quotient is solved by the brute force capped at
-    ``cfg.mis_cap``, whose rows are reduced on the quotient, and again
-    together with the children's rows when there are any; rows are also
-    reduced after series aggregation above a prime node. Elsewhere they are
-    independent by construction.
-    """
-    cap = (cfg or SolverConfig()).mis_cap
-    return _fold_system(g, _md_nodes(g), _reduced(partial(bruteforce_system, cap=cap)))
-
-
 def _reduced(
     solver: Callable[[Graph], LinearSystem]
 ) -> Callable[[Graph], LinearSystem]:
@@ -415,30 +396,6 @@ def _fold_system(
     md_fold(nodes, leaf, node)
     assert len(rows) <= g.n
     return _trusted_system(g.n, tuple(rows), tuple(tags))
-
-
-# ---------------------------------------------------------------------------
-# cograph fast path
-
-
-def cograph_system(g: Graph) -> LinearSystem:
-    """Elimination-free system for graphs with no induced 4-vertex path.
-
-    The modular walk with a prime solver that refuses: with only parallel
-    and series nodes no row is reduced, and there are at most n - 1
-    equations. Raises StrategyError at the first prime node on any other
-    graph; use the modular or fork-free strategy there.
-    """
-
-    def refuse(q: Graph) -> LinearSystem:
-        raise StrategyError(
-            "graph has an induced 4-vertex path; the cograph "
-            "strategy does not apply (use modular or forkfree)"
-        )
-
-    system = _fold_system(g, _md_nodes(g), refuse)
-    assert len(system) <= max(g.n - 1, 0)
-    return system
 
 
 # ---------------------------------------------------------------------------
@@ -731,55 +688,15 @@ def _anti_neighborhoods(
 
 
 # ---------------------------------------------------------------------------
-# fork-free pipeline
+# the route
 
 
-def forkfree_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
-    """Unit, linearly independent well-covering system for fork-free graphs.
-
-    The modular walk hands each prime quotient to the anti-neighborhood
-    reduction. Deleting a closed neighborhood in a prime fork-free graph
-    leaves a graph all of whose prime quotients are claw-free, so those
-    subproblems run the modular walk again with the capped brute force at
-    the bottom. Row reduction after every aggregation keeps the final size
-    at most n. Raises StrategyError when ``g`` has an induced fork.
-    """
-    cap = (cfg or SolverConfig()).mis_cap
-    return well_covering_system(g, SolverConfig("forkfree", cap))
-
-
-# ---------------------------------------------------------------------------
-# strategy dispatch and derived queries
-
-
-def _fork_free(g: Graph, nodes: list[tuple]) -> bool:
-    """Whether ``g`` has no induced fork, read off its decomposition
-    ``nodes``; a tree with no prime node is P4-free and needs no scan."""
-    prime = any(kind == PRIME for kind, _, _ in nodes)
-    return not prime or _tree_flags(g, nodes)["fork_free"]
-
-
-def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
-    """Build a well-covering system along the route ``cfg`` names.
-    ``auto`` and ``forkfree`` fold a fork-free graph with the
-    anti-neighborhood reduction at prime quotients; on a fork, found before
-    any solving, ``auto`` takes the brute force and ``forkfree`` raises."""
-    cfg = cfg or SolverConfig()
-    if cfg.strategy == "bruteforce":
-        return bruteforce_system(g, cfg.mis_cap)
-    if cfg.strategy == "cograph":
-        return cograph_system(g)
-    if cfg.strategy == "modular":
-        return modular_system(g, cfg)
-    nodes = _md_nodes(g)
-    if _fork_free(g, nodes):
-        base = _reduced(partial(bruteforce_system, cap=cfg.mis_cap))
-        return _fold_system(
-            g, nodes, lambda q: _anti_neighborhoods(q, base, cfg.mis_cap)
-        )
-    if cfg.strategy == "forkfree":
-        raise StrategyError(_FORK_FOUND)
-    return bruteforce_system(g, cfg.mis_cap)
+def _refuse(q: Graph) -> LinearSystem:
+    """The prime solver of ``cograph``: a prime node has an induced P4."""
+    raise StrategyError(
+        "graph has an induced 4-vertex path; the cograph "
+        "strategy does not apply (use modular or forkfree)"
+    )
 
 
 def _query_prime_solver(
@@ -806,51 +723,103 @@ def _query_prime_solver(
     return solve
 
 
-def _query_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
-    """A well-covering system for a query whose answer the solution space
-    fixes; its rows need not be those of ``well_covering_system``.
+def _route(g: Graph, cfg: SolverConfig, caller: str) -> LinearSystem | None:
+    """The system that ``caller``, one of "system", "query" and "witness",
+    folds under ``cfg``, or None where it enumerates the whole graph.
 
-    ``auto`` and ``modular`` fold the decomposition tree with
-    ``_query_prime_solver``, so no recognizer runs on the whole graph.
-    ``forkfree`` first reads the fork flag off the same tree, refuses a
-    graph with a fork, and scans no quotient for forks again. ``cograph``
-    and ``bruteforce`` build their own systems. Every system but the
-    brute-force chain is independent by construction.
+    ``bruteforce`` is None at once. Every other strategy decomposes ``g``
+    once. ``cograph`` folds with ``_refuse`` at prime quotients. Then
+    ``forkfree``, and ``auto`` for a caller that is not a query, read the
+    fork flag, unless the tree has no prime node and so is P4-free: on a
+    fork ``forkfree`` raises StrategyError and ``auto`` is None. Otherwise
+    ``system`` folds with the reduced brute force at prime quotients, under
+    ``modular``, or with the anti-neighborhood reduction over it; the other
+    callers fold with ``_query_prime_solver``, told that a graph whose flag
+    was read is fork-free, so that it scans for forks once.
     """
-    cfg = cfg or SolverConfig()
-    if cfg.strategy == "bruteforce":
-        return bruteforce_system(g, cfg.mis_cap)
-    if cfg.strategy == "cograph":
-        return cograph_system(g)
+    strategy, cap = cfg.strategy, cfg.mis_cap
+    if strategy == "bruteforce":
+        return None
     nodes = _md_nodes(g)
-    fork_free = cfg.strategy == "forkfree"
-    if fork_free and not _fork_free(g, nodes):
-        raise StrategyError(_FORK_FOUND)
-    return _fold_system(g, nodes, _query_prime_solver(cfg.mis_cap, fork_free))
+    if strategy == "cograph":
+        system = _fold_system(g, nodes, _refuse)
+        assert len(system) <= max(g.n - 1, 0)
+        return system
+    flags = strategy == "forkfree" or (strategy == "auto" and caller != "query")
+    if (
+        flags
+        and any(kind == PRIME for kind, _, _ in nodes)
+        and not _tree_flags(g, nodes)["fork_free"]
+    ):
+        if strategy == "auto":
+            return None
+        raise StrategyError(
+            "graph contains an induced fork; the fork-free strategy does not apply"
+        )
+    if caller != "system":
+        return _fold_system(g, nodes, _query_prime_solver(cap, flags))
+    base = _reduced(partial(bruteforce_system, cap=cap))
+    if strategy == "modular":
+        return _fold_system(g, nodes, base)
+    return _fold_system(g, nodes, lambda q: _anti_neighborhoods(q, base, cap))
+
+
+def well_covering_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
+    """Build a well-covering system along the route ``cfg`` names (see
+    ``_route``); where the route enumerates the whole graph, the chain of
+    ``bruteforce_system``. Every other route is a unit, linearly
+    independent system of at most n equations."""
+    cfg = cfg or SolverConfig()
+    system = _route(g, cfg, "system")
+    return bruteforce_system(g, cfg.mis_cap) if system is None else system
+
+
+def modular_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
+    """``well_covering_system`` under ``modular``, capped at ``cfg.mis_cap``:
+    the fold of the modular decomposition tree with the reduced brute force
+    at each prime quotient."""
+    return well_covering_system(g, replace(cfg or SolverConfig(), strategy="modular"))
+
+
+def cograph_system(g: Graph) -> LinearSystem:
+    """``well_covering_system`` under ``cograph``: on a graph with no induced
+    4-vertex path at most n - 1 equations, with no elimination; elsewhere
+    StrategyError at the first prime node."""
+    return well_covering_system(g, SolverConfig("cograph"))
+
+
+def forkfree_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
+    """``well_covering_system`` under ``forkfree``, capped at ``cfg.mis_cap``:
+    the fold with the anti-neighborhood reduction at each prime quotient,
+    whose subproblems have claw-free prime quotients and the reduced brute
+    force at those. Raises StrategyError when ``g`` has an induced fork."""
+    return well_covering_system(g, replace(cfg or SolverConfig(), strategy="forkfree"))
+
+
+def _query_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
+    """An independent well-covering system for a query whose answer the
+    solution space fixes (see ``_route``); where the route enumerates the
+    whole graph, the chain reduced by ``extract_independent_subsystem``."""
+    cfg = cfg or SolverConfig()
+    system = _route(g, cfg, "query")
+    if system is None:
+        return extract_independent_subsystem(bruteforce_system(g, cfg.mis_cap))
+    return system
 
 
 def well_covered_dimension(g: Graph, cfg: SolverConfig | None = None) -> int:
     """Dimension of the space of weightings equalizing all maximal
-    independent sets: n minus the rank of any well-covering system.
-
-    Only the brute-force chain is ranked: every other system the query
-    route builds is independent, so its row count is its rank.
-    """
-    cfg = cfg or SolverConfig()
-    system = _query_system(g, cfg)
-    return g.n - (rank(system) if cfg.strategy == "bruteforce" else len(system))
+    independent sets: n minus the rank of any well-covering system, here
+    the row count of the query route's independent one."""
+    return g.n - len(_query_system(g, cfg))
 
 
 def well_covered_basis(g: Graph, cfg: SolverConfig | None = None) -> Basis:
     """The canonical basis (``null_space_basis``) of the well-covered
-    weightings, from the query route's system. As in
-    ``well_covered_dimension``, every system but the brute-force chain is
-    independent, so n rows of one leave only zero, with no elimination."""
-    cfg = cfg or SolverConfig()
+    weightings, from the query route's independent system: n rows of it
+    leave only zero, with no elimination."""
     system = _query_system(g, cfg)
-    if cfg.strategy != "bruteforce" and len(system) == g.n:
-        return Basis(())
-    return null_space_basis(system)
+    return Basis(()) if len(system) == g.n else null_space_basis(system)
 
 
 def _enumerated_witness(g: Graph, cap: int) -> tuple[bool, tuple | None]:
@@ -883,19 +852,12 @@ def well_covered_witness(
 ) -> tuple[bool, tuple[frozenset[int], frozenset[int]] | None]:
     """Whether ``g`` is well-covered, with the first smallest and the last
     largest maximal independent set in canonical order as the witness where
-    enumeration answers no. ``bruteforce`` enumerates; ``auto`` reads the
-    fork flag off one decomposition and enumerates a graph with a fork,
-    else folds it as ``forkfree`` does; every other strategy answers as
-    ``is_well_covered`` does."""
+    the route (see ``_route``) enumerates the whole graph: under
+    ``bruteforce``, and under ``auto`` on a graph with a fork."""
     cfg = cfg or SolverConfig()
-    if cfg.strategy == "bruteforce":
+    system = _route(g, cfg, "witness")
+    if system is None:
         return _enumerated_witness(g, cfg.mis_cap)
-    if cfg.strategy != "auto":
-        return is_well_covered(g, cfg), None
-    nodes = _md_nodes(g)
-    if not _fork_free(g, nodes):
-        return _enumerated_witness(g, cfg.mis_cap)
-    system = _fold_system(g, nodes, _query_prime_solver(cfg.mis_cap, True))
     return evaluate(system, (1,) * g.n), None
 
 

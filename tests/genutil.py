@@ -23,6 +23,9 @@ front end are kept as oracles too: the three-way ``auto`` dispatch of
 ``well_covering_system``, which tested for induced P4s before forks, the
 key that picked the ``is-well-covered`` witness pair, and that witness
 read off the sorted enumeration, before it was read off the bitmasks.
+The per-call strategy dispatch that ``systems`` had before one route
+picked every fold is kept verbatim as ``dispatch_oracle``, with
+``answers`` to compare its calls with the library's.
 The component and co-component walks as they were before each step
 chose a direction (every step ORs the rows of its whole frontier) are
 kept as oracles for the direction-optimizing walk, with the cotree split
@@ -78,10 +81,24 @@ from wellcovered.linalg import (
     _check_entries,
     _diff_row,
     _trusted_system,
+    evaluate,
+    null_space_basis,
+    rank,
 )
-from wellcovered.modular import PRIME, _md_nodes, _partition_masks, _strong_module_masks
+from wellcovered.modular import (
+    PRIME,
+    _md_nodes,
+    _partition_masks,
+    _strong_module_masks,
+    _tree_flags,
+)
 from wellcovered.systems import (
+    SolverConfig,
+    StrategyError,
+    _anti_neighborhoods,
+    _enumerated_witness,
     _fold_system,
+    _query_prime_solver,
     _reduced,
     _substitute,
     bruteforce_system,
@@ -1022,6 +1039,135 @@ def three_way_auto_system(g, cap=DEFAULT_MIS_CAP):
     base = partial(bruteforce_system, cap=cap)
     sub = partial(modular_system_with, prime_solver=base)
     return modular_system_with(g, lambda q: anti_neighborhood_system(q, sub))
+
+
+# ``systems``' strategy dispatch as it was before one route picked every
+# fold: the bodies of ``well_covering_system``, ``_query_system`` with the
+# brute-force branches of ``well_covered_dimension`` and
+# ``well_covered_basis``, and ``well_covered_witness``, verbatim, with the
+# helpers and the builders they called
+_FORK_FOUND = (
+    "graph contains an induced fork; the fork-free strategy does not apply"
+)
+
+
+def _fork_free(g, nodes):
+    prime = any(kind == PRIME for kind, _, _ in nodes)
+    return not prime or _tree_flags(g, nodes)["fork_free"]
+
+
+def _dispatch_cograph_system(g):
+    def refuse(q):
+        raise StrategyError(
+            "graph has an induced 4-vertex path; the cograph "
+            "strategy does not apply (use modular or forkfree)"
+        )
+
+    system = _fold_system(g, _md_nodes(g), refuse)
+    assert len(system) <= max(g.n - 1, 0)
+    return system
+
+
+def _dispatch_modular_system(g, cfg=None):
+    cap = (cfg or SolverConfig()).mis_cap
+    return _fold_system(g, _md_nodes(g), _reduced(partial(bruteforce_system, cap=cap)))
+
+
+def _dispatch_system(g, cfg=None):
+    cfg = cfg or SolverConfig()
+    if cfg.strategy == "bruteforce":
+        return bruteforce_system(g, cfg.mis_cap)
+    if cfg.strategy == "cograph":
+        return _dispatch_cograph_system(g)
+    if cfg.strategy == "modular":
+        return _dispatch_modular_system(g, cfg)
+    nodes = _md_nodes(g)
+    if _fork_free(g, nodes):
+        base = _reduced(partial(bruteforce_system, cap=cfg.mis_cap))
+        return _fold_system(
+            g, nodes, lambda q: _anti_neighborhoods(q, base, cfg.mis_cap)
+        )
+    if cfg.strategy == "forkfree":
+        raise StrategyError(_FORK_FOUND)
+    return bruteforce_system(g, cfg.mis_cap)
+
+
+def _dispatch_query_system(g, cfg=None):
+    cfg = cfg or SolverConfig()
+    if cfg.strategy == "bruteforce":
+        return bruteforce_system(g, cfg.mis_cap)
+    if cfg.strategy == "cograph":
+        return _dispatch_cograph_system(g)
+    nodes = _md_nodes(g)
+    fork_free = cfg.strategy == "forkfree"
+    if fork_free and not _fork_free(g, nodes):
+        raise StrategyError(_FORK_FOUND)
+    return _fold_system(g, nodes, _query_prime_solver(cfg.mis_cap, fork_free))
+
+
+def _dispatch_dimension(g, cfg=None):
+    cfg = cfg or SolverConfig()
+    system = _dispatch_query_system(g, cfg)
+    return g.n - (rank(system) if cfg.strategy == "bruteforce" else len(system))
+
+
+def _dispatch_basis(g, cfg=None):
+    cfg = cfg or SolverConfig()
+    system = _dispatch_query_system(g, cfg)
+    if cfg.strategy != "bruteforce" and len(system) == g.n:
+        return Basis(())
+    return null_space_basis(system)
+
+
+def _dispatch_is_well_covered(g, cfg=None):
+    return evaluate(_dispatch_query_system(g, cfg), (1,) * g.n)
+
+
+def _dispatch_is_w_well_covered(g, w, cfg=None):
+    return evaluate(_dispatch_query_system(g, cfg), w)
+
+
+def _dispatch_witness(g, cfg=None):
+    cfg = cfg or SolverConfig()
+    if cfg.strategy == "bruteforce":
+        return _enumerated_witness(g, cfg.mis_cap)
+    if cfg.strategy != "auto":
+        return _dispatch_is_well_covered(g, cfg), None
+    nodes = _md_nodes(g)
+    if not _fork_free(g, nodes):
+        return _enumerated_witness(g, cfg.mis_cap)
+    system = _fold_system(g, nodes, _query_prime_solver(cfg.mis_cap, True))
+    return evaluate(system, (1,) * g.n), None
+
+
+# the earlier dispatch by the names of the library calls it answered
+dispatch_oracle = {
+    "well_covering_system": _dispatch_system,
+    "well_covered_dimension": _dispatch_dimension,
+    "well_covered_basis": _dispatch_basis,
+    "is_well_covered": _dispatch_is_well_covered,
+    "is_w_well_covered": _dispatch_is_w_well_covered,
+    "well_covered_witness": _dispatch_witness,
+}
+
+
+def answers(calls, g, cfg, w):
+    """Each call of ``calls``, a dict like ``dispatch_oracle``, on ``g``
+    under ``cfg`` (and ``w`` for ``is_w_well_covered``): what it returns, a
+    system as its variable count, terms and tags, or the type and message
+    of the StrategyError or CapExceededError it raises."""
+    out = {}
+    for name, call in calls.items():
+        args = (g, w, cfg) if name == "is_w_well_covered" else (g, cfg)
+        try:
+            result = call(*args)
+        except (StrategyError, CapExceededError) as exc:
+            out[name] = type(exc), str(exc)
+            continue
+        if isinstance(result, LinearSystem):
+            result = result.num_vars, result.terms, result.tags
+        out[name] = result
+    return out
 
 
 def enumerated_witness(g, cap):

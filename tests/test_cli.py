@@ -289,7 +289,7 @@ class TestDimensionVerb:
             assert (code, out) == (0, f"{5 * k - 2}\n"), err
 
     @pytest.mark.parametrize(
-        "graph, flags, expected, ranked",
+        "graph, flags, expected, reduced",
         [
             (K23, [], "4", 0),  # cograph
             (BULL, [], "3", 0),  # fork-free, not a cograph
@@ -298,28 +298,32 @@ class TestDimensionVerb:
         ids=["cograph", "forkfree", "bruteforce"],
     )
     def test_ranks_only_bruteforce_systems(
-        self, capsys, monkeypatch, graph, flags, expected, ranked
+        self, capsys, monkeypatch, graph, flags, expected, reduced
     ):
-        # every system but the brute-force chain is independent by
-        # construction, so dimension is n minus its row count
+        # every system the query route builds is independent, so dimension
+        # is n minus its row count and no route ranks: the brute-force chain
+        # is reduced once, to an independent subset, and the folds here not
+        # at all
         import wellcovered.cli as cli
         import wellcovered.linalg as linalg
         import wellcovered.systems as systems
 
-        calls = []
-        real = linalg.rank
+        calls = {"rank": [], "extract_independent_subsystem": []}
+        for name, log in calls.items():
+            real = getattr(linalg, name)
 
-        def counting(s):
-            calls.append(s)
-            return real(s)
+            def counting(s, real=real, log=log):
+                log.append(s)
+                return real(s)
 
-        for mod in (linalg, systems, cli):
-            monkeypatch.setattr(mod, "rank", counting, raising=False)
+            for mod in (linalg, systems, cli):
+                monkeypatch.setattr(mod, name, counting, raising=False)
         code, out, _ = run(
             capsys, ["dimension", *flags], stdin=graph, monkeypatch=monkeypatch
         )
         assert code == 0 and out == expected + "\n"
-        assert len(calls) == ranked
+        assert calls["rank"] == []
+        assert len(calls["extract_independent_subsystem"]) == reduced
 
     def test_fork_plus_isolated_vertices(self, capsys, monkeypatch):
         # auto falls back to brute force; each maximal independent set holds

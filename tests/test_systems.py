@@ -1,6 +1,6 @@
 import tracemalloc
 from collections import Counter
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -1212,6 +1212,17 @@ class TestQueries:
             SolverConfig(mis_cap=0)
         assert [f.name for f in fields(SolverConfig)] == ["strategy", "mis_cap"]
 
+    def test_config_is_frozen(self):
+        # a field set after construction would skip the checks: a bogus
+        # strategy took auto's chain on the fork, and mis_cap = True let
+        # the fork's quotient enumerate nothing
+        cfg = SolverConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.strategy = "bogus"
+        with pytest.raises(FrozenInstanceError):
+            cfg.mis_cap = True
+        assert cfg == SolverConfig("auto", DEFAULT_MIS_CAP)
+
     def test_mis_cap_must_be_an_int(self):
         import wellcovered.systems as systems
 
@@ -1548,6 +1559,55 @@ def test_auto_matches_three_way_dispatch(family):
         g = DISPATCH_FAMILIES[family](rng)
         s, expected = well_covering_system(g), gu.three_way_auto_system(g)
         assert (s.rows, s.tags) == (expected.rows, expected.tags)
+
+
+LIBRARY_CALLS = {
+    "well_covering_system": well_covering_system,
+    "well_covered_dimension": well_covered_dimension,
+    "well_covered_basis": well_covered_basis,
+    "is_well_covered": is_well_covered,
+    "is_w_well_covered": is_w_well_covered,
+    "well_covered_witness": well_covered_witness,
+}
+
+
+def test_route_matches_the_earlier_dispatch():
+    # one route picks every fold: each call under each strategy, at the
+    # default cap and at cap 5, returns or raises what the per-call
+    # dispatch did. The query systems under bruteforce are now reduced,
+    # which changes no answer
+    rng = gu.seeded(181)
+    # test_cli's CLAW_PRIME: prime and fork-free, with a claw at vertex 2
+    claw_prime = Graph.from_edges(
+        6, [(0, 2), (0, 5), (1, 2), (1, 4), (1, 5), (2, 3), (3, 4)]
+    )
+    graphs = [
+        gu.edgeless(0),
+        gu.complete(1),
+        gu.path(4),
+        gu.fork(),
+        gu.bull(),
+        claw_prime,
+        gu.fork_substitution(2),
+    ]
+    graphs += [
+        gu.random_graph(rng, rng.randint(0, 12), rng.random()) for _ in range(100)
+    ]
+    graphs += [gu.random_cograph(rng, rng.randint(1, 12)) for _ in range(30)]
+    graphs += [gu.random_forkfree(rng, 12) for _ in range(30)]
+    raised = set()
+    for g in graphs:
+        w = tuple(rng.randint(-2, 2) for _ in range(g.n))
+        for strategy, cap in product(STRATEGIES, (DEFAULT_MIS_CAP, 5)):
+            cfg = SolverConfig(strategy, cap)
+            got = gu.answers(LIBRARY_CALLS, g, cfg, w)
+            assert got == gu.answers(gu.dispatch_oracle, g, cfg, w), (g, cfg)
+            raised.update(
+                r[0]
+                for r in got.values()
+                if isinstance(r, tuple) and isinstance(r[0], type)
+            )
+    assert raised == {StrategyError, CapExceededError}
 
 
 @pytest.mark.parametrize("strategy", ["auto", "forkfree"])
