@@ -23,9 +23,15 @@ entry, and basis vectors are dense.
 rank, extract_independent_subsystem, null_space_basis and
 same_solution_space share one elimination kernel that sees Python ints only.
 It is incremental: it reduces one row against an echelon and returns what
-is left, which is stored only if the caller wants it, so they are loops
-over it, and so is the claw-free base of ``systems``, which skips candidate
-rows already in the span and stores a new row only once it is accepted.
+is left, which is stored only if the caller wants it. One row store,
+``_Rows``, applies the rule that keeps a row iff it is new to the echelon
+of the rows kept before it, and keeps none at full rank; these calls read
+it, and so do the fold and the anti-neighborhood reduction of
+``systems``. A row the caller knows to be new is kept untested and owed to
+the echelon until a later test needs it, so a fold puts each row into its
+echelon at most once. The claw-free base of ``systems`` calls the kernel
+itself: it skips candidate rows already in the span and stores a new row
+only once it is accepted.
 The kernel is sparse: a row is a dict of its nonzero entries,
 ``{col: int}``, so a cancellation costs the nonzeros of the echelon row, not
 ``num_vars``. Each row is scaled by the lcm of its denominators and reduced
@@ -216,7 +222,7 @@ class Basis:
 # multipliers divided by their gcd, until the row is empty or its leftmost
 # column has no echelon row. _store keeps such a residual, divided by its
 # content and signed so that its pivot is positive, and _insert is the two
-# in turn. _echelon feeds _insert the rows of a system in input order; the
+# in turn. _Rows feeds _insert the rows it tests, in arrival order; the
 # claw-free base of systems.py reduces each candidate row and stores it
 # only once the candidate is accepted.
 
@@ -298,25 +304,63 @@ def _insert(echelon: dict[int, dict[int, int]], row: Row) -> int | None:
     return None if residual is None else _store(echelon, residual)
 
 
-def _echelon(s: LinearSystem) -> tuple[list[int], dict[int, dict[int, int]]]:
-    """Greedy integer echelon of the rows of ``s``, taken in input order.
+class _Rows:
+    """Rows kept by one rule, in arrival order, with one echelon.
 
-    Returns the indices of the kept rows (each independent of the rows
-    before it) and the echelon built by ``_insert``.
+    A tested row is kept iff it is new to the echelon, where it is then
+    stored, and none is kept once the echelon has ``num_vars`` rows. An
+    untested row is kept and owed to the echelon: the caller knows it is
+    independent of every row kept before it, and ``settle`` puts it in
+    before a row that may depend on it is tested. Rows on disjoint sets of
+    columns cannot change each other's test, so a caller that tests rows
+    on columns that no row before ``start`` meets settles only the rows
+    owed from ``start`` on.
     """
-    echelon: dict[int, dict[int, int]] = {}
-    kept: list[int] = []
-    for idx, row in enumerate(s.terms):
-        if len(echelon) == s.num_vars:
-            break
-        if _insert(echelon, row) is not None:
-            kept.append(idx)
-    return kept, echelon
+
+    def __init__(self, num_vars: int):
+        self.num_vars = num_vars
+        self.terms: list[Row] = []
+        self.tags: list[str] = []
+        self.echelon: dict[int, dict[int, int]] = {}
+        self.owed: list[int] = []  # indices of kept rows not in the echelon
+
+    def add(
+        self, terms: Iterable[Row], tags: Iterable[str], test: bool = True
+    ) -> None:
+        """Offer the rows in turn, each with its tag; with ``test`` false,
+        keep each one untested and owe it to the echelon."""
+        for row, tag in zip(terms, tags):
+            if not test:
+                self.owed.append(len(self.terms))
+            elif len(self.echelon) == self.num_vars:
+                return
+            elif _insert(self.echelon, row) is None:
+                continue
+            self.terms.append(row)
+            self.tags.append(tag)
+
+    def settle(self, start: int) -> None:
+        """Put the owed rows with index ``start`` or more into the echelon."""
+        while self.owed and self.owed[-1] >= start:
+            _insert(self.echelon, self.terms[self.owed.pop()])
+
+    def system(self) -> LinearSystem:
+        """The kept rows and their tags, in arrival order."""
+        return _trusted_system(self.num_vars, tuple(self.terms), tuple(self.tags))
+
+
+def _echelon(s: LinearSystem) -> _Rows:
+    """The rows of ``s`` that ``_Rows`` keeps, taken in input order: each
+    independent of the rows before it, with the echelon built by
+    ``_insert``."""
+    rows = _Rows(s.num_vars)
+    rows.add(s.terms, s.tags)
+    return rows
 
 
 def rank(s: LinearSystem) -> int:
     """Rank of the coefficient matrix over the rationals."""
-    return len(_echelon(s)[0])
+    return len(_echelon(s).terms)
 
 
 def extract_independent_subsystem(s: LinearSystem) -> LinearSystem:
@@ -326,12 +370,7 @@ def extract_independent_subsystem(s: LinearSystem) -> LinearSystem:
     selected rows preserve the row space and their tags; the result has
     rank(s) rows, hence at most min(num_vars, len(s)).
     """
-    kept, _ = _echelon(s)
-    return _trusted_system(
-        s.num_vars,
-        tuple(s.terms[i] for i in kept),
-        tuple(s.tags[i] for i in kept),
-    )
+    return _echelon(s).system()
 
 
 def null_space_basis(s: LinearSystem) -> Basis:
@@ -341,7 +380,7 @@ def null_space_basis(s: LinearSystem) -> Basis:
     free variable set to 1 and all other free variables set to 0. The basis
     has num_vars - rank(s) vectors.
     """
-    _, echelon = _echelon(s)
+    echelon = _echelon(s).echelon
     # back-substitution, bottom-up: clear every later pivot column, so each
     # row becomes a positive multiple of its row of the reduced row echelon
     # form. A reduced row is zero at every other pivot column, so cancelling
@@ -374,7 +413,7 @@ def same_solution_space(a: LinearSystem, b: LinearSystem) -> bool:
         raise ValueError(
             f"variable count mismatch: {a.num_vars} vs {b.num_vars}"
         )
-    _, echelon = _echelon(a)
+    echelon = _echelon(a).echelon
     if any(_insert(echelon, row) is not None for row in b.terms):
         return False
     return rank(b) == len(echelon)

@@ -15,12 +15,16 @@ weight. This module builds such systems along several routes:
   solved by the capped brute force, whose equations are reduced and
   re-expanded by substituting, for each quotient vertex, the sum over a
   maximal independent set of the corresponding module (``_substitute``,
-  the one lift). Row reduction after every prime step whose children have
-  rows, and after every join with a prime node below it, keeps the system
-  at most n equations. A join with no prime node below needs none: every
-  node of a cotree has a well-covered weighting that gives its chosen set
-  a nonzero weight, so the chained equations are independent of the
-  co-components' rows. The fold (``_fold_system``), which every route
+  the one lift). The rows of a prime step whose children have rows, and
+  of a join with a prime node below it, are each kept iff new to the
+  echelon of the rows before them, which keeps the system at most n
+  equations. A join with no prime node below needs no test: every node
+  of a cotree has a well-covered weighting that gives its chosen set a
+  nonzero weight, so the chained equations are independent of the
+  co-components' rows. Such rows are owed to the echelon, and a node
+  puts in those of its own subtree before it tests a row, so each row
+  enters the one echelon of a fold (``linalg._Rows``) at most once. The
+  fold (``_fold_system``), which every route
   below shares with its own solver at prime quotients, reads one
   decomposition (``modular._md_nodes``) and writes each row once, by its
   terms over the n variables (see ``linalg``): a difference of two vertex
@@ -33,7 +37,8 @@ weight. This module builds such systems along several routes:
 * ``_anti_neighborhoods``: the anti-neighborhood reduction of a prime
   quotient Q, written once: the systems of the graphs Q - N[v], one per
   vertex v, each folded in place as a vertex mask of Q, with chained
-  equations relating the sets I_v + {v}, reduced as they are produced.
+  equations relating the sets I_v + {v}, each row kept in one row store
+  iff it is new to its echelon.
 * ``clawfree_system``: for claw-free graphs, one equation per generating
   subgraph (an edge, an induced P3 or an induced C4; Levit and Tankus
   2015) that is not implied by those before it. An induced P3 a-c-b
@@ -141,8 +146,8 @@ from .linalg import (
     LinearSystem,
     Row,
     WeightVector,
+    _Rows,
     _diff_row,
-    _insert,
     _reduce,
     _store,
     _trusted_system,
@@ -343,24 +348,25 @@ def _fold_system(
     """``modular_system``'s fold over ``nodes``, from ``_md_nodes(g,
     within)``: a system of g[within] over g's n variables, with no rows for
     no nodes; only prime quotients are copied out of g. ``prime_solver``'s
-    rows must be independent; they are not reduced."""
+    rows must be independent; they are not reduced.
+
+    The rows are kept in one ``linalg._Rows``. A row that needs no test,
+    a join row with no prime node below or a lifted row of a prime node
+    whose children have no rows, is kept and owed to its echelon. A node
+    whose rows are tested first settles the rows its subtree owes: rows
+    outside the subtree have disjoint support. So each row enters the
+    echelon at most once, and a row is kept iff it is independent of the
+    rows before it."""
     if not nodes:
         return empty_system(g.n)
     # a subtree folds to (start, mis, prime_below): its rows, over all n
-    # host variables, are rows[start:], mis is a bitmask of one of its
-    # maximal independent sets, and prime_below says if it has a prime node
-    rows: list[Row] = []
-    tags: list[str] = []
-
-    def reduce_from(start: int) -> None:
-        kept = extract_independent_subsystem(
-            _trusted_system(g.n, tuple(rows[start:]), tuple(tags[start:]))
-        )
-        rows[start:] = kept.terms
-        tags[start:] = kept.tags
+    # host variables, are the kept rows from index start on, mis is a
+    # bitmask of one of its maximal independent sets, and prime_below says
+    # if it has a prime node
+    rows = _Rows(g.n)
 
     def leaf(v: int) -> tuple[int, int, bool]:
-        return len(rows), 1 << v, False
+        return len(rows.terms), 1 << v, False
 
     def node(kind, mask, reps, children) -> tuple[int, int, bool]:
         starts, mis, below = zip(*children)
@@ -368,11 +374,13 @@ def _fold_system(
         if kind == PARALLEL:
             return start, reduce(or_, mis), prime_below
         if kind == SERIES:
-            for j, (a, b) in enumerate(zip(mis, mis[1:]), start=1):
-                rows.append(_diff_row(a, b))
-                tags.append(f"join-eq j={j}")
             if prime_below:
-                reduce_from(start)
+                rows.settle(start)
+            rows.add(
+                map(_diff_row, mis, mis[1:]),
+                (f"join-eq j={j}" for j in range(1, len(mis))),
+                prime_below,
+            )
             return start, mis[0], prime_below
         if len(reps) == g.n:
             # every child is a single vertex: g is its own quotient
@@ -380,22 +388,21 @@ def _fold_system(
         else:
             quot, _ = induced_subgraph(g, reps)
             sets = [list(iter_bits(m)) for m in mis]
-        children_rows = len(rows) > start
-        # the children's vertex sets are disjoint, so their mis are too
-        substituted = _substitute(prime_solver(quot), sets, g.n)
-        rows.extend(substituted.terms)
-        tags.extend(substituted.tags)
         # lifting onto disjoint sets keeps the quotient rows independent,
         # but not of the children's rows
+        children_rows = len(rows.terms) > start
         if children_rows:
-            reduce_from(start)
+            rows.settle(start)
+        # the children's vertex sets are disjoint, so their mis are too
+        substituted = _substitute(prime_solver(quot), sets, g.n)
+        rows.add(substituted.terms, substituted.tags, children_rows)
         picked = _greedy(quot, range(quot.n))
         chosen = reduce(or_, (mis[j] for j in iter_bits(picked)))
         return start, chosen, True
 
     md_fold(nodes, leaf, node)
-    assert len(rows) <= g.n
-    return _trusted_system(g.n, tuple(rows), tuple(tags))
+    assert len(rows.terms) <= g.n
+    return rows.system()
 
 
 # ---------------------------------------------------------------------------
@@ -661,30 +668,19 @@ def _anti_neighborhoods(
     solved only if its enumerations could pass ``cap``, which keeps the
     exceptions of solving them all.
     """
-    echelon: dict[int, dict[int, int]] = {}
-    rows: list[Row] = []
-    tags: list[str] = []
-
-    def offer(terms: Iterable[Row], row_tags: Iterable[str]) -> None:
-        for row, tag in zip(terms, row_tags):
-            if len(echelon) == q.n:
-                return
-            if _insert(echelon, row) is not None:
-                rows.append(row)
-                tags.append(tag)
-
+    rows = _Rows(q.n)
     anchored: list[int] = []  # bitmasks of the sets I_j + {v_j}
     for j in range(q.n):
         keep = q.full_mask & ~q.adj[j] & ~(1 << j)
-        if len(echelon) < q.n or _moon_moser(keep.bit_count()) > cap:
+        if len(rows.terms) < q.n or _moon_moser(keep.bit_count()) > cap:
             sub = _fold_system(q, _md_nodes(q, keep), prime_solver)
-            offer(sub.terms, sub.tags)
+            rows.add(sub.terms, sub.tags)
         anchored.append(_greedy(q, iter_bits(keep)) | 1 << j)
-    offer(
+    rows.add(
         map(_diff_row, anchored, anchored[1:]),
         (f"anti-eq j={j}" for j in range(1, q.n)),
     )
-    return _trusted_system(q.n, tuple(rows), tuple(tags))
+    return rows.system()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,11 @@ key that picked the ``is-well-covered`` witness pair, and that witness
 read off the sorted enumeration, before it was read off the bitmasks.
 The per-call strategy dispatch that ``systems`` had before one route
 picked every fold is kept verbatim as ``dispatch_oracle``, with
-``answers`` to compare its calls with the library's.
+``answers`` to compare its calls with the library's. The fold and the
+anti-neighborhood reduction as they were before the fold kept its rows in
+one row store, reducing a subtree's rows again at each node that tests
+rows, are kept verbatim, with ``former_fold_patched`` to run the library
+on them.
 The component and co-component walks as they were before each step
 chose a direction (every step ORs the rows of its whole frontier) are
 kept as oracles for the direction-optimizing walk, with the cotree split
@@ -52,10 +56,11 @@ off the sorted enumeration, before it sorted the bitmasks, and
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, islice, permutations
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from operator import or_
+from typing import Callable, Iterable, Sequence
 
 from wellcovered.graph import (
     Graph,
@@ -77,20 +82,27 @@ from wellcovered.independent_sets import (
 from wellcovered.linalg import (
     Basis,
     LinearSystem,
+    Row,
     WeightVector,
     _check_entries,
     _diff_row,
+    _insert,
     _trusted_system,
+    empty_system,
     evaluate,
+    extract_independent_subsystem,
     null_space_basis,
     rank,
 )
 from wellcovered.modular import (
+    PARALLEL,
     PRIME,
+    SERIES,
     _md_nodes,
     _partition_masks,
     _strong_module_masks,
     _tree_flags,
+    md_fold,
 )
 from wellcovered.systems import (
     SolverConfig,
@@ -98,6 +110,7 @@ from wellcovered.systems import (
     _anti_neighborhoods,
     _enumerated_witness,
     _fold_system,
+    _moon_moser,
     _query_prime_solver,
     _reduced,
     _substitute,
@@ -267,6 +280,20 @@ def fork_substitution(k):
     well-covered dimension 5k - 2. It has forks, but its prime quotient is
     the fork's own quotient P4, with the two leaves' modules merged."""
     return substitute(fork(), [disjoint_union(*[complete(2)] * k)] * 5)
+
+
+def prime_chain(k):
+    """G_0 empty and G_(i+1) = (G_i + P4) joined to one new vertex, for
+    k levels: n = 5k, and the decomposition tree is a chain of k series
+    nodes, each over a parallel node that holds the next level and a prime
+    P4. Level i has vertices 5i..5i+4, its P4 5i-5i+1-5i+2-5i+3 and 5i+4
+    adjacent to every vertex before it. Dimension 2k, with 3k rows."""
+    edges = []
+    for i in range(k):
+        b = 5 * i
+        edges += [(b, b + 1), (b + 1, b + 2), (b + 2, b + 3)]
+        edges += [(u, b + 4) for u in range(b + 4)]
+    return Graph.from_edges(5 * k, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +909,6 @@ def clawfree_rows_in_search_order(g):
     used first: each candidate of ``generating_candidates``, every edge,
     induced P3 and induced C4 with none left out, gets a span test, then,
     if its row is new, the brute-force test of ``generating_cliques``."""
-    from wellcovered.linalg import _insert
-
     echelon, rows, tags = {}, [], []
     for kind, xs, ys in generating_candidates(g):
         if len(echelon) == g.n:
@@ -1039,6 +1064,127 @@ def three_way_auto_system(g, cap=DEFAULT_MIS_CAP):
     base = partial(bruteforce_system, cap=cap)
     sub = partial(modular_system_with, prime_solver=base)
     return modular_system_with(g, lambda q: anti_neighborhood_system(q, sub))
+
+
+# ``systems._fold_system`` and ``systems._anti_neighborhoods`` as they were
+# before the fold kept its rows in one ``linalg._Rows``: a series node with
+# a prime below and a prime node with rows below reduce all of their
+# subtree's rows again, and the reduction offers each row to its own
+# echelon. Verbatim, but for the names of the two and of the fold that the
+# reduction calls; ``former_fold_patched`` runs the library on them.
+
+
+def _former_fold_system(
+    g: Graph,
+    nodes: list[tuple],
+    prime_solver: Callable[[Graph], LinearSystem],
+) -> LinearSystem:
+    """``modular_system``'s fold over ``nodes``, from ``_md_nodes(g,
+    within)``: a system of g[within] over g's n variables, with no rows for
+    no nodes; only prime quotients are copied out of g. ``prime_solver``'s
+    rows must be independent; they are not reduced."""
+    if not nodes:
+        return empty_system(g.n)
+    # a subtree folds to (start, mis, prime_below): its rows, over all n
+    # host variables, are rows[start:], mis is a bitmask of one of its
+    # maximal independent sets, and prime_below says if it has a prime node
+    rows: list[Row] = []
+    tags: list[str] = []
+
+    def reduce_from(start: int) -> None:
+        kept = extract_independent_subsystem(
+            _trusted_system(g.n, tuple(rows[start:]), tuple(tags[start:]))
+        )
+        rows[start:] = kept.terms
+        tags[start:] = kept.tags
+
+    def leaf(v: int) -> tuple[int, int, bool]:
+        return len(rows), 1 << v, False
+
+    def node(kind, mask, reps, children) -> tuple[int, int, bool]:
+        starts, mis, below = zip(*children)
+        start, prime_below = starts[0], any(below)
+        if kind == PARALLEL:
+            return start, reduce(or_, mis), prime_below
+        if kind == SERIES:
+            for j, (a, b) in enumerate(zip(mis, mis[1:]), start=1):
+                rows.append(_diff_row(a, b))
+                tags.append(f"join-eq j={j}")
+            if prime_below:
+                reduce_from(start)
+            return start, mis[0], prime_below
+        if len(reps) == g.n:
+            # every child is a single vertex: g is its own quotient
+            quot, sets = g, [(v,) for v in reps]
+        else:
+            quot, _ = induced_subgraph(g, reps)
+            sets = [list(iter_bits(m)) for m in mis]
+        children_rows = len(rows) > start
+        # the children's vertex sets are disjoint, so their mis are too
+        substituted = _substitute(prime_solver(quot), sets, g.n)
+        rows.extend(substituted.terms)
+        tags.extend(substituted.tags)
+        # lifting onto disjoint sets keeps the quotient rows independent,
+        # but not of the children's rows
+        if children_rows:
+            reduce_from(start)
+        picked = _greedy(quot, range(quot.n))
+        chosen = reduce(or_, (mis[j] for j in iter_bits(picked)))
+        return start, chosen, True
+
+    md_fold(nodes, leaf, node)
+    assert len(rows) <= g.n
+    return _trusted_system(g.n, tuple(rows), tuple(tags))
+
+
+def _former_anti_neighborhoods(
+    q: Graph, prime_solver: Callable[[Graph], LinearSystem], cap: int
+) -> LinearSystem:
+    """The anti-neighborhood reduction of Q = ``q``, its rows independent.
+
+    Every maximal independent set containing v_j is v_j plus a maximal
+    independent set of Q - N[v_j], so the systems of all Q - N[v_j] with
+    the chained equations between the sets I_j + {v_j} form a well-covering
+    system of Q. Each Q - N[v_j] is folded in place, as the vertex mask
+    ``keep`` of Q, with ``prime_solver`` at its prime quotients, whose rows
+    must be independent; each row, then each chained equation, is kept iff
+    it is new to one echelon. Once |Q| rows are kept, a Q - N[v_j] left is
+    solved only if its enumerations could pass ``cap``, which keeps the
+    exceptions of solving them all.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    rows: list[Row] = []
+    tags: list[str] = []
+
+    def offer(terms: Iterable[Row], row_tags: Iterable[str]) -> None:
+        for row, tag in zip(terms, row_tags):
+            if len(echelon) == q.n:
+                return
+            if _insert(echelon, row) is not None:
+                rows.append(row)
+                tags.append(tag)
+
+    anchored: list[int] = []  # bitmasks of the sets I_j + {v_j}
+    for j in range(q.n):
+        keep = q.full_mask & ~q.adj[j] & ~(1 << j)
+        if len(echelon) < q.n or _moon_moser(keep.bit_count()) > cap:
+            sub = _former_fold_system(q, _md_nodes(q, keep), prime_solver)
+            offer(sub.terms, sub.tags)
+        anchored.append(_greedy(q, iter_bits(keep)) | 1 << j)
+    offer(
+        map(_diff_row, anchored, anchored[1:]),
+        (f"anti-eq j={j}" for j in range(1, q.n)),
+    )
+    return _trusted_system(q.n, tuple(rows), tuple(tags))
+
+
+def former_fold_patched(monkeypatch):
+    """Run ``systems`` on the former fold and anti-neighborhood reduction,
+    until ``monkeypatch`` undoes it."""
+    import wellcovered.systems as systems
+
+    monkeypatch.setattr(systems, "_fold_system", _former_fold_system)
+    monkeypatch.setattr(systems, "_anti_neighborhoods", _former_anti_neighborhoods)
 
 
 # ``systems``' strategy dispatch as it was before one route picked every

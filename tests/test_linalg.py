@@ -395,10 +395,11 @@ def _assert_matches_oracles(s):
     r = rank(s)
     assert r == gu.fraction_rank(s) == gu.bareiss_rank(_integral_rows(s))
     # the sparse kernel does the dense kernel's arithmetic on the nonzeros
-    kept, echelon = linalg._echelon(s)
+    rows = linalg._echelon(s)
     dense_kept, dense = gu.dense_echelon(s)
-    assert kept == dense_kept
-    assert echelon == {
+    assert rows.terms == [s.terms[i] for i in dense_kept]
+    assert rows.tags == [s.tags[i] for i in dense_kept]
+    assert rows.echelon == {
         pc: {c: x for c, x in enumerate(row) if x} for pc, row in dense.items()
     }
     out = extract_independent_subsystem(s)

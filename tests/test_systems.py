@@ -1610,6 +1610,118 @@ def test_route_matches_the_earlier_dispatch():
     assert raised == {StrategyError, CapExceededError}
 
 
+def _nested_substitution(rng, levels):
+    """Small prime substitutions joined to, unioned with and substituted
+    into a module of the next one in turn: prime nodes under series nodes,
+    under parallel nodes and inside modules."""
+    g = gu.shuffled_substitution(rng, (4, 5), (1, 2))
+    for level in range(levels):
+        if level % 3 == 2:
+            inner = [g]  # the first module of the next prime skeleton
+
+            def module(rng, k):
+                return inner.pop() if inner else gu.random_graph(rng, k, rng.random())
+
+            g = gu.shuffled_substitution(rng, (4, 5), (1, 2), module)
+        else:
+            h = gu.shuffled_substitution(rng, (4, 5), (1, 2))
+            g = (gu.join if level % 3 == 0 else gu.disjoint_union)(g, h)
+    return g
+
+
+FOLD_CALLS = [
+    (build, strategy)
+    for build, strategies in (
+        (well_covering_system, ("auto", "modular", "forkfree", "cograph")),
+        (_query_system, ("auto", "forkfree")),
+    )
+    for strategy in strategies
+]
+
+
+def _fold_outcomes(g):
+    """The terms and tags of each call of ``FOLD_CALLS`` on ``g``, or the
+    type and message of the error it raises."""
+    out = []
+    for build, strategy in FOLD_CALLS:
+        try:
+            s = build(g, SolverConfig(strategy))
+        except (StrategyError, CapExceededError) as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append((s.terms, s.tags))
+    return out
+
+
+def test_fold_rows_match_the_former_fold(monkeypatch):
+    # the fold keeps its rows in one linalg._Rows and puts each row into
+    # its echelon once, where the former fold reduced a subtree's rows
+    # again at each series node with a prime below and at each prime node
+    # with rows below: every row, tag and error stays as it was
+    rng = gu.seeded(341)
+    graphs = [
+        gu.random_graph(rng, rng.randint(0, 14), rng.random()) for _ in range(300)
+    ]
+    graphs += [gu.random_cograph(rng, rng.randint(1, 20)) for _ in range(60)]
+    graphs += [gu.random_forkfree(rng, 14) for _ in range(60)]
+    graphs += [
+        _nested_substitution(rng, levels) for levels in (1, 2, 3) for _ in range(20)
+    ]
+    graphs += [gu.prime_chain(k) for k in (*range(1, 8), 30)]
+    # C8 is prime with dimension 0, so its rows span every row on its
+    # vertices: a join row or a lifted row over two copies is dependent
+    c8, k1 = gu.cycle(8), gu.complete(1)
+    graphs += [
+        gu.shuffled(rng, h)[0]
+        for h in (
+            gu.join(c8, c8),
+            gu.join(gu.disjoint_union(c8, gu.path(4)), k1),
+            gu.substitute(gu.path(4), [c8, c8, k1, gu.complete(2)]),
+            gu.disjoint_union(
+                gu.join(c8, gu.complete(2)),
+                gu.substitute(gu.path(4), [c8, k1, c8, k1]),
+            ),
+        )
+    ]
+    got = [_fold_outcomes(g) for g in graphs]
+    raised = {r[0] for outcome in got for r in outcome if isinstance(r[0], type)}
+    assert raised == {StrategyError}
+    gu.former_fold_patched(monkeypatch)
+    for g, outcome in zip(graphs, got):
+        assert _fold_outcomes(g) == outcome, g
+
+
+def test_prime_chain_puts_each_row_into_the_echelon_once(monkeypatch):
+    # every level of the chain has a prime P4 under a series node: each
+    # fold row enters the echelon at most once, so the kernel runs O(n)
+    # times, where reducing each subtree's rows again at every level runs
+    # it O(n^2) times (3925 -> 15350 for the dimension)
+    import wellcovered.linalg as linalg
+    import wellcovered.systems as systems
+
+    calls = [0]
+    real = linalg._reduce
+
+    def counting(echelon, work):
+        calls[0] += 1
+        return real(echelon, work)
+
+    monkeypatch.setattr(linalg, "_reduce", counting)
+    monkeypatch.setattr(systems, "_reduce", counting)
+    # the dimension is 2k, and the system has 3k rows
+    for build, read, per_level in (
+        (well_covered_dimension, int, 2),
+        (well_covering_system, len, 3),
+    ):
+        counts = []
+        for k in (50, 100):
+            calls[0] = 0
+            assert read(build(gu.prime_chain(k))) == per_level * k
+            assert calls[0] <= 2 * 5 * k
+            counts.append(calls[0])
+        assert counts[1] <= 2.5 * counts[0]
+
+
 @pytest.mark.parametrize("strategy", ["auto", "forkfree"])
 def test_fork_scans_see_at_most_twice_the_quotient(monkeypatch, strategy):
     # the fork flag is read off the one decomposition before any solving:
