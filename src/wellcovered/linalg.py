@@ -26,8 +26,9 @@ It is incremental: it reduces one row against an echelon and returns what
 is left, which is stored only if the caller wants it. One row store,
 ``_Rows``, applies the rule that keeps a row iff it is new to the echelon
 of the rows kept before it, and keeps none at full rank; these calls read
-it, and so do the fold and the anti-neighborhood reduction of
-``systems``. A row the caller knows to be new is kept untested and owed to
+it, and so do the fold, the anti-neighborhood reduction and the reduced
+brute-force chain of ``systems``, which offers each row of the chain as it
+is built. A row the caller knows to be new is kept untested and owed to
 the echelon until a later test needs it, so a fold puts each row into its
 echelon at most once. The claw-free base of ``systems`` calls the kernel
 itself: it skips candidate rows already in the span and stores a new row
@@ -467,12 +468,15 @@ def basis_to_json(b: Basis, num_vars: int) -> dict:
 
 
 def basis_from_json(data: dict) -> Basis:
-    return Basis(
-        tuple(
-            WeightVector(tuple(_canon(Fraction(p, q)) for p, q in vec))
-            for vec in data["vectors"]
-        )
-    )
+    num_vars = int(data["num_vars"])
+    vectors = []
+    for vec in data["vectors"]:
+        if len(vec) != num_vars:
+            raise ValueError(
+                f"vector of length {len(vec)} in a basis over {num_vars} variables"
+            )
+        vectors.append(WeightVector(tuple(_canon(Fraction(p, q)) for p, q in vec)))
+    return Basis(tuple(vectors))
 
 
 def _equation(row: Row, names: Sequence[str]) -> str:

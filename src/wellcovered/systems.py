@@ -7,7 +7,12 @@ weight. This module builds such systems along several routes:
 
 * ``bruteforce_system``: enumerate all maximal independent sets and chain
   consecutive weight-difference equations. Always sound; exponential in the
-  worst case, so it is capped.
+  worst case, so it is capped. The chain of consecutive sets is written
+  once (``_chain``, its rows built as they are read): the brute force, the
+  join equations of the fold and the anti-neighborhood equations use it.
+  Where the brute-force chain is reduced (``_reduced_chain``), each row is
+  offered to one row store as it is built, so no unreduced chain is held,
+  and none is built once the store is full.
 * ``modular_system``: walk the modular decomposition tree bottom-up. A
   disconnected graph takes the union of its components' systems; a join
   takes the union of the co-components' systems plus chained equations
@@ -71,14 +76,15 @@ strategy: ``well_covering_system`` (the ``system`` verb), ``_query_system``
 (dimension, basis and w-well-coveredness, which the solution space fixes,
 so any independent well-covering system will do) and
 ``well_covered_witness`` (``is-well-covered``). ``bruteforce`` enumerates
-the whole graph: the chain, reduced for the queries, or the witness.
+the whole graph: the chain, reduced as it streams for the queries, or the
+witness.
 Every other strategy decomposes the graph once, and ``cograph`` folds
 with a prime solver that refuses. ``forkfree``, and ``auto`` for
 ``system`` and the witness, then read the fork flag off the same tree
 (``modular._tree_flags``, no whole-graph scan), unless it has no prime
 node and so is P4-free: on a fork ``forkfree`` raises StrategyError and
 ``auto`` enumerates the whole graph, with no prime quotient solved.
-``system`` folds with the reduced brute force at prime quotients under
+``system`` folds with the reduced chain at prime quotients under
 ``modular``, else with the anti-neighborhood reduction over it; its rows
 keep their bytes. The queries and the witness fold and pick a solver at
 each prime quotient Q: ``clawfree_system`` if Q is claw-free, else the
@@ -93,16 +99,16 @@ rows: a difference of consecutive sets is kept when it is new mod 2, and
 the rest are tested against the null space of the kept rows once the
 enumeration ends. The fold reduces no prime solver's rows: the claw-free
 base and the span are independent by construction, and the
-anti-neighborhood reduction and the brute-force chain at the primes of
-``system`` reduce their own.
+anti-neighborhood reduction and the reduced chain at the primes of
+``system`` reduce their own, each in one row store.
 
 The one enumeration (``independent_sets._mis_masks``) counts its sets
-against the cap; the chain of ``bruteforce_system`` sorts it, and the
-span and the witness read it as it runs. The span and the
-anti-neighborhood reduction stop at full rank, |Q| rows kept, except for
-work that could pass the cap: no graph on m vertices has more than
-``_moon_moser(m)`` maximal independent sets (Moon and Moser 1965), so
-only where that bound passes the cap does the span count on, or the
+against the cap; the chain of ``bruteforce_system`` and the reduced
+chain sort it, and the span and the witness read it as it runs. The span
+and the anti-neighborhood reduction stop at full rank, |Q| rows kept,
+except for work that could pass the cap: no graph on m vertices has more
+than ``_moon_moser(m)`` maximal independent sets (Moon and Moser 1965),
+so only where that bound passes the cap does the span count on, or the
 reduction solve a remaining Q - N[v]. Exceptions are those of the eager
 construction, and so are the reduction's rows and tags.
 
@@ -153,7 +159,6 @@ from .linalg import (
     _trusted_system,
     empty_system,
     evaluate,
-    extract_independent_subsystem,
     null_space_basis,
 )
 from .modular import PARALLEL, PRIME, SERIES, _md_nodes, _tree_flags, md_fold
@@ -184,6 +189,25 @@ class SolverConfig:
         _check_cap(self.mis_cap, "mis_cap")
 
 
+def _chain(masks: Sequence[int], label: str) -> tuple[Iterator[Row], Iterator[str]]:
+    """The rows m[i-1] - m[i] of consecutive vertex sets, given as
+    bitmasks, and their tags "``label``=i", i from 1, each built as it is
+    read."""
+    tags = (f"{label}={i}" for i in range(1, len(masks)))
+    return map(_diff_row, masks, masks[1:]), tags
+
+
+def _sorted_chain(g: Graph, cap: int) -> tuple[Iterator[Row], Iterator[str]]:
+    """The chain of ``bruteforce_system``, its rows and tags built as they
+    are read; the enumeration and the sort run, and raise, at once."""
+    masks = sorted(
+        _mis_masks(g, cap, _UNAVAILABLE),
+        key=lambda m: format(m, f"0{g.n}b")[::-1],
+        reverse=True,
+    )
+    return _chain(masks, "mis-diff i")
+
+
 def bruteforce_system(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
     """Chain equations between consecutive maximal independent sets.
 
@@ -193,14 +217,17 @@ def bruteforce_system(g: Graph, cap: int = DEFAULT_MIS_CAP) -> LinearSystem:
     lexicographic by sorted members: of two sets, the one holding the lowest
     vertex where they differ comes first, so the bit-reversed masks descend.
     """
-    masks = sorted(
-        _mis_masks(g, cap, _UNAVAILABLE),
-        key=lambda m: format(m, f"0{g.n}b")[::-1],
-        reverse=True,
-    )
-    rows = tuple(map(_diff_row, masks, masks[1:]))
-    tags = tuple(f"mis-diff i={i}" for i in range(1, len(masks)))
-    return _trusted_system(g.n, rows, tags)
+    return _trusted_system(g.n, *map(tuple, _sorted_chain(g, cap)))
+
+
+def _reduced_chain(g: Graph, cap: int) -> LinearSystem:
+    """The rows of ``bruteforce_system(g, cap)`` that are independent of
+    those before them, with their tags, and its exceptions: each row is
+    offered to one ``linalg._Rows`` as it is built, and none is built once
+    the store is full."""
+    rows = _Rows(g.n)
+    rows.add(*_sorted_chain(g, cap))
+    return rows.system()
 
 
 def _moon_moser(m: int) -> int:
@@ -333,13 +360,6 @@ def _substitute(quotient_sys: LinearSystem, sets, host_n: int) -> LinearSystem:
 # modular decomposition pipeline
 
 
-def _reduced(
-    solver: Callable[[Graph], LinearSystem]
-) -> Callable[[Graph], LinearSystem]:
-    """``solver`` with its rows reduced to an independent subset."""
-    return lambda q: extract_independent_subsystem(solver(q))
-
-
 def _fold_system(
     g: Graph,
     nodes: list[tuple],
@@ -376,11 +396,7 @@ def _fold_system(
         if kind == SERIES:
             if prime_below:
                 rows.settle(start)
-            rows.add(
-                map(_diff_row, mis, mis[1:]),
-                (f"join-eq j={j}" for j in range(1, len(mis))),
-                prime_below,
-            )
+            rows.add(*_chain(mis, "join-eq j"), prime_below)
             return start, mis[0], prime_below
         if len(reps) == g.n:
             # every child is a single vertex: g is its own quotient
@@ -676,10 +692,7 @@ def _anti_neighborhoods(
             sub = _fold_system(q, _md_nodes(q, keep), prime_solver)
             rows.add(sub.terms, sub.tags)
         anchored.append(_greedy(q, iter_bits(keep)) | 1 << j)
-    rows.add(
-        map(_diff_row, anchored, anchored[1:]),
-        (f"anti-eq j={j}" for j in range(1, q.n)),
-    )
+    rows.add(*_chain(anchored, "anti-eq j"))
     return rows.system()
 
 
@@ -728,7 +741,7 @@ def _route(g: Graph, cfg: SolverConfig, caller: str) -> LinearSystem | None:
     ``forkfree``, and ``auto`` for a caller that is not a query, read the
     fork flag, unless the tree has no prime node and so is P4-free: on a
     fork ``forkfree`` raises StrategyError and ``auto`` is None. Otherwise
-    ``system`` folds with the reduced brute force at prime quotients, under
+    ``system`` folds with ``_reduced_chain`` at prime quotients, under
     ``modular``, or with the anti-neighborhood reduction over it; the other
     callers fold with ``_query_prime_solver``, told that a graph whose flag
     was read is fork-free, so that it scans for forks once.
@@ -754,7 +767,7 @@ def _route(g: Graph, cfg: SolverConfig, caller: str) -> LinearSystem | None:
         )
     if caller != "system":
         return _fold_system(g, nodes, _query_prime_solver(cap, flags))
-    base = _reduced(partial(bruteforce_system, cap=cap))
+    base = partial(_reduced_chain, cap=cap)
     if strategy == "modular":
         return _fold_system(g, nodes, base)
     return _fold_system(g, nodes, lambda q: _anti_neighborhoods(q, base, cap))
@@ -795,12 +808,12 @@ def forkfree_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
 def _query_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
     """An independent well-covering system for a query whose answer the
     solution space fixes (see ``_route``); where the route enumerates the
-    whole graph, the chain reduced by ``extract_independent_subsystem``."""
+    whole graph, ``_reduced_chain``: the rows of the chain that
+    ``extract_independent_subsystem`` keeps, each offered to the row store
+    as it is built."""
     cfg = cfg or SolverConfig()
     system = _route(g, cfg, "query")
-    if system is None:
-        return extract_independent_subsystem(bruteforce_system(g, cfg.mis_cap))
-    return system
+    return _reduced_chain(g, cfg.mis_cap) if system is None else system
 
 
 def well_covered_dimension(g: Graph, cfg: SolverConfig | None = None) -> int:

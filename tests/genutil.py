@@ -25,7 +25,9 @@ key that picked the ``is-well-covered`` witness pair, and that witness
 read off the sorted enumeration, before it was read off the bitmasks.
 The per-call strategy dispatch that ``systems`` had before one route
 picked every fold is kept verbatim as ``dispatch_oracle``, with
-``answers`` to compare its calls with the library's. The fold and the
+``answers`` to compare its calls with the library's; it reduces a
+built brute-force chain with ``_reduced``, as the library did before it
+streamed each reduced chain into its row store. The fold and the
 anti-neighborhood reduction as they were before the fold kept its rows in
 one row store, reducing a subtree's rows again at each node that tests
 rows, are kept verbatim, with ``former_fold_patched`` to run the library
@@ -112,7 +114,6 @@ from wellcovered.systems import (
     _fold_system,
     _moon_moser,
     _query_prime_solver,
-    _reduced,
     _substitute,
     bruteforce_system,
     cograph_system,
@@ -747,6 +748,12 @@ def anti_neighborhood_system(g: Graph, sub_solver) -> LinearSystem:
         rows.append(_diff_row(anchored[j], anchored[j + 1]))
         tags.append(f"anti-eq j={j + 1}")
     return _trusted_system(g.n, tuple(rows), tuple(tags))
+
+
+def _reduced(solver):
+    """``solver`` with its rows reduced to an independent subset, as the
+    library reduced the brute-force chain before it streamed it."""
+    return lambda q: extract_independent_subsystem(solver(q))
 
 
 def modular_system_with(g: Graph, prime_solver) -> LinearSystem:

@@ -302,19 +302,20 @@ class TestDimensionVerb:
     ):
         # every system the query route builds is independent, so dimension
         # is n minus its row count and no route ranks: the brute-force chain
-        # is reduced once, to an independent subset, and the folds here not
-        # at all
+        # is reduced once, as it streams into one row store, and the folds
+        # here not at all
         import wellcovered.cli as cli
         import wellcovered.linalg as linalg
         import wellcovered.systems as systems
 
-        calls = {"rank": [], "extract_independent_subsystem": []}
+        calls = {"rank": [], "_reduced_chain": []}
         for name, log in calls.items():
-            real = getattr(linalg, name)
+            home = systems if name == "_reduced_chain" else linalg
+            real = getattr(home, name)
 
-            def counting(s, real=real, log=log):
-                log.append(s)
-                return real(s)
+            def counting(*args, real=real, log=log, **kwargs):
+                log.append(args)
+                return real(*args, **kwargs)
 
             for mod in (linalg, systems, cli):
                 monkeypatch.setattr(mod, name, counting, raising=False)
@@ -323,7 +324,7 @@ class TestDimensionVerb:
         )
         assert code == 0 and out == expected + "\n"
         assert calls["rank"] == []
-        assert len(calls["extract_independent_subsystem"]) == reduced
+        assert len(calls["_reduced_chain"]) == reduced
 
     def test_fork_plus_isolated_vertices(self, capsys, monkeypatch):
         # auto falls back to brute force; each maximal independent set holds

@@ -586,6 +586,16 @@ class TestSerialization:
         assert data == {"num_vars": 2, "vectors": []}
         assert basis_from_json(data) == b
 
+    def test_basis_vector_length_must_match_num_vars(self):
+        # num_vars is read as system_from_json reads it: vectors of 1 and 4
+        # entries are no basis of weightings of 3 variables
+        data = {"num_vars": 3, "vectors": [[[1, 1]], [[1, 1], [2, 1], [3, 1], [4, 1]]]}
+        with pytest.raises(ValueError, match="vector of length 1 in a basis over 3"):
+            basis_from_json(data)
+        data["vectors"] = [[[1, 1], [2, 1], [3, 1]], [[1, 1]] * 4]
+        with pytest.raises(ValueError, match="vector of length 4 in a basis over 3"):
+            basis_from_json(data)
+
     def test_format_unit(self):
         assert format_equation((0, 0, -1, 1, -1)) == "-x_3 + x_4 - x_5 = 0"
         assert format_equation((-1, 1, -1, 0, 0)) == "-x_1 + x_2 - x_3 = 0"

@@ -45,7 +45,7 @@ from wellcovered.systems import (
     _moon_moser,
     _query_prime_solver,
     _query_system,
-    _reduced,
+    _reduced_chain,
     _strong_cliques,
     bruteforce_system,
     clawfree_system,
@@ -119,6 +119,25 @@ class TestBruteforceSystem:
         finally:
             tracemalloc.stop()
         assert peak <= 250 * cap
+
+    @pytest.mark.parametrize(
+        "call, strategy",
+        [(well_covering_system, "modular"), (well_covered_dimension, "bruteforce")],
+        ids=["system-modular", "dimension-bruteforce"],
+    )
+    def test_reduced_chain_memory_per_set(self, call, strategy):
+        # a reduced chain offers each row to one row store as it is built
+        # and builds no unreduced system: of the 23 833 maximal independent
+        # sets of P_36, one bitmask and one sort key per set are kept, about
+        # 134 B per set, where building the whole chain first took 330 B
+        g, sets = gu.path(36), 23833
+        tracemalloc.start()
+        try:
+            call(g, SolverConfig(strategy))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * sets
 
 
 def _terms_or_error(build):
@@ -775,7 +794,9 @@ class TestAntiNeighborhoods:
 
             for q in quotients:
                 got = self.outcome(
-                    lambda: _anti_neighborhoods(q, _reduced(base), cap)
+                    lambda: _anti_neighborhoods(
+                        q, partial(_reduced_chain, cap=cap), cap
+                    )
                 )
                 expected = self.outcome(
                     lambda: extract_independent_subsystem(
@@ -852,7 +873,7 @@ class TestVertexMaskCalls:
         # fold to no rows over all of g's variables
         def solver():
             if route == "brute":
-                return _reduced(partial(bruteforce_system, cap=DEFAULT_MIS_CAP))
+                return partial(_reduced_chain, cap=DEFAULT_MIS_CAP)
             return _query_prime_solver(DEFAULT_MIS_CAP, False)
 
         rows = 0
@@ -1575,7 +1596,9 @@ def test_route_matches_the_earlier_dispatch():
     # one route picks every fold: each call under each strategy, at the
     # default cap and at cap 5, returns or raises what the per-call
     # dispatch did. The query systems under bruteforce are now reduced,
-    # which changes no answer
+    # which changes no answer. Longer chains, whose reduction keeps few of
+    # their rows, run at the default cap and at 50 000, which is below
+    # the Moon-Moser bound of every G - N[v] of the prism's line graph
     rng = gu.seeded(181)
     # test_cli's CLAW_PRIME: prime and fork-free, with a claw at vertex 2
     claw_prime = Graph.from_edges(
@@ -1595,10 +1618,15 @@ def test_route_matches_the_earlier_dispatch():
     ]
     graphs += [gu.random_cograph(rng, rng.randint(1, 12)) for _ in range(30)]
     graphs += [gu.random_forkfree(rng, 12) for _ in range(30)]
+    chains = [gu.path(n) for n in (10, 20, 30)] + [gu.cycle(10), gu.cycle(20)]
+    chains += [gu.seeded_gnp(106), gu.seeded_gnp(107)]
+    chains += [gu.line_graph(gu.prism(12))]
+    cases = [(g, (DEFAULT_MIS_CAP, 5)) for g in graphs]
+    cases += [(g, (DEFAULT_MIS_CAP, 50000)) for g in chains]
     raised = set()
-    for g in graphs:
+    for g, caps in cases:
         w = tuple(rng.randint(-2, 2) for _ in range(g.n))
-        for strategy, cap in product(STRATEGIES, (DEFAULT_MIS_CAP, 5)):
+        for strategy, cap in product(STRATEGIES, caps):
             cfg = SolverConfig(strategy, cap)
             got = gu.answers(LIBRARY_CALLS, g, cfg, w)
             assert got == gu.answers(gu.dispatch_oracle, g, cfg, w), (g, cfg)
