@@ -30,11 +30,10 @@ The empty graph has no tree: ``mdtree`` refuses it (exit 2).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from collections.abc import Callable, Iterator
 from fractions import Fraction
-from typing import Callable, Iterator
 
 from .graph import Graph, GraphParseError, parse_graph
 from .independent_sets import DEFAULT_MIS_CAP, CapExceededError
@@ -109,7 +108,10 @@ def _json_pieces(obj) -> Iterator[str]:
     depth of nesting renders, and the whole text is never held at once: a
     deep decomposition tree nests thousands of levels, and its indentation
     makes the text grow with the cube of the depth. A list of ints is
-    joined in one step."""
+    joined in one step. ``json`` is imported here, as only ``--output
+    json`` needs it."""
+    import json
+
     # a str is emitted as it is; (value, depth) is rendered at that depth
     stack: list = [(obj, 0)]
     while stack:

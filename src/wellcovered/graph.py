@@ -18,11 +18,10 @@ so its memory is bounded by the text either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import reduce
 from itertools import compress, count
 from operator import and_, or_
-from typing import Iterable, Iterator
 
 
 # Largest vertex count the parsers accept. Work and memory grow with n^2
@@ -70,16 +69,75 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Graph:
+# sets a field of a _Frozen instance, past its __setattr__
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Value semantics by field, as a frozen dataclass has them, without
+    importing ``dataclasses``: ``_fields`` names the fields in order.
+    Instances compare equal only to instances of the same class with equal
+    fields, hash as the tuple of their fields, print as
+    ``Name(field=value, ...)``, and refuse assignment and deletion with
+    ``dataclasses.FrozenInstanceError``. Copies and pickles are rebuilt
+    from the fields without ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = [f"{name}={getattr(self, name)!r}" for name in self._fields]
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return _restore, (type(self), self._values())
+
+
+def _restore(cls: type, values: tuple) -> _Frozen:
+    """An instance of ``cls`` with the given field values, built without
+    ``__init__`` (its checks held when the values were first set)."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        _set(obj, name, value)
+    return obj
+
+
+class Graph(_Frozen):
     """Immutable simple undirected graph.
 
     ``adj[v]`` is the bitmask of neighbors of ``v``. Adjacency is symmetric
     and loop-free by construction.
     """
 
+    __slots__ = _fields = ("n", "adj")
     n: int
     adj: tuple[int, ...]
+
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        _set(self, "n", n)
+        _set(self, "adj", adj)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

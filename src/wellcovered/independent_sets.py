@@ -11,9 +11,9 @@ family of cliques; it is the test behind the claw-free base of ``systems``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, iter_bits
 

@@ -44,13 +44,12 @@ the reduced row echelon form, built with one Fraction per nonzero entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
-from .graph import _C_STEP, _bit_list
+from .graph import _C_STEP, _Frozen, _bit_list, _set
 
 Coeff = int | Fraction
 # the nonzero (col, coeff) pairs of a row, in increasing column order
@@ -88,8 +87,7 @@ def _diff_row(plus: int, minus: int) -> Row:
     return tuple(row)
 
 
-@dataclass(frozen=True, init=False)
-class LinearSystem:
+class LinearSystem(_Frozen):
     """A homogeneous linear system with one variable per vertex.
 
     Right-hand sides are implicitly zero and never stored. Each row is held
@@ -103,6 +101,8 @@ class LinearSystem:
     and the tags, as dense rows would compare.
     """
 
+    # no __slots__: the cached dense view is kept in the instance __dict__
+    _fields = ("num_vars", "terms", "tags")
     num_vars: int
     terms: tuple[Row, ...]
     tags: tuple[str, ...]
@@ -170,15 +170,16 @@ def empty_system(num_vars: int) -> LinearSystem:
     return LinearSystem(num_vars, (), ())
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(_Frozen):
     """A vertex-indexed rational weighting, its values stored as a tuple."""
 
+    __slots__ = _fields = ("values",)
     values: tuple[Coeff, ...]
 
-    def __post_init__(self):
-        self.__dict__["values"] = tuple(self.values)
-        _check_entries(self.values)
+    def __init__(self, values: Iterable[Coeff]):
+        values = tuple(values)
+        _check_entries(values)
+        _set(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -195,18 +196,21 @@ class WeightVector:
 
 
 def _trusted_vector(values: tuple[Coeff, ...]) -> WeightVector:
-    """A WeightVector built without the check of ``__post_init__``, for
+    """A WeightVector built without the check of ``__init__``, for
     values the elimination kernel made itself."""
     w = object.__new__(WeightVector)
-    w.__dict__["values"] = values
+    _set(w, "values", values)
     return w
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(_Frozen):
     """A list of linearly independent weightings spanning a solution space."""
 
+    __slots__ = _fields = ("vectors",)
     vectors: tuple[WeightVector, ...]
+
+    def __init__(self, vectors: tuple[WeightVector, ...]):
+        _set(self, "vectors", vectors)
 
     @property
     def dimension(self) -> int:

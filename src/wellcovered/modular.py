@@ -35,15 +35,16 @@ are handled, and the flags are read before anything is solved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterator, Sequence, TypeVar
 
 from .graph import (
     Graph,
+    _Frozen,
     _bit_list,
     _finds_fork,
+    _set,
     co_component_masks,
     component_masks,
     induced_subgraph,
@@ -56,11 +57,8 @@ PARALLEL = "parallel"
 SERIES = "series"
 PRIME = "prime"
 
-T = TypeVar("T")
 
-
-@dataclass(frozen=True, eq=False, repr=False)
-class MDNode:
+class MDNode(_Frozen):
     """A node of the modular decomposition tree.
 
     ``vertex_set`` holds the original vertices below this node. Internal
@@ -70,12 +68,31 @@ class MDNode:
     they work on trees of any depth.
     """
 
+    __slots__ = _fields = (
+        "kind", "vertex", "children", "vertex_set", "quotient", "reps"
+    )
     kind: str
     vertex: int | None
     children: tuple["MDNode", ...]
     vertex_set: frozenset[int]
     quotient: Graph | None
     reps: tuple[int, ...] | None
+
+    def __init__(
+        self,
+        kind: str,
+        vertex: int | None,
+        children: tuple[MDNode, ...],
+        vertex_set: frozenset[int],
+        quotient: Graph | None,
+        reps: tuple[int, ...] | None,
+    ):
+        _set(self, "kind", kind)
+        _set(self, "vertex", vertex)
+        _set(self, "children", children)
+        _set(self, "vertex_set", vertex_set)
+        _set(self, "quotient", quotient)
+        _set(self, "reps", reps)
 
     @property
     def is_leaf(self) -> bool:
@@ -89,7 +106,7 @@ class MDNode:
             yield node
             stack.extend(reversed(node.children))
 
-    def _fields(self) -> tuple:
+    def _shallow(self) -> tuple:
         own = (self.kind, self.vertex, self.vertex_set, self.quotient, self.reps)
         return own + (len(self.children),)
 
@@ -99,10 +116,10 @@ class MDNode:
         # fields include the child count, so both pre-orders end together
         # unless an earlier pair differs
         pairs = zip(self.iter_nodes(), other.iter_nodes())
-        return all(a._fields() == b._fields() for a, b in pairs)
+        return all(a._shallow() == b._shallow() for a, b in pairs)
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._shallow())
 
     def __repr__(self) -> str:
         size, arity = len(self.vertex_set), len(self.children)
@@ -229,16 +246,17 @@ def _md_nodes(g: Graph, within: int | None = None) -> list[tuple]:
 
 def md_fold(
     nodes: list[tuple],
-    leaf: Callable[[int], T],
-    node: Callable[[str, int, tuple[int, ...], list[T]], T],
-) -> T:
+    leaf: Callable[[int], object],
+    node: Callable[[str, int, tuple[int, ...], list], object],
+) -> object:
     """Fold the post-order ``nodes`` of ``_md_nodes`` bottom-up: ``leaf(v)``
     per vertex, ``node(kind, mask, reps, values)`` per internal node, with
-    each child's lowest vertex and value in child order.
+    each child's lowest vertex and value in child order; the values are
+    whatever ``leaf`` and ``node`` return, and the root's is returned.
     """
     if not nodes:
         raise ValueError("modular decomposition requires at least one vertex")
-    values: list[T] = []
+    values: list = []
     for kind, x, blocks in nodes:
         if blocks is None:
             values.append(leaf(x))

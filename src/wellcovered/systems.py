@@ -127,14 +127,15 @@ are unit, and every produced system is a well-covering system of its graph.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial, reduce
 from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import (
     Graph,
+    _Frozen,
     _finds_fork,
+    _set,
     induced_subgraph,
     is_claw_free,
     iter_bits,
@@ -174,19 +175,21 @@ class StrategyError(RuntimeError):
 _UNAVAILABLE = "; brute-force system unavailable"
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Frozen):
     """A strategy, one of ``STRATEGIES``, and the cap on the maximal
     independent sets that one enumeration may list; immutable, so checked
     once."""
 
-    strategy: str = "auto"
-    mis_cap: int = DEFAULT_MIS_CAP
+    __slots__ = _fields = ("strategy", "mis_cap")
+    strategy: str
+    mis_cap: int
 
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        _check_cap(self.mis_cap, "mis_cap")
+    def __init__(self, strategy: str = "auto", mis_cap: int = DEFAULT_MIS_CAP):
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        _check_cap(mis_cap, "mis_cap")
+        _set(self, "strategy", strategy)
+        _set(self, "mis_cap", mis_cap)
 
 
 def _chain(masks: Sequence[int], label: str) -> tuple[Iterator[Row], Iterator[str]]:
@@ -787,7 +790,8 @@ def modular_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
     """``well_covering_system`` under ``modular``, capped at ``cfg.mis_cap``:
     the fold of the modular decomposition tree with the reduced brute force
     at each prime quotient."""
-    return well_covering_system(g, replace(cfg or SolverConfig(), strategy="modular"))
+    cap = (cfg or SolverConfig()).mis_cap
+    return well_covering_system(g, SolverConfig("modular", cap))
 
 
 def cograph_system(g: Graph) -> LinearSystem:
@@ -802,7 +806,8 @@ def forkfree_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:
     the fold with the anti-neighborhood reduction at each prime quotient,
     whose subproblems have claw-free prime quotients and the reduced brute
     force at those. Raises StrategyError when ``g`` has an induced fork."""
-    return well_covering_system(g, replace(cfg or SolverConfig(), strategy="forkfree"))
+    cap = (cfg or SolverConfig()).mis_cap
+    return well_covering_system(g, SolverConfig("forkfree", cap))
 
 
 def _query_system(g: Graph, cfg: SolverConfig | None = None) -> LinearSystem:

@@ -1142,6 +1142,26 @@ class TestCommandLineContract:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3\n", "")
 
+    def test_import_loads_no_dataclasses_typing_or_json(self):
+        # every run pays for what the import loads: dataclasses (with
+        # inspect) and typing are not needed, and json only for --output
+        # json. -S, as a site module may load typing itself
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, wellcovered.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'json', 'typing'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
     def test_mis_cap_below_one_refused(self, capsys, bull_file):
         code, out, err = exits_with(capsys, ["dimension", bull_file, "--mis-cap", "0"])
         assert code == 2 and out == "" and "--mis-cap" in err
